@@ -8,6 +8,7 @@ which keeps memory O(radius) and yields each element exactly once.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -36,6 +37,13 @@ class BallCounts:
         for s, c in zip(self.sphere_sizes, self.cumulative):
             total += s
             assert c == total
+
+    @classmethod
+    def from_spheres(cls, spheres) -> "BallCounts":
+        """Ball sizes from sphere sizes 0..radius (running sums)."""
+        spheres = tuple(spheres)
+        return cls(radius=len(spheres) - 1, sphere_sizes=spheres,
+                   cumulative=tuple(itertools.accumulate(spheres)))
 
 
 @dataclass(frozen=True)
@@ -94,15 +102,11 @@ def ball(group: MarkedGroup, radius: int, max_elements: int | None = DEFAULT_ELE
     """
     if radius < 0:
         raise ValueError("radius must be >= 0")
-    spheres = sphere_counts(group, radius)
-    cumulative = []
-    total = 0
-    for s in spheres:
-        total += s
-        cumulative.append(total)
+    counts = BallCounts.from_spheres(sphere_counts(group, radius))
+    total = counts.cumulative[-1]
     if max_elements is not None and total > max_elements:
         raise BudgetExceeded(f"ball of radius {radius} has {total} elements > cap {max_elements}")
-    return BallCounts(radius=radius, sphere_sizes=tuple(spheres), cumulative=tuple(cumulative))
+    return counts
 
 
 def ball_elements(

@@ -81,28 +81,16 @@ def cmd_gap(args) -> int:
     records = None
     if args.format == "csv":
         from .balls import BallCounts
-        spheres = report.details["h_counts"]
-        cum = []
-        total = 0
-        for s in spheres:
-            total += s
-            cum.append(total)
-        counts = BallCounts(radius=len(spheres) - 1, sphere_sizes=tuple(spheres),
-                            cumulative=tuple(cum))
-        records = growth_records(counts, report.omega_h)
+        records = growth_records(BallCounts.from_spheres(report.details["h_counts"]),
+                                 report.omega_h)
     _emit(payload, args, records)
     return EXIT_OK if report.verdict == "PASS" else EXIT_HYPOTHESIS
 
 
 def cmd_quotient(args) -> int:
     cfg = _experiment_config(args)
-    if args.max_states is not None:
-        # pre-flight the coset BFS under the configured state budget
-        from .schreier import schreier_growth
-        sub = cfg.free_subgroup()
-        schreier_growth(sub.core, cfg.r_schreier, max_states=args.max_states)
     try:
-        report = verify_quotient_growth(cfg)
+        report = verify_quotient_growth(cfg, max_states=args.max_states)
     except HypothesisFailed as exc:
         _emit(exc.report.to_dict(), args)
         return EXIT_HYPOTHESIS
@@ -231,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("quotient", help="quotient-growth pipeline")
     common(p, subgroup=True, g0=True)
     p.add_argument("--max-states", type=int, default=None,
-                   help="coset state budget for the Schreier BFS")
+                   help="cap on the cosets within --rmax (exit 4 when exceeded)")
     p.set_defaults(func=cmd_quotient)
 
     p = sub.add_parser("amalgam", help="amalgam injectivity refutation attempt")

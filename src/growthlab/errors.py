@@ -29,6 +29,10 @@ class PowerIterationDiverged(GrowthLabError):
     """Power iteration failed to converge within the iteration cap."""
 
 
+class CrossCheckFailed(GrowthLabError):
+    """Two independent computations of the same quantity disagreed."""
+
+
 class FiniteOrderElement(GrowthLabError):
     """An axis or root was requested for a torsion (or trivial) element."""
 

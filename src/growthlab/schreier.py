@@ -1,15 +1,19 @@
-"""Lazy Schreier coset automata and quotient growth.
+"""Coset counts and quotient growth of free-group subgroups.
 
-States are right cosets Hg; reading a letter multiplies the representative
-on the right.  Completion is on demand: a missing transition mints a fresh
-coset.  Beyond the folded core the Schreier graph of a free-group subgroup
-is a forest, so freshly minted states never need re-folding and the BFS
-can be vectorized level by level.
+Outside its Stallings core, the Schreier graph of H <= F_k is a forest:
+a core vertex v at core-BFS depth d(v) with deg(v) < 2k half-edges roots
+2k - deg(v) hanging (2k-1)-ary trees.  So the coset spheres have a closed
+form,
 
-The left-coset count |L(B(o,r))| is obtained by the bijection gH -> Hg^-1,
-concretely a second BFS over the same automaton that follows the
-inverse-labeled transition arrays.  The two counts must agree at every
-radius and the growth code asserts that they do.
+    |S_r| = #{v : d(v) = r} + sum_v (2k - deg v) (2k - 1)^(r - d(v) - 1),
+
+(the sum over v with d(v) < r), exact in Python integers at any radius
+without minting a coset.  ``schreier_growth`` checks it against the lazy
+coset BFS of ``SchreierAutomaton`` at small radius.  The automaton stays
+the tool for coset distances and coset keys (``orbits``, the coarse
+quotient check): states are right cosets Hg, reading a letter multiplies
+the representative on the right, and a missing transition mints a fresh
+coset.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .balls import BallCounts, GrowthEstimate, growth_rate
-from .errors import BudgetExceeded, WindowTooSmall
+from .errors import BudgetExceeded, CrossCheckFailed, WindowTooSmall
 from .groups import Word
 from .stallings import CoreGraph
 
@@ -171,35 +175,63 @@ class SchreierGrowth:
     right: GrowthEstimate
 
 
-def schreier_growth(core: CoreGraph, r_max: int,
-                    max_states: int = DEFAULT_STATE_CAP) -> SchreierGrowth:
-    """Quotient growth rates from the lazy coset BFS.
+def coset_sphere_sizes(core: CoreGraph, r_max: int) -> list[int]:
+    """|{Hg : d(H, Hg) = n}| for n = 0..r_max, core plus hanging forest.
 
-    The right count comes from the completion BFS, the left count from the
-    mirrored traversal; equality at every radius is asserted, not assumed.
+    With M_d the number of missing half-edges at core depth d, the forest
+    part obeys F_0 = 0 and F_n = (2k - 1) F_{n-1} + M_{n-1}.
     """
-    aut = SchreierAutomaton(core, max_states=max_states)
-    aut.complete_to(r_max)
-    right_sizes = aut.level_sizes[: r_max + 1]
-    left_sizes = aut.mirror_level_sizes(r_max)
-    assert left_sizes == right_sizes, "left and right coset counts disagree"
+    k2 = 2 * core.group.rank
+    depth = {core.base: 0}
+    frontier = [core.base]
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for w in (*core.out[v].values(), *core.into[v].values()):
+                if w not in depth:
+                    depth[w] = depth[v] + 1
+                    nxt.append(w)
+        frontier = nxt
+    at_depth = [0] * (r_max + 1)
+    missing = [0] * (r_max + 1)
+    for v, d in depth.items():
+        if d <= r_max:
+            at_depth[d] += 1
+            missing[d] += k2 - len(core.out[v]) - len(core.into[v])
+    sizes = []
+    forest = 0
+    for n in range(r_max + 1):
+        sizes.append(at_depth[n] + forest)
+        forest = (k2 - 1) * forest + missing[n]
+    return sizes
 
-    def pack(sizes: list[int]) -> BallCounts:
-        cum = []
-        total = 0
-        for s in sizes:
-            total += s
-            cum.append(total)
-        return BallCounts(radius=r_max, sphere_sizes=tuple(sizes), cumulative=tuple(cum))
 
-    right_counts = pack(right_sizes)
-    left_counts = pack(left_sizes)
+CROSS_CHECK_RADIUS = 4
 
-    def estimate(counts: BallCounts) -> GrowthEstimate:
-        try:
-            return growth_rate(counts, "bfs_fit")
-        except (WindowTooSmall, ValueError):
-            return GrowthEstimate(0.0, "bfs_fit", (0, r_max), 0.0, notes=("degenerate window",))
 
-    return SchreierGrowth(left_counts=left_counts, right_counts=right_counts,
-                          left=estimate(left_counts), right=estimate(right_counts))
+def schreier_growth(core: CoreGraph, r_max: int,
+                    max_states: int | None = None) -> SchreierGrowth:
+    """Quotient growth rates from the closed-form coset counts.
+
+    The left and right counts are equal: gH -> Hg^-1 is a bijection from
+    left to right cosets that preserves the distance to the base coset,
+    since |g^-1| = |g|.  The closed form is checked against the coset BFS
+    up to radius min(r_max, CROSS_CHECK_RADIUS); a disagreement raises
+    CrossCheckFailed.  ``max_states`` caps the number of cosets within
+    r_max (BudgetExceeded), checked before any work.
+    """
+    counts = BallCounts.from_spheres(coset_sphere_sizes(core, r_max))
+    if max_states is not None and counts.cumulative[-1] > max_states:
+        raise BudgetExceeded(f"{counts.cumulative[-1]} cosets within radius {r_max} "
+                             f"exceed the budget of {max_states}")
+    check = min(r_max, CROSS_CHECK_RADIUS)
+    aut = SchreierAutomaton(core)
+    aut.complete_to(check)
+    if aut.level_sizes[:check + 1] != list(counts.sphere_sizes[:check + 1]):
+        raise CrossCheckFailed(f"coset spheres {counts.sphere_sizes[:check + 1]} != coset BFS "
+                               f"{aut.level_sizes[:check + 1]}")
+    try:
+        rate = growth_rate(counts, "bfs_fit")
+    except (WindowTooSmall, ValueError):
+        rate = GrowthEstimate(0.0, "bfs_fit", (0, r_max), 0.0, notes=("degenerate window",))
+    return SchreierGrowth(left_counts=counts, right_counts=counts, left=rate, right=rate)

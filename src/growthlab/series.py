@@ -2,9 +2,9 @@
 
 The series sum_{h in H} e^{-s d(o, h o)} converges for s above the relative
 growth rate and diverges below it; behaviour AT the rate separates
-divergent from convergent subgroups.  A finite-radius verdict is
-necessarily heuristic, so raw partial sums are always reported next to
-the verdict and the cutoffs are explicit parameters.
+divergent from convergent subgroups.  The verdict compares s with the
+core's exact Perron rate and, at the rate, reads whole periods of exact
+counts; the counts and raw partial sums are reported next to it.
 """
 
 from __future__ import annotations
@@ -16,6 +16,9 @@ from typing import Sequence
 from .groups import Word
 from .stallings import CoreGraph, relative_growth
 
+# |s - omega_H| within this counts as s = omega_H
+AT_RATE_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class PoincareEvaluation:
@@ -24,6 +27,7 @@ class PoincareEvaluation:
     s: float
     partial_sums: tuple[float, ...]
     radius: int
+    counts: tuple[int, ...]  # exact |{h in H : |h| = n}|, n = 0..radius
 
     def __post_init__(self):
         assert self.s >= 0.0
@@ -38,50 +42,57 @@ def poincare_partial(core: CoreGraph, s: float, r_max: int) -> PoincareEvaluatio
     sums = []
     total = 0.0
     for n, c in enumerate(counts):
-        total += c * math.exp(-s * n)
+        # past the float range c cannot be converted; math.log still takes it
+        total += c * math.exp(-s * n) if c < 1 << 1000 else math.exp(math.log(c) - s * n)
         sums.append(total)
-    return PoincareEvaluation(s=s, partial_sums=tuple(sums), radius=r_max)
+    return PoincareEvaluation(s=s, partial_sums=tuple(sums), radius=r_max,
+                              counts=tuple(counts))
 
 
 @dataclass(frozen=True)
 class DivergenceVerdict:
     verdict: str  # diverges | converges | inconclusive
     s: float
-    tail_mean_increment: float
-    tail_shrink_ratio: float | None
+    rate: float  # omega_H of the core, log of its Perron root
+    period: int  # period p of the core's non-backtracking matrix
+    tail_mean_increment: float  # mean term c_n e^{-s n} over the tail window
     evaluation: PoincareEvaluation
 
 
-def divergence_diagnostic(core: CoreGraph, s: float, r_max: int,
-                          diverge_threshold: float = 1e-3,
-                          shrink_ratio: float = 0.8) -> DivergenceVerdict:
-    """Desk-scale verdict on the series behaviour at exponent s.
+def divergence_diagnostic(core: CoreGraph, s: float, r_max: int) -> DivergenceVerdict:
+    """Verdict on the Poincare series at exponent s, against the exact rate.
 
-    Tail = the last ceil(r_max/3) radii.  "diverges" when the mean tail
-    increment stays above ``diverge_threshold``; "converges" when the
-    second half of the tail contributes under ``shrink_ratio`` times the
-    first half (geometric decay); otherwise inconclusive.
+    The series converges for s above omega_H, the log Perron root of the
+    core's non-backtracking matrix, and diverges below it.  At s = omega_H
+    the terms c_n e^{-s n} are asymptotically periodic with that matrix's
+    period p, and for a nontrivial finitely generated subgroup their
+    Cesaro mean is positive, so the series diverges; the verdict there
+    reads the exact counts over a tail window of whole periods (at least
+    as long as the core has edges) that starts past radius 2V + E, since a
+    core cycle of length l <= E reached by a path of length < V gives
+    subgroup elements of every length 2|path| + jl.  "diverges" when the
+    window holds a positive count, otherwise "inconclusive".  The trivial
+    subgroup's series is the single term 1: "converges".
+
+    The partial sums are evaluated out to the end of the tail window
+    (at least r_max) and returned with the verdict.
     """
-    ev = poincare_partial(core, s, r_max)
+    rate = core.spectral_rate()
+    period = core.perron[1] or 1
+    n_edges = len(core.edges)
+    window = period * max(1, -(-n_edges // period))
+    radius = max(r_max, 2 * core.n_vertices + n_edges + window)
+    ev = poincare_partial(core, s, radius)
     sums = ev.partial_sums
-    tail_len = max(2, math.ceil(r_max / 3))
-    increments = [sums[i] - sums[i - 1] for i in range(len(sums) - tail_len, len(sums))]
-    mean_inc = sum(increments) / len(increments)
-    half = len(increments) // 2
-    first, second = sum(increments[:half]), sum(increments[half:])
-    ratio = (second / first) if first > 0 else None
-    # A geometrically shrinking tail bounds the whole series, so it beats
-    # the raw mean-increment signal when both fire.
-    if first == 0.0 and second == 0.0:
+    mean_inc = (sums[-1] - sums[-1 - window]) / window
+    if not core.edges or s > rate + AT_RATE_TOL:
         verdict = "converges"
-    elif ratio is not None and ratio <= shrink_ratio:
-        verdict = "converges"
-    elif mean_inc >= diverge_threshold:
+    elif s < rate - AT_RATE_TOL:
         verdict = "diverges"
     else:
-        verdict = "inconclusive"
-    return DivergenceVerdict(verdict=verdict, s=s, tail_mean_increment=mean_inc,
-                             tail_shrink_ratio=ratio, evaluation=ev)
+        verdict = "diverges" if any(ev.counts[-window:]) else "inconclusive"
+    return DivergenceVerdict(verdict=verdict, s=s, rate=rate, period=period,
+                             tail_mean_increment=mean_inc, evaluation=ev)
 
 
 @dataclass(frozen=True)

@@ -4,14 +4,18 @@ A core graph is a folded, connected, base-pointed graph with edges labeled
 by positive generators; a reduced word lies in the subgroup iff it labels a
 base-to-base path (inverse letters traverse edges backwards).  Reduced
 words of the subgroup correspond exactly to non-backtracking base-to-base
-paths, which makes |B_G(o,r) & H| a non-backtracking path count and hence
-a transfer-matrix computation over directed edges.
+paths, so |B_G(o,r) & H| is a non-backtracking path count: a dynamic
+program over the successor lists of the directed half-edges, in Python
+integers, exact at any radius.  The relative growth rate omega_H is the
+log of the Perron root of the same non-backtracking (Hashimoto) matrix,
+read off its eigenvalues, which also settles periodic matrices.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -94,35 +98,71 @@ class CoreGraph:
 
         yield from walk(self.base, -2)
 
-    def counts_by_length(self, r_max: int) -> list[int]:
-        """|{h in H : |h| = n}| for n = 0..r_max via the edge transfer matrix."""
+    @functools.cached_property
+    def successors(self) -> tuple[tuple[int, ...], ...]:
+        """Non-backtracking successors of every directed half-edge.
+
+        Half-edge i (as numbered by ``directed_edges``) may be followed by
+        every half-edge leaving its head except its own reverse, i ^ 1.
+        """
         halves = self.directed_edges()
-        n = len(halves)
-        if n == 0:
-            return [1] + [0] * r_max
-        T = np.zeros((n, n), dtype=np.int64)
-        for i, (_, head, _, did) in enumerate(halves):
-            for j, (tail2, _, _, did2) in enumerate(halves):
-                if head == tail2 and did2 != did ^ 1:
-                    T[i, j] = 1
-        start = np.array([1 if h[0] == self.base else 0 for h in halves], dtype=np.int64)
-        end = np.array([1 if h[1] == self.base else 0 for h in halves], dtype=np.int64)
+        by_tail: list[list[int]] = [[] for _ in range(self.n_vertices)]
+        for i, (tail, _, _, _) in enumerate(halves):
+            by_tail[tail].append(i)
+        return tuple(tuple(j for j in by_tail[head] if j != i ^ 1)
+                     for i, (_, head, _, _) in enumerate(halves))
+
+    def counts_by_length(self, r_max: int) -> list[int]:
+        """|{h in H : |h| = n}| for n = 0..r_max, exact at any radius.
+
+        ways[i] counts the non-backtracking paths from the base whose last
+        half-edge is i; each step pushes them along the successor lists.
+        """
+        halves = self.directed_edges()
+        ways = [1 if tail == self.base else 0 for tail, _, _, _ in halves]
+        ends = [i for i, (_, head, _, _) in enumerate(halves) if head == self.base]
+        succ = self.successors
         counts = [1]
-        vec = start.copy()
         for _ in range(r_max):
-            counts.append(int(vec @ end))
-            vec = vec @ T
+            counts.append(sum(ways[i] for i in ends))
+            step = [0] * len(ways)
+            for i, w in enumerate(ways):
+                if w:
+                    for j in succ[i]:
+                        step[j] += w
+            ways = step
         return counts
 
     def transfer_matrix(self) -> np.ndarray:
-        halves = self.directed_edges()
-        n = len(halves)
-        T = np.zeros((n, n), dtype=np.float64)
-        for i, (_, head, _, did) in enumerate(halves):
-            for j, (tail2, _, _, did2) in enumerate(halves):
-                if head == tail2 and did2 != did ^ 1:
-                    T[i, j] = 1.0
+        """The non-backtracking (Hashimoto) matrix over directed half-edges."""
+        T = np.zeros((len(self.successors),) * 2, dtype=np.float64)
+        for i, row in enumerate(self.successors):
+            T[i, list(row)] = 1.0
         return T
+
+    @functools.cached_property
+    def perron(self) -> tuple[float, int]:
+        """(rho, p): the Perron root of ``transfer_matrix`` and its period.
+
+        The eigenvalues of modulus rho are rho times the p-th roots of
+        unity (Perron-Frobenius on the core's cycles; the half-edges of a
+        hanging path to the base only add the eigenvalue 0), so p is read
+        off the smallest positive angle among them.  (0.0, 0) for the
+        trivial subgroup, whose core has no edges.
+        """
+        if not self.edges:
+            return 0.0, 0
+        eig = np.linalg.eigvals(self.transfer_matrix())
+        rho = float(np.abs(eig).max())
+        angles = np.angle(eig[np.abs(np.abs(eig) - rho) <= 1e-7 * rho]) % (2 * math.pi)
+        angles = angles[(angles > 1e-6) & (angles < 2 * math.pi - 1e-6)]
+        period = round(2 * math.pi / float(angles.min())) if angles.size else 1
+        return rho, period
+
+    def spectral_rate(self) -> float:
+        """omega_H = log rho, or 0 when rho <= 1 (cyclic or trivial subgroups)."""
+        rho = self.perron[0]
+        return math.log(rho) if rho > 1.0 + 1e-12 else 0.0
 
     # -- canonical form ----------------------------------------------------
 
@@ -246,7 +286,8 @@ def power_iteration(T: np.ndarray, tol: float = 1e-10, stable_steps: int = 5,
 
     Stops when the quotient varies less than tol over ``stable_steps``
     consecutive steps; raises PowerIterationDiverged at the iteration cap
-    (periodic matrices may never settle).
+    (periodic matrices may never settle).  ``relative_growth`` does not
+    use it: it reads the Perron root off the eigenvalues instead.
     """
     n = T.shape[0]
     if n == 0:
@@ -272,47 +313,24 @@ class RelativeGrowth:
     """Relative growth data for a subgroup: exact counts plus two estimates."""
 
     counts: BallCounts
-    spectral: GrowthEstimate | None
+    spectral: GrowthEstimate
     fit: GrowthEstimate
-    notes: tuple[str, ...] = field(default_factory=tuple)
 
     @property
     def rate(self) -> float:
-        return self.spectral.rate if self.spectral is not None else self.fit.rate
+        return self.spectral.rate
 
 
 def relative_growth(core: CoreGraph, r_max: int) -> RelativeGrowth:
-    """|B_G(o,r) & H| counts with spectral-radius and bfs_fit estimates."""
-    counts = core.counts_by_length(r_max)
-    cumulative = []
-    total = 0
-    for c in counts:
-        total += c
-        cumulative.append(total)
-    ball_counts = BallCounts(radius=r_max, sphere_sizes=tuple(counts),
-                             cumulative=tuple(cumulative))
-    notes: list[str] = []
-    T = core.transfer_matrix()
-    spectral = None
-    if T.shape[0] == 0:
-        spectral = GrowthEstimate(0.0, "spectral_radius", (0, r_max), 0.0,
-                                  notes=("trivial subgroup",))
-    else:
-        try:
-            rho, iters = power_iteration(T)
-            rate = math.log(rho) if rho > 1.0 else 0.0
-            spectral = GrowthEstimate(rate, "spectral_radius", (0, r_max), 0.0,
-                                      notes=(f"power iteration, {iters} steps",))
-        except PowerIterationDiverged:
-            # periodic transfer matrix (e.g. a subgroup with only even-length
-            # elements); recover the radius from an exact count recurrence
-            notes.append("power iteration diverged (periodic matrix)")
-            try:
-                spectral = growth_rate(ball_counts, "spectral_radius")
-            except (WindowTooSmall, ValueError):
-                notes.append("no exact recurrence either; bfs_fit only")
+    """|B_G(o,r) & H| counts with the exact spectral rate and a bfs_fit estimate."""
+    ball_counts = BallCounts.from_spheres(core.counts_by_length(r_max))
+    rho, period = core.perron
+    note = (f"Perron root {rho:.12g}, period {period}" if core.edges
+            else "trivial subgroup")
+    spectral = GrowthEstimate(core.spectral_rate(), "spectral_radius", (0, r_max), 0.0,
+                              notes=(note,))
     try:
         fit = growth_rate(ball_counts, "bfs_fit")
     except (WindowTooSmall, ValueError):
         fit = GrowthEstimate(0.0, "bfs_fit", (0, r_max), 0.0, notes=("window too small",))
-    return RelativeGrowth(counts=ball_counts, spectral=spectral, fit=fit, notes=tuple(notes))
+    return RelativeGrowth(counts=ball_counts, spectral=spectral, fit=fit)

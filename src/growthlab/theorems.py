@@ -39,7 +39,6 @@ class ExperimentConfig:
     r_audit: int = 4
     gap_margin: float = 0.01
     quotient_tolerance: float = 0.05
-    divergence_threshold: float = 1e-3
     seed: int = 0
 
     def __post_init__(self):
@@ -99,14 +98,13 @@ def verify_growth_gap(cfg: ExperimentConfig, raise_on_hypothesis: bool = True) -
     rel = relative_growth(sub.core, cfg.r_ball)
     omega_h = rel.rate
     hypotheses["omega_h_finite"] = math.isfinite(omega_h)
-    details["omega_h_spectral"] = rel.spectral.rate if rel.spectral else None
+    details["omega_h_spectral"] = rel.spectral.rate
     details["omega_h_fit"] = rel.fit.rate
     details["h_counts"] = list(rel.counts.sphere_sizes)
 
-    div = divergence_diagnostic(sub.core, omega_h, max(cfg.r_ball, 15),
-                                diverge_threshold=cfg.divergence_threshold)
+    div = divergence_diagnostic(sub.core, omega_h, max(cfg.r_ball, 15))
     hypotheses["divergent"] = div.verdict == "diverges"
-    details["divergence"] = {"verdict": div.verdict,
+    details["divergence"] = {"verdict": div.verdict, "period": div.period,
                              "tail_mean_increment": div.tail_mean_increment}
 
     eta = quasiconvexity_audit(SubgroupOrbit(sub), min(cfg.r_audit, 4))
@@ -136,9 +134,13 @@ def verify_growth_gap(cfg: ExperimentConfig, raise_on_hypothesis: bool = True) -
     return report
 
 
-def verify_quotient_growth(cfg: ExperimentConfig, raise_on_hypothesis: bool = True) -> TheoremReport:
+def verify_quotient_growth(cfg: ExperimentConfig, raise_on_hypothesis: bool = True,
+                           max_states: int | None = None) -> TheoremReport:
     """Quotient-growth pipeline: coset counts of an infinite-index
-    quasi-convex subgroup grow at the full rate omega_G."""
+    quasi-convex subgroup grow at the full rate omega_G.
+
+    ``max_states`` caps the cosets within radius r_schreier
+    (BudgetExceeded)."""
     group = cfg.marked_group()
     sub = cfg.free_subgroup()
     hypotheses: dict = {}
@@ -155,7 +157,7 @@ def verify_quotient_growth(cfg: ExperimentConfig, raise_on_hypothesis: bool = Tr
     omega_g, og_detail = _omega_g(group, cfg.r_ball)
     details["omega_g"] = og_detail
 
-    sg = schreier_growth(sub.core, cfg.r_schreier)
+    sg = schreier_growth(sub.core, cfg.r_schreier, max_states=max_states)
     omega_quotient = sg.right.rate
     details["coset_counts"] = list(sg.right_counts.cumulative)
     details["left_equals_right"] = list(sg.left_counts.cumulative) == list(sg.right_counts.cumulative)

@@ -7,8 +7,8 @@ import math
 import pytest
 
 from growthlab import MarkedGroup, ball_elements, schreier_growth, stallings_fold
-from growthlab.errors import BudgetExceeded
-from growthlab.schreier import SchreierAutomaton
+from growthlab.errors import BudgetExceeded, CrossCheckFailed
+from growthlab.schreier import SchreierAutomaton, coset_sphere_sizes
 
 from oracles import closure_membership, free_reduce
 
@@ -92,3 +92,35 @@ def test_coset_distance_is_orbit_distance(f2):
 def test_state_cap(f2):
     with pytest.raises(BudgetExceeded):
         SchreierAutomaton(fold(f2, ["a"]), max_states=50).complete_to(8)
+
+
+@pytest.mark.parametrize("rank, gens, radius", [
+    (2, ["a"], 12), (2, ["a", "baB"], 12), (2, ["aa", "ab", "ba"], 12), (3, ["ab", "cA"], 9)])
+def test_coset_formula_equals_bfs(rank, gens, radius):
+    group = MarkedGroup.free(rank)
+    core = stallings_fold(group, [group.parse(w) for w in gens])
+    aut = SchreierAutomaton(core)
+    aut.complete_to(radius)
+    assert coset_sphere_sizes(core, radius) == aut.level_sizes[:radius + 1]
+
+
+def test_coset_formula_large_radius(f2):
+    # <a>: 1, 2, then the two hanging ternary trees at the base
+    sizes = coset_sphere_sizes(fold(f2, ["a"]), 60)
+    assert sizes[:3] == [1, 2, 6]
+    assert all(sizes[n] == 2 * 3 ** (n - 1) for n in range(1, 61))
+
+
+def test_schreier_growth_budget(f2):
+    core = fold(f2, ["a"])
+    with pytest.raises(BudgetExceeded):
+        schreier_growth(core, 12, max_states=100)
+    assert schreier_growth(core, 3, max_states=100).right_counts.cumulative[-1] == 27
+
+
+def test_cross_check_failure_raises(f2, monkeypatch):
+    import growthlab.schreier as schreier
+    monkeypatch.setattr(schreier, "coset_sphere_sizes",
+                        lambda core, r: [1] + [5] * r)
+    with pytest.raises(CrossCheckFailed):
+        schreier_growth(fold(f2, ["a"]), 6)

@@ -74,3 +74,36 @@ def test_direct_evaluation_oracle(f2):
         for h in (f2.parse("a" * n), f2.parse("A" * n)):
             total += math.exp(-w.s0 * (h * f2.parse("b")).length)
     assert total > 1.0
+
+
+@pytest.mark.parametrize("gens", [["ABBABA", "abABaB", "ABBBAb"], ["bbAbb", "AbaaBAA"],
+                                  ["a" * 16, "b" * 16]])
+def test_divergence_at_the_exact_rate(f2, gens):
+    core = fold(f2, gens)
+    omega = relative_growth(core, 15).rate
+    d = divergence_diagnostic(core, omega, 15)
+    assert d.verdict == "diverges"
+    assert d.tail_mean_increment > 0
+    assert d.evaluation.radius >= 15
+    assert len(d.evaluation.partial_sums) == d.evaluation.radius + 1
+    assert divergence_diagnostic(core, omega + 0.4, 15).verdict == "converges"
+
+
+def test_divergence_trivial_subgroup_converges(f2):
+    d = divergence_diagnostic(fold(f2, []), 0.0, 15)
+    assert d.verdict == "converges"
+    assert d.evaluation.partial_sums[-1] == 1.0
+
+
+def test_divergence_below_the_rate(f2):
+    core = fold(f2, ["a", "baB"])
+    omega = relative_growth(core, 12).rate
+    assert divergence_diagnostic(core, omega - 0.1, 15).verdict == "diverges"
+
+
+def test_partial_sums_past_float_range(f2):
+    # |S(700)| = 4 * 3^699 is past the float range; the series at s = 1.2
+    # converges to 1 + 4 e^{-s} / (1 - 3 e^{-s})
+    ev = poincare_partial(fold(f2, ["a", "b"]), 1.2, 700)
+    closed = 1 + 4 * math.exp(-1.2) / (1 - 3 * math.exp(-1.2))
+    assert ev.partial_sums[-1] == pytest.approx(closed, rel=1e-12)

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from growthlab import MarkedGroup, ball_elements, relative_growth, stallings_fold
+from growthlab.balls import sphere_counts
 from growthlab.errors import NotFreeGroup, PowerIterationDiverged
 from growthlab.stallings import power_iteration
 
@@ -140,3 +141,42 @@ def test_power_iteration_periodic_matrix_raises():
 def test_power_iteration_identity():
     rho, _ = power_iteration(np.eye(4))
     assert rho == pytest.approx(1.0, abs=1e-12)
+
+
+def test_counts_exact_past_int64(f2):
+    # |S(n)| = 4 * 3^(n-1) passes 2^63 at n = 40
+    counts = fold(f2, ["a", "b"]).counts_by_length(45)
+    assert counts == sphere_counts(f2, 45)
+    assert counts[40] == 4 * 3**39
+
+
+def test_periodic_rate_a16_b16(f2):
+    # every element has length divisible by 16: the matrix has period 16
+    core = fold(f2, ["a" * 16, "b" * 16])
+    assert core.perron[1] == 16
+    rg = relative_growth(core, 14)
+    assert rg.counts.sphere_sizes == (1,) + (0,) * 14
+    assert rg.rate == pytest.approx(math.log(3) / 16, abs=1e-12)
+
+
+def nonbacktracking_matrix(core):
+    """Hashimoto matrix built from the edge list, independently of the core's own."""
+    halves = []
+    for u, g, v in core.edges:
+        halves += [(u, v, (u, g, v), +1), (v, u, (u, g, v), -1)]
+    m = np.zeros((len(halves), len(halves)))
+    for i, (_, head, edge, sign) in enumerate(halves):
+        for j, (tail, _, edge2, sign2) in enumerate(halves):
+            if tail == head and not (edge2 == edge and sign2 == -sign):
+                m[i, j] = 1.0
+    return m
+
+
+@pytest.mark.parametrize("gens", [["aa", "bb"], ["ab", "ba"],
+                                  ["babbaaBa", "babaBBAA", "bbaaabba"],
+                                  ["ABBABA", "abABaB", "ABBBAb"]])
+def test_rate_matches_numpy_spectral_radius(f2, gens):
+    core = fold(f2, gens)
+    rg = relative_growth(core, 12)
+    assert rg.rate == pytest.approx(math.log(spectral_radius(nonbacktracking_matrix(core))),
+                                    abs=1e-9)
