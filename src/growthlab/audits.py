@@ -34,19 +34,13 @@ class ConstrictionReport:
     delta_cs1: int
     delta_cs2: int
     samples: int
-    violations: tuple = ()
 
     @property
     def delta(self) -> int:
         return max(self.delta_cs1, self.delta_cs2)
 
-    @property
-    def certified(self) -> bool:
-        return not self.violations
-
 
 def constriction_audit(pm: ProjectionMap, sample_radius: int,
-                       delta_grid: range | None = None,
                        pair_cap: int = DEFAULT_PAIR_CAP) -> ConstrictionReport:
     """Minimal delta certifying CS1 and CS2 over all pairs in B(o, r).
 
@@ -79,7 +73,6 @@ def constriction_audit(pm: ProjectionMap, sample_radius: int,
         return hit
 
     needed = 0  # max over pairs of the minimal certifying delta
-    worst_pair = None
     for x, y in itertools.combinations(points, 2):
         px, py = proj[x], proj[y]
         gap = abs(px.position - py.position)
@@ -90,17 +83,9 @@ def constriction_audit(pm: ProjectionMap, sample_radius: int,
             ax = min(vertex_dist(v, px.vertex) for v in path)
             ay = min(vertex_dist(v, py.vertex) for v in path)
             worst_approach = max(worst_approach, ax, ay)
-        pair_delta = min(gap, worst_approach)
-        if pair_delta > needed:
-            needed = pair_delta
-            worst_pair = (x, y)
-    delta_cs2 = needed
-
-    violations: tuple = ()
-    if delta_grid is not None and needed > max(delta_grid, default=-1):
-        violations = ((str(worst_pair[0]), str(worst_pair[1]), needed),)
-    return ConstrictionReport(delta_cs1=delta_cs1, delta_cs2=delta_cs2,
-                              samples=n * (n - 1) // 2, violations=violations)
+        needed = max(needed, min(gap, worst_approach))
+    return ConstrictionReport(delta_cs1=delta_cs1, delta_cs2=needed,
+                              samples=n * (n - 1) // 2)
 
 
 def quasiconvexity_audit(orbit, sample_radius: int,

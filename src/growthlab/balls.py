@@ -31,12 +31,12 @@ class BallCounts:
     cumulative: tuple[int, ...]
 
     def __post_init__(self):
-        assert len(self.sphere_sizes) == self.radius + 1
-        assert self.sphere_sizes[0] == 1
-        total = 0
-        for s, c in zip(self.sphere_sizes, self.cumulative):
-            total += s
-            assert c == total
+        if len(self.sphere_sizes) != self.radius + 1:
+            raise ValueError(f"{len(self.sphere_sizes)} sphere sizes for radius {self.radius}")
+        if self.sphere_sizes[0] != 1:
+            raise ValueError(f"sphere of radius 0 has {self.sphere_sizes[0]} elements, not 1")
+        if any(c != t for c, t in zip(self.cumulative, itertools.accumulate(self.sphere_sizes))):
+            raise ValueError("cumulative counts are not the running sums of the spheres")
 
     @classmethod
     def from_spheres(cls, spheres) -> "BallCounts":
@@ -57,8 +57,8 @@ class GrowthEstimate:
     notes: tuple[str, ...] = field(default_factory=tuple)
 
     def __post_init__(self):
-        assert self.rate >= 0.0
-        assert self.error_bound >= 0.0
+        if not (self.rate >= 0.0 and self.error_bound >= 0.0):
+            raise ValueError(f"negative rate {self.rate} or error bound {self.error_bound}")
 
 
 def _exponent_costs(group: MarkedGroup, i: int, budget: int) -> list[tuple[int, int]]:

@@ -88,7 +88,9 @@ class BufferingParams:
     L: int
 
     def __post_init__(self):
-        assert self.delta >= 0 and self.epsilon >= 0 and self.L >= 0
+        if min(self.delta, self.epsilon, self.L) < 0:
+            raise PreconditionFailed(f"buffering parameters must be >= 0, got "
+                                     f"delta={self.delta}, epsilon={self.epsilon}, L={self.L}")
 
 
 @dataclass

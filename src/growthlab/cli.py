@@ -21,6 +21,7 @@ Exit codes: 0 pass/complete, 2 hypothesis failed, 3 counterexample found,
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 
@@ -63,7 +64,7 @@ def _experiment_config(args) -> ExperimentConfig:
     gens = _read_subgroup(getattr(args, "subgroup", None))
     kwargs = dict(group=args.group, subgroup=gens, g0=getattr(args, "g0", "") or "")
     if getattr(args, "rmax", None):
-        kwargs["r_ball"] = min(args.rmax, 14)
+        kwargs["r_ball"] = args.rmax
         kwargs["r_schreier"] = args.rmax
     if getattr(args, "margin", None):
         kwargs["gap_margin"] = args.margin
@@ -80,8 +81,7 @@ def cmd_gap(args) -> int:
     payload = report.to_dict()
     records = None
     if args.format == "csv":
-        from .balls import BallCounts
-        records = growth_records(BallCounts.from_spheres(report.details["h_counts"]),
+        records = growth_records(itertools.accumulate(report.details["h_counts"]),
                                  report.omega_h)
     _emit(payload, args, records)
     return EXIT_OK if report.verdict == "PASS" else EXIT_HYPOTHESIS
@@ -96,8 +96,7 @@ def cmd_quotient(args) -> int:
         return EXIT_HYPOTHESIS
     records = None
     if args.format == "csv":
-        records = [{"radius": r, "count": c, "rate_estimate": report.omega_quotient}
-                   for r, c in enumerate(report.details["coset_counts"])]
+        records = growth_records(report.details["coset_counts"], report.omega_quotient)
     _emit(report.to_dict(), args, records)
     return EXIT_OK if report.verdict == "PASS" else EXIT_HYPOTHESIS
 
@@ -141,9 +140,9 @@ def cmd_buffering(args) -> int:
     sub = FreeSubgroup.from_words(group, [group.parse(w) for w in spec["subgroup"]])
     g = group.parse(spec["g"])
     letters = [group.parse(w) for _, w in spec["word"]]
-    chain = build_axis_chain(sub, g, letters, spec.get("radius", 2))
     params = BufferingParams(spec.get("delta", 0), spec.get("epsilon", 2),
                              spec.get("L", 1))
+    chain = build_axis_chain(sub, g, letters, spec.get("radius", 2))
     verdict = check_buffering(chain, params)
     payload = {"check": verdict, "params": params}
     if verdict.passed and spec.get("theta") is not None:

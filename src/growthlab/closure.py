@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 from .axes import Axis, ProjectionMap
 from .balls import ball_elements
 from .buffering import TranslatedProjection
-from .errors import (FiniteOrderElement, NotFoundWithinBound, PreconditionFailed)
+from .errors import (CrossCheckFailed, FiniteOrderElement, NotFoundWithinBound,
+                     PreconditionFailed)
 from .groups import MarkedGroup, Word, distance, is_torsion, primitive_root
 from .stallings import CoreGraph
 
@@ -112,15 +113,16 @@ def elementary_closure(g: Word, search_radius: int, m_scan: int = 4,
         if not r.is_identity and not is_power_of(r, root):
             gens.append(r)
 
-    # closure сertificate: products and inverses of scanned elements stay in
+    # closure certificate: products and inverses of scanned elements stay in
     # the scan whenever they fit in the ball
     found_set = set(found)
     for u in found:
-        assert u.inverse() in found_set, "scan not closed under inverses"
+        if u.inverse() not in found_set:
+            raise CrossCheckFailed(f"scan not closed under inverses: {u}")
     for u, v in itertools.islice(itertools.combinations(found, 2), 20_000):
         uv = u * v
-        if uv.length <= search_radius:
-            assert uv in found_set, f"scan not closed under products: {u} * {v}"
+        if uv.length <= search_radius and uv not in found_set:
+            raise CrossCheckFailed(f"scan not closed under products: {u} * {v}")
 
     return ClosureDescriptor(g=g, M=M, E_generators=tuple(gens),
                              E_plus_index=e_plus_index,

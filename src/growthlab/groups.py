@@ -20,7 +20,7 @@ import string
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .errors import FiniteOrderElement, GroupMismatch, UnknownSymbol
+from .errors import CrossCheckFailed, FiniteOrderElement, GroupMismatch, UnknownSymbol
 
 Syllable = tuple[int, int]
 
@@ -414,5 +414,6 @@ def primitive_root(w: Word) -> tuple[Word, int]:
                 n = q // d
                 break
     root = conj * z * conj.inverse()
-    assert root**n == w
+    if root**n != w:
+        raise CrossCheckFailed(f"primitive root {root} to the power {n} is not {w}")
     return root, n

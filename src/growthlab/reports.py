@@ -42,10 +42,10 @@ def render_json(payload: dict, timestamp: bool = True) -> str:
     return json.dumps(body, sort_keys=True, indent=2) + "\n"
 
 
-def growth_records(counts, rate: float) -> list[dict]:
-    """Per-radius {radius, count, rate_estimate} records for a BallCounts."""
+def growth_records(cumulative, rate: float) -> list[dict]:
+    """Per-radius {radius, count, rate_estimate} records for ball sizes 0..r."""
     return [{"radius": r, "count": c, "rate_estimate": rate}
-            for r, c in enumerate(counts.cumulative)]
+            for r, c in enumerate(cumulative)]
 
 
 def render_csv(records: list[dict]) -> str:

@@ -178,23 +178,14 @@ class SchreierGrowth:
 def coset_sphere_sizes(core: CoreGraph, r_max: int) -> list[int]:
     """|{Hg : d(H, Hg) = n}| for n = 0..r_max, core plus hanging forest.
 
-    With M_d the number of missing half-edges at core depth d, the forest
+    With M_d the number of missing half-edges at core depth d
+    (``CoreGraph.depths``), the forest
     part obeys F_0 = 0 and F_n = (2k - 1) F_{n-1} + M_{n-1}.
     """
     k2 = 2 * core.group.rank
-    depth = {core.base: 0}
-    frontier = [core.base]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for w in (*core.out[v].values(), *core.into[v].values()):
-                if w not in depth:
-                    depth[w] = depth[v] + 1
-                    nxt.append(w)
-        frontier = nxt
     at_depth = [0] * (r_max + 1)
     missing = [0] * (r_max + 1)
-    for v, d in depth.items():
+    for v, d in core.depths.items():
         if d <= r_max:
             at_depth[d] += 1
             missing[d] += k2 - len(core.out[v]) - len(core.into[v])

@@ -30,8 +30,10 @@ class PoincareEvaluation:
     counts: tuple[int, ...]  # exact |{h in H : |h| = n}|, n = 0..radius
 
     def __post_init__(self):
-        assert self.s >= 0.0
-        assert all(b >= a - 1e-12 for a, b in zip(self.partial_sums, self.partial_sums[1:]))
+        if not self.s >= 0.0:
+            raise ValueError(f"s must be >= 0, got {self.s}")
+        if any(b < a - 1e-12 for a, b in zip(self.partial_sums, self.partial_sums[1:])):
+            raise ValueError("partial sums must be non-decreasing")
 
 
 def poincare_partial(core: CoreGraph, s: float, r_max: int) -> PoincareEvaluation:

@@ -64,6 +64,28 @@ class CoreGraph:
                 return math.inf
         return self.n_vertices
 
+    @functools.cached_property
+    def depths(self) -> dict[int, int]:
+        """Core-BFS distance d(v) from the base to every vertex.
+
+        d(v) is the distance from the coset of v to H in the Schreier
+        graph, since the forest hanging off the core offers no shortcuts.
+        Every vertex lies on a reduced base loop, and the geodesic between
+        two orbit points h o, h' o reads such a loop, so max d(v) is the
+        exact quasi-convexity constant eta of the orbit H o.
+        """
+        depth = {self.base: 0}
+        frontier = [self.base]
+        while frontier:
+            nxt = []
+            for v in frontier:
+                for w in (*self.out[v].values(), *self.into[v].values()):
+                    if w not in depth:
+                        depth[w] = depth[v] + 1
+                        nxt.append(w)
+            frontier = nxt
+        return depth
+
     # -- enumeration ------------------------------------------------------
 
     def directed_edges(self) -> list[tuple[int, int, int, int]]:

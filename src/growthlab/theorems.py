@@ -1,11 +1,18 @@
 """End-to-end pipelines: growth-gap, quotient-growth, amalgam injectivity,
 free-subgroup witnesses, and the coarse-quotient counting argument.
 
-Each pipeline checks its hypotheses explicitly, runs the relevant
-machinery at configured radii, and produces a machine-readable report.
-A report PASSes only when every hypothesis holds and the conclusion
-inequality clears the configured margin; a failed hypothesis yields
+Each pipeline produces a machine-readable report that splits its
+hypotheses in two.  ``hypotheses`` holds the checks that some input can
+make false, each computed once and exactly; ``assumed`` names what the
+theory guarantees for every input the pipeline accepts, with the reason.
+A report PASSes only when every checked hypothesis holds and the
+conclusion clears the configured margin; a failed hypothesis yields
 INAPPLICABLE (and optionally a named HypothesisFailed error), never PASS.
+
+The growth-gap and quotient-growth pipelines fold a Stallings core, so
+the ambient group is the free group F_k: omega_G = log(2k - 1) exactly,
+and the subgroup is quasi-convex with the exact constant eta read off
+the core (``CoreGraph.depths``), so neither is sampled.
 """
 
 from __future__ import annotations
@@ -14,19 +21,21 @@ import itertools
 import math
 from dataclasses import dataclass, field, asdict
 
-from .audits import constriction_audit, quasiconvexity_audit
+from .audits import constriction_audit
 from .axes import Axis, ProjectionMap
-from .balls import ball, ball_elements, growth_rate, sphere_counts
-from .buffering import TranslatedProjection
+from .balls import ball_elements, sphere_counts
 from .closure import (SeparationSelector, subgroup_closure_intersection,
                       _coset_words)
 from .errors import (CounterexampleFound, CQViolation, HypothesisFailed,
                      PreconditionFailed)
-from .groups import MarkedGroup, Word, distance
-from .orbits import FreeSubgroup, SubgroupOrbit
+from .groups import MarkedGroup, Word, distance, is_torsion
+from .orbits import FreeSubgroup
 from .schreier import SchreierAutomaton, schreier_growth
 from .series import divergence_diagnostic
 from .stallings import relative_growth
+
+QUASI_CONVEX_REASON = ("finitely generated subgroups of F_k are quasi-convex; "
+                       "eta is the largest core depth")
 
 
 @dataclass(frozen=True)
@@ -54,12 +63,17 @@ class ExperimentConfig:
         g = self.marked_group()
         return FreeSubgroup.from_words(g, [g.parse(w) for w in self.subgroup])
 
+    def g0_word(self) -> Word:
+        group = self.marked_group()
+        return group.parse(self.g0) if self.g0 else group.generators()[-1]
+
 
 @dataclass
 class TheoremReport:
     theorem: str
     verdict: str  # PASS | FAIL | INAPPLICABLE
-    hypotheses: dict
+    hypotheses: dict  # checked: name -> bool, each can fail on some input
+    assumed: dict = field(default_factory=dict)  # guaranteed: name -> reason
     omega_g: float | None = None
     omega_h: float | None = None
     omega_quotient: float | None = None
@@ -70,34 +84,43 @@ class TheoremReport:
         return asdict(self)
 
 
-def _omega_g(group: MarkedGroup, r_ball: int) -> tuple[float, dict]:
-    counts = ball(group, r_ball, max_elements=None)
-    fit = growth_rate(counts, "bfs_fit")
-    detail = {"fit": fit.rate, "fit_error": fit.error_bound, "window": fit.window}
-    try:
-        exact = growth_rate(counts, "spectral_radius")
-        detail["spectral"] = exact.rate
-        value = exact.rate
-    except Exception:
-        value = fit.rate
-    return value, detail
+def _subgroup_facts(cfg: ExperimentConfig) -> tuple[FreeSubgroup, dict, dict, float]:
+    """The facts both growth pipelines share: the folded subgroup, its index,
+    the exact eta, and omega_G = log(2k - 1) of the free ambient group."""
+    sub = cfg.free_subgroup()
+    idx = sub.index()
+    hypotheses = {"infinite_index": idx == math.inf}
+    details = {"index": "infinite" if idx == math.inf else int(idx),
+               "eta": max(sub.core.depths.values())}
+    return sub, hypotheses, details, math.log(2 * sub.group.rank - 1)
+
+
+def _hypothesis_failed(report: TheoremReport) -> HypothesisFailed:
+    exc = HypothesisFailed(", ".join(k for k, v in report.hypotheses.items() if not v))
+    exc.report = report
+    return exc
 
 
 def verify_growth_gap(cfg: ExperimentConfig, raise_on_hypothesis: bool = True) -> TheoremReport:
-    """Growth-gap pipeline: infinite-index divergent quasi-convex subgroup
-    of a group with a constricting element has omega_H < omega_G."""
-    group = cfg.marked_group()
-    sub = cfg.free_subgroup()
-    hypotheses: dict = {}
-    details: dict = {}
+    """Growth-gap pipeline: an infinite-index divergent quasi-convex subgroup
+    H of a group with a constricting element has omega_H < omega_G.
 
-    idx = sub.index()
-    hypotheses["infinite_index"] = idx == math.inf
-    details["index"] = "infinite" if idx == math.inf else int(idx)
+    Checked (each fails on some input): ``infinite_index`` (the core misses
+    a half-edge; fails for <a, b>), ``divergent`` (the Poincare series
+    diverges at omega_H; fails for the trivial subgroup) and
+    ``constricting_element`` (g0 has infinite order, the precondition of
+    ``Axis``; fails for g0 = 1).  Assumed: ``quasi_convex``, with the exact
+    eta in ``details``, and that an infinite-order element of F_k has a
+    0-constricting axis in the Cayley tree.  omega_H is the log Perron root
+    of the core and omega_G = log(2k - 1), both exact.
+    """
+    sub, hypotheses, details, omega_g = _subgroup_facts(cfg)
+    assumed = {"quasi_convex": QUASI_CONVEX_REASON,
+               "axis_constriction": "the axis of an infinite-order element of F_k "
+                                    "is 0-constricting in the Cayley tree"}
 
     rel = relative_growth(sub.core, cfg.r_ball)
     omega_h = rel.rate
-    hypotheses["omega_h_finite"] = math.isfinite(omega_h)
     details["omega_h_spectral"] = rel.spectral.rate
     details["omega_h_fit"] = rel.fit.rate
     details["h_counts"] = list(rel.counts.sphere_sizes)
@@ -107,30 +130,18 @@ def verify_growth_gap(cfg: ExperimentConfig, raise_on_hypothesis: bool = True) -
     details["divergence"] = {"verdict": div.verdict, "period": div.period,
                              "tail_mean_increment": div.tail_mean_increment}
 
-    eta = quasiconvexity_audit(SubgroupOrbit(sub), min(cfg.r_audit, 4))
-    hypotheses["quasi_convex"] = True  # eta measured finite on the sample
-    details["eta"] = eta
+    g0 = cfg.g0_word()
+    hypotheses["constricting_element"] = not is_torsion(g0)
+    details["g0"] = str(g0)
 
-    g0 = group.parse(cfg.g0) if cfg.g0 else group.generators()[-1]
-    rep = constriction_audit(ProjectionMap(Axis(g0)), cfg.r_audit)
-    hypotheses["constricting_element"] = rep.certified
-    details["constriction"] = {"g0": str(g0), "delta": rep.delta, "samples": rep.samples}
-
-    omega_g, og_detail = _omega_g(group, cfg.r_ball)
-    details["omega_g"] = og_detail
-
-    gap = omega_g - omega_h
-    conclusion = omega_h + cfg.gap_margin < omega_g
     all_hyp = all(hypotheses.values())
+    conclusion = omega_h + cfg.gap_margin < omega_g
     verdict = "PASS" if (all_hyp and conclusion) else ("INAPPLICABLE" if not all_hyp else "FAIL")
-    report = TheoremReport(theorem="growth_gap", verdict=verdict,
-                           hypotheses=hypotheses, omega_g=omega_g, omega_h=omega_h,
-                           gap=gap, details=details)
+    report = TheoremReport(theorem="growth_gap", verdict=verdict, hypotheses=hypotheses,
+                           assumed=assumed, omega_g=omega_g, omega_h=omega_h,
+                           gap=omega_g - omega_h, details=details)
     if raise_on_hypothesis and not all_hyp:
-        failed = ", ".join(k for k, v in hypotheses.items() if not v)
-        exc = HypothesisFailed(failed)
-        exc.report = report
-        raise exc
+        raise _hypothesis_failed(report)
     return report
 
 
@@ -139,48 +150,32 @@ def verify_quotient_growth(cfg: ExperimentConfig, raise_on_hypothesis: bool = Tr
     """Quotient-growth pipeline: coset counts of an infinite-index
     quasi-convex subgroup grow at the full rate omega_G.
 
-    ``max_states`` caps the cosets within radius r_schreier
+    Checked: ``infinite_index``.  Assumed: ``quasi_convex`` (exact eta in
+    ``details``).  ``max_states`` caps the cosets within radius r_schreier
     (BudgetExceeded)."""
-    group = cfg.marked_group()
-    sub = cfg.free_subgroup()
-    hypotheses: dict = {}
-    details: dict = {}
-
-    idx = sub.index()
-    hypotheses["infinite_index"] = idx == math.inf
-    details["index"] = "infinite" if idx == math.inf else int(idx)
-
-    eta = quasiconvexity_audit(SubgroupOrbit(sub), min(cfg.r_audit, 4))
-    hypotheses["quasi_convex"] = True
-    details["eta"] = eta
-
-    omega_g, og_detail = _omega_g(group, cfg.r_ball)
-    details["omega_g"] = og_detail
+    sub, hypotheses, details, omega_g = _subgroup_facts(cfg)
+    assumed = {"quasi_convex": QUASI_CONVEX_REASON}
 
     sg = schreier_growth(sub.core, cfg.r_schreier, max_states=max_states)
     omega_quotient = sg.right.rate
     details["coset_counts"] = list(sg.right_counts.cumulative)
-    details["left_equals_right"] = list(sg.left_counts.cumulative) == list(sg.right_counts.cumulative)
     details["quotient_fit_error"] = sg.right.error_bound
 
     if not hypotheses["infinite_index"]:
         # finite index: quotient growth is 0 <= omega_G; theorem inapplicable
         details["note"] = "finite index: omega_{G/H} = 0 <= omega_G"
         report = TheoremReport(theorem="quotient_growth", verdict="INAPPLICABLE",
-                               hypotheses=hypotheses, omega_g=omega_g,
+                               hypotheses=hypotheses, assumed=assumed, omega_g=omega_g,
                                omega_quotient=omega_quotient, details=details)
         if raise_on_hypothesis:
-            exc = HypothesisFailed("infinite_index")
-            exc.report = report
-            raise exc
+            raise _hypothesis_failed(report)
         return report
 
-    conclusion = abs(omega_quotient - omega_g) <= cfg.quotient_tolerance
-    verdict = "PASS" if conclusion and details["left_equals_right"] else "FAIL"
-    return TheoremReport(theorem="quotient_growth", verdict=verdict,
-                         hypotheses=hypotheses, omega_g=omega_g,
-                         omega_quotient=omega_quotient,
-                         gap=abs(omega_quotient - omega_g), details=details)
+    gap = abs(omega_quotient - omega_g)
+    return TheoremReport(theorem="quotient_growth",
+                         verdict="PASS" if gap <= cfg.quotient_tolerance else "FAIL",
+                         hypotheses=hypotheses, assumed=assumed, omega_g=omega_g,
+                         omega_quotient=omega_quotient, gap=gap, details=details)
 
 
 @dataclass(frozen=True)
@@ -311,8 +306,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> dict:
 
     gap = verify_growth_gap(cfg, raise_on_hypothesis=False)
     quotient = verify_quotient_growth(cfg, raise_on_hypothesis=False)
-    group = cfg.marked_group()
-    g0 = group.parse(cfg.g0) if cfg.g0 else group.generators()[-1]
+    g0 = cfg.g0_word()
     pm = ProjectionMap(Axis(g0))
     audit = {
         "g0": str(g0),
@@ -328,10 +322,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> dict:
         (base / "gap.json").write_text(render_json({"config": cfg, **gap.to_dict()}))
         (base / "quotient.json").write_text(render_json({"config": cfg, **quotient.to_dict()}))
         (base / "audit.json").write_text(render_json(audit))
-        sub = cfg.free_subgroup()
-        sg = schreier_growth(sub.core, cfg.r_schreier)
-        (base / "coset_counts.csv").write_text(
-            render_csv(growth_records(sg.right_counts, sg.right.rate)))
+        (base / "coset_counts.csv").write_text(render_csv(growth_records(
+            quotient.details["coset_counts"], quotient.omega_quotient)))
     return results
 
 

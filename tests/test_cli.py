@@ -41,6 +41,24 @@ def test_gap_finite_index_exit_code(tmp_path):
     assert payload["verdict"] == "INAPPLICABLE"
 
 
+def test_gap_torsion_g0_exit_code(sub_file, tmp_path):
+    out = tmp_path / "g.json"
+    code = main(["gap", "--group", "free:2", "--subgroup", sub_file,
+                 "--g0", "1", "--out", str(out)])
+    assert code == 2
+    payload = json.loads(out.read_text())
+    assert payload["verdict"] == "INAPPLICABLE"
+    assert payload["hypotheses"]["constricting_element"] is False
+
+
+def test_gap_rmax_is_not_clamped(sub_file, tmp_path):
+    out = tmp_path / "g.json"
+    code = main(["gap", "--group", "free:2", "--subgroup", sub_file,
+                 "--g0", "ab", "--rmax", "20", "--out", str(out)])
+    assert code == 0
+    assert len(json.loads(out.read_text())["details"]["h_counts"]) == 21
+
+
 def test_quotient_command_csv(sub_file, tmp_path):
     out = tmp_path / "q.csv"
     code = main(["quotient", "--group", "free:2", "--subgroup", sub_file,
@@ -93,6 +111,18 @@ def test_buffering_command(tmp_path):
     payload = json.loads(out.read_text())
     assert payload["check"]["passed"] is True
     assert payload["separation"]["margins"] == [1]
+
+
+def test_buffering_negative_parameter_is_an_error(tmp_path, capsys):
+    chain = tmp_path / "chain.json"
+    chain.write_text(json.dumps({
+        "group": "free:2", "subgroup": ["a"], "g": "b",
+        "word": [["h", "a"], ["k", "bbb"]], "radius": 2, "epsilon": -1,
+    }))
+    code = main(["buffering", "--chain", str(chain), "--out", str(tmp_path / "b.json")])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert not (tmp_path / "b.json").exists()
 
 
 def test_closure_command(tmp_path):

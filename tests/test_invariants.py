@@ -4,6 +4,10 @@ the experiment orchestrator."""
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -99,3 +103,16 @@ def test_run_experiment_deterministic(tmp_path, f2):
     jb = json.loads((tmp_path / "two" / "gap.json").read_text())
     ja.pop("timestamp"), jb.pop("timestamp")
     assert json.dumps(ja, sort_keys=True) == json.dumps(jb, sort_keys=True)
+
+
+def test_invariants_survive_python_O():
+    """Dataclass invariants raise ValueError, which ``python -O`` keeps."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = ("from growthlab.balls import BallCounts\n"
+            "BallCounts(radius=1, sphere_sizes=(2, 3), cumulative=(2, 5))\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode != 0
+    assert "ValueError" in proc.stderr

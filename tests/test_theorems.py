@@ -58,6 +58,67 @@ def test_gap_pass_requires_all_hypotheses():
     assert all(rep.hypotheses.values())
 
 
+@pytest.mark.parametrize("subgroup, g0, failing", [
+    (("a", "b"), "ab", "infinite_index"),
+    ((), "ab", "divergent"),
+    (("a",), "1", "constricting_element"),
+])
+def test_gap_each_checked_hypothesis_can_fail(subgroup, g0, failing):
+    cfg = ExperimentConfig(group="free:2", subgroup=subgroup, g0=g0)
+    rep = verify_growth_gap(cfg, raise_on_hypothesis=False)
+    assert rep.verdict == "INAPPLICABLE"
+    assert [k for k, ok in rep.hypotheses.items() if not ok] == [failing]
+    with pytest.raises(HypothesisFailed) as exc:
+        verify_growth_gap(cfg)
+    assert exc.value.hypothesis == failing
+
+
+def test_quasi_convexity_is_assumed_not_checked():
+    cfg = ExperimentConfig(group="free:2", subgroup=("a", "baB"), g0="ab")
+    gap, quotient = verify_growth_gap(cfg), verify_quotient_growth(cfg)
+    assert set(gap.hypotheses) == {"infinite_index", "divergent", "constricting_element"}
+    assert set(quotient.hypotheses) == {"infinite_index"}
+    for rep in (gap, quotient):
+        assert "quasi-convex" in rep.assumed["quasi_convex"]
+        assert rep.details["eta"] == 1
+
+
+def test_growth_pipelines_run_no_sampled_audit(monkeypatch):
+    from growthlab import audits, balls, theorems
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("sampled audit or ball enumeration in a growth pipeline")
+    for home, name in ((audits, "constriction_audit"), (audits, "quasiconvexity_audit"),
+                       (balls, "ball")):
+        monkeypatch.setattr(home, name, forbidden)
+        monkeypatch.setattr(theorems, name, forbidden, raising=False)
+    cfg = ExperimentConfig(group="free:3", subgroup=("a", "b"), g0="c", r_ball=8)
+    assert verify_growth_gap(cfg).verdict == "PASS"
+    assert verify_quotient_growth(cfg).verdict == "PASS"
+
+
+@pytest.mark.parametrize("k, gens, eta", [
+    (2, ("a", "baB"), 1),
+    (2, ("aa", "bb"), 1),
+    (2, ("babbaaBa", "babaBBAA", "bbaaabba"), 4),
+    (2, ("ABBABA", "abABaB", "ABBBAb"), 3),
+    (2, ("bbAbb", "AbaaBAA"), 3),
+    (3, ("BBB", "aBCC"), 2),
+])
+def test_eta_is_exact_against_the_sampled_audit(k, gens, eta):
+    """details["eta"] is the largest core depth: the sampled audit reaches it
+    by r = 8 and never exceeds it at smaller radii."""
+    from growthlab.audits import quasiconvexity_audit
+    from growthlab.orbits import SubgroupOrbit
+
+    cfg = ExperimentConfig(group=f"free:{k}", subgroup=gens, r_schreier=6)
+    assert verify_quotient_growth(cfg).details["eta"] == eta
+    orbit = SubgroupOrbit(cfg.free_subgroup())
+    assert quasiconvexity_audit(orbit, 8) == eta
+    for r in (3, 4):
+        assert quasiconvexity_audit(orbit, r) <= eta
+
+
 # -- quotient growth ---------------------------------------------------------------
 
 def test_quotient_cyclic_subgroup():
@@ -65,7 +126,6 @@ def test_quotient_cyclic_subgroup():
     rep = verify_quotient_growth(cfg)
     assert rep.verdict == "PASS"
     assert abs(rep.omega_quotient - math.log(3)) <= 0.05
-    assert rep.details["left_equals_right"]
 
 
 def test_quotient_rank_two():
