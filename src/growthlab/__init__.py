@@ -12,13 +12,13 @@ from .balls import BallCounts, GrowthEstimate, ball, ball_elements, growth_rate
 from .groups import (MarkedGroup, Word, all_geodesics, cyclic_reduce, distance,
                      geodesic, is_torsion, primitive_root)
 from .axes import Axis, ProjectionMap, axis, projection
-from .orbits import ExplicitSet, FiniteSubgroup, FreeSubgroup, SubgroupOrbit
+from .orbits import FiniteSubgroup, FreeSubgroup, SubgroupOrbit
 from .schreier import SchreierAutomaton, schreier_growth
 from .series import dalbo_witness, divergence_diagnostic, poincare_partial
 from .stallings import CoreGraph, relative_growth, stallings_fold
 
 __all__ = [
-    "Axis", "BallCounts", "CoreGraph", "ExplicitSet", "FiniteSubgroup",
+    "Axis", "BallCounts", "CoreGraph", "FiniteSubgroup",
     "FreeSubgroup", "GrowthEstimate", "MarkedGroup", "ProjectionMap",
     "SchreierAutomaton", "SubgroupOrbit", "Word", "all_geodesics", "axis",
     "ball", "ball_elements", "cyclic_reduce", "dalbo_witness", "distance",

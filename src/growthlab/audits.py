@@ -62,15 +62,6 @@ def constriction_audit(pm: ProjectionMap, sample_radius: int,
         delta_cs1 = max(delta_cs1, pm.project(v).dist)
 
     proj = {x: pm.project(x) for x in points}
-    dist_memo: dict[tuple[Word, Word], int] = {}
-
-    def vertex_dist(v: Word, p: Word) -> int:
-        key = (v, p)
-        hit = dist_memo.get(key)
-        if hit is None:
-            hit = distance(v, p)
-            dist_memo[key] = hit
-        return hit
 
     needed = 0  # max over pairs of the minimal certifying delta
     for x, y in itertools.combinations(points, 2):
@@ -80,8 +71,8 @@ def constriction_audit(pm: ProjectionMap, sample_radius: int,
             continue  # cannot raise the running maximum
         worst_approach = 0
         for path in all_geodesics(x, y):
-            ax = min(vertex_dist(v, px.vertex) for v in path)
-            ay = min(vertex_dist(v, py.vertex) for v in path)
+            ax = min(distance(v, px.vertex) for v in path)
+            ay = min(distance(v, py.vertex) for v in path)
             worst_approach = max(worst_approach, ax, ay)
         needed = max(needed, min(gap, worst_approach))
     return ConstrictionReport(delta_cs1=delta_cs1, delta_cs2=needed,
@@ -158,7 +149,8 @@ class SetProjection:
     def project(self, x: Word) -> tuple[Word, int]:
         hit = self._cache.get(x)
         if hit is None:
-            best = min(self.points, key=lambda p: (distance(p, x), str(p)))
+            # points are in label order and min keeps the first of equals
+            best = min(self.points, key=lambda p: distance(p, x))
             hit = (best, distance(best, x))
             self._cache[x] = hit
         return hit
@@ -252,6 +244,7 @@ def elementary_properties_audit(pm_a: ProjectionMap, pm_b: ProjectionMap | None,
     # (6) Morseness: spur-perturbed axis geodesics per (kappa, lambda)
     sigma_rows = []
     off_letters = list(range(1, group.rank + 1)) + [-i for i in range(1, group.rank + 1)]
+    step = group.letter_table
     for kappa, lam in qg_grid:
         accepted = 0
         sigma = 0
@@ -270,7 +263,7 @@ def elementary_properties_audit(pm_a: ProjectionMap, pm_b: ProjectionMap | None,
                         cur = v
                         for _ in range(depth):
                             l = rng.choice(off_letters)
-                            nxt = cur * group.from_letters([l])
+                            nxt = cur * step[l]
                             if nxt.length != cur.length + 1:
                                 break
                             spur.append(nxt)
@@ -294,7 +287,7 @@ def elementary_properties_audit(pm_a: ProjectionMap, pm_b: ProjectionMap | None,
             w = v
             for _ in range(eps):
                 l = rng.choice(off_letters)
-                cand = w * group.from_letters([l])
+                cand = w * step[l]
                 if cand.length == w.length + 1:
                     w = cand
             b_set.append(w)

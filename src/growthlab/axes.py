@@ -12,6 +12,11 @@ beyond |t| = 2 d(x, vertex(0)) can never beat the best seen and the
 window search is provably sufficient.  Ties (possible only around even
 cycles of a free product) are broken toward the position of smallest
 absolute value, then by lexicographically least vertex label.
+
+The projection onto a translate uA is u . pi_A(u^-1 x).  A translated map
+keeps the positions of the base axis, so projected distances and
+diameters stay integer position arithmetic, and it shares the base map's
+memo, which is keyed by u^-1 x.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import FiniteOrderElement
-from .groups import MarkedGroup, Word, cyclic_reduce, is_torsion
+from .groups import MarkedGroup, Word, cyclic_reduce, distance, is_torsion
 
 
 @dataclass(frozen=True)
@@ -51,10 +56,12 @@ class Axis:
         cache = self._pos if t >= 0 else self._neg
         letters = self._fwd if t >= 0 else self._bwd
         n = abs(t)
+        if n < len(cache):
+            return cache[n]
+        step = self.group.letter_table
         while len(cache) <= n:
             i = len(cache) - 1
-            nxt = cache[-1] * self.group.from_letters([letters[i % len(letters)]])
-            cache.append(nxt)
+            cache.append(cache[-1] * step[letters[i % len(letters)]])
         return cache[n]
 
     def vertex(self, t: int) -> Word:
@@ -85,31 +92,59 @@ class Axis:
 
 
 class ProjectionMap:
-    """Exact nearest-point projection onto an axis, with memoization."""
+    """Exact nearest-point projection onto an axis or a translate of it,
+    with memoization."""
 
-    def __init__(self, axis: Axis):
+    def __init__(self, axis: Axis, u: Word | None = None,
+                 _cache: dict[Word, ProjectionResult] | None = None):
         self.axis = axis
         self.group = axis.group
-        self._cache: dict[Word, ProjectionResult] = {}
+        self.u = axis.group.identity() if u is None else u
+        self._uinv = self.u.inverse()
+        self._cache: dict[Word, ProjectionResult] = {} if _cache is None else _cache
+
+    def translated(self, u: Word) -> "ProjectionMap":
+        """The projection onto u times this map's axis; shares the memo."""
+        return ProjectionMap(self.axis, u * self.u, self._cache)
 
     def project(self, x: Word) -> ProjectionResult:
-        hit = self._cache.get(x)
-        if hit is not None:
-            return hit
-        d0 = (self.axis.vertex(0).inverse() * x).length
-        window = 2 * d0 + self.axis.translation_length + 2
-        best: tuple[int, int, str] | None = None  # (dist, |t|, label) for ordering
-        best_t = 0
-        for t in range(-window, window + 1):
-            d = (self.axis.vertex(t).inverse() * x).length
-            key = (d, abs(t), str(self.axis.vertex(t)))
-            if best is None or key < best:
-                best = key
-                best_t = t
-        result = ProjectionResult(position=best_t, vertex=self.axis.vertex(best_t),
-                                  dist=best[0])
-        self._cache[x] = result
+        u = self.u
+        if u.syllables:
+            x = self._uinv * x
+        result = self._cache.get(x)
+        if result is None:
+            result = self._cache[x] = self._nearest(x)
+        if u.syllables:
+            return ProjectionResult(result.position, u * result.vertex, result.dist)
         return result
+
+    def _nearest(self, x: Word) -> ProjectionResult:
+        vertex = self.axis.vertex
+        d0 = distance(vertex(0), x)
+        window = 2 * d0 + self.axis.translation_length + 2
+        # order: (dist, |t|, label); labels are formatted only on a tie
+        best_d, best_abs, best_t, best_label = d0 + 1, 0, 0, None
+        for t in range(-window, window + 1):
+            v = vertex(t)
+            d = distance(v, x)
+            if d > best_d:
+                continue
+            a = t if t >= 0 else -t
+            if d < best_d or a < best_abs:
+                best_d, best_abs, best_t, best_label = d, a, t, None
+            elif a == best_abs:
+                if best_label is None:
+                    best_label = str(vertex(best_t))
+                label = str(v)
+                if label < best_label:
+                    best_t, best_label = t, label
+        return ProjectionResult(position=best_t, vertex=vertex(best_t), dist=best_d)
+
+    def axis_points_in_ball(self, radius: int) -> list[Word]:
+        """The vertices of the projected line (u times the axis) in B(o, radius)."""
+        u = self.u
+        pts = (u * v for _, v in self.axis.vertices_in_ball(radius + u.length))
+        return [w for w in pts if w.length <= radius]
 
     def position(self, x: Word) -> int:
         return self.project(x).position

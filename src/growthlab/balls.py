@@ -139,7 +139,7 @@ def ball_elements(
                 for t in range(1, budget + 1):
                     for e in (t, -t):
                         prefix.append((i, e))
-                        w = Word(group, tuple(prefix))
+                        w = Word(group, tuple(prefix), cost + t)
                         bump()
                         yield w
                         yield from extensions(prefix, cost + t, i)
@@ -150,7 +150,7 @@ def ball_elements(
                     if t > budget:
                         continue
                     prefix.append((i, e))
-                    w = Word(group, tuple(prefix))
+                    w = Word(group, tuple(prefix), cost + t)
                     bump()
                     yield w
                     yield from extensions(prefix, cost + t, i)

@@ -15,70 +15,12 @@ trees and cacti, since distances grow monotonically outside it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .axes import Axis, ProjectionMap, ProjectionResult
+from .axes import Axis, ProjectionMap
 from .balls import ball_elements
 from .errors import (EmptyInteriorSet, InvalidAlternatingWord, PreconditionFailed)
 from .groups import Word, is_torsion, primitive_root
-
-
-class TranslatedProjection:
-    """The projection onto a translate uA, defined as u . pi_A(u^-1 x).
-
-    Positions are inherited from the base axis, so projected distances
-    and diameters remain integer position arithmetic.
-    """
-
-    def __init__(self, base: ProjectionMap, u: Word):
-        self.base = base
-        self.u = u
-        self._uinv = u.inverse()
-        self.group = base.group
-        self.axis = base.axis  # base axis; vertices translate by u
-
-    def project(self, x: Word) -> ProjectionResult:
-        r = self.base.project(self._uinv * x)
-        return ProjectionResult(position=r.position, vertex=self.u * r.vertex, dist=r.dist)
-
-    def position(self, x: Word) -> int:
-        return self.base.position(self._uinv * x)
-
-    def dist_to_axis(self, x: Word) -> int:
-        return self.base.dist_to_axis(self._uinv * x)
-
-    def projected_distance(self, x: Word, y: Word) -> int:
-        return abs(self.position(x) - self.position(y))
-
-    def projected_diameter(self, points) -> int:
-        ts = [self.position(p) for p in points]
-        return (max(ts) - min(ts)) if ts else 0
-
-    def projected_set_distance(self, xs, ys) -> int:
-        txs = sorted(self.position(p) for p in xs)
-        tys = sorted(self.position(p) for p in ys)
-        if not txs or not tys:
-            return 0
-        best = abs(txs[0] - tys[0])
-        i = j = 0
-        while i < len(txs) and j < len(tys):
-            best = min(best, abs(txs[i] - tys[j]))
-            if txs[i] < tys[j]:
-                i += 1
-            else:
-                j += 1
-        return best
-
-    def axis_points_in_ball(self, radius: int) -> list[Word]:
-        pts = self.base.axis.vertices_in_ball(radius + self.u.length)
-        out = [self.u * v for _, v in pts]
-        return [w for w in out if w.length <= radius]
-
-
-def _axis_points(pm, radius: int) -> list[Word]:
-    if isinstance(pm, TranslatedProjection):
-        return pm.axis_points_in_ball(radius)
-    return [v for _, v in pm.axis.vertices_in_ball(radius)]
 
 
 @dataclass(frozen=True)
@@ -98,7 +40,7 @@ class BufferingSequence:
     """Alternating [Y_0, A_1, Y_1, ..., A_n, Y_n]."""
 
     y_sets: list[list[Word]]
-    projections: list  # ProjectionMap or TranslatedProjection, length n
+    projections: list[ProjectionMap]  # length n
 
     def __post_init__(self):
         n = len(self.projections)
@@ -142,10 +84,8 @@ def check_buffering(seq: BufferingSequence, params: BufferingParams,
             for y in ys:
                 longest = max(longest, y.length)
         for pm in seq.projections:
-            base = pm.base if isinstance(pm, TranslatedProjection) else pm
-            longest = max(longest, base.axis.conjugator.length + base.axis.translation_length)
-            if isinstance(pm, TranslatedProjection):
-                longest = max(longest, pm.u.length)
+            longest = max(longest, pm.axis.conjugator.length + pm.axis.translation_length,
+                          pm.u.length)
         window = 2 * longest + 8
 
     bs1, bs2, bs3, bs4 = [], [], [], []
@@ -158,8 +98,8 @@ def check_buffering(seq: BufferingSequence, params: BufferingParams,
 
         if i < n - 1:
             pm2 = seq.projections[i + 1]
-            a_next = _axis_points(pm2, window)
-            a_this = _axis_points(pm, window)
+            a_next = pm2.axis_points_in_ball(window)
+            a_this = pm.axis_points_in_ball(window)
             val = max(pm.projected_diameter(a_next), pm2.projected_diameter(a_this))
             bs1.append(val)
             if val > params.epsilon and failure is None:
@@ -298,7 +238,7 @@ def build_axis_chain(subgroup, g: Word, letters: list[Word],
     for i in range(n):
         h, k = letters[2 * i], letters[2 * i + 1]
         u = u * h
-        projections.append(TranslatedProjection(base_pm, u))
+        projections.append(base_pm.translated(u))
         v = u * k
         y_sets.append([v * y for y in y_base])
         u = v

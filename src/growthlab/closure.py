@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 
 from .axes import Axis, ProjectionMap
 from .balls import ball_elements
-from .buffering import TranslatedProjection
 from .errors import (CrossCheckFailed, FiniteOrderElement, NotFoundWithinBound,
                      PreconditionFailed)
 from .groups import MarkedGroup, Word, distance, is_torsion, primitive_root
@@ -168,7 +167,7 @@ def find_transversal_conjugate(subgroup, g0: Word, search_radius: int,
     best: tuple[int, Word] | None = None
     for k in sorted(ball_elements(group, search_radius),
                     key=lambda w: (w.length, str(w))):
-        pm_k = TranslatedProjection(base_pm, k)
+        pm_k = base_pm.translated(k)
         diam = pm_k.projected_diameter(y_sample)
         if best is None or diam < best[0]:
             best = (diam, k)

@@ -11,6 +11,22 @@ The word metric is realized by normal-form length: a free syllable (i, e)
 costs |e| and a cyclic syllable costs min(e, m_i - e).  With that cost the
 normal-form length of u^-1 v equals the Cayley-graph distance d(u, v) for
 the generating set {x_i^{+-1}}, exactly.
+
+The kernel never re-normalises or re-measures a word it already holds in
+normal form.  Because adjacent syllables are on distinct generators and
+exponents are canonical, a product u * v of two normal forms can only
+change at the seam: the last syllable of u and the first of v merge when
+they share a generator, and only a merge to the identity exposes the next
+pair.  So ``Word.__mul__`` merges from the seam outward, stops at the first
+nonzero merge, and carries |u| + |v| minus the seam's cost change as the
+length.  Every maker of a ``Word`` passes the length it already knows.
+
+``distance`` builds no word either.  If u = p u' and v = p v' with p the
+longest common syllable prefix, then u^-1 v = u'^-1 v', and the first
+syllables a of u' and b of v' differ.  When they are on different
+generators nothing merges and d(u, v) = |u| + |v| - 2|p|; when they share
+a generator, a^-1 b is one nonzero syllable whose neighbours are on other
+generators, so that single merge is the only correction.
 """
 
 from __future__ import annotations
@@ -18,6 +34,7 @@ from __future__ import annotations
 import itertools
 import string
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 from .errors import CrossCheckFailed, FiniteOrderElement, GroupMismatch, UnknownSymbol
@@ -108,7 +125,7 @@ class MarkedGroup:
         return self.orders == (2, 2)
 
     def identity(self) -> "Word":
-        return Word(self, ())
+        return Word(self, (), 0)
 
     def generator(self, i: int, exponent: int = 1) -> "Word":
         return self.word([(i, exponent)])
@@ -118,37 +135,36 @@ class MarkedGroup:
 
     # -- syllable plumbing ---------------------------------------------
 
-    def _canon_exponent(self, i: int, e: int) -> int:
-        m = self.orders[i]
-        return e if m == 0 else e % m
-
-    def syllable_cost(self, i: int, e: int) -> int:
-        m = self.orders[i]
-        if m == 0:
-            return abs(e)
-        e %= m
-        return min(e, m - e)
-
     def word(self, syllables: Iterable[Syllable]) -> "Word":
         """Normalize an arbitrary syllable sequence (merges and drops)."""
+        orders = self.orders
+        rank = len(orders)
         out: list[Syllable] = []
         for i, e in syllables:
-            if not 0 <= i < self.rank:
+            if not 0 <= i < rank:
                 raise UnknownSymbol(f"generator index {i} out of range")
-            e = self._canon_exponent(i, e)
-            if e == 0:
+            m = orders[i]
+            if m:
+                e %= m
+            if not e:
                 continue
-            while out and out[-1][0] == i:
-                e = self._canon_exponent(i, out[-1][1] + e)
-                out.pop()
-                if e == 0:
-                    break
-            else:
-                out.append((i, e))
-                continue
-            if e != 0:
-                out.append((i, e))
-        return Word(self, tuple(out))
+            # out is a normal form, so at most its last syllable shares i
+            if out and out[-1][0] == i:
+                e += out.pop()[1]
+                if m:
+                    e %= m
+                if not e:
+                    continue
+            out.append((i, e))
+        length = 0
+        for i, e in out:
+            length += _cost(orders[i], e)
+        return Word(self, tuple(out), length)
+
+    @cached_property
+    def letter_table(self) -> dict[int, "Word"]:
+        """Each signed letter +-(i+1) as a word; built on first use."""
+        return {s * (i + 1): self.word([(i, s)]) for i in range(self.rank) for s in (1, -1)}
 
     def from_letters(self, letters: Iterable[int]) -> "Word":
         """Build a word from signed letters (+-(i+1))."""
@@ -176,23 +192,47 @@ class MarkedGroup:
 class Word:
     """An element of a marked group in syllable normal form.
 
-    Immutable and hashable; safe to share across threads.
+    Invariant: adjacent syllables are on distinct generators and every
+    exponent is canonical (nonzero, and in [1, m-1] on a factor of order m).
+    ``length`` is the word length, passed in by whoever built the word and
+    never recounted.  Immutable and hashable; safe to share across threads.
     """
 
     __slots__ = ("group", "syllables", "length", "_hash")
 
-    def __init__(self, group: MarkedGroup, syllables: tuple[Syllable, ...]):
+    def __init__(self, group: MarkedGroup, syllables: tuple[Syllable, ...], length: int):
         self.group = group
         self.syllables = syllables
-        self.length = sum(group.syllable_cost(i, e) for i, e in syllables)
-        self._hash = hash((group.orders, syllables))
+        self.length = length
+        self._hash = None
 
     # -- arithmetic ------------------------------------------------------
 
     def __mul__(self, other: "Word") -> "Word":
-        if self.group != other.group:
+        g = self.group
+        if other.group is not g and other.group != g:
             raise GroupMismatch("cannot multiply words from different groups")
-        return self.group.word(itertools.chain(self.syllables, other.syllables))
+        a, b = self.syllables, other.syllables
+        if not b:
+            return self
+        if not a:
+            return other
+        length = self.length + other.length
+        p, q, nb = len(a) - 1, 0, len(b)
+        orders = g.orders
+        while a[p][0] == b[q][0]:
+            i, e = a[p]
+            f = b[q][1]
+            m = orders[i]
+            s = (e + f) % m if m else e + f
+            length -= _cost(m, e) + _cost(m, f) - _cost(m, s)
+            if s:
+                return Word(g, a[:p] + ((i, s),) + b[q + 1:], length)
+            p -= 1
+            q += 1
+            if p < 0 or q == nb:
+                break
+        return Word(g, a[:p + 1] + b[q:], length)
 
     def inverse(self) -> "Word":
         g = self.group
@@ -200,7 +240,7 @@ class Word:
         for i, e in reversed(self.syllables):
             m = g.orders[i]
             inv.append((i, -e if m == 0 else m - e))
-        return Word(g, tuple(inv))
+        return Word(g, tuple(inv), self.length)
 
     def __invert__(self) -> "Word":
         return self.inverse()
@@ -281,22 +321,56 @@ class Word:
         return f"<{self}>"
 
     def __eq__(self, other) -> bool:
+        if self is other:
+            return True
         return (
             isinstance(other, Word)
-            and self.group == other.group
             and self.syllables == other.syllables
+            and (self.group is other.group or self.group == other.group)
         )
 
     def __hash__(self) -> int:
-        return self._hash
+        h = self._hash
+        if h is None:
+            h = self._hash = hash((self.group.orders, self.syllables))
+        return h
 
 
 # -- free-standing operations ------------------------------------------
 
 
+def _cost(m: int, e: int) -> int:
+    """Length of a syllable with canonical exponent e on a factor of order m."""
+    if m == 0:
+        return e if e > 0 else -e
+    return e if 2 * e <= m else m - e
+
+
 def distance(u: Word, v: Word) -> int:
-    """Cayley-graph distance d(u, v) = |u^-1 v|."""
-    return (u.inverse() * v).length
+    """Cayley-graph distance d(u, v) = |u^-1 v|, without building u^-1 v.
+
+    The common syllable prefix cancels; at most one merge follows it (see
+    the module docstring).
+    """
+    g = u.group
+    if v.group is not g and v.group != g:
+        raise GroupMismatch("cannot measure between words from different groups")
+    a, b = u.syllables, v.syllables
+    orders = g.orders
+    d = u.length + v.length
+    n = min(len(a), len(b))
+    k = 0
+    while k < n and a[k] == b[k]:
+        i, e = a[k]
+        d -= 2 * _cost(orders[i], e)
+        k += 1
+    if k < n:
+        (i, e), (j, f) = a[k], b[k]
+        if i == j:
+            m = orders[i]
+            s = (f - e) % m if m else f - e
+            d -= _cost(m, e) + _cost(m, f) - _cost(m, s)
+    return d
 
 
 def cyclic_reduce(w: Word) -> tuple[Word, Word]:
@@ -355,11 +429,11 @@ def geodesic(x: Word, y: Word) -> list[Word]:
     """
     if x.group != y.group:
         raise GroupMismatch("endpoints live in different groups")
-    g = x.group
+    step = x.group.letter_table
     path = [x]
     cur = x
     for l in (x.inverse() * y).letters():
-        cur = cur * g.from_letters([l])
+        cur = cur * step[l]
         path.append(cur)
     return path
 
@@ -373,7 +447,7 @@ def all_geodesics(x: Word, y: Word) -> Iterator[list[Word]]:
     """
     if x.group != y.group:
         raise GroupMismatch("endpoints live in different groups")
-    g = x.group
+    step = x.group.letter_table
     w = x.inverse() * y
     per_syllable = w.syllable_spellings()
     for choice in itertools.product(*per_syllable):
@@ -381,7 +455,7 @@ def all_geodesics(x: Word, y: Word) -> Iterator[list[Word]]:
         cur = x
         for block in choice:
             for l in block:
-                cur = cur * g.from_letters([l])
+                cur = cur * step[l]
                 path.append(cur)
         yield path
 

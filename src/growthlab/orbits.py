@@ -99,10 +99,6 @@ class SubgroupOrbit:
         out = [self.u * h for h in self.subgroup.elements_in_ball(inner)]
         return [w for w in out if w.length <= radius]
 
-    def sample_near_origin(self, radius: int) -> list[Word]:
-        """Orbit points u h with |h| <= radius (a ball around the translate)."""
-        return [self.u * h for h in self.subgroup.elements_in_ball(radius)]
-
     def distance_to(self, x: Word) -> int:
         """Exact d(x, Y).  For a core-backed subgroup this is the coset
         distance of u^-1 x in the Schreier automaton."""
@@ -114,27 +110,3 @@ class SubgroupOrbit:
     def contains_point(self, x: Word) -> bool:
         return self.subgroup.contains(self.u.inverse() * x)
 
-
-class ExplicitSet:
-    """A finite vertex set used directly as an orbit-like object."""
-
-    def __init__(self, points: Sequence[Word]):
-        self.points = list(points)
-        self.group = self.points[0].group if self.points else None
-
-    def translated(self, u: Word) -> "ExplicitSet":
-        return ExplicitSet([u * p for p in self.points])
-
-    def sample_in_ball(self, radius: int) -> list[Word]:
-        return [p for p in self.points if p.length <= radius]
-
-    def distance_to(self, x: Word) -> int:
-        if not self.points:
-            raise ValueError("distance to an empty set is undefined")
-        return min(distance(p, x) for p in self.points)
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-    def __iter__(self):
-        return iter(self.points)

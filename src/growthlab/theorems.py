@@ -52,9 +52,9 @@ class ExperimentConfig:
 
     def __post_init__(self):
         if min(self.r_ball, self.r_schreier) < 3 or self.r_audit < 3:
-            raise ValueError("radii must be >= 3")
+            raise PreconditionFailed("radii must be >= 3")
         if self.gap_margin <= 0 or self.quotient_tolerance <= 0:
-            raise ValueError("margins must be > 0")
+            raise PreconditionFailed("margins must be > 0")
 
     def marked_group(self) -> MarkedGroup:
         return MarkedGroup.from_descriptor(self.group)

@@ -125,3 +125,20 @@ def test_projection_lipschitz_in_tree(f2):
     import itertools
     for x, y in itertools.combinations(pts[:120], 2):
         assert abs(pos[x] - pos[y]) <= distance(x, y)
+
+
+def test_translated_projection(f2, z42):
+    # pi_{uA}(x) = u . pi_A(u^-1 x), with the base map's positions and memo
+    for group, g, u in ((f2, "ab", "bA"), (z42, "xxy", "yX")):
+        base = ProjectionMap(Axis(group.parse(g)))
+        u = group.parse(u)
+        pm = base.translated(u)
+        for x in ball_elements(group, 4):
+            r, b = pm.project(x), base.project(u.inverse() * x)
+            assert (r.position, r.vertex, r.dist) == (b.position, u * b.vertex, b.dist)
+        assert pm._cache is base._cache
+    # oracle in the tree: uA is the axis of u g u^-1, so the distances agree
+    g, u = f2.parse("ab"), f2.parse("bA")
+    pm = ProjectionMap(Axis(g)).translated(u)
+    direct = ProjectionMap(Axis(g.conjugated_by(u)))
+    assert all(pm.dist_to_axis(x) == direct.dist_to_axis(x) for x in ball_elements(f2, 4))

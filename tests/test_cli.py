@@ -59,6 +59,16 @@ def test_gap_rmax_is_not_clamped(sub_file, tmp_path):
     assert len(json.loads(out.read_text())["details"]["h_counts"]) == 21
 
 
+@pytest.mark.parametrize("command", ["gap", "quotient"])
+def test_rmax_below_three_is_an_error(command, sub_file, tmp_path, capsys):
+    out = tmp_path / "r.json"
+    code = main([command, "--group", "free:2", "--subgroup", sub_file,
+                 "--rmax", "2", "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: radii must be >= 3")
+    assert not out.exists()
+
+
 def test_quotient_command_csv(sub_file, tmp_path):
     out = tmp_path / "q.csv"
     code = main(["quotient", "--group", "free:2", "--subgroup", sub_file,

@@ -13,6 +13,7 @@ import pytest
 
 from growthlab import MarkedGroup, ball, growth_rate, relative_growth, stallings_fold
 from growthlab.closure import separation_selector
+from growthlab.errors import PreconditionFailed
 from growthlab.theorems import ExperimentConfig, run_experiment
 
 
@@ -70,9 +71,9 @@ def test_selector_monotone_in_power(f2):
 
 
 def test_experiment_config_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(PreconditionFailed):
         ExperimentConfig(group="free:2", r_ball=2)
-    with pytest.raises(ValueError):
+    with pytest.raises(PreconditionFailed):
         ExperimentConfig(group="free:2", gap_margin=0.0)
 
 

@@ -8,15 +8,36 @@ from hypothesis import strategies as st
 from growthlab import MarkedGroup, all_geodesics, cyclic_reduce, distance, geodesic, is_torsion, primitive_root
 from growthlab.errors import GroupMismatch, UnknownSymbol
 
-from oracles import PslCayley, free_ball, free_reduce, product_canonical_display, product_reduce
+from oracles import (PslCayley, free_ball, free_inverse, free_reduce,
+                     product_canonical_display, product_reduce)
 
 Z23_ORDERS = {"x": 2, "y": 3}
+# even-order ties (exponent m/2) and three factors, two of them of order 2
+PRODUCT_ORDERS = [Z23_ORDERS, {"x": 4, "y": 4}, {"x": 2, "y": 2, "z": 5}]
 
 
 def letters_strategy(rank=2, size=12):
     syms = "abcdefgh"[:rank]
     alphabet = list(syms) + [s.upper() for s in syms]
     return st.lists(st.sampled_from(alphabet), max_size=size).map("".join)
+
+
+def product_letters(orders, size=8):
+    alphabet = list(orders) + [s.upper() for s, m in orders.items() if m > 2]
+    return st.lists(st.sampled_from(alphabet), max_size=size).map("".join)
+
+
+def oracle_length(s, orders):
+    """Word length of the string s read by the string oracles; orders None
+    means the free group."""
+    if orders is None:
+        return len(free_reduce(s))
+    return len(product_canonical_display(s, orders))
+
+
+def fresh_inverse(u):
+    """u^-1 normalised from scratch by MarkedGroup.word."""
+    return u.group.word([(i, -e) for i, e in reversed(u.syllables)])
 
 
 # -- reduce ------------------------------------------------------------------
@@ -57,27 +78,42 @@ def test_mul_examples(f2):
     assert str(f2.parse("ab").inverse()) == "BA"
 
 
-@given(letters_strategy(size=8), letters_strategy(size=8))
-@settings(max_examples=200)
-def test_mul_associative_and_inverse(s, t):
-    f2 = MarkedGroup.free(2)
-    u, v = f2.parse(s), f2.parse(t)
-    assert u * u.inverse() == f2.identity()
+@given(st.data())
+@settings(max_examples=300)
+def test_mul_associative_and_inverse(data):
+    orders = data.draw(st.sampled_from([None] + PRODUCT_ORDERS[1:]))
+    if orders is None:
+        group, letters = MarkedGroup.free(2), letters_strategy(size=8)
+    else:
+        group, letters = MarkedGroup.free_product(list(orders.values())), product_letters(orders)
+    s, t = data.draw(letters), data.draw(letters)
+    u, v = group.parse(s), group.parse(t)
+    assert u * u.inverse() == group.identity()
     assert u.inverse().inverse() == u
     assert (u * v).inverse() == v.inverse() * u.inverse()
     # triangle inequality of the word metric
     assert (u * v).length <= u.length + v.length
+    # carried lengths equal those of fresh normal forms and of the oracle
+    fresh = group.word(u.syllables + v.syllables)
+    assert (u * v).length == fresh.length == oracle_length(s + t, orders)
+    assert u.inverse().length == fresh_inverse(u).length == oracle_length(free_inverse(s), orders)
+    assert distance(u, v) == oracle_length(free_inverse(s) + t, orders)
 
 
-@given(st.lists(st.sampled_from("xyY"), max_size=8).map("".join),
-       st.lists(st.sampled_from("xyY"), max_size=8).map("".join))
-@settings(max_examples=200)
-def test_product_mul_matches_oracle(s, t):
-    z23 = MarkedGroup.free_product([2, 3])
-    u, v = z23.parse(s), z23.parse(t)
-    expected = product_canonical_display(s + t, Z23_ORDERS) or "1"
+@given(st.data())
+@settings(max_examples=300)
+def test_product_mul_matches_oracle(data):
+    orders = data.draw(st.sampled_from(PRODUCT_ORDERS))
+    group = MarkedGroup.free_product(list(orders.values()))
+    s, t = data.draw(product_letters(orders)), data.draw(product_letters(orders))
+    u, v = group.parse(s), group.parse(t)
+    expected = product_canonical_display(s + t, orders) or "1"
     assert str(u * v) == expected
     assert (u * v).length <= u.length + v.length
+    fresh = group.word(u.syllables + v.syllables)
+    assert (u * v).length == fresh.length == oracle_length(s + t, orders)
+    assert u.inverse().length == fresh_inverse(u).length == oracle_length(free_inverse(s), orders)
+    assert distance(u, v) == oracle_length(free_inverse(s) + t, orders)
 
 
 def test_group_mismatch(f2, z23):
