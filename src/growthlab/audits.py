@@ -6,6 +6,16 @@ of an orbit, the per-property constants of nearest-point projections.
 Measured values are reported, never asserted against theoretical ones;
 the test suite pins only the exactly-known tree values (delta = 0,
 Lipschitz constant 1).
+
+The pair scans (CS2, properties (3), (4) and (7), and eta) stay
+exhaustive over every pair of the ball, but they run on integer vertex
+ids, not words.  ``_Vertices`` interns each vertex a scan visits and
+fills its letter-to-neighbour row lazily, so an edge costs one word
+product however many paths cross it; it memoises projections and the
+distances to projection vertices by id.  Each pair spells its geodesics
+once, from the single product x^-1 y, and walks them through the id
+table: the canonical geodesic for (3) and (4), and every tie arc (both
+arcs of a syllable x^(m/2)) for CS2, (7) and eta.
 """
 
 from __future__ import annotations
@@ -17,14 +27,115 @@ from dataclasses import dataclass, field
 from .axes import Axis, ProjectionMap
 from .balls import ball_elements
 from .errors import BudgetExceeded, FiniteOrderElement
-from .groups import Word, all_geodesics, distance, geodesic, is_torsion
+from .groups import Word, distance, is_torsion
 
 DEFAULT_PAIR_CAP = 2_000_000
 
 
-def _ball_points(group, radius: int, cap: int) -> list[Word]:
-    pts = list(ball_elements(group, radius, max_elements=cap))
-    return pts
+class _Vertices:
+    """The vertices a pair scan visits, interned as ints.
+
+    ``words[i]`` is vertex i.  ``walk`` follows a spelling through
+    letter-to-neighbour rows filled on first use, one word product per
+    directed edge.  A row is a list indexed by the signed letter itself:
+    -l lands at 2k + 1 - l, past the positive letters.  ``project`` (with
+    a projection map) and ``dist`` memoise by id, so each vertex is
+    projected once and measured once against each projection vertex.
+    """
+
+    def __init__(self, group, pm: ProjectionMap | None = None):
+        self.words: list[Word] = []
+        self._ids: dict[Word, int] = {}
+        self._rows: list[list | None] = []
+        self._proj: list[tuple[int, int, int] | None] = []
+        self._near: list[dict[int, int] | None] = []
+        self._pm = pm
+        self._letter = group.letter_table
+        self._width = 2 * group.rank + 1
+
+    def id(self, w: Word) -> int:
+        i = self._ids.get(w)
+        if i is None:
+            i = self._ids[w] = len(self.words)
+            self.words.append(w)
+            self._rows.append(None)
+            self._proj.append(None)
+            self._near.append(None)
+        return i
+
+    def walk(self, start: int, letters: list[int]) -> list[int]:
+        """Ids of the vertex path from ``start`` along ``letters``."""
+        rows = self._rows
+        path = [start]
+        cur = start
+        for l in letters:
+            row = rows[cur]
+            if row is None:
+                row = rows[cur] = [None] * self._width
+            nxt = row[l]
+            if nxt is None:
+                nxt = row[l] = self.id(self.words[cur] * self._letter[l])
+            path.append(nxt)
+            cur = nxt
+        return path
+
+    def project(self, i: int) -> tuple[int, int, int]:
+        """(position, dist, vertex id) of the projection of vertex i."""
+        hit = self._proj[i]
+        if hit is None:
+            r = self._pm.project(self.words[i])
+            hit = self._proj[i] = (r.position, r.dist, self.id(r.vertex))
+        return hit
+
+    def dist(self, i: int, p: int) -> int:
+        """d(vertex i, vertex p)."""
+        near = self._near[i]
+        if near is None:
+            near = self._near[i] = {}
+        d = near.get(p)
+        if d is None:
+            d = near[p] = distance(self.words[i], self.words[p])
+        return d
+
+
+def _spellings(w: Word):
+    """Every geodesic spelling of w: one per choice of arc on each tie
+    syllable (exponent m/2 on a factor of even order m > 2)."""
+    for choice in itertools.product(*w.syllable_spellings()):
+        yield [l for block in choice for l in block]
+
+
+def _cs2_delta(vx: _Vertices, points: list[int], proj, gap) -> int:
+    """Least delta certifying CS2 over all pairs of ``points`` (vertex ids).
+
+    ``proj[i]`` is (gap key, projection vertex id) of point i, and
+    ``gap(key_x, key_y)`` the projected distance of a pair.  A pair with
+    projections delta-close is a vacuous case, never a violation, so the
+    least certifying delta of a pair is min(gap, worst approach), where the
+    approach of a geodesic is the larger of its distances to the two
+    projection vertices and the worst is taken over every geodesic.
+    """
+    words = vx.words
+    dist = vx.dist
+    needed = 0  # max over pairs of the least certifying delta
+    for n, x in enumerate(points):
+        kx, px = proj[x]
+        xinv = words[x].inverse()
+        for y in points[n + 1:]:
+            ky, py = proj[y]
+            g = gap(kx, ky)
+            if g <= needed:
+                continue  # cannot raise the running maximum
+            worst = 0
+            for letters in _spellings(xinv * words[y]):
+                path = vx.walk(x, letters)
+                ax = 0 if px in path else min(dist(v, px) for v in path)
+                ay = 0 if py in path else min(dist(v, py) for v in path)
+                worst = max(worst, ax, ay)
+                if worst >= g:
+                    break  # min(g, worst) is settled
+            needed = max(needed, min(g, worst))
+    return needed
 
 
 @dataclass(frozen=True)
@@ -51,7 +162,7 @@ def constriction_audit(pm: ProjectionMap, sample_radius: int,
     min(d_A(x, y), worst approach distance of its geodesics).
     """
     group = pm.group
-    points = _ball_points(group, sample_radius, pair_cap)
+    points = list(ball_elements(group, sample_radius, max_elements=pair_cap))
     n = len(points)
     if n * n > pair_cap:
         raise BudgetExceeded(f"{n * n} pairs exceed cap {pair_cap}")
@@ -61,20 +172,13 @@ def constriction_audit(pm: ProjectionMap, sample_radius: int,
     for _, v in pm.axis.vertices_in_ball(sample_radius):
         delta_cs1 = max(delta_cs1, pm.project(v).dist)
 
-    proj = {x: pm.project(x) for x in points}
-
-    needed = 0  # max over pairs of the minimal certifying delta
-    for x, y in itertools.combinations(points, 2):
-        px, py = proj[x], proj[y]
-        gap = abs(px.position - py.position)
-        if gap <= needed:
-            continue  # cannot raise the running maximum
-        worst_approach = 0
-        for path in all_geodesics(x, y):
-            ax = min(distance(v, px.vertex) for v in path)
-            ay = min(distance(v, py.vertex) for v in path)
-            worst_approach = max(worst_approach, ax, ay)
-        needed = max(needed, min(gap, worst_approach))
+    vx = _Vertices(group, pm)
+    ids = [vx.id(x) for x in points]
+    proj = {}
+    for i in ids:
+        position, _, vertex = vx.project(i)
+        proj[i] = (position, vertex)
+    needed = _cs2_delta(vx, ids, proj, lambda s, t: abs(s - t))
     return ConstrictionReport(delta_cs1=delta_cs1, delta_cs2=needed,
                               samples=n * (n - 1) // 2)
 
@@ -89,17 +193,18 @@ def quasiconvexity_audit(orbit, sample_radius: int,
     points = orbit.sample_in_ball(sample_radius)
     if len(points) ** 2 > pair_cap:
         raise BudgetExceeded(f"{len(points) ** 2} pairs exceed cap {pair_cap}")
-    eta = 0
-    seen: dict[Word, int] = {}
-    for x, y in itertools.combinations(points, 2):
-        for path in all_geodesics(x, y):
-            for v in path:
-                d = seen.get(v)
-                if d is None:
-                    d = orbit.distance_to(v)
-                    seen[v] = d
-                eta = max(eta, d)
-    return eta
+    vx = _Vertices(orbit.group)
+    words = vx.words
+    ids = [vx.id(x) for x in points]
+    seen: dict[int, int] = {}  # vertex id -> d(vertex, Y), in order of first visit
+    for n, x in enumerate(ids):
+        xinv = words[x].inverse()
+        for y in ids[n + 1:]:
+            for letters in _spellings(xinv * words[y]):
+                for v in vx.walk(x, letters):
+                    if v not in seen:
+                        seen[v] = orbit.distance_to(words[v])
+    return max(seen.values(), default=0)
 
 
 @dataclass(frozen=True)
@@ -180,7 +285,7 @@ def elementary_properties_audit(pm_a: ProjectionMap, pm_b: ProjectionMap | None,
     copies of the axis vertex set.
     """
     group = pm_a.group
-    points = _ball_points(group, sample_radius, pair_cap)
+    points = list(ball_elements(group, sample_radius, max_elements=pair_cap))
     rng = random.Random(seed)
     window = sample_radius + 2 * max(pm_a.axis.translation_length, 1) + \
         pm_a.axis.conjugator.length + 2
@@ -208,23 +313,32 @@ def elementary_properties_audit(pm_a: ProjectionMap, pm_b: ProjectionMap | None,
                 theta2 = max(theta2, distance(lhs, rhs))
                 witnesses["equivariance"] = f"h={h}, x={x}"
 
-    # (3) coarse Lipschitz and (4) intersection-image, per pair
+    # (3) coarse Lipschitz and (4) intersection-image, per pair, along
+    # the canonical geodesic
     theta3 = 0
     theta4 = 0
-    pos = {x: pm_a.position(x) for x in points}
-    for x, y in itertools.combinations(points, 2):
-        gap = abs(pos[x] - pos[y])
-        if gap - distance(x, y) > theta3 or "lipschitz" not in witnesses:
-            theta3 = max(theta3, gap - distance(x, y))
-            witnesses["lipschitz"] = f"x={x}, y={y}"
-        path = geodesic(x, y)
-        on_axis = [i for i, v in enumerate(path) if pm_a.project(v).dist <= delta]
-        diam_inter = (on_axis[-1] - on_axis[0]) if on_axis else 0
-        positions = [pm_a.position(v) for v in path]
-        diam_proj = max(positions) - min(positions)
-        if abs(diam_inter - diam_proj) > theta4 or "intersection_image" not in witnesses:
-            theta4 = max(theta4, abs(diam_inter - diam_proj))
-            witnesses["intersection_image"] = f"x={x}, y={y}"
+    vx = _Vertices(group, pm_a)
+    words = vx.words
+    project = vx.project
+    ids = [vx.id(x) for x in points]
+    for n, x in enumerate(ids):
+        wx = words[x]
+        xinv = wx.inverse()
+        tx = project(x)[0]
+        for y in ids[n + 1:]:
+            w = xinv * words[y]
+            excess = abs(tx - project(y)[0]) - w.length  # w.length = d(x, y)
+            if excess > theta3 or "lipschitz" not in witnesses:
+                theta3 = max(theta3, excess)
+                witnesses["lipschitz"] = f"x={wx}, y={words[y]}"
+            path = [project(v) for v in vx.walk(x, w.letters())]
+            on_axis = [i for i, (_, d, _) in enumerate(path) if d <= delta]
+            diam_inter = (on_axis[-1] - on_axis[0]) if on_axis else 0
+            positions = [t for t, _, _ in path]
+            diam_proj = max(positions) - min(positions)
+            if abs(diam_inter - diam_proj) > theta4 or "intersection_image" not in witnesses:
+                theta4 = max(theta4, abs(diam_inter - diam_proj))
+                witnesses["intersection_image"] = f"x={wx}, y={words[y]}"
 
     # (5) Behrstock inequality for the pair of axes
     theta5 = None
@@ -280,7 +394,8 @@ def elementary_properties_audit(pm_a: ProjectionMap, pm_b: ProjectionMap | None,
     # (7) coarse invariance: epsilon-perturbed axis sets stay constricting
     zeta_rows = []
     small_r = min(sample_radius, 3)
-    small_points = _ball_points(group, small_r, pair_cap)
+    small_points = list(ball_elements(group, small_r, max_elements=pair_cap))
+    small_ids = [vx.id(x) for x in small_points]
     for eps in perturbations:
         b_set = []
         for _, v in pm_a.axis.vertices_in_ball(window):
@@ -292,20 +407,11 @@ def elementary_properties_audit(pm_a: ProjectionMap, pm_b: ProjectionMap | None,
                     w = cand
             b_set.append(w)
         sp = SetProjection(b_set)
-        needed = 0
-        for x, y in itertools.combinations(small_points, 2):
-            bx, _ = sp.project(x)
-            by, _ = sp.project(y)
-            gap = distance(bx, by)
-            if gap <= needed:
-                continue
-            worst = 0
-            for path in all_geodesics(x, y):
-                ax = min(distance(v, bx) for v in path)
-                ay = min(distance(v, by) for v in path)
-                worst = max(worst, ax, ay)
-            needed = max(needed, min(gap, worst))
-        zeta_rows.append((eps, needed, len(small_points)))
+        proj = {}
+        for i, x in zip(small_ids, small_points):
+            b = sp.project(x)[0]
+            proj[i] = (b, vx.id(b))
+        zeta_rows.append((eps, _cs2_delta(vx, small_ids, proj, distance), len(small_points)))
 
     return AuditTable(radius=sample_radius, samples=len(points),
                       theta_nearest_point=theta1, theta_equivariance=theta2,
@@ -338,7 +444,7 @@ def intersection_image_audit(pm: ProjectionMap, orbit, eps1: int, eps2: int,
     exceeds ``zeta_bound`` (when given).
     """
     group = pm.group
-    points = _ball_points(group, sample_radius, DEFAULT_PAIR_CAP)
+    points = list(ball_elements(group, sample_radius, max_elements=DEFAULT_PAIR_CAP))
     thick = theta + eps1
     qualifying = [x for x in points
                   if pm.project(x).dist <= thick and orbit.distance_to(x) <= eps2]

@@ -92,7 +92,7 @@ def test_criterion_04_tree_constriction(f2):
         deltas[text] = rep.delta
     elapsed = time.perf_counter() - t0
     report("4 tree constriction", elapsed,
-           f"delta = 0, zero violations for axes {sorted(deltas)}")
+           f"delta_cs1 = delta_cs2 = 0 for axes {sorted(deltas)}")
 
 
 def test_criterion_05_elementary_properties(f2):

@@ -4,18 +4,20 @@ Oracles: independent CS2 re-scan on oracle graphs, closure membership,
 hand-verified gate arguments (noted inline)."""
 
 import itertools
+import math
+import random
 
 import pytest
 
-from growthlab import (Axis, MarkedGroup, ProjectionMap, ball_elements, distance,
-                       stallings_fold)
+from growthlab import Axis, MarkedGroup, ProjectionMap, Word, audits, stallings_fold
 from growthlab.audits import (constriction_audit, elementary_properties_audit,
                               intersection_image_audit, projection_symmetry_audit,
                               qi_embedding_check, quasiconvexity_audit,
                               translation_length_check)
 from growthlab.orbits import FreeSubgroup, SubgroupOrbit
 
-from oracles import ProductCayley, product_canonical_display
+from oracles import (ProductCayley, closure_membership, free_ball, free_inverse, free_reduce,
+                     product_canonical_display, product_reduce)
 
 
 def fold(group, words):
@@ -31,75 +33,138 @@ def test_tree_axes_delta_zero(f2):
         assert rep.delta_cs2 == 0
 
 
-def oracle_geodesics_between(oracle, x, y):
-    """All geodesic paths x -> y by BFS from x on the oracle graph."""
-    from oracles import product_reduce
-    dist = {x: 0}
-    parents = {x: []}
-    frontier = [x]
-    target_d = oracle.distance(x, y)
-    for d in range(target_d):
-        new = []
-        for w in frontier:
-            for l in oracle.letters:
-                v = product_reduce(w + l, oracle.orders)
-                if v not in dist:
-                    dist[v] = d + 1
-                    parents[v] = [w]
-                    new.append(v)
-                elif dist[v] == d + 1 and w not in parents[v]:
-                    parents[v].append(w)
-        frontier = new
-    paths = []
+def _string_model(orders):
+    """(ball, dist, geodesics, label, reduce) on strings, sharing no code
+    with the package.  ``orders`` None is F2 (free reduction; the geodesic is
+    unique); otherwise a free product whose distances and geodesics are
+    read off the BFS Cayley graph of radius 8 (a distance beyond it reads
+    as infinity, which only ever stands in for a value no minimum takes)."""
+    if orders is None:
+        def dist(u, v):
+            return len(free_reduce(free_inverse(u) + v))
 
-    def back(w, acc):
-        if w == x:
-            paths.append([x] + list(reversed(acc)))
-            return
-        for p in parents[w]:
-            back(p, acc + [w])
+        def geodesics(x, y):
+            w = free_reduce(free_inverse(x) + y)
+            return [[free_reduce(x + w[:k]) for k in range(len(w) + 1)]]
 
-    back(product_reduce(y, oracle.orders), [])
-    return paths
+        return (lambda r: free_ball(2, r)[1], dist, geodesics, lambda s: s or "1",
+                free_reduce)
+
+    oracle = ProductCayley(orders, 8)
+
+    def reduce(s):
+        return product_reduce(s, orders)
+
+    def dist(u, v):
+        return oracle.dist.get(reduce(free_inverse(u) + v), math.inf)
+
+    def geodesics(x, y):
+        # left translation by x is an isometry: x times the BFS geodesics to x^-1 y
+        return [[reduce(x + v) for v in path]
+                for path in oracle.geodesics("", reduce(free_inverse(x) + y))]
+
+    return (lambda r: [w for w, d in oracle.dist.items() if d <= r], dist, geodesics,
+            lambda s: product_canonical_display(s, orders) or "1", reduce)
 
 
-def test_z23_axis_delta_oracle(z23):
-    """Independent re-derivation of the constriction constant of axis(xy).
-
-    The oracle rebuilds projections and geodesics on the string-rewriting
-    Cayley graph of Z2 * Z3 (positive normal forms throughout), then scans
-    CS2 over all pairs in B(o, 3).
-    """
-    from oracles import product_reduce
-    orders = {"x": 2, "y": 3}
-    oracle = ProductCayley(orders, 9)
-    ax = Axis(z23.parse("xy"))
-    axis_strings = {}
-    # |t| <= 6 suffices: a point at distance d from the origin projects
-    # within position 2d, and the sample ball has radius 3
-    for t in range(-6, 7):
-        v = product_reduce(str(ax.vertex(t)).replace("1", ""), orders)
-        if v not in axis_strings or abs(t) < abs(axis_strings[v]):
-            axis_strings[v] = t
-
-    def project_oracle(w):
-        return min(axis_strings, key=lambda a: (oracle.distance(a, w), abs(axis_strings[a]), a))
-
-    points = [w for w, d in oracle.dist.items() if d <= 3]
+def _oracle_cs2(points, project, gap, geodesics, dist):
     needed = 0
     for x, y in itertools.combinations(points, 2):
-        px, py = project_oracle(x), project_oracle(y)
-        gap = abs(axis_strings[px] - axis_strings[py])
-        if gap == 0:
-            continue
-        worst = 0
-        for path in oracle_geodesics_between(oracle, x, y):
-            ax_d = min(oracle.distance(v, px) for v in path)
-            ay_d = min(oracle.distance(v, py) for v in path)
-            worst = max(worst, ax_d, ay_d)
-        needed = max(needed, min(gap, worst))
-    rep = constriction_audit(ProjectionMap(ax), 3)
-    assert rep.delta_cs2 == needed == 1
+        px, py = project(x), project(y)
+        worst = max(max(min(dist(v, px) for v in path), min(dist(v, py) for v in path))
+                    for path in geodesics(x, y))
+        needed = max(needed, min(gap(px, py), worst))
+    return needed
+
+
+@pytest.mark.parametrize("orders, g, delta_cs2", [
+    ({"x": 2, "y": 3}, "xy", 1),
+    ({"x": 4, "y": 4}, "yx", 1),     # tie geodesics around the 4-cycles
+    ({"x": 4, "y": 2}, "xxy", 1),
+    ({"x": 4, "y": 2}, "xy", 1),     # (4) reads 1, not 2, along the other tie arcs
+    (None, "ab", 0),
+], ids=["z23-xy", "z44-yx", "z42-xxy", "z42-xy", "f2-ab"])
+def test_axis_audit_oracle(orders, g, delta_cs2, monkeypatch):
+    """Independent re-derivation of the pair scans over B(o, 3).
+
+    The oracle rebuilds the axis, its projection (least (dist, |t|, label)),
+    all geodesics and the canonical one (the short arc, the positive one on
+    a tie) on strings, then recomputes CS2, properties (3) and (4) and the
+    zeta rows of (7) over every pair; (7) re-scans the perturbed sets the
+    audit drew.
+    """
+    r = 3
+    ball, dist, geodesics, label, reduce = _string_model(orders)
+    group = (MarkedGroup.free(2) if orders is None
+             else MarkedGroup.free_product(list(orders.values())))
+    pm = ProjectionMap(Axis(group.parse(g)))
+    drawn = []
+
+    class RecordingProjection(audits.SetProjection):
+        def __init__(self, points):
+            drawn.append(sorted({reduce(str(p).replace("1", "")) for p in points}))
+            super().__init__(points)
+
+    monkeypatch.setattr(audits, "SetProjection", RecordingProjection)
+    rep = constriction_audit(pm, r)
+    table = elementary_properties_audit(pm, None, r)
+
+    # the axis is the line of prefixes of g^oo and of (g^-1)^oo, each spelled
+    # canonically; g is cyclically reduced, so vertex(0) is the origin
+    fwd, bwd = label(reduce(g)), label(reduce(free_inverse(g)))
+    line = {t: reduce((fwd * 20)[:t] if t >= 0 else (bwd * 20)[:-t]) for t in range(-20, 21)}
+    projections = {}
+
+    def project(w):
+        # a vertex of |w| <= 6 projects within |t| <= 12
+        if w not in projections:
+            t = min(line, key=lambda t: (dist(line[t], w), abs(t), label(line[t])))
+            projections[w] = (t, dist(line[t], w))
+        return projections[w]
+
+    def canonical(x, y):
+        w = label(reduce(free_inverse(x) + y)).replace("1", "")
+        return [reduce(x + w[:k]) for k in range(len(w) + 1)]
+
+    points = ball(r)
+    cs2 = _oracle_cs2(points, lambda w: line[project(w)[0]],
+                      lambda px, py: abs(project(px)[0] - project(py)[0]), geodesics, dist)
+    theta3 = theta4 = 0
+    for x, y in itertools.combinations(points, 2):
+        theta3 = max(theta3, abs(project(x)[0] - project(y)[0]) - dist(x, y))
+        path = [project(v) for v in canonical(x, y)]
+        on_axis = [i for i, (_, d) in enumerate(path) if d == 0]
+        diam_inter = on_axis[-1] - on_axis[0] if on_axis else 0
+        diam_proj = max(t for t, _ in path) - min(t for t, _ in path)
+        theta4 = max(theta4, abs(diam_inter - diam_proj))
+    zeta = []
+    for (eps, _, _), b_set in zip(table.zeta_table, drawn):
+        def nearest(w):
+            return min(b_set, key=lambda b: (dist(b, w), label(b)))
+        zeta.append((eps, _oracle_cs2(points, nearest, dist, geodesics, dist), len(points)))
+
+    assert rep.delta_cs2 == cs2 == delta_cs2
+    assert (table.theta_lipschitz, table.theta_intersection_image) == (theta3, theta4)
+    assert len(drawn) == len(table.zeta_table) == 2
+    assert table.zeta_table == tuple(zeta)
+
+
+def test_constriction_scan_spells_each_pair_once(f2, monkeypatch):
+    # the CS2 scan takes one product x^-1 y per pair and walks the interned
+    # vertex table; a walk that multiplies words per step made 69,820
+    # products here.  Counts repeat exactly, so the bound cannot flake.
+    products = 0
+    mul = Word.__mul__
+
+    def counting(u, v):
+        nonlocal products
+        products += 1
+        return mul(u, v)
+
+    monkeypatch.setattr(Word, "__mul__", counting)
+    rep = constriction_audit(ProjectionMap(Axis(f2.parse("ab"))), 4)
+    assert rep.samples == 12_880
+    assert products <= 2 * rep.samples
 
 
 def test_vacuous_pairs_never_violate(f2):
@@ -129,6 +194,33 @@ def test_eta_bridge_subgroup(f2):
 
 def test_eta_whole_group(f2):
     assert quasiconvexity_audit(SubgroupOrbit(FreeSubgroup(fold(f2, ["a", "b"]))), 4) == 0
+
+
+@pytest.mark.parametrize("seed, expected", [(1, 1), (3, 2)])
+def test_eta_matches_string_oracle(f2, seed, expected):
+    """eta over B(o, 6) against strings, on a seeded random 2-generator
+    subgroup of F2 (<aBB, aBaB> and <bAB, aaBAb>).  Orbit points come
+    from the padded string closure of the generators; a nearest orbit
+    point of a vertex v lies in B(o, 2|v|), so the closure to radius 12
+    gives every distance to the orbit.  Geodesics are free reductions."""
+    rng = random.Random(seed)
+    gens = []
+    for _ in range(2):
+        n, w = rng.randint(3, 5), ""
+        while len(w) < n:
+            w = free_reduce(w + rng.choice("abAB"))
+        gens.append(w)
+    r = 6
+    members = closure_membership(2, gens, 2 * r, pad=6)
+    points = [h for h in members if len(h) <= r]
+    visited = set()
+    for x, y in itertools.combinations(points, 2):
+        w = free_reduce(free_inverse(x) + y)
+        visited.update(free_reduce(x + w[:k]) for k in range(len(w) + 1))
+    eta = max(min(len(free_reduce(free_inverse(h) + v)) for h in members) for v in visited)
+    orbit = SubgroupOrbit(FreeSubgroup(fold(f2, gens)))
+    assert len(orbit.sample_in_ball(r)) == len(points)
+    assert quasiconvexity_audit(orbit, r) == eta == expected
 
 
 # -- elementary properties -------------------------------------------------------
