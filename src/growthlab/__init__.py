@@ -14,14 +14,14 @@ from .groups import (MarkedGroup, Word, all_geodesics, cyclic_reduce, distance,
 from .axes import Axis, ProjectionMap, axis, projection
 from .orbits import FiniteSubgroup, FreeSubgroup, SubgroupOrbit
 from .schreier import SchreierAutomaton, schreier_growth
-from .series import dalbo_witness, divergence_diagnostic, poincare_partial
+from .series import divergence_diagnostic, poincare_partial
 from .stallings import CoreGraph, relative_growth, stallings_fold
 
 __all__ = [
     "Axis", "BallCounts", "CoreGraph", "FiniteSubgroup",
     "FreeSubgroup", "GrowthEstimate", "MarkedGroup", "ProjectionMap",
     "SchreierAutomaton", "SubgroupOrbit", "Word", "all_geodesics", "axis",
-    "ball", "ball_elements", "cyclic_reduce", "dalbo_witness", "distance",
+    "ball", "ball_elements", "cyclic_reduce", "distance",
     "divergence_diagnostic", "geodesic", "growth_rate", "is_torsion",
     "poincare_partial", "primitive_root", "projection", "relative_growth",
     "schreier_growth", "stallings_fold",

@@ -22,12 +22,12 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .axes import Axis, ProjectionMap
+from .axes import ProjectionMap
 from .balls import ball_elements
-from .errors import BudgetExceeded, FiniteOrderElement
-from .groups import Word, distance, is_torsion
+from .errors import BudgetExceeded
+from .groups import Word, distance
 
 DEFAULT_PAIR_CAP = 2_000_000
 
@@ -421,167 +421,3 @@ def elementary_properties_audit(pm_a: ProjectionMap, pm_b: ProjectionMap | None,
                       sigma_table=tuple(sigma_rows),
                       zeta_table=tuple(zeta_rows),
                       witnesses=tuple(sorted(witnesses.items())))
-
-
-@dataclass(frozen=True)
-class IntersectionImageRecord:
-    diam_intersection: int
-    diam_projection: int
-    difference: int
-    theta: int
-    eps1: int
-    eps2: int
-    flagged: bool
-
-
-def intersection_image_audit(pm: ProjectionMap, orbit, eps1: int, eps2: int,
-                             sample_radius: int, theta: int = 1,
-                             zeta_bound: int | None = None) -> IntersectionImageRecord:
-    """Compare diam(A^{+theta+eps1} & Y^{+eps2}) with diam_A(Y) on a ball.
-
-    Both diameters are exact over B(o, r); the empty intersection has
-    diameter 0 by convention.  ``flagged`` is set when the difference
-    exceeds ``zeta_bound`` (when given).
-    """
-    group = pm.group
-    points = list(ball_elements(group, sample_radius, max_elements=DEFAULT_PAIR_CAP))
-    thick = theta + eps1
-    qualifying = [x for x in points
-                  if pm.project(x).dist <= thick and orbit.distance_to(x) <= eps2]
-    diam_inter = 0
-    for x, y in itertools.combinations(qualifying, 2):
-        diam_inter = max(diam_inter, distance(x, y))
-    y_sample = orbit.sample_in_ball(sample_radius)
-    diam_proj = pm.projected_diameter(y_sample)
-    diff = abs(diam_inter - diam_proj)
-    return IntersectionImageRecord(
-        diam_intersection=diam_inter, diam_projection=diam_proj, difference=diff,
-        theta=theta, eps1=eps1, eps2=eps2,
-        flagged=(zeta_bound is not None and diff > zeta_bound))
-
-
-def projection_symmetry_audit(pm_a: ProjectionMap, pm_b: ProjectionMap,
-                              sample_radius: int) -> dict:
-    """|diam_A(B) - diam_B(A)| over axis vertices within the ball."""
-    a_pts = [v for _, v in pm_a.axis.vertices_in_ball(sample_radius)]
-    b_pts = [v for _, v in pm_b.axis.vertices_in_ball(sample_radius)]
-    diam_a_of_b = pm_a.projected_diameter(b_pts)
-    diam_b_of_a = pm_b.projected_diameter(a_pts)
-    return {
-        "diam_A_of_B": diam_a_of_b,
-        "diam_B_of_A": diam_b_of_a,
-        "difference": abs(diam_a_of_b - diam_b_of_a),
-    }
-
-
-@dataclass(frozen=True)
-class TranslationLengthRecord:
-    translation_length: int
-    step_lengths: tuple[int, ...]
-    increments_exact: bool
-    lower_bound_ok: bool
-    upper_bound_ok: bool
-    inf_over_window: float
-
-
-def translation_length_check(g: Word, m_max: int = 10) -> TranslationLengthRecord:
-    """Verify the affine law d(o, g^m o) = m [g]^inf + C for m >= 1.
-
-    [g]^inf equals the cyclically reduced core length; the check recomputes
-    d(o, g^m o) by plain word arithmetic and confirms the exact unit
-    increment, the two quasi-isometry bounds, and reports the finite-m
-    infimum of d(o, g^m o)/m.
-    """
-    if is_torsion(g):
-        raise FiniteOrderElement(f"{g} has finite order")
-    ax = Axis(g)
-    t = ax.translation_length
-    lengths = []
-    power = g.group.identity()
-    for _ in range(1, m_max + 1):
-        power = power * g
-        lengths.append(power.length)
-    increments_exact = all(lengths[i + 1] - lengths[i] == t for i in range(len(lengths) - 1))
-    lower_ok = all(lengths[m - 1] >= t * m for m in range(1, m_max + 1))
-    upper_ok = all(lengths[m - 1] <= lengths[0] * m for m in range(1, m_max + 1))
-    inf_window = min(lengths[m - 1] / m for m in range(1, m_max + 1))
-    return TranslationLengthRecord(
-        translation_length=t, step_lengths=tuple(lengths),
-        increments_exact=increments_exact, lower_bound_ok=lower_ok,
-        upper_bound_ok=upper_ok, inf_over_window=inf_window)
-
-
-def qi_embedding_check(subject, m_max_or_radius: int = 8) -> dict:
-    """Fit (kappa, lambda) for an orbit map.
-
-    For an element g: the map m -> g^m o over |m| <= m_max; for a
-    free-group subgroup (core graph): the word metric of the spanning-tree
-    basis against the ambient metric over the subgroup ball.
-    """
-    from .stallings import CoreGraph
-
-    if isinstance(subject, Word):
-        g = subject
-        if is_torsion(g):
-            raise FiniteOrderElement(f"{g} has finite order")
-        kappa = 1.0
-        for m in range(1, m_max_or_radius + 1):
-            d = (g**m).length
-            kappa = max(kappa, d / m, m / d)
-        return {"kappa": kappa, "lambda": 0.0, "samples": m_max_or_radius}
-
-    core: CoreGraph = subject
-    tree_parent: dict[int, tuple[int, int, int] | None] = {core.base: None}
-    order = [core.base]
-    for v in order:
-        for gidx in sorted(core.out[v]):
-            w = core.out[v][gidx]
-            if w not in tree_parent:
-                tree_parent[w] = (v, gidx, +1)
-                order.append(w)
-        for gidx in sorted(core.into[v]):
-            w = core.into[v][gidx]
-            if w not in tree_parent:
-                tree_parent[w] = (v, gidx, -1)
-                order.append(w)
-    tree_edges = set()
-    for v, rec in tree_parent.items():
-        if rec is not None:
-            u, gidx, sign = rec
-            tree_edges.add((u, gidx, v) if sign > 0 else (v, gidx, u))
-    basis_ids = {e: i + 1 for i, e in enumerate(sorted(set(core.edges) - tree_edges))}
-
-    def basis_word(h: Word) -> int:
-        """Reduced length of h in the spanning-tree basis."""
-        word: list[int] = []
-        v = core.base
-        for l in h.letters():
-            if l > 0:
-                e = (v, l - 1, core.out[v][l - 1])
-                nxt = e[2]
-                sign = 1
-            else:
-                e = (core.into[v][-l - 1], -l - 1, v)
-                nxt = e[0]
-                sign = -1
-            bid = basis_ids.get(e)
-            if bid is not None:
-                s = sign * bid
-                if word and word[-1] == -s:
-                    word.pop()
-                else:
-                    word.append(s)
-            v = nxt
-        return len(word)
-
-    kappa = 1.0
-    samples = 0
-    for h in core.elements_in_ball(m_max_or_radius):
-        if h.is_identity:
-            continue
-        du = basis_word(h)
-        if du == 0:
-            continue
-        samples += 1
-        kappa = max(kappa, h.length / du, du / h.length)
-    return {"kappa": kappa, "lambda": 0.0, "samples": samples}

@@ -11,7 +11,9 @@ along the line: d(x, vertex(t)) >= |t| - d(x, vertex(0)), so positions
 beyond |t| = 2 d(x, vertex(0)) can never beat the best seen and the
 window search is provably sufficient.  Ties (possible only around even
 cycles of a free product) are broken toward the position of smallest
-absolute value, then by lexicographically least vertex label.
+absolute value.  That settles every tie: equally near vertices lie on
+one arc of one cycle, and positions t and -t on one arc would put
+vertex(0) strictly inside it, which the cyclically reduced core rules out.
 
 The projection onto a translate uA is u . pi_A(u^-1 x).  A translated map
 keeps the positions of the base axis, so projected distances and
@@ -122,22 +124,15 @@ class ProjectionMap:
         vertex = self.axis.vertex
         d0 = distance(vertex(0), x)
         window = 2 * d0 + self.axis.translation_length + 2
-        # order: (dist, |t|, label); labels are formatted only on a tie
-        best_d, best_abs, best_t, best_label = d0 + 1, 0, 0, None
+        # order: (dist, |t|)
+        best_d, best_abs, best_t = d0 + 1, 0, 0
         for t in range(-window, window + 1):
-            v = vertex(t)
-            d = distance(v, x)
+            d = distance(vertex(t), x)
             if d > best_d:
                 continue
             a = t if t >= 0 else -t
             if d < best_d or a < best_abs:
-                best_d, best_abs, best_t, best_label = d, a, t, None
-            elif a == best_abs:
-                if best_label is None:
-                    best_label = str(vertex(best_t))
-                label = str(v)
-                if label < best_label:
-                    best_t, best_label = t, label
+                best_d, best_abs, best_t = d, a, t
         return ProjectionResult(position=best_t, vertex=vertex(best_t), dist=best_d)
 
     def axis_points_in_ball(self, radius: int) -> list[Word]:
@@ -180,14 +175,6 @@ class ProjectionMap:
             else:
                 j += 1
         return best
-
-    def projected_point_set_distance(self, x: Word, ys) -> int:
-        """d_A(x, Y) = min over y of |pos(x) - pos(y)|."""
-        tx = self.position(x)
-        tys = [self.position(p) for p in ys]
-        if not tys:
-            return 0
-        return min(abs(tx - t) for t in tys)
 
 
 def axis(element: Word) -> Axis:

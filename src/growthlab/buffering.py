@@ -136,26 +136,13 @@ def check_buffering(seq: BufferingSequence, params: BufferingParams,
                             bs3=tuple(bs3), bs4=tuple(bs4))
 
 
-def behrstock_two(pm_a, y_points: list[Word], pm_b, x: Word,
-                  params: BufferingParams) -> int:
-    """min(d_A(x, Y), d_B(x, Y)) for a buffering triple A, Y, B (L = 0).
-
-    Raises PreconditionFailed when the triple is not (delta, epsilon, 0)-
-    buffering over the given finite data.
-    """
-    seq = BufferingSequence(y_sets=[[], y_points, []], projections=[pm_a, pm_b])
-    verdict = check_buffering(seq, BufferingParams(params.delta, params.epsilon, 0))
-    if not verdict.passed:
-        raise PreconditionFailed(
-            f"triple is not buffering: {verdict.failed_condition} witness {verdict.witness}")
-    da = min(pm_a.projected_distance(x, y) for y in y_points)
-    db = min(pm_b.projected_distance(x, y) for y in y_points)
-    return min(da, db)
-
-
 def behrstock_theta(pm_a, y_points: list[Word], pm_b, sample_radius: int,
                     params: BufferingParams) -> int:
-    """Measured theta: max over x in B(o, r) of behrstock_two."""
+    """Measured theta: max over x in B(o, r) of min(d_A(x, Y), d_B(x, Y)).
+
+    Raises PreconditionFailed when the triple A, Y, B is not
+    (delta, epsilon, 0)-buffering over the given finite data.
+    """
     group = pm_a.group
     theta = 0
     seq = BufferingSequence(y_sets=[[], y_points, []], projections=[pm_a, pm_b])

@@ -30,7 +30,7 @@ from .axes import Axis, ProjectionMap
 from .buffering import BufferingParams, build_axis_chain, check_buffering, chain_separation
 from .closure import elementary_closure, find_selector_power
 from .errors import (BudgetExceeded, CounterexampleFound, GrowthLabError,
-                     HypothesisFailed)
+                     HypothesisFailed, PreconditionFailed)
 from .groups import MarkedGroup
 from .orbits import FreeSubgroup
 from .reports import (flatten_for_csv, growth_records, render_csv, render_json,
@@ -63,12 +63,19 @@ def _emit(payload: dict, args, records=None) -> None:
 def _experiment_config(args) -> ExperimentConfig:
     gens = _read_subgroup(getattr(args, "subgroup", None))
     kwargs = dict(group=args.group, subgroup=gens, g0=getattr(args, "g0", "") or "")
-    if getattr(args, "rmax", None):
+    if getattr(args, "rmax", None) is not None:
         kwargs["r_ball"] = args.rmax
         kwargs["r_schreier"] = args.rmax
-    if getattr(args, "margin", None):
+    if getattr(args, "margin", None) is not None:
         kwargs["gap_margin"] = args.margin
     return ExperimentConfig(**kwargs)
+
+
+def _sample_radius(args, default: int) -> int:
+    r = default if args.rmax is None else args.rmax
+    if r < 1:
+        raise PreconditionFailed(f"--rmax must be >= 1, got {r}")
+    return r
 
 
 def cmd_gap(args) -> int:
@@ -116,10 +123,10 @@ def cmd_amalgam(args) -> int:
 
 
 def cmd_audit(args) -> int:
+    r = _sample_radius(args, 4)
     group = MarkedGroup.from_descriptor(args.group)
     g = group.parse(args.axis)
     pm = ProjectionMap(Axis(g))
-    r = args.rmax or 4
     rep = constriction_audit(pm, r)
     table = elementary_properties_audit(pm, None, min(r, 4))
     payload = {
@@ -169,12 +176,13 @@ def cmd_closure(args) -> int:
 
 
 def cmd_selector(args) -> int:
+    r = _sample_radius(args, 5)
     group = MarkedGroup.from_descriptor(args.group)
     sub = FreeSubgroup.from_words(group, [group.parse(w) for w in _read_subgroup(args.subgroup)])
     g = group.parse(args.g0)
     m, sel = find_selector_power(g, epsilon=args.epsilon, theta=args.theta,
-                                 y=group.identity(), sample_radius=args.rmax or 5)
-    report = coarse_quotient_check(sub, g, sel, args.rmax or 5)
+                                 y=group.identity(), sample_radius=r)
+    report = coarse_quotient_check(sub, g, sel, r)
     payload = {"M": m, "threshold": sel.threshold, "coarse_quotient": report}
     _emit(payload, args)
     return EXIT_OK if report.verdict == "PASS" else EXIT_HYPOTHESIS

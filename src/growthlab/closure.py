@@ -18,8 +18,7 @@ from .axes import Axis, ProjectionMap
 from .balls import ball_elements
 from .errors import (CrossCheckFailed, FiniteOrderElement, NotFoundWithinBound,
                      PreconditionFailed)
-from .groups import MarkedGroup, Word, distance, is_torsion, primitive_root
-from .stallings import CoreGraph
+from .groups import Word, is_torsion, primitive_root
 
 
 def is_power_of(w: Word, g: Word) -> bool:
@@ -127,23 +126,6 @@ def elementary_closure(g: Word, search_radius: int, m_scan: int = 4,
                              E_plus_index=e_plus_index,
                              index_over_cyclic=index_over_cyclic,
                              elements=tuple(found), search_radius=search_radius)
-
-
-@dataclass(frozen=True)
-class SeparationSlack:
-    projected: int     # d_A(x, g^m x')
-    lower_bound: int   # |m| [g]^inf - d_A(x, x')
-    slack: int         # projected - lower_bound
-
-
-def separating_projection_check(pm: ProjectionMap, x: Word, x_prime: Word,
-                                m: int) -> SeparationSlack:
-    """Slack of d_A(x, g^m x') >= |m| [g]^inf - d_A(x, x') for the axis element."""
-    g = pm.axis.element
-    t = pm.axis.translation_length
-    lhs = pm.projected_distance(x, (g**m) * x_prime)
-    bound = abs(m) * t - pm.projected_distance(x, x_prime)
-    return SeparationSlack(projected=lhs, lower_bound=bound, slack=lhs - bound)
 
 
 @dataclass(frozen=True)
@@ -333,65 +315,3 @@ def find_selector_power(g: Word, epsilon: int, theta: int, y: Word,
         except NotFoundWithinBound:
             continue
     raise NotFoundWithinBound("doubling search inconsistency")
-
-
-@dataclass(frozen=True)
-class ShortIntersection:
-    element: Word | None
-    overlap_diameter: int
-    radius: int
-
-
-def short_intersection_element(core_h: CoreGraph, core_k: CoreGraph,
-                               radius: int) -> ShortIntersection:
-    """Shortest nontrivial element of H & K via the product automaton.
-
-    States are vertex pairs; reduced words are enforced by tracking the
-    last letter.  Also reports the diameter of the orbit overlap
-    (H & K as a vertex set) inside B(o, radius).
-    """
-    group = core_h.group
-    k = group.rank
-    letters = [i + 1 for i in range(k)] + [-(i + 1) for i in range(k)]
-
-    def step(core: CoreGraph, v: int, l: int) -> int | None:
-        return core.out[v].get(l - 1) if l > 0 else core.into[v].get(-l - 1)
-
-    start = (core_h.base, core_k.base)
-    best: Word | None = None
-    frontier: list[tuple[int, int, int, tuple[int, ...]]] = [
-        (core_h.base, core_k.base, 0, ())]
-    seen = {(core_h.base, core_k.base, 0)}
-    depth = 0
-    while frontier and depth < radius and best is None:
-        depth += 1
-        nxt = []
-        for vh, vk, last, word in frontier:
-            for l in letters:
-                if last != 0 and l == -last:
-                    continue
-                wh = step(core_h, vh, l)
-                wk = step(core_k, vk, l)
-                if wh is None or wk is None:
-                    continue
-                nw = word + (l,)
-                if (wh, wk) == start:
-                    cand = group.from_letters(nw)
-                    if best is None:
-                        best = cand
-                key = (wh, wk, l)
-                if key not in seen:
-                    seen.add(key)
-                    nxt.append((wh, wk, l, nw))
-        frontier = nxt
-
-    members = [group.identity()]
-    if best is not None:
-        # enumerate the overlap sample via the membership product test
-        for w in core_h.elements_in_ball(radius):
-            if core_k.contains(w):
-                members.append(w)
-    diam = 0
-    for x, y in itertools.combinations(members, 2):
-        diam = max(diam, distance(x, y))
-    return ShortIntersection(element=best, overlap_diameter=diam, radius=radius)

@@ -116,14 +116,6 @@ class MarkedGroup:
             return f"free:{self.rank}"
         return "product:" + ",".join(str(m) for m in self.orders)
 
-    @property
-    def virtually_cyclic(self) -> bool:
-        # F_1 = Z and Z_2 * Z_2 (infinite dihedral) are the only virtually
-        # cyclic members of the two families.
-        if self.is_free:
-            return self.rank == 1
-        return self.orders == (2, 2)
-
     def identity(self) -> "Word":
         return Word(self, (), 0)
 
@@ -303,10 +295,6 @@ class Word:
     @property
     def is_identity(self) -> bool:
         return not self.syllables
-
-    def first_letter(self) -> int | None:
-        lets = self.letters()
-        return lets[0] if lets else None
 
     def __str__(self) -> str:
         if not self.syllables:

@@ -2,8 +2,8 @@
 
 The audits need two things from an orbit Y = H o: a finite sample
 Y & B(o, r) and the exact distance d(x, Y) for arbitrary x.  For a
-free-group subgroup the latter is the BFS distance of the coset state Hx
-in the lazy Schreier automaton; for a finite subgroup it is a minimum
+free-group subgroup the latter is the coset distance d(H, Hx), read off
+the Stallings core in O(|x|); for a finite subgroup it is a minimum
 over the elements; for a translated orbit uY it is the base orbit's
 distance at u^-1 x.
 """
@@ -101,12 +101,8 @@ class SubgroupOrbit:
 
     def distance_to(self, x: Word) -> int:
         """Exact d(x, Y).  For a core-backed subgroup this is the coset
-        distance of u^-1 x in the Schreier automaton."""
+        distance of u^-1 x, read off the core."""
         z = self.u.inverse() * x
         if isinstance(self.subgroup, FreeSubgroup):
             return self.subgroup.automaton().coset_distance(z)
         return min(distance(h, z) for h in self.subgroup.elements)
-
-    def contains_point(self, x: Word) -> bool:
-        return self.subgroup.contains(self.u.inverse() * x)
-

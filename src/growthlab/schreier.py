@@ -8,12 +8,16 @@ form,
     |S_r| = #{v : d(v) = r} + sum_v (2k - deg v) (2k - 1)^(r - d(v) - 1),
 
 (the sum over v with d(v) < r), exact in Python integers at any radius
-without minting a coset.  ``schreier_growth`` checks it against the lazy
-coset BFS of ``SchreierAutomaton`` at small radius.  The automaton stays
-the tool for coset distances and coset keys (``orbits``, the coarse
-quotient check): states are right cosets Hg, reading a letter multiplies
-the representative on the right, and a missing transition mints a fresh
-coset.
+without minting a coset.  Coset keys and distances need no search
+either: reading a reduced word w through the core stops at the vertex v
+where the next letter is missing, with the suffix s unread, and the rest
+of the path runs down the tree hanging off that half-edge.  So (v, s)
+names the coset Hw, and d(H, Hw) = d(v) + |s| (Stallings 1983).
+
+The lazy coset BFS of ``SchreierAutomaton`` (states are right cosets Hg,
+a missing transition mints a fresh coset) backs the cumulative counts of
+the coarse quotient check and the cross-check of the closed form in
+``schreier_growth``.
 """
 
 from __future__ import annotations
@@ -113,19 +117,27 @@ class SchreierAutomaton:
                               if next_parts else np.array([], dtype=np.int32))
             self.level_sizes.append(int(self._frontier.size))
 
-    def state_of(self, w: Word) -> int:
-        """The coset state reached by reading w from the base."""
-        self.complete_to(w.length)
+    def state_of(self, w: Word) -> tuple[int, tuple[int, ...]]:
+        """The key (v, s) of the coset Hw, read off the core in O(|w|).
+
+        v is the core vertex where reading the reduced word w stops and s
+        the unread suffix, empty when w ends inside the core; Hu = Hw iff
+        their keys agree.  Runs no BFS.
+        """
+        out, into = self.core.out, self.core.into
         v = self.base
-        for l in w.letters():
-            gi = (l - 1) if l > 0 else (-l - 1 + self.k)
-            v = int(self.delta[gi][v])
-        return v
+        letters = w.letters()
+        for i, l in enumerate(letters):
+            nxt = out[v].get(l - 1) if l > 0 else into[v].get(-l - 1)
+            if nxt is None:
+                return v, tuple(letters[i:])
+            v = nxt
+        return v, ()
 
     def coset_distance(self, w: Word) -> int:
         """min{|u| : Hu = Hw}, i.e. the distance d(w, H o) in the Cayley graph."""
-        state = self.state_of(w)  # may grow self.dist; fetch it afterwards
-        return int(self.dist[state])
+        v, suffix = self.state_of(w)
+        return self.core.depths[v] + len(suffix)
 
     def counts(self, radius: int) -> list[int]:
         """Cumulative coset counts |L(B(o,r))| for r = 0..radius."""
@@ -167,12 +179,10 @@ class SchreierAutomaton:
 
 @dataclass(frozen=True)
 class SchreierGrowth:
-    """Left/right coset growth of a subgroup, with per-radius counts."""
+    """Coset growth of a subgroup, with per-radius counts."""
 
-    left_counts: BallCounts
-    right_counts: BallCounts
-    left: GrowthEstimate
-    right: GrowthEstimate
+    counts: BallCounts
+    rate: GrowthEstimate
 
 
 def coset_sphere_sizes(core: CoreGraph, r_max: int) -> list[int]:
@@ -204,12 +214,12 @@ def schreier_growth(core: CoreGraph, r_max: int,
                     max_states: int | None = None) -> SchreierGrowth:
     """Quotient growth rates from the closed-form coset counts.
 
-    The left and right counts are equal: gH -> Hg^-1 is a bijection from
-    left to right cosets that preserves the distance to the base coset,
-    since |g^-1| = |g|.  The closed form is checked against the coset BFS
-    up to radius min(r_max, CROSS_CHECK_RADIUS); a disagreement raises
-    CrossCheckFailed.  ``max_states`` caps the number of cosets within
-    r_max (BudgetExceeded), checked before any work.
+    Left and right cosets need no separate counts: gH -> Hg^-1 is a
+    bijection from left to right cosets that preserves the distance to
+    the base coset, since |g^-1| = |g|.  The closed form is checked
+    against the coset BFS up to radius min(r_max, CROSS_CHECK_RADIUS); a
+    disagreement raises CrossCheckFailed.  ``max_states`` caps the number
+    of cosets within r_max (BudgetExceeded), checked before any work.
     """
     counts = BallCounts.from_spheres(coset_sphere_sizes(core, r_max))
     if max_states is not None and counts.cumulative[-1] > max_states:
@@ -225,4 +235,4 @@ def schreier_growth(core: CoreGraph, r_max: int,
         rate = growth_rate(counts, "bfs_fit")
     except (WindowTooSmall, ValueError):
         rate = GrowthEstimate(0.0, "bfs_fit", (0, r_max), 0.0, notes=("degenerate window",))
-    return SchreierGrowth(left_counts=counts, right_counts=counts, left=rate, right=rate)
+    return SchreierGrowth(counts=counts, rate=rate)

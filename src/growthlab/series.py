@@ -1,4 +1,4 @@
-"""Poincare series diagnostics and the divergence-based witness search.
+"""Poincare series partial sums and the divergence verdict at an exponent.
 
 The series sum_{h in H} e^{-s d(o, h o)} converges for s above the relative
 growth rate and diverges below it; behaviour AT the rate separates
@@ -11,10 +11,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
-from .groups import Word
-from .stallings import CoreGraph, relative_growth
+from .stallings import CoreGraph
 
 # |s - omega_H| within this counts as s = omega_H
 AT_RATE_TOL = 1e-9
@@ -95,57 +93,3 @@ def divergence_diagnostic(core: CoreGraph, s: float, r_max: int) -> DivergenceVe
         verdict = "diverges" if any(ev.counts[-window:]) else "inconclusive"
     return DivergenceVerdict(verdict=verdict, s=s, rate=rate, period=period,
                              tail_mean_increment=mean_inc, evaluation=ev)
-
-
-@dataclass(frozen=True)
-class DalboWitness:
-    """Result of the shifted-series threshold search.
-
-    found=True carries the smallest grid exponent s0 > omega with
-    sum_{h in H-F, |h| <= r_max} e^{-s0 |h k|} > 1; otherwise the best
-    (largest) sum achieved on the grid is reported.
-    """
-
-    found: bool
-    s0: float | None
-    omega: float
-    achieved_sup: float
-    grid: tuple[float, ...]
-
-
-def dalbo_witness(core: CoreGraph, finite_f: Sequence[Word], k: Word, r_max: int,
-                  omega: float | None = None, grid_step: float = 0.02,
-                  grid_span: float = 2.0) -> DalboWitness:
-    """Search the exponent grid for the amalgam growth threshold.
-
-    ``finite_f`` must be a finite subset of H with k outside it; both are
-    validated.  Lengths |h k| are exact word arithmetic.
-    """
-    group = core.group
-    for f in finite_f:
-        if not core.contains(f):
-            raise ValueError(f"purported member {f} is not in the subgroup")
-    fset = set(finite_f)
-    if k in fset:
-        raise ValueError("k must lie outside the excluded finite set")
-    lengths = []
-    for h in core.elements_in_ball(r_max):
-        if h in fset:
-            continue
-        lengths.append((h * k).length)
-    if omega is None:
-        omega = relative_growth(core, max(6, min(r_max, 16))).rate
-    grid = []
-    s = omega + grid_step
-    while s <= omega + grid_span + 1e-12:
-        grid.append(round(s, 12))
-        s += grid_step
-    best = 0.0
-    for s0 in grid:
-        total = math.fsum(math.exp(-s0 * l) for l in lengths)
-        best = max(best, total)
-        if total > 1.0:
-            return DalboWitness(found=True, s0=s0, omega=omega,
-                                achieved_sup=total, grid=tuple(grid))
-    return DalboWitness(found=False, s0=None, omega=omega,
-                        achieved_sup=best, grid=tuple(grid))

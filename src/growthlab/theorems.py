@@ -157,9 +157,9 @@ def verify_quotient_growth(cfg: ExperimentConfig, raise_on_hypothesis: bool = Tr
     assumed = {"quasi_convex": QUASI_CONVEX_REASON}
 
     sg = schreier_growth(sub.core, cfg.r_schreier, max_states=max_states)
-    omega_quotient = sg.right.rate
-    details["coset_counts"] = list(sg.right_counts.cumulative)
-    details["quotient_fit_error"] = sg.right.error_bound
+    omega_quotient = sg.rate.rate
+    details["coset_counts"] = list(sg.counts.cumulative)
+    details["quotient_fit_error"] = sg.rate.error_bound
 
     if not hypotheses["infinite_index"]:
         # finite index: quotient growth is 0 <= omega_G; theorem inapplicable
@@ -360,8 +360,8 @@ def coarse_quotient_check(subgroup, g: Word, selector: SeparationSelector,
         theta_cq2 = max(theta_cq2, distance(u * y, phi_u * y))
 
     # CQ1: group by LEFT coset phi(u)H; uH <-> Hu^-1, so the class key is
-    # the automaton state of the inverse word
-    classes: dict[int, list[Word]] = {}
+    # the coset key of the inverse word
+    classes: dict[tuple, list[Word]] = {}
     for u in points:
         classes.setdefault(aut.state_of(phi[u].inverse()), []).append(u)
     theta_cq1 = 0

@@ -1,7 +1,6 @@
-"""Projection-geometry audits: constriction, quasi-convexity, the seven
-elementary properties, intersection-image, symmetry, translation lengths.
-Oracles: independent CS2 re-scan on oracle graphs, closure membership,
-hand-verified gate arguments (noted inline)."""
+"""Projection-geometry audits: constriction, quasi-convexity and the
+seven elementary properties.  Oracles: independent CS2 re-scan on oracle
+graphs, closure membership, hand-verified gate arguments (noted inline)."""
 
 import itertools
 import math
@@ -11,9 +10,7 @@ import pytest
 
 from growthlab import Axis, MarkedGroup, ProjectionMap, Word, audits, stallings_fold
 from growthlab.audits import (constriction_audit, elementary_properties_audit,
-                              intersection_image_audit, projection_symmetry_audit,
-                              qi_embedding_check, quasiconvexity_audit,
-                              translation_length_check)
+                              quasiconvexity_audit)
 from growthlab.orbits import FreeSubgroup, SubgroupOrbit
 
 from oracles import (ProductCayley, closure_membership, free_ball, free_inverse, free_reduce,
@@ -277,74 +274,3 @@ def test_property_4_along_axis_geodesic(f2):
     assert on_axis[-1] - on_axis[0] == 6
     positions = [pm.position(v) for v in path]
     assert max(positions) - min(positions) == 6
-
-
-# -- intersection-image and symmetry ----------------------------------------------
-
-def test_intersection_image_on_axis_orbit(f2):
-    pm = ProjectionMap(Axis(f2.parse("a")))
-    rec = intersection_image_audit(pm, SubgroupOrbit(FreeSubgroup(fold(f2, ["a"]))),
-                                   0, 0, 5, theta=1)
-    assert rec.difference == 0
-
-
-def test_intersection_image_translated_orbit(f2):
-    # Y = b <a> o within B(o, 6): projects to a single point; the thickened
-    # intersection contains only b-adjacent vertices, diameter 0
-    pm = ProjectionMap(Axis(f2.parse("a")))
-    orbit = SubgroupOrbit(FreeSubgroup(fold(f2, ["a"])), translate=f2.parse("b"))
-    rec = intersection_image_audit(pm, orbit, 0, 0, 6, theta=1)
-    assert rec.diam_projection == 0
-    assert rec.difference == 0
-
-
-def test_intersection_image_tracks_large_orbit(f2):
-    pm = ProjectionMap(Axis(f2.parse("a")))
-    orbit = SubgroupOrbit(FreeSubgroup(fold(f2, ["a", "baB"])))
-    rec = intersection_image_audit(pm, orbit, 0, 0, 5, theta=2, zeta_bound=4)
-    assert rec.diam_projection == 10  # a^{+-5} in the sample
-    assert not rec.flagged
-
-
-def test_projection_symmetry(f2):
-    pm_a = ProjectionMap(Axis(f2.parse("a")))
-    assert projection_symmetry_audit(pm_a, pm_a, 5)["difference"] == 0
-    pm_b = ProjectionMap(Axis(f2.parse("baB")))
-    rec = projection_symmetry_audit(pm_a, pm_b, 5)
-    assert (rec["diam_A_of_B"], rec["diam_B_of_A"], rec["difference"]) == (0, 0, 0)
-    pm_ab = ProjectionMap(Axis(f2.parse("ab")))
-    rec2 = projection_symmetry_audit(pm_a, pm_ab, 5)
-    assert rec2["difference"] <= 1
-
-
-# -- translation lengths and qi embeddings ------------------------------------------
-
-def test_translation_length_ab(f2):
-    rec = translation_length_check(f2.parse("ab"), 10)
-    assert rec.step_lengths == tuple(2 * m for m in range(1, 11))
-    assert rec.increments_exact and rec.lower_bound_ok and rec.upper_bound_ok
-
-
-def test_translation_length_conjugate(f2):
-    rec = translation_length_check(f2.parse("baB"), 10)
-    assert rec.step_lengths == tuple(m + 2 for m in range(1, 11))
-    assert rec.translation_length == 1
-    assert rec.increments_exact
-
-
-def test_translation_length_z23(z23):
-    rec = translation_length_check(z23.parse("xy"), 8)
-    assert rec.translation_length == 2
-    assert rec.step_lengths == tuple(2 * m for m in range(1, 9))
-
-
-def test_qi_embedding_element(f2):
-    assert qi_embedding_check(f2.parse("a")) == {"kappa": 1.0, "lambda": 0.0, "samples": 8}
-    rec = qi_embedding_check(f2.parse("baB"))
-    assert rec["kappa"] == 3.0  # worst ratio at m = 1: d = 3
-
-
-def test_qi_embedding_subgroup(f2):
-    rec = qi_embedding_check(fold(f2, ["a", "baB"]), 8)
-    assert rec["samples"] > 0
-    assert 1.0 <= rec["kappa"] <= 3.0

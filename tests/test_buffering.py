@@ -1,6 +1,6 @@
-"""Buffering sequences, the two-axis projection alternative, and chain
-separation.  Oracles: direct evaluation on hand-built tree instances and
-a hand-proved gate argument for the shipped triple."""
+"""Buffering sequences, the measured Behrstock constant of a buffering
+triple, and chain separation.  Oracles: direct evaluation on hand-built
+tree instances and a hand-proved gate argument for the shipped triple."""
 
 import pytest
 from hypothesis import given, settings
@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 
 from growthlab import Axis, MarkedGroup, ProjectionMap, stallings_fold
 from growthlab.buffering import (BufferingParams, BufferingSequence, behrstock_theta,
-                                 behrstock_two, build_axis_chain, chain_separation,
-                                 check_buffering)
+                                 build_axis_chain, chain_separation, check_buffering)
 from growthlab.errors import (EmptyInteriorSet, InvalidAlternatingWord,
                               PreconditionFailed)
 from growthlab.orbits import FreeSubgroup
@@ -37,14 +36,6 @@ def test_triple_is_buffering(triple):
     assert verdict.bs2 == (0, 0)
 
 
-def test_behrstock_two_values(triple):
-    f2, pm_a, y, pm_b = triple
-    params = BufferingParams(0, 1, 0)
-    assert behrstock_two(pm_a, y, pm_b, f2.parse("b"), params) == 0
-    assert behrstock_two(pm_a, y, pm_b, f2.parse("aaaaa"), params) == 0
-    assert behrstock_two(pm_a, y, pm_b, f2.parse("baaa"), params) == 0
-
-
 def test_behrstock_theta_zero_and_stable(triple):
     # hand argument: any x either has no a-power prefix (projects to the
     # origin on A, so d_A(x, Y) = 0 via pi_A(b) = 1) or starts with a-power
@@ -62,8 +53,7 @@ def test_behrstock_requires_buffering_triple(f2):
     pm_b = ProjectionMap(Axis(f2.parse("ab")))
     # Y far from both axes violates BS3
     with pytest.raises(PreconditionFailed):
-        behrstock_two(pm_a, [f2.parse("bbbb")], pm_b, f2.parse("a"),
-                      BufferingParams(0, 1, 0))
+        behrstock_theta(pm_a, [f2.parse("bbbb")], pm_b, 2, BufferingParams(0, 1, 0))
 
 
 def test_bs4_violation_reported(f2):

@@ -69,6 +69,26 @@ def test_rmax_below_three_is_an_error(command, sub_file, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("args, message", [
+    (["gap", "--g0", "ab", "--rmax", "0"], "error: radii must be >= 3"),
+    (["quotient", "--rmax", "0"], "error: radii must be >= 3"),
+    (["gap", "--g0", "ab", "--margin", "0"], "error: margins must be > 0"),
+    (["gap", "--g0", "ab", "--margin", "-0.5"], "error: margins must be > 0"),
+    (["audit", "--axis", "ab", "--rmax", "0"], "error: --rmax must be >= 1"),
+    (["audit", "--axis", "ab", "--rmax", "-1"], "error: --rmax must be >= 1"),
+    (["selector", "--g0", "b", "--rmax", "0"], "error: --rmax must be >= 1"),
+    (["selector", "--g0", "b", "--rmax", "-2"], "error: --rmax must be >= 1"),
+])
+def test_zero_and_negative_values_are_errors(args, message, sub_file, tmp_path, capsys):
+    out = tmp_path / "r.json"
+    if args[0] != "audit":
+        args = args + ["--subgroup", sub_file]
+    code = main(args + ["--group", "free:2", "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(message)
+    assert not out.exists()
+
+
 def test_quotient_command_csv(sub_file, tmp_path):
     out = tmp_path / "q.csv"
     code = main(["quotient", "--group", "free:2", "--subgroup", sub_file,

@@ -1,14 +1,13 @@
-"""Elementary closures, separation powers, selectors, intersections.
-Oracles: primitive-root centralizers in free groups, direct conjugation
-arithmetic, product-automaton membership cross-checks."""
+"""Elementary closures, transversal conjugates, separation powers and
+selectors.  Oracles: primitive-root centralizers in free groups and
+direct conjugation arithmetic."""
 
 import pytest
 
 from growthlab import Axis, MarkedGroup, ProjectionMap, primitive_root, stallings_fold
 from growthlab.closure import (elementary_closure, find_M, find_selector_power,
                                find_transversal_conjugate, geometric_separation_power,
-                               is_power_of, separating_projection_check,
-                               separation_selector, short_intersection_element,
+                               is_power_of, separation_selector,
                                subgroup_closure_intersection)
 from growthlab.errors import FiniteOrderElement, NotFoundWithinBound, PreconditionFailed
 from growthlab.orbits import FiniteSubgroup, FreeSubgroup
@@ -83,33 +82,6 @@ def test_is_power_of(f2):
     assert is_power_of((g**2).inverse(), g)
     assert not is_power_of(f2.parse("a"), g)
     assert not is_power_of(f2.parse("abab") * f2.parse("a"), g)
-
-
-# -- separating projections --------------------------------------------------------
-
-def test_separating_projection_on_axis(f2):
-    pm = ProjectionMap(Axis(f2.parse("a")))
-    rec = separating_projection_check(pm, f2.identity(), f2.identity(), 5)
-    assert rec.projected == 5 and rec.slack == 0
-
-
-def test_separating_projection_off_axis(f2):
-    pm = ProjectionMap(Axis(f2.parse("a")))
-    rec = separating_projection_check(pm, f2.parse("b"), f2.parse("b"), 3)
-    # oracle: pi(b) = 1 and pi(a^3 b) = a^3, so lhs = 3 and d_A(x, x') = 0
-    assert rec.projected == 3 and rec.slack == 0
-    base = ProjectionMap(Axis(f2.parse("ab")))
-    worst = min(separating_projection_check(base, x, y, m).slack
-                for x in (f2.parse("b"), f2.parse("ba"))
-                for y in (f2.parse("A"), f2.identity())
-                for m in (-3, -1, 0, 2, 4))
-    assert worst >= -1  # theta_measured for the ab-axis is 1
-
-
-def test_separating_projection_m_zero(f2):
-    pm = ProjectionMap(Axis(f2.parse("a")))
-    rec = separating_projection_check(pm, f2.parse("b"), f2.parse("ab"), 0)
-    assert rec.slack >= 0
 
 
 # -- transversal conjugates ----------------------------------------------------------
@@ -203,31 +175,6 @@ def test_selector_power_search(f2):
     with pytest.raises(NotFoundWithinBound):
         separation_selector(f2.parse("b"), M=1, epsilon=0, theta=1,
                             y=f2.identity(), sample_radius=4)
-
-
-# -- short intersection elements ----------------------------------------------------------
-
-def test_intersection_same_subgroup(f2):
-    core = fold(f2, ["a"])
-    rec = short_intersection_element(core, core, 4)
-    assert str(rec.element) in ("a", "A")
-
-
-def test_intersection_distinct_factors(f2):
-    rec = short_intersection_element(fold(f2, ["a"]), fold(f2, ["b"]), 5)
-    assert rec.element is None
-    assert rec.overlap_diameter == 0
-
-
-def test_intersection_via_product_automaton(f2):
-    h = fold(f2, ["a", "baB"])
-    k = fold(f2, ["aa", "bb"])
-    rec = short_intersection_element(h, k, 6)
-    assert str(rec.element) in ("aa", "AA")
-    assert h.contains(rec.element) and k.contains(rec.element)
-    # soundness oracle: a (length 1) is in H but not in K
-    assert not k.contains(f2.parse("a"))
-    assert rec.overlap_diameter > 0
 
 
 @pytest.mark.parametrize("text", ["ab", "aab", "baB", "abAB", "bb"])

@@ -1,16 +1,19 @@
-"""Schreier coset automata and quotient growth.
+"""Coset counts, coset keys read off the core, and quotient growth.
 Oracle: brute-force coset classification of ball elements via
 closure-based membership."""
 
+import itertools
 import math
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from growthlab import MarkedGroup, ball_elements, schreier_growth, stallings_fold
 from growthlab.errors import BudgetExceeded, CrossCheckFailed
 from growthlab.schreier import SchreierAutomaton, coset_sphere_sizes
 
-from oracles import closure_membership, free_reduce
+from oracles import closure_membership, free_ball, free_inverse, free_reduce
 
 
 def fold(f2, words):
@@ -51,25 +54,18 @@ def test_counts_match_coset_oracle(f2):
 
 def test_finite_index_single_coset(f2):
     sg = schreier_growth(fold(f2, ["a", "b"]), 8)
-    assert sg.right_counts.cumulative == (1,) * 9
-    assert sg.right.rate == 0.0
+    assert sg.counts.cumulative == (1,) * 9
+    assert sg.rate.rate == 0.0
 
 
 def test_quotient_rate_cyclic(f2):
     sg = schreier_growth(fold(f2, ["a"]), 14)
-    assert abs(sg.right.rate - math.log(3)) <= 0.05
-    assert sg.left_counts.cumulative == sg.right_counts.cumulative
+    assert abs(sg.rate.rate - math.log(3)) <= 0.05
 
 
 def test_quotient_rate_rank_two_subgroup(f2):
     sg = schreier_growth(fold(f2, ["a", "baB"]), 14)
-    assert abs(sg.right.rate - math.log(3)) <= 0.05
-
-
-def test_left_equals_right_every_radius(f2):
-    for gens in (["a"], ["a", "baB"], ["aa", "b"]):
-        sg = schreier_growth(fold(f2, gens), 9)
-        assert sg.left_counts.sphere_sizes == sg.right_counts.sphere_sizes
+    assert abs(sg.rate.rate - math.log(3)) <= 0.05
 
 
 def test_coset_distance_examples(f2):
@@ -87,6 +83,46 @@ def test_coset_distance_is_orbit_distance(f2):
         brute = min(len(free_reduce("".join(ch.swapcase() for ch in reversed(h)) + str(w).replace("1", "")))
                     for h in members)
         assert aut.coset_distance(w) == brute
+
+
+def _reduced(first, steps):
+    word = first
+    for i in steps:
+        word += [c for c in "abAB" if c != word[-1].swapcase()][i]
+    return word
+
+
+def reduced_words(n):
+    return st.builds(_reduced, st.sampled_from("abAB"),
+                     st.lists(st.integers(0, 2), min_size=n - 1, max_size=n - 1))
+
+
+SUBGROUPS = st.one_of(
+    st.tuples(reduced_words(5), reduced_words(7)).map(list),  # sparse
+    st.integers(2, 6).map(lambda k: ["a" * k, "b" * k]),      # periodic
+    st.integers(1, 6).flatmap(reduced_words).map(lambda w: [w]),  # cyclic, maybe with a stem
+)
+
+
+@given(SUBGROUPS)
+@settings(max_examples=40, deadline=None)
+def test_coset_keys_match_closure_oracle(gens):
+    """Ball words u, v of radius 3 share a key iff u v^-1 lies in H, and
+    the key's distance is the shortest length in the coset."""
+    f2 = MarkedGroup.free(2)
+    core = fold(f2, gens)
+    assume(math.isinf(core.index()))  # H = F2 would make the oracle list all of B(o, 13)
+    aut = SchreierAutomaton(core)
+    # |u v^-1| <= 6; a pad of the longest generator covers the
+    # cancellation between consecutive generators
+    members = closure_membership(2, gens, 6, pad=max(map(len, gens)))
+    words = sorted(free_ball(2, 3)[1], key=lambda w: (len(w), w))
+    keys = {u: aut.state_of(f2.parse(u)) for u in words}
+    for u, v in itertools.combinations(words, 2):
+        assert (keys[u] == keys[v]) == (free_reduce(u + free_inverse(v)) in members), (u, v)
+    for u in words:
+        shortest = min(len(v) for v in words if free_reduce(u + free_inverse(v)) in members)
+        assert aut.coset_distance(f2.parse(u)) == shortest, u
 
 
 def test_state_cap(f2):
@@ -115,7 +151,7 @@ def test_schreier_growth_budget(f2):
     core = fold(f2, ["a"])
     with pytest.raises(BudgetExceeded):
         schreier_growth(core, 12, max_states=100)
-    assert schreier_growth(core, 3, max_states=100).right_counts.cumulative[-1] == 27
+    assert schreier_growth(core, 3, max_states=100).counts.cumulative[-1] == 27
 
 
 def test_cross_check_failure_raises(f2, monkeypatch):

@@ -1,11 +1,11 @@
-"""Poincare series partial sums, divergence verdicts, threshold witnesses.
+"""Poincare series partial sums and divergence verdicts.
 Oracles: geometric closed forms and direct evaluation."""
 
 import math
 
 import pytest
 
-from growthlab import MarkedGroup, dalbo_witness, divergence_diagnostic, poincare_partial, relative_growth, stallings_fold
+from growthlab import MarkedGroup, divergence_diagnostic, poincare_partial, relative_growth, stallings_fold
 
 
 def fold(f2, words):
@@ -37,43 +37,6 @@ def test_divergence_at_omega_quasiconvex(f2):
     d = divergence_diagnostic(core, omega, 15)
     assert d.verdict == "diverges"
     assert divergence_diagnostic(core, omega + 0.4, 18).verdict == "converges"
-
-
-def test_dalbo_witness_cyclic(f2):
-    w = dalbo_witness(fold(f2, ["a"]), [f2.identity()], f2.parse("b"), 14)
-    assert w.found and w.s0 is not None
-    assert w.s0 <= 0.1  # threshold sits just above omega_H = 0
-
-
-def test_dalbo_witness_below_log3(f2):
-    w = dalbo_witness(fold(f2, ["a", "baB"]), [f2.identity()], f2.parse("b"), 14)
-    assert w.found and w.s0 < math.log(3)
-    assert w.s0 > w.omega
-
-
-def test_dalbo_not_found_for_trivial_subgroup(f2):
-    w = dalbo_witness(fold(f2, []), [f2.identity()], f2.parse("b"), 10)
-    assert not w.found and w.s0 is None
-    assert w.achieved_sup == 0.0
-
-
-def test_dalbo_validates_inputs(f2):
-    core = fold(f2, ["a"])
-    with pytest.raises(ValueError):
-        dalbo_witness(core, [f2.parse("b")], f2.parse("b"), 8)
-    with pytest.raises(ValueError):
-        dalbo_witness(core, [f2.parse("a")], f2.parse("a"), 8)
-
-
-def test_direct_evaluation_oracle(f2):
-    # independent evaluation of the dalbo sum at the found s0 exceeds 1
-    core = fold(f2, ["a"])
-    w = dalbo_witness(core, [f2.identity()], f2.parse("b"), 12)
-    total = 0.0
-    for n in range(1, 13):
-        for h in (f2.parse("a" * n), f2.parse("A" * n)):
-            total += math.exp(-w.s0 * (h * f2.parse("b")).length)
-    assert total > 1.0
 
 
 @pytest.mark.parametrize("gens", [["ABBABA", "abABaB", "ABBBAb"], ["bbAbb", "AbaaBAA"],

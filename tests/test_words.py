@@ -254,9 +254,3 @@ def test_group_descriptors():
     with pytest.raises(ValueError):
         MarkedGroup.from_descriptor("braid:3")
 
-
-def test_virtually_cyclic_flag():
-    assert MarkedGroup.free(1).virtually_cyclic
-    assert not MarkedGroup.free(2).virtually_cyclic
-    assert MarkedGroup.free_product([2, 2]).virtually_cyclic  # infinite dihedral
-    assert not MarkedGroup.free_product([2, 3]).virtually_cyclic
