@@ -15,9 +15,8 @@ of the path runs down the tree hanging off that half-edge.  So (v, s)
 names the coset Hw, and d(H, Hw) = d(v) + |s| (Stallings 1983).
 
 The lazy coset BFS of ``SchreierAutomaton`` (states are right cosets Hg,
-a missing transition mints a fresh coset) backs the cumulative counts of
-the coarse quotient check and the cross-check of the closed form in
-``schreier_growth``.
+a missing transition mints a fresh coset) backs only the cross-check of
+the closed form in ``schreier_growth``.
 """
 
 from __future__ import annotations

@@ -30,7 +30,7 @@ from .errors import (CounterexampleFound, CQViolation, HypothesisFailed,
                      PreconditionFailed)
 from .groups import MarkedGroup, Word, distance, is_torsion
 from .orbits import FreeSubgroup
-from .schreier import SchreierAutomaton, schreier_growth
+from .schreier import SchreierAutomaton, coset_sphere_sizes, schreier_growth
 from .series import divergence_diagnostic
 from .stallings import relative_growth
 
@@ -188,7 +188,6 @@ class AmalgamReport:
     pool_h: int
     pool_k: int
     h_cap_e: tuple[str, ...]
-    duplicates: int
 
 
 def amalgam_injectivity(subgroup, g: Word, M: int, n_syllables: int,
@@ -200,6 +199,14 @@ def amalgam_injectivity(subgroup, g: Word, M: int, n_syllables: int,
     through word arithmetic, and requires a nontrivial image.  With H&E
     trivial, distinct alternating words are distinct amalgam elements, so
     image collisions are counterexamples too.
+
+    The search is depth-first, H-letters first, each pool in its order,
+    and spends one product per word.  Images are kept as normal-form
+    tuples (``Word.syllables``), which name an element of the group
+    exactly; the letters of the current word sit on one trail stack.
+    Only a collision needs the earlier word, and ``_first_with_image``
+    rebuilds it by replaying the same order, so nothing but the image is
+    stored per word.
     """
     group = g.group
     f_elements = subgroup_closure_intersection(subgroup, g, letter_cap + 2)
@@ -213,40 +220,66 @@ def amalgam_injectivity(subgroup, g: Word, M: int, n_syllables: int,
         raise PreconditionFailed("empty letter pool; enlarge letter_cap or shrink M")
 
     pools = (pool_h, pool_k)
+    last = n_syllables - 1
     words_checked = 0
-    duplicates = 0
-    images: dict[Word, tuple] = {}
+    images: set[tuple] = set()
+    trail: list[Word] = []
 
-    def dfs(prefix: Word, kind: int, depth: int, trail: tuple):
-        nonlocal words_checked, duplicates
-        if depth == n_syllables:
-            return
-        for idx, letter in enumerate(pools[kind]):
+    def spelled(letter: Word) -> list[str]:
+        return [str(x) for x in trail] + [str(letter)]
+
+    def dfs(prefix: Word, kind: int, depth: int):
+        nonlocal words_checked
+        for letter in pools[kind]:
             w = prefix * letter
             words_checked += 1
-            seq = trail + ((kind, idx),)
-            if w.is_identity:
-                raise CounterexampleFound(
-                    "alternating word maps to the identity",
-                    witness=[str(pools[k][i]) for k, i in seq])
-            if f_trivial:
-                other = images.get(w)
-                if other is not None and other != seq:
-                    duplicates += 1
+            image = w.syllables
+            if not image:
+                raise CounterexampleFound("alternating word maps to the identity",
+                                          witness=spelled(letter))
+            if f_trivial:  # one hash per word: add, then see if the set grew
+                size = len(images)
+                images.add(image)
+                if len(images) == size:
+                    first = _first_with_image(group, pools, n_syllables, image)
                     raise CounterexampleFound(
                         "two distinct alternating words share an image",
-                        witness=([str(pools[k][i]) for k, i in other],
-                                 [str(pools[k][i]) for k, i in seq]))
-                images[w] = seq
-            dfs(w, 1 - kind, depth + 1, seq)
+                        witness=([str(x) for x in first], spelled(letter)))
+            if depth < last:
+                trail.append(letter)
+                dfs(w, 1 - kind, depth + 1)
+                trail.pop()
 
-    dfs(group.identity(), 0, 0, ())
-    dfs(group.identity(), 1, 0, ())
+    if n_syllables > 0:
+        dfs(group.identity(), 0, 0)
+        dfs(group.identity(), 1, 0)
+    # dfs reaches itself through its closure; unlinking it frees the image
+    # set on return, not whenever the cycle collector next gets to it
+    del dfs
     return AmalgamReport(verdict="PASS", words_checked=words_checked,
                          max_syllables=n_syllables, letter_cap=letter_cap, M=M,
                          pool_h=len(pool_h), pool_k=len(pool_k),
-                         h_cap_e=tuple(str(f) for f in f_elements),
-                         duplicates=duplicates)
+                         h_cap_e=tuple(str(f) for f in f_elements))
+
+
+def _first_with_image(group: MarkedGroup, pools: tuple[list[Word], list[Word]],
+                      n_syllables: int, image: tuple) -> list[Word]:
+    """The letters of the first alternating word, in the search order of
+    ``amalgam_injectivity``, whose normal form is ``image``."""
+    trail: list[Word] = []
+
+    def walk(prefix: Word, kind: int, depth: int) -> bool:
+        for letter in pools[kind]:
+            w = prefix * letter
+            trail.append(letter)
+            if w.syllables == image or (
+                    depth + 1 < n_syllables and walk(w, 1 - kind, depth + 1)):
+                return True
+            trail.pop()
+        return False
+
+    walk(group.identity(), 0, 0) or walk(group.identity(), 1, 0)
+    return trail
 
 
 def free_subgroup_witness(g1: Word, g2: Word, M: int, n_letters: int,
@@ -256,6 +289,12 @@ def free_subgroup_witness(g1: Word, g2: Word, M: int, n_letters: int,
     Precondition: the two axes are distinct with bounded mutual projections
     (measured over windows; PreconditionFailed when the projected diameters
     exceed ``projection_bound``).
+
+    The letters are g1^M, g1^-M, g2^M, g2^-M, so the inverse of letter i
+    is letter i ^ 1 and a freely reduced word never follows i by i ^ 1.
+    The search is depth-first in letter order and spends one product per
+    word; the letter indices of the current word sit on one trail stack,
+    copied only into a witness.
     """
     group = g1.group
     pm1, pm2 = ProjectionMap(Axis(g1)), ProjectionMap(Axis(g2))
@@ -268,25 +307,28 @@ def free_subgroup_witness(g1: Word, g2: Word, M: int, n_letters: int,
             f"mutual projections too large ({d12}, {d21}); axes not independent")
 
     letters = [g1**M, (g1**M).inverse(), g2**M, (g2**M).inverse()]
-    inverse_of = {0: 1, 1: 0, 2: 3, 3: 2}
+    last = n_letters - 1
     checked = 0
+    trail: list[int] = []
 
-    def dfs(prefix: Word, last: int, depth: int, trail: tuple):
+    def dfs(prefix: Word, prev: int, depth: int):
         nonlocal checked
-        if depth == n_letters:
-            return
         for i, letter in enumerate(letters):
-            if last >= 0 and i == inverse_of[last]:
+            if i == prev ^ 1:
                 continue  # formally reducible; not a new group element
             w = prefix * letter
             checked += 1
             if w.is_identity:
                 raise CounterexampleFound(
                     "freely reduced alternating power word maps to identity",
-                    witness=trail + (i,))
-            dfs(w, i, depth + 1, trail + (i,))
+                    witness=tuple(trail) + (i,))
+            if depth < last:
+                trail.append(i)
+                dfs(w, i, depth + 1)
+                trail.pop()
 
-    dfs(group.identity(), -1, 0, ())
+    if n_letters > 0:
+        dfs(group.identity(), -1, 0)
     return {"verdict": "PASS", "words_checked": checked, "M": M,
             "mutual_projections": (d12, d21)}
 
@@ -382,7 +424,7 @@ def coarse_quotient_check(subgroup, g: Word, selector: SeparationSelector,
     ok = True
     for r in counting_radii:
         ball_r = sum(sphere_counts(group, r))
-        cosets = aut.counts(r + theta)[r + theta]
+        cosets = sum(coset_sphere_sizes(subgroup.core, r + theta))
         bound = kappa * cosets
         rows.append((r, ball_r, bound, ball_r <= bound))
         ok = ok and ball_r <= bound

@@ -36,6 +36,43 @@ def free_letters(rank: int) -> list[str]:
     return list(syms) + [s.upper() for s in syms]
 
 
+def alternating_search(pools: tuple[list[str], list[str]], n_syllables: int):
+    """String model of the amalgam word search.
+
+    Walks alternating words of 1..n letters depth-first, letters of
+    ``pools[0]`` first, each pool in its given order, reduces each word by
+    ``free_reduce`` and keys the first word of each reduced string in a
+    dict.  Returns ("PASS", words, None), ("identity", words, letters) or
+    ("collision", words, (first letters, second letters)), where words
+    counts the words visited up to and including the one that stopped it.
+    """
+    first: dict[str, list[str]] = {}
+    words = 0
+
+    def walk(prefix: str, trail: list[str], kind: int):
+        nonlocal words
+        for letter in pools[kind]:
+            reduced = free_reduce(prefix + letter)
+            seq = trail + [letter]
+            words += 1
+            if reduced == "":
+                return "identity", seq
+            if reduced in first:
+                return "collision", (first[reduced], seq)
+            first[reduced] = seq
+            if len(seq) < n_syllables:
+                found = walk(reduced, seq, 1 - kind)
+                if found:
+                    return found
+        return None
+
+    for kind in (0, 1):
+        found = walk("", [], kind) if n_syllables > 0 else None
+        if found:
+            return found[0], words, found[1]
+    return "PASS", words, None
+
+
 def free_ball(rank: int, radius: int):
     """Sphere sizes and the full element set by brute BFS over strings."""
     letters = free_letters(rank)

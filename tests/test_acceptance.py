@@ -138,7 +138,8 @@ def test_criterion_07_amalgam_injectivity(f2):
     t0 = time.perf_counter()
     sub_a = FreeSubgroup(stallings_fold(f2, [f2.parse("a")]))
     rep1 = amalgam_injectivity(sub_a, f2.parse("b"), M=1, n_syllables=6, letter_cap=4)
-    assert rep1.verdict == "PASS" and rep1.duplicates == 0
+    assert rep1.verdict == "PASS"
+    assert rep1.words_checked == 2 * sum(8 ** d for d in range(1, 7))
 
     sub2 = FreeSubgroup(stallings_fold(f2, [f2.parse("a"), f2.parse("baB")]))
     trans = find_transversal_conjugate(sub2, f2.parse("b"), 2, theta=1, orbit_radius=5)

@@ -1,12 +1,15 @@
 """Theorem pipelines: growth gap, quotient growth, amalgam injectivity,
 free subgroups, coarse quotients.  Includes report determinism."""
 
+import gc
 import json
 import math
+import tracemalloc
 
 import pytest
 
-from growthlab import MarkedGroup, stallings_fold
+import oracles
+from growthlab import MarkedGroup, Word, stallings_fold
 from growthlab.closure import find_selector_power, geometric_separation_power, find_transversal_conjugate
 from growthlab.errors import CounterexampleFound, HypothesisFailed, PreconditionFailed
 from growthlab.orbits import FiniteSubgroup, FreeSubgroup
@@ -148,7 +151,9 @@ def test_amalgam_free_case(f2):
     sub = FreeSubgroup(fold(f2, ["a"]))
     rep = amalgam_injectivity(sub, f2.parse("b"), M=1, n_syllables=6, letter_cap=4)
     assert rep.verdict == "PASS"
-    assert rep.duplicates == 0
+    # pools a^{+-1..4} and b^{+-1..4}: 8^d alternating words of d letters per
+    # starting kind, every one visited
+    assert rep.words_checked == 2 * sum(8 ** d for d in range(1, 7))
     assert rep.h_cap_e == ("1",)
 
 
@@ -179,6 +184,65 @@ def test_amalgam_free_product_with_torsion(z23):
     assert rep.verdict == "PASS"
 
 
+@pytest.mark.parametrize("gens, n", [
+    (("a", "baB"), 3), (("a", "baB"), 4), (("a", "bab"), 4), (("aB", "ba"), 4),
+    (("a",), 5), (("ab",), 4), (("a", "bbaBB"), 4)])
+def test_amalgam_search_matches_string_oracle(f2, gens, n):
+    # H & E(b) is trivial for each H, so the pools are H - 1 within radius 4
+    # (in the order the package lists them) and b^{+-1..4}; the string model
+    # walks the same order and must stop at the same word with the same
+    # witness, or visit as many words
+    sub = FreeSubgroup(fold(f2, gens))
+    pool_h = [str(h) for h in sub.elements_in_ball(4) if not h.is_identity]
+    pad = max(len(w) for w in gens)
+    assert set(pool_h) == oracles.closure_membership(2, list(gens), 4, pad) - {""}
+    pool_k = ["B" * -j if j < 0 else "b" * j for j in range(-4, 5) if j]
+    verdict, words, witness = oracles.alternating_search((pool_h, pool_k), n)
+    try:
+        rep = amalgam_injectivity(sub, f2.parse("b"), M=1, n_syllables=n, letter_cap=4)
+    except CounterexampleFound as exc:
+        assert verdict == ("collision" if "share an image" in str(exc) else "identity")
+        assert exc.witness == witness
+    else:
+        assert verdict == "PASS"
+        assert rep.words_checked == words
+
+
+def test_amalgam_spends_one_product_per_word(f2, monkeypatch):
+    # the search multiplies its prefix by one letter per word; the only other
+    # products (122 here) build the pools and H & E(b).  A collision replay
+    # run on a passing search, or a second product per word, breaks the bound.
+    sub = FreeSubgroup(fold(f2, ["a"]))
+    products = 0
+    mul = Word.__mul__
+
+    def counting(u, v):
+        nonlocal products
+        products += 1
+        return mul(u, v)
+
+    monkeypatch.setattr(Word, "__mul__", counting)
+    rep = amalgam_injectivity(sub, f2.parse("b"), M=1, n_syllables=5, letter_cap=4)
+    assert rep.words_checked == 2 * sum(8 ** d for d in range(1, 6))
+    assert products <= rep.words_checked + 200
+
+
+def test_amalgam_frees_its_images_on_return(f2):
+    # the image set goes with the call; a search closure that reached itself
+    # kept 2.9 MiB of images alive here until the next full collection
+    sub = FreeSubgroup(fold(f2, ["a"]))
+    gc.collect()
+    gc.disable()
+    try:
+        tracemalloc.start()
+        amalgam_injectivity(sub, f2.parse("b"), M=1, n_syllables=4, letter_cap=4)
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert retained < 1 << 20
+
+
 # -- free subgroup witnesses -----------------------------------------------------------
 
 def test_free_witness_basis(f2):
@@ -192,6 +256,15 @@ def test_free_witness_ab_ba(f2):
 def test_free_witness_z23(z23):
     rep = free_subgroup_witness(z23.parse("xy"), z23.parse("yx"), 2, 5)
     assert rep["verdict"] == "PASS"
+
+
+@pytest.mark.parametrize("M, n", [(1, 5), (2, 4)])
+def test_free_witness_counts_every_reduced_word(f2, M, n):
+    # 4 letters g1^{+-M}, g2^{+-M}, then 3 choices after each: 4 * 3^(d-1)
+    # reduced words of d letters, 2(3^n - 1) in all
+    rep = free_subgroup_witness(f2.parse("ab"), f2.parse("aB"), M, n)
+    assert rep["verdict"] == "PASS"
+    assert rep["words_checked"] == 2 * (3 ** n - 1)
 
 
 def test_free_witness_same_axis_rejected(f2):
