@@ -229,7 +229,7 @@ def test_amalgam_spends_one_product_per_word(f2, monkeypatch):
 
 def test_amalgam_frees_its_images_on_return(f2):
     # the image set goes with the call; a search closure that reached itself
-    # kept 2.9 MiB of images alive here until the next full collection
+    # kept 2.9 MiB of images alive here until the cycle collector ran
     sub = FreeSubgroup(fold(f2, ["a"]))
     gc.collect()
     gc.disable()
