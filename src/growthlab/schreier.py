@@ -116,37 +116,10 @@ class SchreierAutomaton:
                               if next_parts else np.array([], dtype=np.int32))
             self.level_sizes.append(int(self._frontier.size))
 
-    def state_of(self, w: Word) -> tuple[int, tuple[int, ...]]:
-        """The key (v, s) of the coset Hw, read off the core in O(|w|).
-
-        v is the core vertex where reading the reduced word w stops and s
-        the unread suffix, empty when w ends inside the core; Hu = Hw iff
-        their keys agree.  Runs no BFS.
-        """
-        out, into = self.core.out, self.core.into
-        v = self.base
-        letters = w.letters()
-        for i, l in enumerate(letters):
-            nxt = out[v].get(l - 1) if l > 0 else into[v].get(-l - 1)
-            if nxt is None:
-                return v, tuple(letters[i:])
-            v = nxt
-        return v, ()
-
     def coset_distance(self, w: Word) -> int:
         """min{|u| : Hu = Hw}, i.e. the distance d(w, H o) in the Cayley graph."""
-        v, suffix = self.state_of(w)
+        v, suffix = coset_key(self.core, w)
         return self.core.depths[v] + len(suffix)
-
-    def counts(self, radius: int) -> list[int]:
-        """Cumulative coset counts |L(B(o,r))| for r = 0..radius."""
-        self.complete_to(radius)
-        out = []
-        total = 0
-        for r in range(radius + 1):
-            total += self.level_sizes[r]
-            out.append(total)
-        return out
 
     def mirror_level_sizes(self, radius: int) -> list[int]:
         """Level sizes of the left-coset BFS (follows inverse letters).
@@ -174,6 +147,24 @@ class SchreierAutomaton:
                         if parts else np.array([], dtype=np.int32))
             sizes.append(int(frontier.size))
         return sizes
+
+
+def coset_key(core: CoreGraph, w: Word) -> tuple[int, tuple[int, ...]]:
+    """The key (v, s) of the coset Hw, read off the core in O(|w|).
+
+    v is the core vertex where reading the reduced word w stops and s the
+    unread suffix, empty when w ends inside the core; Hu = Hw iff their
+    keys agree.  Runs no BFS.
+    """
+    out, into = core.out, core.into
+    v = core.base
+    letters = w.letters()
+    for i, l in enumerate(letters):
+        nxt = out[v].get(l - 1) if l > 0 else into[v].get(-l - 1)
+        if nxt is None:
+            return v, tuple(letters[i:])
+        v = nxt
+    return v, ()
 
 
 @dataclass(frozen=True)

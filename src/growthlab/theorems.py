@@ -30,7 +30,7 @@ from .errors import (CounterexampleFound, CQViolation, HypothesisFailed,
                      PreconditionFailed)
 from .groups import MarkedGroup, Word, distance, is_torsion
 from .orbits import FreeSubgroup
-from .schreier import SchreierAutomaton, coset_sphere_sizes, schreier_growth
+from .schreier import coset_key, coset_sphere_sizes, schreier_growth
 from .series import divergence_diagnostic
 from .stallings import relative_growth
 
@@ -253,9 +253,6 @@ def amalgam_injectivity(subgroup, g: Word, M: int, n_syllables: int,
     if n_syllables > 0:
         dfs(group.identity(), 0, 0)
         dfs(group.identity(), 1, 0)
-    # dfs reaches itself through its closure; unlinking it frees the image
-    # set on return, not whenever the cycle collector next gets to it
-    del dfs
     return AmalgamReport(verdict="PASS", words_checked=words_checked,
                          max_syllables=n_syllables, letter_cap=letter_cap, M=M,
                          pool_h=len(pool_h), pool_k=len(pool_k),
@@ -390,7 +387,6 @@ def coarse_quotient_check(subgroup, g: Word, selector: SeparationSelector,
     group = g.group
     pm = ProjectionMap(Axis(g))
     y = selector.basepoint
-    aut = SchreierAutomaton(subgroup.core)
 
     points = list(ball_elements(group, sample_radius))
     phi: dict[Word, Word] = {}
@@ -405,7 +401,7 @@ def coarse_quotient_check(subgroup, g: Word, selector: SeparationSelector,
     # the coset key of the inverse word
     classes: dict[tuple, list[Word]] = {}
     for u in points:
-        classes.setdefault(aut.state_of(phi[u].inverse()), []).append(u)
+        classes.setdefault(coset_key(subgroup.core, phi[u].inverse()), []).append(u)
     theta_cq1 = 0
     witness = None
     for members in classes.values():

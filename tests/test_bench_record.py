@@ -48,3 +48,18 @@ def test_summary_rejects_lines_that_are_not_results():
         bench_record.summarise([])
     with pytest.raises(json.JSONDecodeError):
         bench_record.summarise(["pass_s = 0.4 s"])
+
+
+def test_run_order_flips_from_seed_to_seed():
+    assert [bench_record.run_order(2, s) for s in range(4)] == [[0, 1], [1, 0]] * 2
+    assert bench_record.run_order(1, 1) == [0]
+    assert bench_record.run_order(3, 1) == [2, 1, 0]
+
+
+def test_records_are_named_by_label_and_checkout():
+    args = bench_record.parse_args(["--workload", "amalgam", "--seeds", "1", "2",
+                                    "--record", "baseline", "../parent", "--record", "pr", "."])
+    assert args.record == [["baseline", "../parent"], ["pr", "."]]
+    with pytest.raises(SystemExit):
+        bench_record.parse_args(["--workload", "amalgam", "--seeds", "1", "--seconds", "5",
+                                 "--record", "pr", "."])

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from growthlab import MarkedGroup, ball_elements, schreier_growth, stallings_fold
 from growthlab.errors import BudgetExceeded, CrossCheckFailed
-from growthlab.schreier import SchreierAutomaton, coset_sphere_sizes
+from growthlab.schreier import SchreierAutomaton, coset_key, coset_sphere_sizes
 
 from oracles import closure_membership, free_ball, free_inverse, free_reduce
 
@@ -43,13 +43,15 @@ def oracle_coset_counts(gens, radius):
 
 def test_cyclic_subgroup_radius_one(f2):
     aut = SchreierAutomaton(fold(f2, ["a"]))
-    assert aut.counts(1) == [1, 3]  # {H, Hb, HB}
+    aut.complete_to(1)
+    assert aut.level_sizes == [1, 2]  # {H}, {Hb, HB}
 
 
 def test_counts_match_coset_oracle(f2):
     for gens in (["a"], ["a", "baB"], ["aa", "bb"]):
         aut = SchreierAutomaton(fold(f2, gens))
-        assert aut.counts(5) == oracle_coset_counts(gens, 5)
+        aut.complete_to(5)
+        assert list(itertools.accumulate(aut.level_sizes)) == oracle_coset_counts(gens, 5)
 
 
 def test_finite_index_single_coset(f2):
@@ -117,7 +119,7 @@ def test_coset_keys_match_closure_oracle(gens):
     # cancellation between consecutive generators
     members = closure_membership(2, gens, 6, pad=max(map(len, gens)))
     words = sorted(free_ball(2, 3)[1], key=lambda w: (len(w), w))
-    keys = {u: aut.state_of(f2.parse(u)) for u in words}
+    keys = {u: coset_key(core, f2.parse(u)) for u in words}
     for u, v in itertools.combinations(words, 2):
         assert (keys[u] == keys[v]) == (free_reduce(u + free_inverse(v)) in members), (u, v)
     for u in words:

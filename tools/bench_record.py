@@ -1,28 +1,33 @@
-"""Record benchmark runs of a growthlab checkout in ``BENCH_<label>.json``.
+"""Record benchmark runs of growthlab checkouts in ``BENCH_<label>.json``.
 
-    python3 tools/bench_record.py --label baseline --workload amalgam \
-        --seeds 1 2 3 --seconds 35 [--trace 1] [--checkout PATH]
+    python3 tools/bench_record.py --workload amalgam --seeds 1 2 3 \
+        --record baseline PATH_TO_PARENT --record change .
 
-For each seed, one after another, this runs the checkout's own
-``python3 perfbench/run.py --workload W --seed S --seconds T --trace 0``
-unmodified and reads only the last line of its standard output, the
-result object (``correct``, ``attempted``, ``failed``, ``metrics``).  With
-``--trace 1`` it then makes one traced run at the first seed and keeps its
-per-layer metrics.  ``--checkout`` names the tree to run (by default the
-one this script is in); the record always goes to the root of the
-repository this script is in, so a parent commit checked out elsewhere can
-be recorded next to the change.
+Each ``--record LABEL CHECKOUT`` names a tree to run and the record it
+gets.  For each seed every checkout runs its own
+``python3 perfbench/run.py --workload W --seed S --trace 0`` unmodified,
+at the benchmark's default run length, and only the last line of its
+standard output is read: the result object (``correct``, ``attempted``,
+``failed``, ``metrics``).  The checkouts alternate within each seed, and
+the order flips from one seed to the next, so drift of the machine falls
+on every checkout alike.  Then each checkout makes one ``--trace 1`` run
+at the first seed, whose per-layer metrics the record keeps.  Records
+always go to the root of the repository this script is in.
 
-The record holds the checkout's git revision, the tree hash of its
-``src`` (which outlives a rebase of the commit), whether ``src`` or
-``perfbench`` had uncommitted edits, the workload, the seeds, every run's
-result and, per end-to-end metric, the median, the quartiles and the
-extremes over the runs.
+A record holds the checkout's git revision, the tree hash of its ``src``
+(which outlives a rebase of the commit), whether ``src`` or ``perfbench``
+had uncommitted edits, the workload, the seeds, the session (its start
+time and the labels recorded in it), every run's result and, per
+end-to-end metric, the median, the quartiles and the extremes over the
+runs.  Only records of one session are alternated pairs; records of
+different sessions must not be compared, since the machine's speed moves
+between sessions by as much as a change under test.
 """
 
 from __future__ import annotations
 
 import argparse
+import datetime
 import json
 import statistics
 import subprocess
@@ -64,10 +69,17 @@ def summarise(lines: list[str]) -> dict:
             "runs": results, "summary": summary}
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> str:
+def run_order(n_checkouts: int, seed_index: int) -> list[int]:
+    """The order in which the checkouts run at the seed_index-th seed:
+    as given at even indices, reversed at odd ones."""
+    order = list(range(n_checkouts))
+    return order[::-1] if seed_index % 2 else order
+
+
+def run_once(checkout: Path, workload: str, seed: int, trace: int) -> str:
     """One benchmark run in ``checkout``; returns the last line of its stdout."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", str(trace)]
+           "--trace", str(trace)]
     done = subprocess.run(cmd, cwd=checkout, stdout=subprocess.PIPE,
                           stderr=subprocess.DEVNULL, text=True, check=True)
     return done.stdout.splitlines()[-1]
@@ -80,35 +92,40 @@ def _git(checkout: Path, *args: str) -> str:
 
 def parse_args(argv=None):
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    p.add_argument("--label", required=True, help="the record is BENCH_<label>.json")
     p.add_argument("--workload", required=True)
     p.add_argument("--seeds", type=int, nargs="+", required=True)
-    p.add_argument("--seconds", type=float, default=35.0)
-    p.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    p.add_argument("--checkout", type=Path, default=ROOT)
+    p.add_argument("--record", nargs=2, action="append", required=True,
+                   metavar=("LABEL", "CHECKOUT"),
+                   help="run CHECKOUT and write BENCH_<LABEL>.json; repeat to alternate")
     return p.parse_args(argv)
 
 
 def main(argv=None) -> int:
     args = parse_args(argv)
-    checkout = args.checkout.resolve()
-    record = {"label": args.label, "revision": _git(checkout, "rev-parse", "HEAD"),
-              "src_tree": _git(checkout, "rev-parse", "HEAD:src"),
-              "dirty": bool(_git(checkout, "status", "--porcelain", "--", "src", "perfbench")),
-              "workload": args.workload, "seeds": args.seeds, "seconds": args.seconds}
-    lines = []
-    for seed in args.seeds:
-        lines.append(run_once(checkout, args.workload, seed, args.seconds, 0))
-        print(f"seed {seed}: {lines[-1]}", file=sys.stderr)
-    record.update(summarise(lines))
-    if args.trace:
-        traced = parse_result(run_once(checkout, args.workload, args.seeds[0],
-                                       args.seconds, 1))
+    labels = [label for label, _ in args.record]
+    checkouts = [Path(path).resolve() for _, path in args.record]
+    session = {"started": datetime.datetime.now(datetime.timezone.utc)
+               .isoformat(timespec="seconds"), "labels": labels}
+    lines: list[list[str]] = [[] for _ in labels]
+    for s, seed in enumerate(args.seeds):
+        for i in run_order(len(labels), s):
+            lines[i].append(run_once(checkouts[i], args.workload, seed, 0))
+            print(f"{labels[i]} seed {seed}: {lines[i][-1]}", file=sys.stderr)
+    ok = True
+    for label, checkout, runs in zip(labels, checkouts, lines):
+        record = {"label": label, "revision": _git(checkout, "rev-parse", "HEAD"),
+                  "src_tree": _git(checkout, "rev-parse", "HEAD:src"),
+                  "dirty": bool(_git(checkout, "status", "--porcelain", "--",
+                                     "src", "perfbench")),
+                  "workload": args.workload, "seeds": args.seeds, "session": session,
+                  **summarise(runs)}
+        traced = parse_result(run_once(checkout, args.workload, args.seeds[0], 1))
         record["traced"] = {"seed": args.seeds[0], **traced}
-    out = ROOT / f"BENCH_{args.label}.json"
-    out.write_text(json.dumps(record, indent=2) + "\n")
-    print(out)
-    return 0 if record["correct"] and record.get("traced", {}).get("correct", True) else 1
+        out = ROOT / f"BENCH_{label}.json"
+        out.write_text(json.dumps(record, indent=2) + "\n")
+        print(out)
+        ok = ok and record["correct"] and traced["correct"]
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":
