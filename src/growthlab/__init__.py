@@ -11,7 +11,7 @@ closures, coarse quotients) those statements rest on.
 from .balls import BallCounts, GrowthEstimate, ball, ball_elements, growth_rate
 from .groups import (MarkedGroup, Word, all_geodesics, cyclic_reduce, distance,
                      geodesic, is_torsion, primitive_root)
-from .axes import Axis, ProjectionMap, axis, projection
+from .axes import Axis, ProjectionMap
 from .orbits import FiniteSubgroup, FreeSubgroup, SubgroupOrbit
 from .schreier import SchreierAutomaton, schreier_growth
 from .series import divergence_diagnostic, poincare_partial
@@ -20,10 +20,10 @@ from .stallings import CoreGraph, relative_growth, stallings_fold
 __all__ = [
     "Axis", "BallCounts", "CoreGraph", "FiniteSubgroup",
     "FreeSubgroup", "GrowthEstimate", "MarkedGroup", "ProjectionMap",
-    "SchreierAutomaton", "SubgroupOrbit", "Word", "all_geodesics", "axis",
+    "SchreierAutomaton", "SubgroupOrbit", "Word", "all_geodesics",
     "ball", "ball_elements", "cyclic_reduce", "distance",
     "divergence_diagnostic", "geodesic", "growth_rate", "is_torsion",
-    "poincare_partial", "primitive_root", "projection", "relative_growth",
+    "poincare_partial", "primitive_root", "relative_growth",
     "schreier_growth", "stallings_fold",
 ]
 

@@ -176,12 +176,3 @@ class ProjectionMap:
                 j += 1
         return best
 
-
-def axis(element: Word) -> Axis:
-    """Build the axis of an infinite-order element (errors on torsion)."""
-    return Axis(element)
-
-
-def projection(element_or_axis) -> ProjectionMap:
-    ax = element_or_axis if isinstance(element_or_axis, Axis) else Axis(element_or_axis)
-    return ProjectionMap(ax)

@@ -11,7 +11,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Iterator
 
 import numpy as np
@@ -51,7 +50,10 @@ class GrowthEstimate:
     """A growth rate in nats per unit length, with provenance."""
 
     rate: float
-    method: str  # closed_form | spectral_radius | bfs_fit
+    # spectral_radius: log Perron root of a Stallings core (relative_growth);
+    # closed_form: log(2k - 1) from the coset sphere identity (schreier_growth);
+    # bfs_fit: log-slope fit of ball counts (growth_rate)
+    method: str
     window: tuple[int, int]
     error_bound: float
     notes: tuple[str, ...] = field(default_factory=tuple)
@@ -174,89 +176,22 @@ def _fit_line(xs: np.ndarray, ys: np.ndarray) -> tuple[float, float, float]:
     return float(slope), float(intercept), float(resid)
 
 
-def _exact_recurrence(seq: list[int], order: int) -> list[Fraction] | None:
-    """Coefficients c with seq[t] = sum c[j] seq[t-1-j], verified exactly."""
-    n = len(seq)
-    if n < 2 * order + 1:
-        return None
-    rows = [[Fraction(seq[t - 1 - j]) for j in range(order)] + [Fraction(seq[t])]
-            for t in range(order, 2 * order)]
-    # Gaussian elimination over Q
-    for col in range(order):
-        pivot = next((r for r in range(col, order) if rows[r][col] != 0), None)
-        if pivot is None:
-            return None
-        rows[col], rows[pivot] = rows[pivot], rows[col]
-        inv = Fraction(1) / rows[col][col]
-        rows[col] = [v * inv for v in rows[col]]
-        for r in range(order):
-            if r != col and rows[r][col] != 0:
-                factor = rows[r][col]
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[col])]
-    coeffs = [rows[j][order] for j in range(order)]
-    for t in range(order, n):
-        if sum(c * seq[t - 1 - j] for j, c in enumerate(coeffs)) != seq[t]:
-            return None
-    return coeffs
-
-
-def growth_rate(counts: BallCounts, method: str = "bfs_fit",
+def growth_rate(counts: BallCounts,
                 window: tuple[int, int] | None = None) -> GrowthEstimate:
     """Estimate the exponential growth rate from exact ball counts.
 
-    bfs_fit:          least-squares slope of log cumulative counts over the
-                      window tail; error_bound is the max residual.
-    closed_form:      requires a constant integer sphere ratio (free groups);
-                      exact, error_bound 0.
-    spectral_radius:  fits a minimal exact linear recurrence to the sphere
-                      sizes and returns the log of the companion-matrix
-                      spectral radius; handles periodic sequences that a
-                      plain log-slope fit cannot resolve.
+    The least-squares slope of log cumulative counts over the window
+    (default: the last five radii); error_bound is the max residual.  The
+    pipelines read their rates exactly instead (``relative_growth`` and
+    ``schreier_growth``); this fit serves acceptance criterion 1.
     """
-    spheres = list(counts.sphere_sizes)
-    cumulative = list(counts.cumulative)
+    cumulative = counts.cumulative
     r = counts.radius
-
-    if method == "bfs_fit":
-        lo, hi = window if window is not None else (max(1, r - 4), r)
-        if hi > r or lo < 0 or hi - lo + 1 < 3:
-            raise WindowTooSmall(f"bfs_fit window [{lo},{hi}] needs >= 3 radii within data")
-        xs = np.arange(lo, hi + 1, dtype=float)
-        ys = np.array([math.log(cumulative[i]) for i in range(lo, hi + 1)])
-        slope, _, resid = _fit_line(xs, ys)
-        return GrowthEstimate(rate=max(slope, 0.0), method="bfs_fit",
-                              window=(lo, hi), error_bound=resid)
-
-    if method == "closed_form":
-        tail = spheres[1:]
-        if all(s == 0 for s in tail):
-            return GrowthEstimate(0.0, "closed_form", (0, r), 0.0)
-        ratios = {Fraction(tail[i + 1], tail[i]) for i in range(len(tail) - 1) if tail[i]}
-        if len(ratios) != 1:
-            raise ValueError("closed_form needs a constant sphere ratio")
-        ratio = ratios.pop()
-        rate = math.log(ratio) if ratio > 1 else 0.0
-        return GrowthEstimate(rate=max(rate, 0.0), method="closed_form",
-                              window=(1, r), error_bound=0.0)
-
-    if method == "spectral_radius":
-        if all(s == 0 for s in spheres[1:]):
-            return GrowthEstimate(0.0, "spectral_radius", (0, r), 0.0)
-        for skip in (1, 2, 3):
-            seq = spheres[skip:]
-            for order in range(1, 6):
-                coeffs = _exact_recurrence(seq, order)
-                if coeffs is None:
-                    continue
-                if order == 1:
-                    rho = abs(float(coeffs[0]))
-                else:
-                    poly = [1.0] + [-float(c) for c in coeffs]
-                    rho = max(abs(z) for z in np.roots(poly))
-                rate = math.log(rho) if rho > 1 else 0.0
-                return GrowthEstimate(rate=max(rate, 0.0), method="spectral_radius",
-                                      window=(skip, r), error_bound=0.0,
-                                      notes=(f"recurrence order {order}",))
-        raise WindowTooSmall("no exact linear recurrence of order <= 5 fits the spheres")
-
-    raise ValueError(f"unknown growth_rate method {method!r}")
+    lo, hi = window if window is not None else (max(1, r - 4), r)
+    if hi > r or lo < 0 or hi - lo + 1 < 3:
+        raise WindowTooSmall(f"bfs_fit window [{lo},{hi}] needs >= 3 radii within data")
+    xs = np.arange(lo, hi + 1, dtype=float)
+    ys = np.array([math.log(cumulative[i]) for i in range(lo, hi + 1)])
+    slope, _, resid = _fit_line(xs, ys)
+    return GrowthEstimate(rate=max(slope, 0.0), method="bfs_fit",
+                          window=(lo, hi), error_bound=resid)

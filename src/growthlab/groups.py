@@ -234,9 +234,6 @@ class Word:
             inv.append((i, -e if m == 0 else m - e))
         return Word(g, tuple(inv), self.length)
 
-    def __invert__(self) -> "Word":
-        return self.inverse()
-
     def __pow__(self, n: int) -> "Word":
         if n == 0:
             return self.group.identity()

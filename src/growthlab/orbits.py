@@ -14,7 +14,7 @@ from typing import Iterator, Sequence
 
 from .errors import BudgetExceeded
 from .groups import MarkedGroup, Word, distance
-from .schreier import SchreierAutomaton
+from .schreier import coset_distance
 from .stallings import CoreGraph, stallings_fold
 
 
@@ -61,16 +61,10 @@ class FreeSubgroup:
     def __init__(self, core: CoreGraph):
         self.core = core
         self.group = core.group
-        self._automaton: SchreierAutomaton | None = None
 
     @staticmethod
     def from_words(group: MarkedGroup, generators: Sequence[Word]) -> "FreeSubgroup":
         return FreeSubgroup(stallings_fold(group, generators))
-
-    def automaton(self) -> SchreierAutomaton:
-        if self._automaton is None:
-            self._automaton = SchreierAutomaton(self.core)
-        return self._automaton
 
     def contains(self, w: Word) -> bool:
         return self.core.contains(w)
@@ -104,5 +98,5 @@ class SubgroupOrbit:
         distance of u^-1 x, read off the core."""
         z = self.u.inverse() * x
         if isinstance(self.subgroup, FreeSubgroup):
-            return self.subgroup.automaton().coset_distance(z)
+            return coset_distance(self.subgroup.core, z)
         return min(distance(h, z) for h in self.subgroup.elements)

@@ -8,7 +8,10 @@ form,
     |S_r| = #{v : d(v) = r} + sum_v (2k - deg v) (2k - 1)^(r - d(v) - 1),
 
 (the sum over v with d(v) < r), exact in Python integers at any radius
-without minting a coset.  Coset keys and distances need no search
+without minting a coset.  Past the largest core depth eta only the
+forest term is left, so |S_{n+1}| = (2k - 1)|S_n| for every n > eta, and
+the quotient grows at exactly log(2k - 1), or not at all when S_{eta+1}
+is empty (finite index).  Coset keys and distances need no search
 either: reading a reduced word w through the core stops at the vertex v
 where the next letter is missing, with the suffix s unread, and the rest
 of the path runs down the tree hanging off that half-edge.  So (v, s)
@@ -21,12 +24,13 @@ the closed form in ``schreier_growth``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .balls import BallCounts, GrowthEstimate, growth_rate
-from .errors import BudgetExceeded, CrossCheckFailed, WindowTooSmall
+from .balls import BallCounts, GrowthEstimate
+from .errors import BudgetExceeded, CrossCheckFailed
 from .groups import Word
 from .stallings import CoreGraph
 
@@ -117,9 +121,9 @@ class SchreierAutomaton:
             self.level_sizes.append(int(self._frontier.size))
 
     def coset_distance(self, w: Word) -> int:
-        """min{|u| : Hu = Hw}, i.e. the distance d(w, H o) in the Cayley graph."""
-        v, suffix = coset_key(self.core, w)
-        return self.core.depths[v] + len(suffix)
+        """``coset_distance`` of the automaton's core; kept as a method because
+        the benchmark tracer (perfbench/tracing.py) counts its calls."""
+        return coset_distance(self.core, w)
 
     def mirror_level_sizes(self, radius: int) -> list[int]:
         """Level sizes of the left-coset BFS (follows inverse letters).
@@ -167,6 +171,12 @@ def coset_key(core: CoreGraph, w: Word) -> tuple[int, tuple[int, ...]]:
     return v, ()
 
 
+def coset_distance(core: CoreGraph, w: Word) -> int:
+    """min{|u| : Hu = Hw}, i.e. the distance d(w, H o) in the Cayley graph."""
+    v, suffix = coset_key(core, w)
+    return core.depths[v] + len(suffix)
+
+
 @dataclass(frozen=True)
 class SchreierGrowth:
     """Coset growth of a subgroup, with per-radius counts."""
@@ -202,16 +212,22 @@ CROSS_CHECK_RADIUS = 4
 
 def schreier_growth(core: CoreGraph, r_max: int,
                     max_states: int | None = None) -> SchreierGrowth:
-    """Quotient growth rates from the closed-form coset counts.
+    """Coset counts to r_max and the exact quotient growth rate.
 
     Left and right cosets need no separate counts: gH -> Hg^-1 is a
     bijection from left to right cosets that preserves the distance to
     the base coset, since |g^-1| = |g|.  The closed form is checked
-    against the coset BFS up to radius min(r_max, CROSS_CHECK_RADIUS); a
-    disagreement raises CrossCheckFailed.  ``max_states`` caps the number
-    of cosets within r_max (BudgetExceeded), checked before any work.
+    against the coset BFS up to radius min(r_max, CROSS_CHECK_RADIUS).
+    The rate is log(2k - 1) read off the identity |S_{n+1}| = (2k - 1)|S_n|,
+    which the counts must satisfy for eta < n < R = max(r_max, eta + 2);
+    it is 0 when S_{eta+1} is empty (finite index).  Either disagreement
+    raises CrossCheckFailed.  ``max_states`` caps the number of cosets
+    within r_max (BudgetExceeded), checked before the BFS.
     """
-    counts = BallCounts.from_spheres(coset_sphere_sizes(core, r_max))
+    eta = max(core.depths.values())
+    reach = max(r_max, eta + 2)
+    spheres = coset_sphere_sizes(core, reach)
+    counts = BallCounts.from_spheres(spheres[:r_max + 1])
     if max_states is not None and counts.cumulative[-1] > max_states:
         raise BudgetExceeded(f"{counts.cumulative[-1]} cosets within radius {r_max} "
                              f"exceed the budget of {max_states}")
@@ -221,8 +237,12 @@ def schreier_growth(core: CoreGraph, r_max: int,
     if aut.level_sizes[:check + 1] != list(counts.sphere_sizes[:check + 1]):
         raise CrossCheckFailed(f"coset spheres {counts.sphere_sizes[:check + 1]} != coset BFS "
                                f"{aut.level_sizes[:check + 1]}")
-    try:
-        rate = growth_rate(counts, "bfs_fit")
-    except (WindowTooSmall, ValueError):
-        rate = GrowthEstimate(0.0, "bfs_fit", (0, r_max), 0.0, notes=("degenerate window",))
+    ratio = 2 * core.group.rank - 1
+    for n in range(eta + 1, reach):
+        if spheres[n + 1] != ratio * spheres[n]:
+            raise CrossCheckFailed(f"|S_{n + 1}| = {spheres[n + 1]} != {ratio} * |S_{n}| "
+                                   f"= {ratio * spheres[n]} past eta = {eta}")
+    rate = GrowthEstimate(math.log(ratio) if spheres[eta + 1] else 0.0, "closed_form",
+                          (eta + 1, reach), 0.0,
+                          notes=(f"|S_(n+1)| = {ratio} |S_n| for n > eta = {eta}",))
     return SchreierGrowth(counts=counts, rate=rate)

@@ -5,6 +5,12 @@ growth rate and diverges below it; behaviour AT the rate separates
 divergent from convergent subgroups.  The verdict compares s with the
 core's exact Perron rate and, at the rate, reads whole periods of exact
 counts; the counts and raw partial sums are reported next to it.
+
+No pipeline calls this module: in F_k every nontrivial finitely
+generated subgroup is of divergence type, so ``verify_growth_gap``
+reads ``divergent`` off the core.  The module stays as the independent
+oracle that the tests hold that rule against, and because the benchmark
+tracer binds both functions by name.
 """
 
 from __future__ import annotations

@@ -20,8 +20,8 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .balls import BallCounts, GrowthEstimate, growth_rate
-from .errors import NotFreeGroup, PowerIterationDiverged, WindowTooSmall
+from .balls import BallCounts, GrowthEstimate
+from .errors import NotFreeGroup, PowerIterationDiverged
 from .groups import MarkedGroup, Word
 
 
@@ -186,31 +186,6 @@ class CoreGraph:
         rho = self.perron[0]
         return math.log(rho) if rho > 1.0 + 1e-12 else 0.0
 
-    # -- canonical form ----------------------------------------------------
-
-    def canonical_form(self) -> tuple:
-        """BFS relabeling from the base with deterministic edge order.
-
-        Two folded core graphs describe the same subgroup iff their
-        canonical forms are equal.
-        """
-        order = {self.base: 0}
-        queue = [self.base]
-        while queue:
-            v = queue.pop(0)
-            for g in sorted(self.out[v]):
-                w = self.out[v][g]
-                if w not in order:
-                    order[w] = len(order)
-                    queue.append(w)
-            for g in sorted(self.into[v]):
-                w = self.into[v][g]
-                if w not in order:
-                    order[w] = len(order)
-                    queue.append(w)
-        edges = tuple(sorted((order[u], g, order[v]) for u, g, v in self.edges))
-        return (len(order), edges)
-
     def __repr__(self) -> str:
         return f"CoreGraph({self.n_vertices} vertices, {len(self.edges)} edges)"
 
@@ -332,11 +307,10 @@ def power_iteration(T: np.ndarray, tol: float = 1e-10, stable_steps: int = 5,
 
 @dataclass(frozen=True)
 class RelativeGrowth:
-    """Relative growth data for a subgroup: exact counts plus two estimates."""
+    """Relative growth data for a subgroup: exact counts and the spectral rate."""
 
     counts: BallCounts
     spectral: GrowthEstimate
-    fit: GrowthEstimate
 
     @property
     def rate(self) -> float:
@@ -344,15 +318,11 @@ class RelativeGrowth:
 
 
 def relative_growth(core: CoreGraph, r_max: int) -> RelativeGrowth:
-    """|B_G(o,r) & H| counts with the exact spectral rate and a bfs_fit estimate."""
-    ball_counts = BallCounts.from_spheres(core.counts_by_length(r_max))
+    """|B_G(o,r) & H| counts with the exact spectral rate omega_H."""
     rho, period = core.perron
     note = (f"Perron root {rho:.12g}, period {period}" if core.edges
             else "trivial subgroup")
     spectral = GrowthEstimate(core.spectral_rate(), "spectral_radius", (0, r_max), 0.0,
                               notes=(note,))
-    try:
-        fit = growth_rate(ball_counts, "bfs_fit")
-    except (WindowTooSmall, ValueError):
-        fit = GrowthEstimate(0.0, "bfs_fit", (0, r_max), 0.0, notes=("window too small",))
-    return RelativeGrowth(counts=ball_counts, spectral=spectral, fit=fit)
+    return RelativeGrowth(counts=BallCounts.from_spheres(core.counts_by_length(r_max)),
+                          spectral=spectral)

@@ -9,10 +9,13 @@ A report PASSes only when every checked hypothesis holds and the
 conclusion clears the configured margin; a failed hypothesis yields
 INAPPLICABLE (and optionally a named HypothesisFailed error), never PASS.
 
-The growth-gap and quotient-growth pipelines fold a Stallings core, so
-the ambient group is the free group F_k: omega_G = log(2k - 1) exactly,
-and the subgroup is quasi-convex with the exact constant eta read off
-the core (``CoreGraph.depths``), so neither is sampled.
+The growth-gap and quotient-growth pipelines fold a Stallings core and
+decide from it alone, with no sampled audit and no fitted rate.  The
+ambient group is the free group F_k, so omega_G = log(2k - 1); the
+subgroup is quasi-convex with the exact constant eta read off the core
+(``CoreGraph.depths``); omega_H is the log Perron root of the core; a
+nontrivial subgroup is divergent; and the coset space grows at exactly
+log(2k - 1) when the index is infinite.
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ import itertools
 import math
 from dataclasses import dataclass, field, asdict
 
-from .audits import constriction_audit
 from .axes import Axis, ProjectionMap
 from .balls import ball_elements, sphere_counts
 from .closure import (SeparationSelector, subgroup_closure_intersection,
@@ -31,11 +33,14 @@ from .errors import (CounterexampleFound, CQViolation, HypothesisFailed,
 from .groups import MarkedGroup, Word, distance, is_torsion
 from .orbits import FreeSubgroup
 from .schreier import coset_key, coset_sphere_sizes, schreier_growth
-from .series import divergence_diagnostic
 from .stallings import relative_growth
 
 QUASI_CONVEX_REASON = ("finitely generated subgroups of F_k are quasi-convex; "
                        "eta is the largest core depth")
+DIVERGENCE_REASON = ("a nontrivial finitely generated subgroup of F_k has purely "
+                     "exponential growth, so it is of divergence type (Coornaert 1993); "
+                     "equally, its growth series is rational with nonnegative "
+                     "coefficients, so by Pringsheim's theorem it has a pole at 1/rho")
 
 
 @dataclass(frozen=True)
@@ -48,7 +53,6 @@ class ExperimentConfig:
     r_audit: int = 4
     gap_margin: float = 0.01
     quotient_tolerance: float = 0.05
-    seed: int = 0
 
     def __post_init__(self):
         if min(self.r_ball, self.r_schreier) < 3 or self.r_audit < 3:
@@ -106,29 +110,27 @@ def verify_growth_gap(cfg: ExperimentConfig, raise_on_hypothesis: bool = True) -
     H of a group with a constricting element has omega_H < omega_G.
 
     Checked (each fails on some input): ``infinite_index`` (the core misses
-    a half-edge; fails for <a, b>), ``divergent`` (the Poincare series
-    diverges at omega_H; fails for the trivial subgroup) and
-    ``constricting_element`` (g0 has infinite order, the precondition of
-    ``Axis``; fails for g0 = 1).  Assumed: ``quasi_convex``, with the exact
-    eta in ``details``, and that an infinite-order element of F_k has a
-    0-constricting axis in the Cayley tree.  omega_H is the log Perron root
-    of the core and omega_G = log(2k - 1), both exact.
+    a half-edge; fails for <a, b>), ``divergent`` (the core has an edge;
+    fails for the trivial subgroup, whose Poincare series is the single
+    term 1) and ``constricting_element`` (g0 has infinite order, the
+    precondition of ``Axis``; fails for g0 = 1).  Assumed: ``quasi_convex``,
+    with the exact eta in ``details``, that an infinite-order element of
+    F_k has a 0-constricting axis in the Cayley tree, and
+    ``divergence_type``: every nontrivial subgroup diverges at omega_H.
+    omega_H is the log Perron root of the core and omega_G = log(2k - 1),
+    both exact.
     """
     sub, hypotheses, details, omega_g = _subgroup_facts(cfg)
     assumed = {"quasi_convex": QUASI_CONVEX_REASON,
                "axis_constriction": "the axis of an infinite-order element of F_k "
-                                    "is 0-constricting in the Cayley tree"}
+                                    "is 0-constricting in the Cayley tree",
+               "divergence_type": DIVERGENCE_REASON}
 
     rel = relative_growth(sub.core, cfg.r_ball)
     omega_h = rel.rate
     details["omega_h_spectral"] = rel.spectral.rate
-    details["omega_h_fit"] = rel.fit.rate
     details["h_counts"] = list(rel.counts.sphere_sizes)
-
-    div = divergence_diagnostic(sub.core, omega_h, max(cfg.r_ball, 15))
-    hypotheses["divergent"] = div.verdict == "diverges"
-    details["divergence"] = {"verdict": div.verdict, "period": div.period,
-                             "tail_mean_increment": div.tail_mean_increment}
+    hypotheses["divergent"] = bool(sub.core.edges)
 
     g0 = cfg.g0_word()
     hypotheses["constricting_element"] = not is_torsion(g0)
@@ -151,15 +153,16 @@ def verify_quotient_growth(cfg: ExperimentConfig, raise_on_hypothesis: bool = Tr
     quasi-convex subgroup grow at the full rate omega_G.
 
     Checked: ``infinite_index``.  Assumed: ``quasi_convex`` (exact eta in
-    ``details``).  ``max_states`` caps the cosets within radius r_schreier
-    (BudgetExceeded)."""
+    ``details``).  omega_{G/H} is exact: log(2k - 1) at infinite index and
+    0 at finite index, from the coset sphere identity that
+    ``schreier_growth`` checks past eta.  ``max_states`` caps the cosets
+    within radius r_schreier (BudgetExceeded)."""
     sub, hypotheses, details, omega_g = _subgroup_facts(cfg)
     assumed = {"quasi_convex": QUASI_CONVEX_REASON}
 
     sg = schreier_growth(sub.core, cfg.r_schreier, max_states=max_states)
     omega_quotient = sg.rate.rate
     details["coset_counts"] = list(sg.counts.cumulative)
-    details["quotient_fit_error"] = sg.rate.error_bound
 
     if not hypotheses["infinite_index"]:
         # finite index: quotient growth is 0 <= omega_G; theorem inapplicable
@@ -328,42 +331,6 @@ def free_subgroup_witness(g1: Word, g2: Word, M: int, n_letters: int,
         dfs(group.identity(), -1, 0)
     return {"verdict": "PASS", "words_checked": checked, "M": M,
             "mutual_projections": (d12, d21)}
-
-
-def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> dict:
-    """Run the full pipeline set for one (G, H, g0) configuration.
-
-    Produces the growth-gap and quotient-growth reports plus the
-    constriction/property audit of g0, optionally writing one JSON file
-    per report (gap.json, quotient.json, audit.json) and a CSV of the
-    coset counts.  Deterministic given the config.
-    """
-    from pathlib import Path
-
-    from .audits import elementary_properties_audit
-    from .reports import growth_records, render_csv, render_json
-
-    gap = verify_growth_gap(cfg, raise_on_hypothesis=False)
-    quotient = verify_quotient_growth(cfg, raise_on_hypothesis=False)
-    g0 = cfg.g0_word()
-    pm = ProjectionMap(Axis(g0))
-    audit = {
-        "g0": str(g0),
-        "constriction": constriction_audit(pm, cfg.r_audit),
-        "properties": elementary_properties_audit(pm, None, min(cfg.r_audit, 4),
-                                                  seed=cfg.seed).property_rows(),
-    }
-    results = {"config": cfg, "gap": gap.to_dict(), "quotient": quotient.to_dict(),
-               "audit": audit}
-    if out_dir is not None:
-        base = Path(out_dir)
-        base.mkdir(parents=True, exist_ok=True)
-        (base / "gap.json").write_text(render_json({"config": cfg, **gap.to_dict()}))
-        (base / "quotient.json").write_text(render_json({"config": cfg, **quotient.to_dict()}))
-        (base / "audit.json").write_text(render_json(audit))
-        (base / "coset_counts.csv").write_text(render_csv(growth_records(
-            quotient.details["coset_counts"], quotient.omega_quotient)))
-    return results
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ import itertools
 from collections import deque
 
 import numpy as np
+from hypothesis import strategies as st
 
 
 # -- free groups as strings ------------------------------------------------
@@ -266,6 +267,48 @@ def closure_membership(rank: int, gens: list[str], radius: int, pad: int = 4) ->
                     new.add(w)
         frontier = new
     return {w for w in members if len(w) <= radius}
+
+
+# -- random subgroups of F2 (hypothesis strategies) --------------------------
+
+def _reduced(first: str, steps: list[int]) -> str:
+    word = first
+    for i in steps:
+        word += [c for c in "abAB" if c != word[-1].swapcase()][i]
+    return word
+
+
+def reduced_words(n: int):
+    """Hypothesis strategy: reduced words of length n in F2."""
+    return st.builds(_reduced, st.sampled_from("abAB"),
+                     st.lists(st.integers(0, 2), min_size=n - 1, max_size=n - 1))
+
+
+# generator lists of random subgroups of F2
+SUBGROUPS = st.one_of(
+    st.tuples(reduced_words(5), reduced_words(7)).map(list),  # sparse
+    st.integers(2, 6).map(lambda k: ["a" * k, "b" * k]),      # periodic
+    st.integers(1, 6).flatmap(reduced_words).map(lambda w: [w]),  # cyclic, maybe with a stem
+)
+
+
+# -- folded cores and transfer matrices --------------------------------------
+
+def canonical_form(core) -> tuple:
+    """BFS relabeling of a folded core graph from its base, in a fixed
+    edge order.  Two folded cores describe the same subgroup iff their
+    canonical forms are equal."""
+    order = {core.base: 0}
+    queue = deque([core.base])
+    while queue:
+        v = queue.popleft()
+        for side in (core.out[v], core.into[v]):
+            for g in sorted(side):
+                if side[g] not in order:
+                    order[side[g]] = len(order)
+                    queue.append(side[g])
+    edges = tuple(sorted((order[u], g, order[v]) for u, g, v in core.edges))
+    return (len(order), edges)
 
 
 def spectral_radius(matrix: np.ndarray) -> float:

@@ -40,7 +40,7 @@ def test_criterion_01_omega_g_f2(f2):
     counts = ball(f2, 12, max_elements=None)
     # oracle: exact sphere sizes 4 * 3^(r-1)
     assert counts.sphere_sizes == tuple([1] + [4 * 3 ** (r - 1) for r in range(1, 13)])
-    est = growth_rate(counts, "bfs_fit", window=(8, 12))
+    est = growth_rate(counts, window=(8, 12))
     err = abs(est.rate - LOG3)
     elapsed = time.perf_counter() - t0
     assert err < 1e-3

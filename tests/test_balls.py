@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from growthlab import MarkedGroup, ball, ball_elements, growth_rate
+from growthlab import BallCounts, MarkedGroup, ball, ball_elements, growth_rate
 from growthlab.balls import sphere_counts
 from growthlab.errors import BudgetExceeded, WindowTooSmall
 
@@ -95,34 +95,38 @@ def test_work_split_by_first_letter(f2):
 # -- growth rates -----------------------------------------------------------
 
 def test_f2_rate_exact(f2):
-    # spheres 4 * 3^(r-1): exact geometric, rate log 3 to machine precision
-    est = growth_rate(ball(f2, 12), "spectral_radius")
-    assert abs(est.rate - math.log(3)) < 1e-6
-    closed = growth_rate(ball(f2, 12), "closed_form")
-    assert abs(closed.rate - math.log(3)) < 1e-12
+    # balls 2 * 3^r - 1: past r = 36 the -1 is below float resolution, so
+    # the log-slope fit over radii 36..40 is log 3 to machine precision
+    est = growth_rate(ball(f2, 40, max_elements=None))
+    assert est.window == (36, 40)
+    assert abs(est.rate - math.log(3)) < 1e-12
+    assert est.error_bound < 1e-12
 
 
 def test_f2_rate_bfs_fit(f2):
-    est = growth_rate(ball(f2, 12), "bfs_fit", window=(8, 12))
+    est = growth_rate(ball(f2, 12), window=(8, 12))
     assert abs(est.rate - math.log(3)) < 1e-3
     assert est.error_bound < 1e-3
 
 
 def test_trivial_rate():
-    z1 = MarkedGroup.free(1)
-    est = growth_rate(ball(z1, 10), "spectral_radius")
+    # the trivial subgroup's balls are all {1}: slope 0, no residual
+    est = growth_rate(BallCounts.from_spheres([1] + [0] * 10))
     assert est.rate == 0.0
+    assert est.error_bound == 0.0
 
 
 def test_z23_rate_against_transfer_oracle(z23):
     rho = spectral_radius(syllable_transfer_z2z3())
-    est = growth_rate(ball(z23, 14), "spectral_radius")
+    # spheres double every two radii; at radius 40 the fit over the last
+    # five radii is within 1e-3 of log rho
+    est = growth_rate(ball(z23, 40, max_elements=None))
     assert abs(est.rate - math.log(rho)) < 1e-3
 
 
 def test_window_too_small(f2):
     with pytest.raises(WindowTooSmall):
-        growth_rate(ball(f2, 5), "bfs_fit", window=(4, 5))
+        growth_rate(ball(f2, 5), window=(4, 5))
 
 
 def test_sphere_recurrences_hold(z23):

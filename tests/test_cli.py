@@ -1,6 +1,7 @@
 """CLI surface: subcommands, exit codes, file formats, config files."""
 
 import json
+import math
 
 import pytest
 
@@ -97,6 +98,22 @@ def test_quotient_command_csv(sub_file, tmp_path):
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "radius,count,rate_estimate"
     assert lines[1].startswith("0,1,")
+
+
+def test_quotient_rate_exact_below_eta(tmp_path):
+    """--rmax 3 stops short of eta + 2 = 6; the rate is still exactly log 3
+    and the counts stop at radius 3."""
+    sub = tmp_path / "deep.txt"
+    sub.write_text("babbaaBa\nbabaBBAA\nbbaaabba\n")
+    out = tmp_path / "q.json"
+    code = main(["quotient", "--group", "free:2", "--subgroup", str(sub),
+                 "--rmax", "3", "--out", str(out)])
+    assert code == 0
+    payload = json.loads(out.read_text())
+    assert payload["details"]["eta"] == 4
+    assert payload["omega_quotient"] == math.log(3)
+    assert len(payload["details"]["coset_counts"]) == 4
+    assert "quotient_fit_error" not in payload["details"]
 
 
 def test_amalgam_counterexample_exit_code(sub2_file, tmp_path):

@@ -7,13 +7,13 @@ import math
 
 import pytest
 from hypothesis import assume, given, settings
-from hypothesis import strategies as st
 
 from growthlab import MarkedGroup, ball_elements, schreier_growth, stallings_fold
 from growthlab.errors import BudgetExceeded, CrossCheckFailed
-from growthlab.schreier import SchreierAutomaton, coset_key, coset_sphere_sizes
+from growthlab.schreier import (SchreierAutomaton, coset_distance, coset_key,
+                                coset_sphere_sizes)
 
-from oracles import closure_membership, free_ball, free_inverse, free_reduce
+from oracles import SUBGROUPS, closure_membership, free_ball, free_inverse, free_reduce
 
 
 def fold(f2, words):
@@ -62,48 +62,32 @@ def test_finite_index_single_coset(f2):
 
 def test_quotient_rate_cyclic(f2):
     sg = schreier_growth(fold(f2, ["a"]), 14)
-    assert abs(sg.rate.rate - math.log(3)) <= 0.05
+    assert sg.rate.rate == math.log(3)
+    assert (sg.rate.method, sg.rate.window, sg.rate.error_bound) == ("closed_form", (1, 14), 0.0)
 
 
 def test_quotient_rate_rank_two_subgroup(f2):
+    # eta = 1: the identity is checked for 1 < n < 14
     sg = schreier_growth(fold(f2, ["a", "baB"]), 14)
-    assert abs(sg.rate.rate - math.log(3)) <= 0.05
+    assert sg.rate.rate == math.log(3)
+    assert sg.rate.window == (2, 14)
 
 
 def test_coset_distance_examples(f2):
-    aut = SchreierAutomaton(fold(f2, ["a"]))
+    core = fold(f2, ["a"])
     for text, expected in [("1", 0), ("a", 0), ("b", 1), ("ba", 2), ("ab", 1), ("bb", 2)]:
-        assert aut.coset_distance(f2.parse(text)) == expected
+        assert coset_distance(core, f2.parse(text)) == expected
 
 
 def test_coset_distance_is_orbit_distance(f2):
     # d(w, H o) = min |h^-1 w| over h in H, brute-forced over the closure
     gens = ["a", "baB"]
-    aut = SchreierAutomaton(fold(f2, gens))
+    core = fold(f2, gens)
     members = closure_membership(2, gens, 10, pad=4)
     for w in ball_elements(f2, 4):
         brute = min(len(free_reduce("".join(ch.swapcase() for ch in reversed(h)) + str(w).replace("1", "")))
                     for h in members)
-        assert aut.coset_distance(w) == brute
-
-
-def _reduced(first, steps):
-    word = first
-    for i in steps:
-        word += [c for c in "abAB" if c != word[-1].swapcase()][i]
-    return word
-
-
-def reduced_words(n):
-    return st.builds(_reduced, st.sampled_from("abAB"),
-                     st.lists(st.integers(0, 2), min_size=n - 1, max_size=n - 1))
-
-
-SUBGROUPS = st.one_of(
-    st.tuples(reduced_words(5), reduced_words(7)).map(list),  # sparse
-    st.integers(2, 6).map(lambda k: ["a" * k, "b" * k]),      # periodic
-    st.integers(1, 6).flatmap(reduced_words).map(lambda w: [w]),  # cyclic, maybe with a stem
-)
+        assert coset_distance(core, w) == brute
 
 
 @given(SUBGROUPS)
@@ -114,7 +98,6 @@ def test_coset_keys_match_closure_oracle(gens):
     f2 = MarkedGroup.free(2)
     core = fold(f2, gens)
     assume(math.isinf(core.index()))  # H = F2 would make the oracle list all of B(o, 13)
-    aut = SchreierAutomaton(core)
     # |u v^-1| <= 6; a pad of the longest generator covers the
     # cancellation between consecutive generators
     members = closure_membership(2, gens, 6, pad=max(map(len, gens)))
@@ -124,7 +107,7 @@ def test_coset_keys_match_closure_oracle(gens):
         assert (keys[u] == keys[v]) == (free_reduce(u + free_inverse(v)) in members), (u, v)
     for u in words:
         shortest = min(len(v) for v in words if free_reduce(u + free_inverse(v)) in members)
-        assert aut.coset_distance(f2.parse(u)) == shortest, u
+        assert coset_distance(core, f2.parse(u)) == shortest, u
 
 
 def test_state_cap(f2):
@@ -162,3 +145,14 @@ def test_cross_check_failure_raises(f2, monkeypatch):
                         lambda core, r: [1] + [5] * r)
     with pytest.raises(CrossCheckFailed):
         schreier_growth(fold(f2, ["a"]), 6)
+
+
+def test_rate_identity_failure_raises(f2, monkeypatch):
+    """Counts that pass the BFS cross-check but break |S_(n+1)| = 3 |S_n|
+    past eta raise instead of reporting log 3."""
+    import growthlab.schreier as schreier
+    exact = schreier.coset_sphere_sizes
+    monkeypatch.setattr(schreier, "coset_sphere_sizes",
+                        lambda core, r: exact(core, r)[:-1] + [exact(core, r)[-1] + 1])
+    with pytest.raises(CrossCheckFailed):
+        schreier_growth(fold(f2, ["a"]), 8)

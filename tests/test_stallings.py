@@ -15,7 +15,7 @@ from growthlab.balls import sphere_counts
 from growthlab.errors import NotFreeGroup, PowerIterationDiverged
 from growthlab.stallings import power_iteration
 
-from oracles import closure_membership, free_reduce, spectral_radius
+from oracles import canonical_form, closure_membership, free_reduce, spectral_radius
 
 
 def fold(f2, words):
@@ -26,13 +26,13 @@ def fold(f2, words):
 
 def test_fold_single_loop(f2):
     core = fold(f2, ["a"])
-    assert core.canonical_form() == (1, ((0, 0, 0),))
+    assert canonical_form(core) == (1, ((0, 0, 0),))
 
 
 def test_fold_by_hand_two_vertex(f2):
     # <a, bab^-1>: a-loop at base, b-edge to v1, a-loop at v1
     core = fold(f2, ["a", "baB"])
-    assert core.canonical_form() == (2, ((0, 0, 0), (0, 1, 1), (1, 0, 1)))
+    assert canonical_form(core) == (2, ((0, 0, 0), (0, 1, 1), (1, 0, 1)))
 
 
 def test_fold_index_two_subgroup(f2):
@@ -52,15 +52,15 @@ def test_not_free_group(z23):
 
 def test_fold_order_independence(f2):
     gens = ["a", "baB", "bbabb", "aBa"]
-    reference = fold(f2, gens).canonical_form()
+    reference = canonical_form(fold(f2, gens))
     rng = random.Random(7)
     for _ in range(12):
         shuffled = gens[:]
         rng.shuffle(shuffled)
-        assert fold(f2, shuffled).canonical_form() == reference
+        assert canonical_form(fold(f2, shuffled)) == reference
     # idempotent under repetition and inverses
-    assert fold(f2, gens + gens).canonical_form() == reference
-    assert fold(f2, [g.upper()[::-1].swapcase().swapcase() for g in gens] + gens).canonical_form() == reference
+    assert canonical_form(fold(f2, gens + gens)) == reference
+    assert canonical_form(fold(f2, [g.upper()[::-1].swapcase().swapcase() for g in gens] + gens)) == reference
 
 
 @given(st.lists(st.lists(st.sampled_from("abAB"), min_size=1, max_size=5).map("".join),

@@ -5,6 +5,8 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from growthlab import MarkedGroup, Word, stallings_fold
@@ -12,6 +14,7 @@ from growthlab.closure import find_selector_power, geometric_separation_power, f
 from growthlab.errors import CounterexampleFound, HypothesisFailed, PreconditionFailed
 from growthlab.orbits import FiniteSubgroup, FreeSubgroup
 from growthlab.reports import render_json
+from growthlab.series import divergence_diagnostic
 from growthlab.theorems import (ExperimentConfig, amalgam_injectivity,
                                 coarse_quotient_check, free_subgroup_witness,
                                 verify_growth_gap, verify_quotient_growth)
@@ -120,6 +123,20 @@ def test_eta_is_exact_against_the_sampled_audit(k, gens, eta):
         assert quasiconvexity_audit(orbit, r) <= eta
 
 
+@given(st.one_of(oracles.SUBGROUPS, st.just([])), st.integers(3, 20))
+@settings(max_examples=50, deadline=None)
+def test_divergent_matches_poincare_verdict(gens, r):
+    """``divergent`` (the core has an edge) agrees with the Poincare
+    partial-sum verdict at omega_H on sparse, periodic, cyclic and
+    trivial subgroups."""
+    cfg = ExperimentConfig(group="free:2", subgroup=tuple(gens), g0="ab", r_ball=r)
+    rep = verify_growth_gap(cfg, raise_on_hypothesis=False)
+    oracle = divergence_diagnostic(cfg.free_subgroup().core, rep.omega_h, max(r, 15))
+    assert rep.hypotheses["divergent"] == (oracle.verdict == "diverges")
+    assert rep.hypotheses["divergent"] == bool(gens)
+    assert "Coornaert" in rep.assumed["divergence_type"]
+
+
 # -- quotient growth ---------------------------------------------------------------
 
 def test_quotient_cyclic_subgroup():
@@ -133,6 +150,31 @@ def test_quotient_rank_two():
     cfg = ExperimentConfig(group="free:2", subgroup=("a", "baB"), r_schreier=14)
     rep = verify_quotient_growth(cfg)
     assert rep.verdict == "PASS"
+
+
+@pytest.mark.parametrize("k, gens, r, index", [
+    (2, ("a",), 3, math.inf),
+    (2, ("a", "baB"), 6, math.inf),
+    (2, ("babbaaBa", "babaBBAA", "bbaaabba"), 3, math.inf),  # eta = 4 > r - 2
+    (3, ("ab", "cA"), 5, math.inf),
+    (2, ("a", "b"), 3, 1),
+    (2, ("aa", "b", "abA"), 4, 2),
+])
+def test_quotient_rate_is_exact(k, gens, r, index):
+    """omega_{G/H} is exactly log(2k - 1) at infinite index and 0 at finite
+    index, also when r_schreier stops short of eta + 2; the counts keep
+    r_schreier + 1 entries."""
+    cfg = ExperimentConfig(group=f"free:{k}", subgroup=gens, r_schreier=r)
+    rep = verify_quotient_growth(cfg, raise_on_hypothesis=False)
+    assert len(rep.details["coset_counts"]) == r + 1
+    if index == math.inf:
+        assert rep.omega_quotient == math.log(2 * k - 1)
+        assert rep.gap == 0.0
+        assert rep.verdict == "PASS"
+    else:
+        assert rep.details["index"] == index
+        assert rep.omega_quotient == 0.0
+        assert rep.verdict == "INAPPLICABLE"
 
 
 def test_quotient_finite_index_note():
