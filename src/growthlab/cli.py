@@ -14,8 +14,8 @@ case = inverse).  A chain spec is JSON:
  "word": [["h","a"],["k","bbb"]], "radius": 2}.
 --config loads any of the flags from a JSON file; explicit flags win.
 
-Exit codes: 0 pass/complete, 2 hypothesis failed, 3 counterexample found,
-4 budget exceeded.
+Exit codes: 0 pass/complete, 1 bad input (printed as ``error: ...``),
+2 hypothesis failed, 3 counterexample found, 4 budget exceeded.
 """
 
 from __future__ import annotations
@@ -52,6 +52,18 @@ def _read_subgroup(path: str | None) -> tuple[str, ...]:
         return tuple(line.strip() for line in fh if line.strip())
 
 
+def _group(text: str) -> MarkedGroup:
+    try:
+        return MarkedGroup.from_descriptor(text)
+    except ValueError as exc:
+        raise PreconditionFailed(f"bad group {text!r}: {exc}") from None
+
+
+def _at_least(flag: str, value, low) -> None:
+    if value < low:
+        raise PreconditionFailed(f"{flag} must be >= {low}, got {value}")
+
+
 def _emit(payload: dict, args, records=None) -> None:
     if args.format == "csv":
         rows = records if records is not None else flatten_for_csv(payload)
@@ -61,9 +73,9 @@ def _emit(payload: dict, args, records=None) -> None:
 
 
 def _experiment_config(args) -> ExperimentConfig:
-    gens = _read_subgroup(getattr(args, "subgroup", None))
-    kwargs = dict(group=args.group, subgroup=gens, g0=getattr(args, "g0", "") or "")
-    if getattr(args, "rmax", None) is not None:
+    _group(args.group)
+    kwargs = dict(group=args.group, subgroup=_read_subgroup(args.subgroup), g0=args.g0 or "")
+    if args.rmax is not None:
         kwargs["r_ball"] = args.rmax
         kwargs["r_schreier"] = args.rmax
     if getattr(args, "margin", None) is not None:
@@ -73,8 +85,7 @@ def _experiment_config(args) -> ExperimentConfig:
 
 def _sample_radius(args, default: int) -> int:
     r = default if args.rmax is None else args.rmax
-    if r < 1:
-        raise PreconditionFailed(f"--rmax must be >= 1, got {r}")
+    _at_least("--rmax", r, 1)
     return r
 
 
@@ -85,12 +96,11 @@ def cmd_gap(args) -> int:
     except HypothesisFailed as exc:
         _emit(exc.report.to_dict(), args)
         return EXIT_HYPOTHESIS
-    payload = report.to_dict()
     records = None
     if args.format == "csv":
         records = growth_records(itertools.accumulate(report.details["h_counts"]),
                                  report.omega_h)
-    _emit(payload, args, records)
+    _emit(report.to_dict(), args, records)
     return EXIT_OK if report.verdict == "PASS" else EXIT_HYPOTHESIS
 
 
@@ -109,7 +119,8 @@ def cmd_quotient(args) -> int:
 
 
 def cmd_amalgam(args) -> int:
-    group = MarkedGroup.from_descriptor(args.group)
+    _at_least("--syllables", args.syllables, 1)
+    group = _group(args.group)
     sub = FreeSubgroup.from_words(group, [group.parse(w) for w in _read_subgroup(args.subgroup)])
     g = group.parse(args.g0)
     try:
@@ -124,7 +135,7 @@ def cmd_amalgam(args) -> int:
 
 def cmd_audit(args) -> int:
     r = _sample_radius(args, 4)
-    group = MarkedGroup.from_descriptor(args.group)
+    group = _group(args.group)
     g = group.parse(args.axis)
     pm = ProjectionMap(Axis(g))
     rep = constriction_audit(pm, r)
@@ -143,7 +154,7 @@ def cmd_audit(args) -> int:
 def cmd_buffering(args) -> int:
     with open(args.chain) as fh:
         spec = json.load(fh)
-    group = MarkedGroup.from_descriptor(spec["group"])
+    group = _group(spec["group"])
     sub = FreeSubgroup.from_words(group, [group.parse(w) for w in spec["subgroup"]])
     g = group.parse(spec["g"])
     letters = [group.parse(w) for _, w in spec["word"]]
@@ -159,7 +170,8 @@ def cmd_buffering(args) -> int:
 
 
 def cmd_closure(args) -> int:
-    group = MarkedGroup.from_descriptor(args.group)
+    _at_least("--radius", args.radius, 1)
+    group = _group(args.group)
     g = group.parse(args.g0)
     desc = elementary_closure(g, args.radius)
     payload = {
@@ -176,8 +188,10 @@ def cmd_closure(args) -> int:
 
 
 def cmd_selector(args) -> int:
+    _at_least("--epsilon", args.epsilon, 0)
+    _at_least("--theta", args.theta, 0)
     r = _sample_radius(args, 5)
-    group = MarkedGroup.from_descriptor(args.group)
+    group = _group(args.group)
     sub = FreeSubgroup.from_words(group, [group.parse(w) for w in _read_subgroup(args.subgroup)])
     g = group.parse(args.g0)
     m, sel = find_selector_power(g, epsilon=args.epsilon, theta=args.theta,
@@ -188,12 +202,13 @@ def cmd_selector(args) -> int:
     return EXIT_OK if report.verdict == "PASS" else EXIT_HYPOTHESIS
 
 
-def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
+def _apply_config_file(argv: list[str]) -> list[str]:
     if "--config" not in argv:
         return argv
     i = argv.index("--config")
-    path = argv[i + 1]
-    with open(path) as fh:
+    if i + 1 == len(argv):
+        raise PreconditionFailed("--config needs a path")
+    with open(argv[i + 1]) as fh:
         data = json.load(fh)
     injected = []
     for key, value in data.items():
@@ -237,11 +252,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_amalgam)
 
     p = sub.add_parser("audit", help="constriction and projection property audit")
-    p.add_argument("--group", required=True)
+    common(p)
     p.add_argument("--axis", required=True)
-    p.add_argument("--rmax", type=int, default=4)
-    p.add_argument("--out", default=None)
-    p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(func=cmd_audit)
 
     p = sub.add_parser("buffering", help="check a chain spec file")
@@ -268,11 +280,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     argv = list(sys.argv[1:] if argv is None else argv)
-    argv = _apply_config_file(parser, argv)
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(_apply_config_file(argv))
         return args.func(args)
     except BudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
@@ -283,7 +293,7 @@ def main(argv: list[str] | None = None) -> int:
     except HypothesisFailed as exc:
         print(f"{exc}", file=sys.stderr)
         return EXIT_HYPOTHESIS
-    except GrowthLabError as exc:
+    except (GrowthLabError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -17,8 +17,9 @@ where the next letter is missing, with the suffix s unread, and the rest
 of the path runs down the tree hanging off that half-edge.  So (v, s)
 names the coset Hw, and d(H, Hw) = d(v) + |s| (Stallings 1983).
 
-The lazy coset BFS of ``SchreierAutomaton`` (states are right cosets Hg,
-a missing transition mints a fresh coset) backs only the cross-check of
+``coset_key`` lives in ``stallings``, whose membership test reads words
+the same way.  The lazy coset BFS of ``SchreierAutomaton`` (a missing
+transition mints a fresh coset) backs only the radius-4 cross-check of
 the closed form in ``schreier_growth``.
 """
 
@@ -27,98 +28,52 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .balls import BallCounts, GrowthEstimate
 from .errors import BudgetExceeded, CrossCheckFailed
 from .groups import Word
-from .stallings import CoreGraph
-
-DEFAULT_STATE_CAP = 20_000_000
+from .stallings import CoreGraph, coset_key
 
 
 class SchreierAutomaton:
-    """Growable coset automaton for a free-group subgroup.
+    """Lazy BFS over the right cosets Hg, out from H.
 
-    Transitions live in 2k int32 arrays (one per directed letter), -1 for
-    "not yet explored".  Distances are BFS-correct for every completed
-    radius.  Single-writer: completion mutates; share only after use.
+    States 0 .. n_vertices - 1 are the core's vertices; ``delta[s]`` maps
+    a letter (generator i as i, its inverse as k + i) to a state.  A
+    missing transition mints a coset, whose one known transition is the
+    letter back, so the frontier holds it as (state, letter back), with
+    no row; a core vertex is (state, None).
     """
 
-    def __init__(self, core: CoreGraph, max_states: int = DEFAULT_STATE_CAP):
+    def __init__(self, core: CoreGraph):
         self.core = core
-        self.group = core.group
-        self.k = core.group.rank
-        self.max_states = max_states
-        cap = max(64, 2 * core.n_vertices)
-        self.delta = [np.full(cap, -1, dtype=np.int32) for _ in range(2 * self.k)]
-        self.n_states = core.n_vertices
+        k = core.group.rank
+        self.delta = [dict(core.out[v]) for v in range(core.n_vertices)]
         for u, g, v in core.edges:
-            self.delta[g][u] = v
-            self.delta[g + self.k][v] = u
-        self.dist = np.full(cap, -1, dtype=np.int32)
-        self.dist[core.base] = 0
-        self.base = core.base
+            self.delta[v][g + k] = u
+        self.n_states = core.n_vertices
         self.level_sizes = [1]
-        self._frontier = np.array([core.base], dtype=np.int32)
-
-    @property
-    def completed_radius(self) -> int:
-        return len(self.level_sizes) - 1
-
-    def _grow(self, needed: int):
-        cap = len(self.dist)
-        if needed <= cap:
-            return
-        new_cap = cap
-        while new_cap < needed:
-            new_cap *= 2
-        for i in range(2 * self.k):
-            arr = np.full(new_cap, -1, dtype=np.int32)
-            arr[:cap] = self.delta[i]
-            self.delta[i] = arr
-        d = np.full(new_cap, -1, dtype=np.int32)
-        d[:cap] = self.dist
-        self.dist = d
+        self._seen = {core.base}
+        self._frontier = [(core.base, None)]
 
     def complete_to(self, radius: int):
-        """Run the level-synchronized BFS out to the given radius."""
-        while self.completed_radius < radius:
-            frontier = self._frontier
-            if frontier.size == 0:
-                self.level_sizes.append(0)
-                continue
-            next_parts = []
-            level = self.completed_radius + 1
-            for gi in range(2 * self.k):
-                arr = self.delta[gi]
-                targets = arr[frontier]
-                missing = targets == -1
-                n_new = int(missing.sum())
-                if n_new:
-                    if self.n_states + n_new > self.max_states:
-                        raise BudgetExceeded(
-                            f"Schreier automaton exceeded {self.max_states} states")
-                    self._grow(self.n_states + n_new)
-                    arr = self.delta[gi]
-                    new_ids = np.arange(self.n_states, self.n_states + n_new, dtype=np.int32)
-                    src = frontier[missing]
-                    arr[src] = new_ids
-                    inv = gi + self.k if gi < self.k else gi - self.k
-                    self.delta[inv][new_ids] = src
-                    self.dist[new_ids] = level
-                    self.n_states += n_new
-                    next_parts.append(new_ids)
-                known = targets[~missing]
-                if known.size:
-                    fresh = known[self.dist[known] == -1]
-                    if fresh.size:
-                        fresh = np.unique(fresh)
-                        self.dist[fresh] = level
-                        next_parts.append(fresh)
-            self._frontier = (np.unique(np.concatenate(next_parts))
-                              if next_parts else np.array([], dtype=np.int32))
-            self.level_sizes.append(int(self._frontier.size))
+        """Run the BFS out to the given radius, one level at a time."""
+        k = self.core.group.rank
+        while len(self.level_sizes) <= radius:
+            level = []
+            for s, back in self._frontier:
+                row = self.delta[s] if back is None else {}
+                for letter in range(2 * k):
+                    if letter == back:
+                        continue
+                    t = row.get(letter)
+                    if t is None:
+                        level.append((self.n_states, (letter + k) % (2 * k)))
+                        self.n_states += 1
+                    elif t not in self._seen:
+                        self._seen.add(t)
+                        level.append((t, None))
+            self._frontier = level
+            self.level_sizes.append(len(level))
 
     def coset_distance(self, w: Word) -> int:
         """``coset_distance`` of the automaton's core; kept as a method because
@@ -126,49 +81,14 @@ class SchreierAutomaton:
         return coset_distance(self.core, w)
 
     def mirror_level_sizes(self, radius: int) -> list[int]:
-        """Level sizes of the left-coset BFS (follows inverse letters).
+        """Level sizes of the left-coset BFS, which follows inverse letters.
 
-        Realizes the bijection gH -> Hg^-1 as a traversal; no completion
-        happens here, so complete_to(radius) must run first.
+        Every transition is known both ways, and as a letter runs over all 2k
+        letters so does its inverse, so that BFS from the base reaches the
+        same states at the same levels: the sizes are ``level_sizes``.
         """
         self.complete_to(radius)
-        seen = np.full(self.n_states, False)
-        seen[self.base] = True
-        frontier = np.array([self.base], dtype=np.int32)
-        sizes = [1]
-        for _ in range(radius):
-            parts = []
-            for gi in range(2 * self.k):
-                inv = gi + self.k if gi < self.k else gi - self.k
-                targets = self.delta[inv][frontier]
-                targets = targets[targets != -1]
-                targets = targets[~seen[targets]]
-                if targets.size:
-                    targets = np.unique(targets)
-                    seen[targets] = True
-                    parts.append(targets)
-            frontier = (np.unique(np.concatenate(parts))
-                        if parts else np.array([], dtype=np.int32))
-            sizes.append(int(frontier.size))
-        return sizes
-
-
-def coset_key(core: CoreGraph, w: Word) -> tuple[int, tuple[int, ...]]:
-    """The key (v, s) of the coset Hw, read off the core in O(|w|).
-
-    v is the core vertex where reading the reduced word w stops and s the
-    unread suffix, empty when w ends inside the core; Hu = Hw iff their
-    keys agree.  Runs no BFS.
-    """
-    out, into = core.out, core.into
-    v = core.base
-    letters = w.letters()
-    for i, l in enumerate(letters):
-        nxt = out[v].get(l - 1) if l > 0 else into[v].get(-l - 1)
-        if nxt is None:
-            return v, tuple(letters[i:])
-        v = nxt
-    return v, ()
+        return self.level_sizes[:radius + 1]
 
 
 def coset_distance(core: CoreGraph, w: Word) -> int:
@@ -189,8 +109,8 @@ def coset_sphere_sizes(core: CoreGraph, r_max: int) -> list[int]:
     """|{Hg : d(H, Hg) = n}| for n = 0..r_max, core plus hanging forest.
 
     With M_d the number of missing half-edges at core depth d
-    (``CoreGraph.depths``), the forest
-    part obeys F_0 = 0 and F_n = (2k - 1) F_{n-1} + M_{n-1}.
+    (``CoreGraph.depths``), the forest part obeys F_0 = 0 and
+    F_n = (2k - 1) F_{n-1} + M_{n-1}.
     """
     k2 = 2 * core.group.rank
     at_depth = [0] * (r_max + 1)
@@ -198,7 +118,7 @@ def coset_sphere_sizes(core: CoreGraph, r_max: int) -> list[int]:
     for v, d in core.depths.items():
         if d <= r_max:
             at_depth[d] += 1
-            missing[d] += k2 - len(core.out[v]) - len(core.into[v])
+            missing[d] += k2 - len(core.by_tail[v])
     sizes = []
     forest = 0
     for n in range(r_max + 1):

@@ -1,8 +1,9 @@
 """Stallings core graphs for finitely generated subgroups of free groups.
 
 A core graph is a folded, connected, base-pointed graph with edges labeled
-by positive generators; a reduced word lies in the subgroup iff it labels a
-base-to-base path (inverse letters traverse edges backwards).  Reduced
+by positive generators; inverse letters traverse edges backwards.  Words
+are read through it in one way, ``coset_key``, and a reduced word lies in
+the subgroup iff it labels a base-to-base path.  Reduced
 words of the subgroup correspond exactly to non-backtracking base-to-base
 paths, so |B_G(o,r) & H| is a non-backtracking path count: a dynamic
 program over the successor lists of the directed half-edges, in Python
@@ -44,25 +45,16 @@ class CoreGraph:
 
     # -- membership and index -------------------------------------------
 
-    def trace(self, w: Word, start: int | None = None) -> int | None:
-        """Follow the letters of w from a vertex; None when a step is missing."""
-        v = self.base if start is None else start
-        for l in w.letters():
-            v = self.out[v].get(l - 1) if l > 0 else self.into[v].get(-l - 1)
-            if v is None:
-                return None
-        return v
-
     def contains(self, w: Word) -> bool:
-        return self.trace(w) == self.base
+        return coset_key(self, w) == (self.base, ())
 
     def index(self) -> int | float:
-        """Subgroup index: the vertex count if the graph is complete, else inf."""
-        k = self.group.rank
-        for v in range(self.n_vertices):
-            if len(self.out[v]) < k or len(self.into[v]) < k:
-                return math.inf
-        return self.n_vertices
+        """Subgroup index: the vertex count if the graph is complete, else inf.
+
+        No vertex has more than k edges out or k in, so the graph is
+        complete iff it has k edges per vertex."""
+        complete = len(self.edges) == self.group.rank * self.n_vertices
+        return self.n_vertices if complete else math.inf
 
     @functools.cached_property
     def depths(self) -> dict[int, int]:
@@ -88,28 +80,28 @@ class CoreGraph:
 
     # -- enumeration ------------------------------------------------------
 
-    def directed_edges(self) -> list[tuple[int, int, int, int]]:
-        """Directed halves (tail, head, letter, edge_id); reverse is id^1."""
-        out = []
-        for eid, (u, g, v) in enumerate(self.edges):
-            out.append((u, v, g + 1, 2 * eid))
-            out.append((v, u, -(g + 1), 2 * eid + 1))
-        return out
+    @functools.cached_property
+    def by_tail(self) -> tuple[tuple[tuple[int, int, int], ...], ...]:
+        """The half-edges (id, head, letter) leaving each vertex, by id.
+
+        Edge e = (u, g, v) is half-edge 2e from u, reading g + 1, and its
+        reverse 2e + 1 from v, reading -(g + 1); so i ^ 1 reverses i.
+        """
+        table: list[list[tuple[int, int, int]]] = [[] for _ in range(self.n_vertices)]
+        for e, (u, g, v) in enumerate(self.edges):
+            table[u].append((2 * e, v, g + 1))
+            table[v].append((2 * e + 1, u, -(g + 1)))
+        return tuple(map(tuple, table))
 
     def elements_in_ball(self, radius: int) -> Iterator[Word]:
         """All subgroup elements of length <= radius (identity included)."""
         yield self.group.identity()
-        halves = self.directed_edges()
-        by_tail: dict[int, list[tuple[int, int, int, int]]] = {}
-        for h in halves:
-            by_tail.setdefault(h[0], []).append(h)
-
         letters: list[int] = []
 
         def walk(vertex: int, last_id: int) -> Iterator[Word]:
             if len(letters) >= radius:
                 return
-            for (_, head, letter, did) in by_tail.get(vertex, ()):
+            for did, head, letter in self.by_tail[vertex]:
                 if did == last_id ^ 1:
                     continue
                 letters.append(letter)
@@ -124,15 +116,14 @@ class CoreGraph:
     def successors(self) -> tuple[tuple[int, ...], ...]:
         """Non-backtracking successors of every directed half-edge.
 
-        Half-edge i (as numbered by ``directed_edges``) may be followed by
-        every half-edge leaving its head except its own reverse, i ^ 1.
+        Half-edge i (as numbered by ``by_tail``) may be followed by every
+        half-edge leaving its head except its own reverse, i ^ 1.
         """
-        halves = self.directed_edges()
-        by_tail: list[list[int]] = [[] for _ in range(self.n_vertices)]
-        for i, (tail, _, _, _) in enumerate(halves):
-            by_tail[tail].append(i)
-        return tuple(tuple(j for j in by_tail[head] if j != i ^ 1)
-                     for i, (_, head, _, _) in enumerate(halves))
+        succ: list[tuple[int, ...]] = [()] * (2 * len(self.edges))
+        for halves in self.by_tail:
+            for i, head, _ in halves:
+                succ[i] = tuple(j for j, _, _ in self.by_tail[head] if j != i ^ 1)
+        return tuple(succ)
 
     def counts_by_length(self, r_max: int) -> list[int]:
         """|{h in H : |h| = n}| for n = 0..r_max, exact at any radius.
@@ -140,10 +131,11 @@ class CoreGraph:
         ways[i] counts the non-backtracking paths from the base whose last
         half-edge is i; each step pushes them along the successor lists.
         """
-        halves = self.directed_edges()
-        ways = [1 if tail == self.base else 0 for tail, _, _, _ in halves]
-        ends = [i for i, (_, head, _, _) in enumerate(halves) if head == self.base]
         succ = self.successors
+        ways = [0] * len(succ)
+        for i, _, _ in self.by_tail[self.base]:
+            ways[i] = 1
+        ends = [i ^ 1 for i, _, _ in self.by_tail[self.base]]
         counts = [1]
         for _ in range(r_max):
             counts.append(sum(ways[i] for i in ends))
@@ -190,16 +182,42 @@ class CoreGraph:
         return f"CoreGraph({self.n_vertices} vertices, {len(self.edges)} edges)"
 
 
+def coset_key(core: CoreGraph, w: Word) -> tuple[int, tuple[int, ...]]:
+    """The key (v, s) of the coset Hw, read off the core in O(|w|).
+
+    v is the core vertex where reading the reduced word w from the base
+    stops and s the unread suffix, empty when w ends inside the core.
+    Hu = Hw iff their keys agree, and w lies in H iff its key is (base, ()).
+    """
+    v = core.base
+    letters = w.letters()
+    for i, l in enumerate(letters):
+        nxt = core.out[v].get(l - 1) if l > 0 else core.into[v].get(-l - 1)
+        if nxt is None:
+            return v, tuple(letters[i:])
+        v = nxt
+    return v, ()
+
+
 def stallings_fold(group: MarkedGroup, generators: Sequence[Word]) -> CoreGraph:
-    """Fold the wedge of generator loops into the subgroup's core graph."""
+    """Fold the wedge of generator loops into the subgroup's core graph.
+
+    Each generator becomes a loop at the base, vertex 0.  Whole passes
+    unite the heads of equal-labelled edges out of one vertex, and the
+    tails of those into one, until a pass makes no union; a union keeps
+    the smaller id, so the base represents its class.
+
+    No vertex needs pruning.  Words are reduced, so the two half-edges at
+    each interior vertex of a generator loop carry different labels.
+    Folding only merges vertices, and identifies two half-edges only when
+    they leave one vertex with one label, so every class keeps two
+    half-edges: no vertex but the base ends with degree 1.  So the core's
+    vertices are all the classes, numbered in the order of their least ids.
+    """
     if not group.is_free:
         raise NotFreeGroup("Stallings graphs require a free group")
 
     parent: list[int] = [0]
-
-    def new_vertex() -> int:
-        parent.append(len(parent))
-        return len(parent) - 1
 
     def find(v: int) -> int:
         while parent[v] != v:
@@ -207,10 +225,12 @@ def stallings_fold(group: MarkedGroup, generators: Sequence[Word]) -> CoreGraph:
             v = parent[v]
         return v
 
-    def union(u: int, v: int):
+    def union(u: int, v: int) -> bool:
         u, v = find(u), find(v)
-        if u != v:
-            parent[max(u, v)] = min(u, v)
+        if u == v:
+            return False
+        parent[max(u, v)] = min(u, v)
+        return True
 
     base = 0
     edges: list[tuple[int, int, int]] = []
@@ -218,60 +238,29 @@ def stallings_fold(group: MarkedGroup, generators: Sequence[Word]) -> CoreGraph:
         if w.group != group:
             raise NotFreeGroup("generator from a different group")
         letters = w.letters()
-        if not letters:
-            continue
-        cur = base
-        for idx, l in enumerate(letters):
-            nxt = base if idx == len(letters) - 1 else new_vertex()
+        fresh = list(range(len(parent), len(parent) + len(letters) - 1))
+        parent.extend(fresh)
+        loop = [base, *fresh, base]
+        for cur, l, nxt in zip(loop, letters, loop[1:]):
             if l > 0:
                 edges.append((cur, l - 1, nxt))
             else:
                 edges.append((nxt, -l - 1, cur))
-            cur = nxt
 
-    # fold: repeatedly identify targets of equal-labeled parallel edges
-    changed = True
-    while changed:
-        changed = False
-        seen_out: dict[tuple[int, int], int] = {}
-        seen_in: dict[tuple[int, int], int] = {}
+    merged = True
+    while merged:
+        merged = False
+        heads: dict[tuple[int, int], int] = {}
+        tails: dict[tuple[int, int], int] = {}
         for u, g, v in edges:
             u, v = find(u), find(v)
-            if (u, g) in seen_out and seen_out[(u, g)] != v:
-                union(v, seen_out[(u, g)])
-                changed = True
-                break
-            seen_out[(u, g)] = v
-            if (v, g) in seen_in and seen_in[(v, g)] != u:
-                union(u, seen_in[(v, g)])
-                changed = True
-                break
-            seen_in[(v, g)] = u
+            merged |= union(v, heads.setdefault((u, g), v))
+            merged |= union(u, tails.setdefault((v, g), u))
 
-    folded = {(find(u), g, find(v)) for u, g, v in edges}
-
-    # prune hanging non-base vertices (possible only from degenerate input)
-    while True:
-        degree: dict[int, int] = {}
-        for u, g, v in folded:
-            degree[u] = degree.get(u, 0) + 1
-            degree[v] = degree.get(v, 0) + 1
-        hanging = {v for v, d in degree.items() if d <= 1 and v != find(base)}
-        if not hanging:
-            break
-        folded = {(u, g, v) for u, g, v in folded if u not in hanging and v not in hanging}
-
-    vertices = {find(base)}
-    for u, g, v in folded:
-        vertices.add(u)
-        vertices.add(v)
-    relabel = {v: i for i, v in enumerate(sorted(vertices, key=lambda x: (x != find(base), x)))}
-    return CoreGraph(
-        group,
-        n_vertices=len(vertices),
-        edges=[(relabel[u], g, relabel[v]) for u, g, v in folded],
-        base=relabel[find(base)],
-    )
+    classes = sorted({find(v) for v in range(len(parent))})
+    relabel = {v: i for i, v in enumerate(classes)}
+    folded = {(relabel[find(u)], g, relabel[find(v)]) for u, g, v in edges}
+    return CoreGraph(group, n_vertices=len(classes), edges=folded)
 
 
 # -- relative growth ------------------------------------------------------

@@ -32,8 +32,8 @@ from .errors import (CounterexampleFound, CQViolation, HypothesisFailed,
                      PreconditionFailed)
 from .groups import MarkedGroup, Word, distance, is_torsion
 from .orbits import FreeSubgroup
-from .schreier import coset_key, coset_sphere_sizes, schreier_growth
-from .stallings import relative_growth
+from .schreier import coset_sphere_sizes, schreier_growth
+from .stallings import coset_key, relative_growth
 
 QUASI_CONVEX_REASON = ("finitely generated subgroups of F_k are quasi-convex; "
                        "eta is the largest core depth")

@@ -79,12 +79,42 @@ def test_rmax_below_three_is_an_error(command, sub_file, tmp_path, capsys):
     (["audit", "--axis", "ab", "--rmax", "-1"], "error: --rmax must be >= 1"),
     (["selector", "--g0", "b", "--rmax", "0"], "error: --rmax must be >= 1"),
     (["selector", "--g0", "b", "--rmax", "-2"], "error: --rmax must be >= 1"),
+    (["closure", "--g0", "ab", "--radius", "0"], "error: --radius must be >= 1"),
+    (["amalgam", "--g0", "b", "--syllables", "0"], "error: --syllables must be >= 1"),
+    (["selector", "--g0", "b", "--theta", "-1"], "error: --theta must be >= 0"),
+    (["selector", "--g0", "b", "--epsilon", "-3"], "error: --epsilon must be >= 0"),
 ])
 def test_zero_and_negative_values_are_errors(args, message, sub_file, tmp_path, capsys):
     out = tmp_path / "r.json"
-    if args[0] != "audit":
+    if args[0] not in ("audit", "closure"):
         args = args + ["--subgroup", sub_file]
     code = main(args + ["--group", "free:2", "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(message)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args, message", [
+    (["gap", "--group", "free:x", "--subgroup", "{sub}"], "error: bad group 'free:x'"),
+    (["quotient", "--group", "free:0", "--subgroup", "{sub}"], "error: bad group 'free:0'"),
+    (["amalgam", "--group", "product:1,3", "--subgroup", "{sub}", "--g0", "b"],
+     "error: bad group 'product:1,3'"),
+    (["gap", "--group", "free:2", "--subgroup", "{missing}"], "error: [Errno 2]"),
+    (["buffering", "--chain", "{missing}"], "error: [Errno 2]"),
+    (["gap", "--group", "free:2", "--subgroup", "{sub}", "--config"],
+     "error: --config needs a path"),
+    (["gap", "--group", "free:2", "--config", "{missing}"], "error: [Errno 2]"),
+    (["gap", "--group", "free:2", "--config", "{bad_json}"], "error: Expecting"),
+])
+def test_bad_outside_input_is_an_error(args, message, sub_file, tmp_path, capsys):
+    """Malformed groups, missing files and a bad --config print one error
+    line and exit 1 instead of raising."""
+    bad_json = tmp_path / "bad.json"
+    bad_json.write_text("{")
+    args = [a.format(sub=sub_file, missing=tmp_path / "missing", bad_json=bad_json)
+            for a in args]
+    out = tmp_path / "r.json"
+    code = main(args[:1] + ["--out", str(out)] + args[1:])
     assert code == 1
     assert capsys.readouterr().err.startswith(message)
     assert not out.exists()

@@ -7,6 +7,7 @@ import math
 
 import pytest
 from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from growthlab import MarkedGroup, ball_elements, schreier_growth, stallings_fold
 from growthlab.errors import BudgetExceeded, CrossCheckFailed
@@ -110,11 +111,6 @@ def test_coset_keys_match_closure_oracle(gens):
         assert coset_distance(core, f2.parse(u)) == shortest, u
 
 
-def test_state_cap(f2):
-    with pytest.raises(BudgetExceeded):
-        SchreierAutomaton(fold(f2, ["a"]), max_states=50).complete_to(8)
-
-
 @pytest.mark.parametrize("rank, gens, radius", [
     (2, ["a"], 12), (2, ["a", "baB"], 12), (2, ["aa", "ab", "ba"], 12), (3, ["ab", "cA"], 9)])
 def test_coset_formula_equals_bfs(rank, gens, radius):
@@ -123,6 +119,27 @@ def test_coset_formula_equals_bfs(rank, gens, radius):
     aut = SchreierAutomaton(core)
     aut.complete_to(radius)
     assert coset_sphere_sizes(core, radius) == aut.level_sizes[:radius + 1]
+
+
+@given(st.one_of(SUBGROUPS.map(lambda gens: (2, gens)),
+                 st.sampled_from([(3, ["ab", "cA"]), (3, ["BBB", "aBCC"])])),
+       st.integers(0, 5))
+@settings(max_examples=60, deadline=None)
+def test_coset_bfs_matches_closed_form(subgroup, radius):
+    """The lazy coset BFS, completed in two steps, has the closed form's
+    sphere sizes, the same left-coset levels, and one state per core
+    vertex plus one per minted coset within the radius."""
+    rank, gens = subgroup
+    group = MarkedGroup.free(rank)
+    core = stallings_fold(group, [group.parse(w) for w in gens])
+    aut = SchreierAutomaton(core)
+    aut.complete_to(radius // 2)
+    aut.complete_to(radius)
+    sizes = coset_sphere_sizes(core, radius)
+    assert aut.level_sizes == sizes
+    assert aut.mirror_level_sizes(radius) == aut.level_sizes[:radius + 1]
+    core_within = sum(1 for d in core.depths.values() if d <= radius)
+    assert aut.n_states == core.n_vertices + sum(sizes) - core_within
 
 
 def test_coset_formula_large_radius(f2):

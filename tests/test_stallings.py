@@ -13,9 +13,11 @@ from hypothesis import strategies as st
 from growthlab import MarkedGroup, ball_elements, relative_growth, stallings_fold
 from growthlab.balls import sphere_counts
 from growthlab.errors import NotFreeGroup, PowerIterationDiverged
+from growthlab.schreier import coset_key
 from growthlab.stallings import power_iteration
 
-from oracles import canonical_form, closure_membership, free_reduce, spectral_radius
+from oracles import (canonical_form, closure_membership, free_inverse, free_letters,
+                     free_reduce, spectral_radius)
 
 
 def fold(f2, words):
@@ -73,6 +75,39 @@ def test_fold_membership_against_closure(gens):
     for w in ball_elements(f2, 3):
         key = free_reduce(str(w)) if not w.is_identity else ""
         assert core.contains(w) == (key in members)
+
+
+@st.composite
+def generators_and_probes(draw):
+    """A rank, 1-4 generators of F2 or F3 and 5 probe words.  Generators
+    may be the identity or conjugates u v u^-1, which are usually not
+    cyclically reduced."""
+    rank = draw(st.sampled_from([2, 3]))
+    word = st.lists(st.sampled_from(free_letters(rank)), max_size=6).map("".join)
+    conjugate = st.tuples(word, word).map(lambda uv: uv[0] + uv[1] + free_inverse(uv[0]))
+    gens = draw(st.lists(st.one_of(word, conjugate, st.just("")), min_size=1, max_size=4))
+    return rank, gens, draw(st.lists(word, min_size=5, max_size=5))
+
+
+@given(generators_and_probes())
+@settings(max_examples=200, deadline=None)
+def test_fold_leaves_no_hanging_vertex(case):
+    """Every non-base vertex of the folded core has degree >= 2, and
+    membership is the coset key (base, ()) on generators, their
+    quotients and random probes."""
+    rank, gens, probes = case
+    group = MarkedGroup.free(rank)
+    words = [group.parse(w) for w in gens]
+    core = stallings_fold(group, words)
+    degree = [0] * core.n_vertices
+    for u, _, v in core.edges:
+        degree[u] += 1
+        degree[v] += 1
+    assert all(d >= 2 for v, d in enumerate(degree) if v != core.base)
+    members = words + [u * v.inverse() for u in words for v in words]
+    assert all(core.contains(w) for w in members)
+    for w in members + [group.parse(p) for p in probes]:
+        assert core.contains(w) == (coset_key(core, w) == (core.base, ()))
 
 
 # -- contains / index ----------------------------------------------------------
