@@ -16,6 +16,10 @@ distances to projection vertices by id.  Each pair spells its geodesics
 once, from the single product x^-1 y, and walks them through the id
 table: the canonical geodesic for (3) and (4), and every tie arc (both
 arcs of a syllable x^(m/2)) for CS2, (7) and eta.
+
+Every audit has one fixed design: a scan refuses more than
+``DEFAULT_PAIR_CAP`` pairs, and properties (6) and (7) sample with seed 0
+(see ``elementary_properties_audit``).
 """
 
 from __future__ import annotations
@@ -30,6 +34,9 @@ from .errors import BudgetExceeded
 from .groups import Word, distance
 
 DEFAULT_PAIR_CAP = 2_000_000
+QG_GRID = ((1, 0), (1, 2), (2, 2), (2, 4))  # (kappa, lambda) quasi-geodesic constants
+QG_SAMPLES = 40  # perturbed axis geodesics per grid point
+PERTURBATIONS = (0, 1)  # random steps applied to each axis vertex
 
 
 class _Vertices:
@@ -151,8 +158,7 @@ class ConstrictionReport:
         return max(self.delta_cs1, self.delta_cs2)
 
 
-def constriction_audit(pm: ProjectionMap, sample_radius: int,
-                       pair_cap: int = DEFAULT_PAIR_CAP) -> ConstrictionReport:
+def constriction_audit(pm: ProjectionMap, sample_radius: int) -> ConstrictionReport:
     """Minimal delta certifying CS1 and CS2 over all pairs in B(o, r).
 
     CS2 is checked against every geodesic between each pair (unique in a
@@ -162,10 +168,10 @@ def constriction_audit(pm: ProjectionMap, sample_radius: int,
     min(d_A(x, y), worst approach distance of its geodesics).
     """
     group = pm.group
-    points = list(ball_elements(group, sample_radius, max_elements=pair_cap))
+    points = list(ball_elements(group, sample_radius, max_elements=DEFAULT_PAIR_CAP))
     n = len(points)
-    if n * n > pair_cap:
-        raise BudgetExceeded(f"{n * n} pairs exceed cap {pair_cap}")
+    if n * n > DEFAULT_PAIR_CAP:
+        raise BudgetExceeded(f"{n * n} pairs exceed cap {DEFAULT_PAIR_CAP}")
 
     # CS1: points of the axis must project to themselves.
     delta_cs1 = 0
@@ -183,16 +189,15 @@ def constriction_audit(pm: ProjectionMap, sample_radius: int,
                               samples=n * (n - 1) // 2)
 
 
-def quasiconvexity_audit(orbit, sample_radius: int,
-                         pair_cap: int = DEFAULT_PAIR_CAP) -> int:
+def quasiconvexity_audit(orbit, sample_radius: int) -> int:
     """Empirical quasi-convexity constant eta of an orbit.
 
     Max over endpoint pairs in Y & B(o, r) and over all geodesics between
     them of the distance from a geodesic vertex to Y (exact distances).
     """
     points = orbit.sample_in_ball(sample_radius)
-    if len(points) ** 2 > pair_cap:
-        raise BudgetExceeded(f"{len(points) ** 2} pairs exceed cap {pair_cap}")
+    if len(points) ** 2 > DEFAULT_PAIR_CAP:
+        raise BudgetExceeded(f"{len(points) ** 2} pairs exceed cap {DEFAULT_PAIR_CAP}")
     vx = _Vertices(orbit.group)
     words = vx.words
     ids = [vx.id(x) for x in points]
@@ -270,23 +275,18 @@ def _quasi_geodesic_ok(path: list[Word], kappa: float, lam: float) -> bool:
 
 
 def elementary_properties_audit(pm_a: ProjectionMap, pm_b: ProjectionMap | None,
-                                sample_radius: int, delta: int = 0,
-                                qg_grid: tuple = ((1, 0), (1, 2), (2, 2), (2, 4)),
-                                qg_samples: int = 40,
-                                perturbations: tuple = (0, 1),
-                                seed: int = 0,
-                                pair_cap: int = DEFAULT_PAIR_CAP) -> AuditTable:
+                                sample_radius: int) -> AuditTable:
     """Measure the seven elementary properties over an exhaustive ball.
 
-    ``delta`` is the constriction constant used for the intersection-image
-    thickening (0 on trees).  Property (5) needs ``pm_b``.  Properties (6)
-    and (7) are sampled with a seeded generator: (6) over perturbed axis
-    geodesics per (kappa, lambda) grid point, (7) over epsilon-perturbed
-    copies of the axis vertex set.
+    Property (4) thickens the axis by 0, on free products too, where the
+    CS2 constant can be 1.  Property (5) needs ``pm_b``.  Properties (6)
+    and (7) use one design, seeded with 0: QG_SAMPLES spur-perturbed axis
+    geodesics per (kappa, lambda) in QG_GRID, and the axis vertex set
+    moved by epsilon random steps for each epsilon in PERTURBATIONS.
     """
     group = pm_a.group
-    points = list(ball_elements(group, sample_radius, max_elements=pair_cap))
-    rng = random.Random(seed)
+    points = list(ball_elements(group, sample_radius, max_elements=DEFAULT_PAIR_CAP))
+    rng = random.Random(0)
     window = sample_radius + 2 * max(pm_a.axis.translation_length, 1) + \
         pm_a.axis.conjugator.length + 2
 
@@ -332,7 +332,7 @@ def elementary_properties_audit(pm_a: ProjectionMap, pm_b: ProjectionMap | None,
                 theta3 = max(theta3, excess)
                 witnesses["lipschitz"] = f"x={wx}, y={words[y]}"
             path = [project(v) for v in vx.walk(x, w.letters())]
-            on_axis = [i for i, (_, d, _) in enumerate(path) if d <= delta]
+            on_axis = [i for i, (_, d, _) in enumerate(path) if d == 0]
             diam_inter = (on_axis[-1] - on_axis[0]) if on_axis else 0
             positions = [t for t, _, _ in path]
             diam_proj = max(positions) - min(positions)
@@ -359,11 +359,11 @@ def elementary_properties_audit(pm_a: ProjectionMap, pm_b: ProjectionMap | None,
     sigma_rows = []
     off_letters = list(range(1, group.rank + 1)) + [-i for i in range(1, group.rank + 1)]
     step = group.letter_table
-    for kappa, lam in qg_grid:
+    for kappa, lam in QG_GRID:
         accepted = 0
         sigma = 0
         max_spur = int(lam // 2)
-        for _ in range(qg_samples):
+        for _ in range(QG_SAMPLES):
             t0 = rng.randint(-sample_radius, 0)
             t1 = rng.randint(1, sample_radius)
             path = [pm_a.axis.vertex(t) for t in range(t0, t1 + 1)]
@@ -394,9 +394,9 @@ def elementary_properties_audit(pm_a: ProjectionMap, pm_b: ProjectionMap | None,
     # (7) coarse invariance: epsilon-perturbed axis sets stay constricting
     zeta_rows = []
     small_r = min(sample_radius, 3)
-    small_points = list(ball_elements(group, small_r, max_elements=pair_cap))
+    small_points = list(ball_elements(group, small_r, max_elements=DEFAULT_PAIR_CAP))
     small_ids = [vx.id(x) for x in small_points]
-    for eps in perturbations:
+    for eps in PERTURBATIONS:
         b_set = []
         for _, v in pm_a.axis.vertices_in_ball(window):
             w = v

@@ -69,10 +69,6 @@ class Axis:
     def vertex(self, t: int) -> Word:
         return self._line(t)
 
-    def translated(self, u: Word) -> "Axis":
-        """The axis u A of the conjugate u g u^-1."""
-        return Axis(self.element.conjugated_by(u))
-
     def vertices_in_ball(self, radius: int) -> list[tuple[int, Word]]:
         """All (t, vertex) with |vertex| <= radius."""
         out = []

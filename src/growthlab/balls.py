@@ -115,14 +115,8 @@ def ball_elements(
     group: MarkedGroup,
     radius: int,
     max_elements: int | None = DEFAULT_ELEMENT_CAP,
-    first_gen: int | None = None,
 ) -> Iterator[Word]:
-    """Stream every element of B(o, radius) exactly once (DFS order).
-
-    ``first_gen`` restricts to elements whose leading syllable uses that
-    generator (plus the identity when first_gen is None), which gives a
-    deterministic work split across processes.
-    """
+    """Stream every element of B(o, radius) exactly once (DFS order)."""
     count = 0
 
     def bump():
@@ -131,10 +125,10 @@ def ball_elements(
         if max_elements is not None and count > max_elements:
             raise BudgetExceeded(f"enumeration exceeded cap {max_elements}")
 
-    def extensions(prefix: list, cost: int, last: int, only: int | None = None) -> Iterator[Word]:
+    def extensions(prefix: list, cost: int, last: int) -> Iterator[Word]:
         budget = radius - cost
         for i in range(group.rank):
-            if i == last or (only is not None and i != only):
+            if i == last:
                 continue
             m = group.orders[i]
             if m == 0:
@@ -158,12 +152,9 @@ def ball_elements(
                     yield from extensions(prefix, cost + t, i)
                     prefix.pop()
 
-    if first_gen is None:
-        bump()
-        yield group.identity()
-        yield from extensions([], 0, -1)
-    else:
-        yield from extensions([], 0, -1, only=first_gen)
+    bump()
+    yield group.identity()
+    yield from extensions([], 0, -1)
 
 
 # -- growth-rate estimation ---------------------------------------------

@@ -68,25 +68,22 @@ class BufferingVerdict:
     bs4: tuple = ()  # per i: projected gap between neighbour Y-sets
 
 
-def check_buffering(seq: BufferingSequence, params: BufferingParams,
-                    window: int | None = None) -> BufferingVerdict:
+def check_buffering(seq: BufferingSequence, params: BufferingParams) -> BufferingVerdict:
     """Evaluate BS1-BS4 exactly over the finite data of the sequence.
 
-    ``window`` bounds the axis samples used for BS1; the default covers
-    every word involved in the sequence plus slack, beyond which projected
-    diameters of axes onto each other cannot change (tails project to the
-    gates).
+    The axis samples used for BS1 lie in a window that covers every word
+    involved in the sequence plus slack, beyond which projected diameters
+    of axes onto each other cannot change (tails project to the gates).
     """
     n = seq.n
-    if window is None:
-        longest = 2
-        for ys in seq.y_sets:
-            for y in ys:
-                longest = max(longest, y.length)
-        for pm in seq.projections:
-            longest = max(longest, pm.axis.conjugator.length + pm.axis.translation_length,
-                          pm.u.length)
-        window = 2 * longest + 8
+    longest = 2
+    for ys in seq.y_sets:
+        for y in ys:
+            longest = max(longest, y.length)
+    for pm in seq.projections:
+        longest = max(longest, pm.axis.conjugator.length + pm.axis.translation_length,
+                      pm.u.length)
+    window = 2 * longest + 8
 
     bs1, bs2, bs3, bs4 = [], [], [], []
     failure = None

@@ -151,19 +151,45 @@ def cmd_audit(args) -> int:
     return EXIT_OK
 
 
-def cmd_buffering(args) -> int:
-    with open(args.chain) as fh:
+def _read_chain(path: str) -> dict:
+    """The chain spec in ``path``, every key checked before any work."""
+    with open(path) as fh:
         spec = json.load(fh)
+    if not isinstance(spec, dict):
+        raise PreconditionFailed("a chain spec must be a JSON object")
+    spec = {"delta": 0, "epsilon": 2, "L": 1, "radius": 2, "theta": None, **spec}
+
+    def need(key: str, ok: bool, what: str) -> None:
+        if not ok:
+            raise PreconditionFailed(f"chain spec {key!r} must be {what}, got {spec.get(key)!r}")
+
+    def words(value) -> bool:
+        return isinstance(value, list) and all(isinstance(w, str) for w in value)
+
+    for key in ("group", "g"):
+        need(key, isinstance(spec.get(key), str), "a string")
+    need("subgroup", words(spec.get("subgroup")), "a list of words")
+    pairs = spec.get("word")
+    need("word", isinstance(pairs, list) and all(words(p) and len(p) == 2 for p in pairs),
+         "a list of [label, word] pairs")
+    for key in ("delta", "epsilon", "L", "radius", "theta"):
+        value = spec[key]
+        need(key, type(value) is int and value >= 0 or key == "theta" and value is None,
+             "an integer >= 0")
+    return spec
+
+
+def cmd_buffering(args) -> int:
+    spec = _read_chain(args.chain)
     group = _group(spec["group"])
     sub = FreeSubgroup.from_words(group, [group.parse(w) for w in spec["subgroup"]])
     g = group.parse(spec["g"])
     letters = [group.parse(w) for _, w in spec["word"]]
-    params = BufferingParams(spec.get("delta", 0), spec.get("epsilon", 2),
-                             spec.get("L", 1))
-    chain = build_axis_chain(sub, g, letters, spec.get("radius", 2))
+    params = BufferingParams(spec["delta"], spec["epsilon"], spec["L"])
+    chain = build_axis_chain(sub, g, letters, spec["radius"])
     verdict = check_buffering(chain, params)
     payload = {"check": verdict, "params": params}
-    if verdict.passed and spec.get("theta") is not None:
+    if verdict.passed and spec["theta"] is not None:
         payload["separation"] = chain_separation(chain, params, spec["theta"])
     _emit(payload, args)
     return EXIT_OK if verdict.passed else EXIT_HYPOTHESIS
@@ -210,6 +236,8 @@ def _apply_config_file(argv: list[str]) -> list[str]:
         raise PreconditionFailed("--config needs a path")
     with open(argv[i + 1]) as fh:
         data = json.load(fh)
+    if not isinstance(data, dict):
+        raise PreconditionFailed("--config must hold a JSON object")
     injected = []
     for key, value in data.items():
         flag = "--" + key.replace("_", "-")

@@ -6,7 +6,7 @@ products of finite cyclics, conjugation preserves translation length, so
 the exponents can only match up to sign).  All existential constants
 (M, thresholds, powers) are found by bounded searches with certified
 re-verification on the scanned sample, since the theory provides no
-closed forms.
+closed forms.  The bounds of those searches are the named constants below.
 """
 
 from __future__ import annotations
@@ -19,6 +19,13 @@ from .balls import ball_elements
 from .errors import (CrossCheckFailed, FiniteOrderElement, NotFoundWithinBound,
                      PreconditionFailed)
 from .groups import Word, is_torsion, primitive_root
+
+M_SCAN = 4  # a closure element satisfies the criterion for some m <= M_SCAN
+UNIFORM_M_CAP = 24  # find_M tries M = 1 .. UNIFORM_M_CAP
+POWER_CAP = 64  # the doubling searches try M <= POWER_CAP
+ELEMENT_CAP = 500_000  # elements the closure scan may enumerate
+SEPARATION_ORBIT_RADIUS = 5  # the orbit sample Y of geometric_separation_power
+SEPARATION_J_MAX = 3  # its coset sample uses the powers g^{Mj}, 0 < |j| <= SEPARATION_J_MAX
 
 
 def is_power_of(w: Word, g: Word) -> bool:
@@ -36,6 +43,26 @@ def is_power_of(w: Word, g: Word) -> bool:
     return False
 
 
+def _criterion(g: Word, m: int):
+    """The closure criterion for one m, as a function of u: the sign s of
+    u g^m u^-1 = g^{s m}, or 0 when u g^m u^-1 is neither g^m nor g^-m."""
+    gm = g**m
+    gminv = gm.inverse()
+
+    def sign(u: Word) -> int:
+        c = gm.conjugated_by(u)
+        if c == gm:
+            return 1
+        return -1 if c == gminv else 0
+    return sign
+
+
+def _closure_members(g: Word, candidates) -> list[Word]:
+    """The candidates u with u g^m u^-1 = g^{+-m} for some m <= M_SCAN."""
+    signs = [_criterion(g, m) for m in range(1, M_SCAN + 1)]
+    return [u for u in candidates if any(sign(u) for sign in signs)]
+
+
 @dataclass(frozen=True)
 class ClosureDescriptor:
     """E(g) as discovered by a ball scan, with re-verified certificates."""
@@ -50,51 +77,30 @@ class ClosureDescriptor:
 
     def verify(self) -> bool:
         """Re-check u g^M u^-1 in {g^M, g^-M} for every scanned element."""
-        gm = self.g**self.M
-        gminv = gm.inverse()
-        for u in self.elements:
-            c = gm.conjugated_by(u)
-            if c != gm and c != gminv:
-                return False
-        return True
+        return all(map(_criterion(self.g, self.M), self.elements))
 
 
-def find_M(g: Word, candidates, m_cap: int = 24) -> int:
+def find_M(g: Word, candidates) -> int:
     """Least M >= 1 with u g^M u^-1 = g^{+-M} for every candidate u."""
-    powers = {}
-    for m in range(1, m_cap + 1):
-        gm = g**m
-        powers[m] = (gm, gm.inverse())
     cands = list(candidates)
-    for m in range(1, m_cap + 1):
-        gm, gminv = powers[m]
-        if all(gm.conjugated_by(u) in (gm, gminv) for u in cands):
+    for m in range(1, UNIFORM_M_CAP + 1):
+        if all(map(_criterion(g, m), cands)):
             return m
-    raise NotFoundWithinBound(f"no uniform M <= {m_cap} for the candidate set")
+    raise NotFoundWithinBound(f"no uniform M <= {UNIFORM_M_CAP} for the candidate set")
 
 
-def elementary_closure(g: Word, search_radius: int, m_scan: int = 4,
-                       element_cap: int = 500_000) -> ClosureDescriptor:
+def elementary_closure(g: Word, search_radius: int) -> ClosureDescriptor:
     """Scan B(o, search_radius) for closure elements of g.
 
-    Tests the algebraic criterion u g^m u^-1 = g^{+-m} for m <= m_scan
+    Tests the algebraic criterion u g^m u^-1 = g^{+-m} for m <= M_SCAN
     directly instead of estimating Hausdorff distances; exact word
     arithmetic beats coarse geometry at desk scale.
     """
     if is_torsion(g):
         raise FiniteOrderElement(f"{g} has finite order; closure undefined here")
-    group = g.group
-    powers = [(g**m, (g**m).inverse()) for m in range(1, m_scan + 1)]
-    found: list[Word] = []
-    for u in ball_elements(group, search_radius, max_elements=element_cap):
-        for gm, gminv in powers:
-            c = gm.conjugated_by(u)
-            if c == gm or c == gminv:
-                found.append(u)
-                break
+    found = _closure_members(g, ball_elements(g.group, search_radius,
+                                              max_elements=ELEMENT_CAP))
     M = find_M(g, found)
-    gM = g**M
-    gMinv = gM.inverse()
 
     # group the scan by <g>-coset; shortest representative per class
     reps: list[Word] = []
@@ -102,7 +108,8 @@ def elementary_closure(g: Word, search_radius: int, m_scan: int = 4,
         if not any(is_power_of(u * r.inverse(), g) for r in reps):
             reps.append(u)
     index_over_cyclic = len(reps)
-    has_inverter = any(gM.conjugated_by(u) == gMinv for u in found)
+    sign = _criterion(g, M)
+    has_inverter = any(sign(u) == -1 for u in found)
     e_plus_index = 2 if has_inverter else 1
 
     root, _ = primitive_root(g)
@@ -160,48 +167,53 @@ def find_transversal_conjugate(subgroup, g0: Word, search_radius: int,
         best={"k": str(best[1]), "diameter": best[0]})
 
 
-def subgroup_closure_intersection(subgroup, g: Word, radius: int,
-                                  m_scan: int = 4) -> list[Word]:
+def subgroup_closure_intersection(subgroup, g: Word, radius: int) -> list[Word]:
     """H & E(g) by scanning the subgroup ball with the algebraic criterion."""
-    powers = [(g**m, (g**m).inverse()) for m in range(1, m_scan + 1)]
-    out = []
-    for h in subgroup.elements_in_ball(radius):
-        for gm, gminv in powers:
-            c = gm.conjugated_by(h)
-            if c == gm or c == gminv:
-                out.append(h)
-                break
-    return out
+    return _closure_members(g, subgroup.elements_in_ball(radius))
 
 
-def _coset_words(g: Word, M: int, f_elements: list[Word], j_max: int,
-                 max_factors: int) -> list[Word]:
-    """Sample of <g^M, F> - F: alternating products of g^{Mj} and F-elements."""
-    group = g.group
+def _coset_words(g: Word, M: int, f_elements: list[Word], j_max: int) -> list[Word]:
+    """Sample of <g^M, F> - F: the powers p, q = g^{Mj} with 0 < |j| <= j_max,
+    then each product p f q, f in F nontrivial, that is not itself a power."""
     gM = g**M
     powers = [gM**j for j in range(-j_max, j_max + 1) if j != 0]
-    f_nontrivial = [f for f in f_elements if not f.is_identity]
     samples: list[Word] = list(powers)
-    frontier = list(powers)
-    for _ in range(max_factors - 1):
-        new = []
-        for w in frontier:
-            for f in f_nontrivial:
-                for p in powers:
-                    cand = w * f * p
-                    if cand not in samples:
-                        new.append(cand)
-        samples.extend(new)
-        frontier = new
-        if not f_nontrivial:
-            break
+    for p in powers:
+        for f in f_elements:
+            if f.is_identity:
+                continue
+            for q in powers:
+                cand = p * f * q
+                if cand not in powers:
+                    samples.append(cand)
     f_set = set(f_elements)
     return [w for w in samples if w not in f_set and not w.is_identity]
 
 
-def geometric_separation_power(subgroup, g: Word, epsilon: int, theta: int,
-                               orbit_radius: int = 5, j_max: int = 3,
-                               max_factors: int = 2, m_cap: int = 64) -> dict:
+def _doubling_search(attempt, failure: str):
+    """(M, attempt(M)) for the least M <= POWER_CAP whose attempt does not
+    raise NotFoundWithinBound: M doubles from 1 until an attempt passes,
+    then the least passing M in (M/2, M] is taken.  Past POWER_CAP it raises
+    NotFoundWithinBound(``failure``) with the last failure's ``best``."""
+    m = 1
+    while True:
+        try:
+            result = attempt(m)
+            break
+        except NotFoundWithinBound as exc:
+            best = exc.best
+        m *= 2
+        if m > POWER_CAP:
+            raise NotFoundWithinBound(failure, best=best)
+    for candidate in range(m // 2 + 1, m):
+        try:
+            return candidate, attempt(candidate)
+        except NotFoundWithinBound:
+            continue
+    return m, result
+
+
+def geometric_separation_power(subgroup, g: Word, epsilon: int, theta: int) -> dict:
     """Least M (doubling search, then refine) separating Y from its
     <g^M, H&E>-translates on the axis of g.
 
@@ -209,31 +221,23 @@ def geometric_separation_power(subgroup, g: Word, epsilon: int, theta: int,
     u in <g^M, H&E> - H&E must satisfy d_A(Y, uY) > theta.
     """
     pm = ProjectionMap(Axis(g))
-    y_sample = [h for h in subgroup.elements_in_ball(orbit_radius)]
+    y_sample = [h for h in subgroup.elements_in_ball(SEPARATION_ORBIT_RADIUS)]
     diam = pm.projected_diameter(y_sample)
     if diam > epsilon:
         raise PreconditionFailed(f"diam_A(Y) = {diam} > epsilon = {epsilon}")
-    f_elements = subgroup_closure_intersection(subgroup, g, orbit_radius)
+    f_elements = subgroup_closure_intersection(subgroup, g, SEPARATION_ORBIT_RADIUS)
 
-    def passes(m: int) -> bool:
-        for u in _coset_words(g, m, f_elements, j_max, max_factors):
+    def attempt(m: int) -> int:
+        words = _coset_words(g, m, f_elements, SEPARATION_J_MAX)
+        for u in words:
             translated = [u * y for y in y_sample]
             if pm.projected_set_distance(y_sample, translated) <= theta:
-                return False
-        return True
+                raise NotFoundWithinBound(f"M = {m} does not separate")
+        return len(words)
 
-    m = 1
-    while m <= m_cap and not passes(m):
-        m *= 2
-    if m > m_cap:
-        raise NotFoundWithinBound(f"no separating power M <= {m_cap}")
-    lo = m // 2 + 1 if m > 1 else 1
-    for candidate in range(lo, m + 1):
-        if passes(candidate):
-            return {"M": candidate, "epsilon": epsilon, "theta": theta,
-                    "samples": len(_coset_words(g, candidate, f_elements, j_max, max_factors)),
-                    "h_cap_e": [str(f) for f in f_elements]}
-    raise NotFoundWithinBound("doubling search inconsistency")
+    M, samples = _doubling_search(attempt, f"no separating power M <= {POWER_CAP}")
+    return {"M": M, "epsilon": epsilon, "theta": theta, "samples": samples,
+            "h_cap_e": [str(f) for f in f_elements]}
 
 
 @dataclass(frozen=True)
@@ -260,16 +264,16 @@ class SeparationSelector:
 
 
 def separation_selector(g: Word, M: int, epsilon: int, theta: int, y: Word,
-                        sample_radius: int, theta0: int = 0) -> SeparationSelector:
+                        sample_radius: int) -> SeparationSelector:
     """Build and certify the selector of the coarse-quotient construction.
 
-    Rule: f(u) = 1 when d_A(u^-1 y, y) > theta + epsilon + 4 theta0, else
-    g^M.  Certification: every u in B(o, r) must satisfy
-    d_A(u^-1 y, f(u) y) > theta + epsilon + 4 theta0; when some u fails,
-    M was too small and NotFoundWithinBound is raised.
+    Rule: f(u) = 1 when d_A(u^-1 y, y) > theta + epsilon, else g^M.
+    Certification: every u in B(o, r) must satisfy
+    d_A(u^-1 y, f(u) y) > theta + epsilon; when some u fails, M was too
+    small and NotFoundWithinBound is raised.
     """
     pm = ProjectionMap(Axis(g))
-    bound = theta + epsilon + 4 * theta0
+    bound = theta + epsilon
     selector = SeparationSelector(g=g, M=M, threshold=bound, basepoint=y)
     worst = None
     for u in ball_elements(g.group, sample_radius):
@@ -286,32 +290,13 @@ def separation_selector(g: Word, M: int, epsilon: int, theta: int, y: Word,
 
 
 def find_selector_power(g: Word, epsilon: int, theta: int, y: Word,
-                        sample_radius: int, theta0: int = 0,
-                        m_cap: int = 64) -> tuple[int, SeparationSelector]:
+                        sample_radius: int) -> tuple[int, SeparationSelector]:
     """Doubling search for the least power M whose selector certifies.
 
-    The certification requirement grows like 2(theta + epsilon + 4 theta0)
-    over the translation length; no closed form is used, the search simply
-    doubles M until the exhaustive check passes, then refines downward.
+    The certification requirement grows like 2(theta + epsilon) over the
+    translation length; no closed form is used, the search simply doubles
+    M until the exhaustive check passes, then refines downward.
     """
-    m = 1
-    last_error = None
-    while m <= m_cap:
-        try:
-            separation_selector(g, m, epsilon, theta, y, sample_radius, theta0)
-            break
-        except NotFoundWithinBound as exc:
-            last_error = exc
-            m *= 2
-    if m > m_cap:
-        raise NotFoundWithinBound(f"no selector power <= {m_cap}",
-                                  best=getattr(last_error, "best", None))
-    lo = m // 2 + 1 if m > 1 else 1
-    for candidate in range(lo, m + 1):
-        try:
-            sel = separation_selector(g, candidate, epsilon, theta, y,
-                                      sample_radius, theta0)
-            return candidate, sel
-        except NotFoundWithinBound:
-            continue
-    raise NotFoundWithinBound("doubling search inconsistency")
+    return _doubling_search(
+        lambda m: separation_selector(g, m, epsilon, theta, y, sample_radius),
+        f"no selector power <= {POWER_CAP}")

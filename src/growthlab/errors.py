@@ -60,8 +60,8 @@ class InvalidAlternatingWord(GrowthLabError):
 class HypothesisFailed(GrowthLabError):
     """A theorem pipeline hypothesis check failed.  Carries the name."""
 
-    def __init__(self, hypothesis, detail=""):
-        super().__init__(f"hypothesis failed: {hypothesis}" + (f" ({detail})" if detail else ""))
+    def __init__(self, hypothesis):
+        super().__init__(f"hypothesis failed: {hypothesis}")
         self.hypothesis = hypothesis
 
 
@@ -72,10 +72,3 @@ class CounterexampleFound(GrowthLabError):
         super().__init__(message)
         self.witness = witness
 
-
-class CQViolation(GrowthLabError):
-    """A coarse-quotient condition failed; carries the witness pair."""
-
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness

@@ -74,21 +74,19 @@ class MarkedGroup:
     # -- constructors -------------------------------------------------
 
     @staticmethod
-    def free(rank: int, symbols: Sequence[str] | None = None) -> "MarkedGroup":
+    def free(rank: int) -> "MarkedGroup":
         if rank < 1:
             raise ValueError("free group rank must be >= 1")
-        syms = tuple(symbols) if symbols else tuple(_FREE_SYMBOLS[:rank])
-        return MarkedGroup(orders=(0,) * rank, symbols=syms)
+        return MarkedGroup(orders=(0,) * rank, symbols=tuple(_FREE_SYMBOLS[:rank]))
 
     @staticmethod
-    def free_product(orders: Sequence[int], symbols: Sequence[str] | None = None) -> "MarkedGroup":
+    def free_product(orders: Sequence[int]) -> "MarkedGroup":
         orders = tuple(orders)
         if len(orders) < 2:
             raise ValueError("a free product needs at least two factors")
         if any(m < 2 for m in orders):
             raise ValueError("all factor orders must be >= 2")
-        syms = tuple(symbols) if symbols else tuple(_PRODUCT_SYMBOLS[: len(orders)])
-        return MarkedGroup(orders=orders, symbols=syms)
+        return MarkedGroup(orders=orders, symbols=tuple(_PRODUCT_SYMBOLS[: len(orders)]))
 
     @staticmethod
     def from_descriptor(text: str) -> "MarkedGroup":
@@ -118,12 +116,6 @@ class MarkedGroup:
 
     def identity(self) -> "Word":
         return Word(self, (), 0)
-
-    def generator(self, i: int, exponent: int = 1) -> "Word":
-        return self.word([(i, exponent)])
-
-    def generators(self) -> list["Word"]:
-        return [self.generator(i) for i in range(self.rank)]
 
     # -- syllable plumbing ---------------------------------------------
 

@@ -4,8 +4,7 @@ The audits need two things from an orbit Y = H o: a finite sample
 Y & B(o, r) and the exact distance d(x, Y) for arbitrary x.  For a
 free-group subgroup the latter is the coset distance d(H, Hx), read off
 the Stallings core in O(|x|); for a finite subgroup it is a minimum
-over the elements; for a translated orbit uY it is the base orbit's
-distance at u^-1 x.
+over the elements.
 """
 
 from __future__ import annotations
@@ -17,11 +16,13 @@ from .groups import MarkedGroup, Word, distance
 from .schreier import coset_distance
 from .stallings import CoreGraph, stallings_fold
 
+FINITE_SUBGROUP_CAP = 4096  # elements a finite subgroup's closure may reach
+
 
 class FiniteSubgroup:
     """A finite subgroup given by closure of its generators (torsion case)."""
 
-    def __init__(self, group: MarkedGroup, generators: Sequence[Word], cap: int = 4096):
+    def __init__(self, group: MarkedGroup, generators: Sequence[Word]):
         self.group = group
         elements = {group.identity()}
         frontier = {g for g in generators if not g.is_identity}
@@ -36,9 +37,9 @@ class FiniteSubgroup:
                         new.add(w)
             elements |= new
             frontier = new
-            if len(elements) > cap:
-                raise BudgetExceeded(
-                    f"subgroup closure exceeded {cap} elements; not finite at this cap")
+            if len(elements) > FINITE_SUBGROUP_CAP:
+                raise BudgetExceeded(f"subgroup closure exceeded {FINITE_SUBGROUP_CAP} "
+                                     "elements; not finite at this cap")
         self.elements = frozenset(elements)
 
     def contains(self, w: Word) -> bool:
@@ -77,26 +78,19 @@ class FreeSubgroup:
 
 
 class SubgroupOrbit:
-    """The orbit H o of a subgroup, possibly translated to u H o."""
+    """The orbit H o of a subgroup."""
 
-    def __init__(self, subgroup, translate: Word | None = None):
+    def __init__(self, subgroup):
         self.subgroup = subgroup
         self.group = subgroup.group
-        self.u = translate if translate is not None else self.group.identity()
-
-    def translated(self, u: Word) -> "SubgroupOrbit":
-        return SubgroupOrbit(self.subgroup, u * self.u)
 
     def sample_in_ball(self, radius: int) -> list[Word]:
         """All orbit points within B(o, radius)."""
-        inner = radius + self.u.length
-        out = [self.u * h for h in self.subgroup.elements_in_ball(inner)]
-        return [w for w in out if w.length <= radius]
+        return list(self.subgroup.elements_in_ball(radius))
 
     def distance_to(self, x: Word) -> int:
         """Exact d(x, Y).  For a core-backed subgroup this is the coset
-        distance of u^-1 x, read off the core."""
-        z = self.u.inverse() * x
+        distance of x, read off the core."""
         if isinstance(self.subgroup, FreeSubgroup):
-            return coset_distance(self.subgroup.core, z)
-        return min(distance(h, z) for h in self.subgroup.elements)
+            return coset_distance(self.subgroup.core, x)
+        return min(distance(h, x) for h in self.subgroup.elements)

@@ -30,10 +30,10 @@ class CoreGraph:
     """Folded subgroup graph.  Immutable after construction."""
 
     def __init__(self, group: MarkedGroup, n_vertices: int,
-                 edges: Sequence[tuple[int, int, int]], base: int = 0):
+                 edges: Sequence[tuple[int, int, int]]):
         self.group = group
         self.n_vertices = n_vertices
-        self.base = base
+        self.base = 0
         self.edges = tuple(sorted(edges))
         self.out = [dict() for _ in range(n_vertices)]
         self.into = [dict() for _ in range(n_vertices)]

@@ -28,8 +28,7 @@ from .axes import Axis, ProjectionMap
 from .balls import ball_elements, sphere_counts
 from .closure import (SeparationSelector, subgroup_closure_intersection,
                       _coset_words)
-from .errors import (CounterexampleFound, CQViolation, HypothesisFailed,
-                     PreconditionFailed)
+from .errors import CounterexampleFound, HypothesisFailed, PreconditionFailed
 from .groups import MarkedGroup, Word, distance, is_torsion
 from .orbits import FreeSubgroup
 from .schreier import coset_sphere_sizes, schreier_growth
@@ -41,6 +40,9 @@ DIVERGENCE_REASON = ("a nontrivial finitely generated subgroup of F_k has purely
                      "exponential growth, so it is of divergence type (Coornaert 1993); "
                      "equally, its growth series is rational with nonnegative "
                      "coefficients, so by Pringsheim's theorem it has a pole at 1/rho")
+AMALGAM_J_MAX = 4  # the <g^M>-letters of amalgam_injectivity are g^{Mj}, 0 < |j| <= 4
+PROJECTION_BOUND = 8  # largest mutual projection free_subgroup_witness accepts
+COUNTING_RADII = (3, 4, 5)  # radii of the ball-counting inequality of coarse_quotient_check
 
 
 @dataclass(frozen=True)
@@ -57,8 +59,9 @@ class ExperimentConfig:
     def __post_init__(self):
         if min(self.r_ball, self.r_schreier) < 3 or self.r_audit < 3:
             raise PreconditionFailed("radii must be >= 3")
-        if self.gap_margin <= 0 or self.quotient_tolerance <= 0:
-            raise PreconditionFailed("margins must be > 0")
+        if not all(math.isfinite(m) and m > 0 for m in (self.gap_margin,
+                                                         self.quotient_tolerance)):
+            raise PreconditionFailed("margins must be > 0 and finite")
 
     def marked_group(self) -> MarkedGroup:
         return MarkedGroup.from_descriptor(self.group)
@@ -69,7 +72,7 @@ class ExperimentConfig:
 
     def g0_word(self) -> Word:
         group = self.marked_group()
-        return group.parse(self.g0) if self.g0 else group.generators()[-1]
+        return group.parse(self.g0) if self.g0 else group.word([(group.rank - 1, 1)])
 
 
 @dataclass
@@ -194,7 +197,7 @@ class AmalgamReport:
 
 
 def amalgam_injectivity(subgroup, g: Word, M: int, n_syllables: int,
-                        letter_cap: int = 4, j_max: int = 4) -> AmalgamReport:
+                        letter_cap: int = 4) -> AmalgamReport:
     """Exhaustively refute injectivity of H * <g^M, H&E> -> G on a sample.
 
     Enumerates every alternating word (both starting types) whose letters
@@ -217,7 +220,7 @@ def amalgam_injectivity(subgroup, g: Word, M: int, n_syllables: int,
     f_trivial = all(f.is_identity for f in f_elements)
     pool_h = [h for h in subgroup.elements_in_ball(letter_cap)
               if not h.is_identity and h not in f_set]
-    pool_k = [w for w in _coset_words(g, M, f_elements, j_max=j_max, max_factors=2)
+    pool_k = [w for w in _coset_words(g, M, f_elements, AMALGAM_J_MAX)
               if w.length <= letter_cap]
     if not pool_h or not pool_k:
         raise PreconditionFailed("empty letter pool; enlarge letter_cap or shrink M")
@@ -282,13 +285,12 @@ def _first_with_image(group: MarkedGroup, pools: tuple[list[Word], list[Word]],
     return trail
 
 
-def free_subgroup_witness(g1: Word, g2: Word, M: int, n_letters: int,
-                          projection_bound: int = 8) -> dict:
+def free_subgroup_witness(g1: Word, g2: Word, M: int, n_letters: int) -> dict:
     """Ping-pong witness: alternating words in g1^{+-M}, g2^{+-M} stay nontrivial.
 
     Precondition: the two axes are distinct with bounded mutual projections
     (measured over windows; PreconditionFailed when the projected diameters
-    exceed ``projection_bound``).
+    exceed ``PROJECTION_BOUND``).
 
     The letters are g1^M, g1^-M, g2^M, g2^-M, so the inverse of letter i
     is letter i ^ 1 and a freely reduced word never follows i by i ^ 1.
@@ -302,7 +304,7 @@ def free_subgroup_witness(g1: Word, g2: Word, M: int, n_letters: int,
         pm1.axis.conjugator.length + pm2.axis.conjugator.length + 6
     d12 = pm1.projected_diameter([v for _, v in pm2.axis.vertices_in_ball(window)])
     d21 = pm2.projected_diameter([v for _, v in pm1.axis.vertices_in_ball(window)])
-    if max(d12, d21) > projection_bound:
+    if max(d12, d21) > PROJECTION_BOUND:
         raise PreconditionFailed(
             f"mutual projections too large ({d12}, {d21}); axes not independent")
 
@@ -345,11 +347,10 @@ class CoarseQuotientReport:
 
 
 def coarse_quotient_check(subgroup, g: Word, selector: SeparationSelector,
-                          sample_radius: int,
-                          counting_radii: tuple[int, ...] = (3, 4, 5),
-                          theta_cap: int | None = None) -> CoarseQuotientReport:
+                          sample_radius: int) -> CoarseQuotientReport:
     """Exhaustive CQ1/CQ2 check of phi(u) = u f(u) plus the ball-counting
-    inequality |B(o,r)| <= kappa |L(B(o,r+theta))| with kappa = |B(o,3 theta)|.
+    inequality |B(o,r)| <= kappa |L(B(o,r+theta))| with kappa = |B(o,3 theta)|,
+    for r in COUNTING_RADII.
     """
     group = g.group
     pm = ProjectionMap(Axis(g))
@@ -370,22 +371,15 @@ def coarse_quotient_check(subgroup, g: Word, selector: SeparationSelector,
     for u in points:
         classes.setdefault(coset_key(subgroup.core, phi[u].inverse()), []).append(u)
     theta_cq1 = 0
-    witness = None
     for members in classes.values():
         for u, v in itertools.combinations(members, 2):
-            d = distance(phi[u] * y, phi[v] * y)
-            if d > theta_cq1:
-                theta_cq1 = d
-                witness = (str(u), str(v), d)
+            theta_cq1 = max(theta_cq1, distance(phi[u] * y, phi[v] * y))
     theta = max(theta_cq1, theta_cq2)
-    if theta_cap is not None and theta > theta_cap:
-        raise CQViolation(f"measured theta {theta} exceeds cap {theta_cap}",
-                          witness=witness)
 
     kappa = sum(sphere_counts(group, 3 * theta)) if theta > 0 else 1
     rows = []
     ok = True
-    for r in counting_radii:
+    for r in COUNTING_RADII:
         ball_r = sum(sphere_counts(group, r))
         cosets = sum(coset_sphere_sizes(subgroup.core, r + theta))
         bound = kappa * cosets

@@ -188,7 +188,8 @@ def test_criterion_09_coarse_quotient(f2):
     sub = FreeSubgroup(stallings_fold(f2, [f2.parse("a")]))
     m, sel = find_selector_power(f2.parse("b"), epsilon=0, theta=1,
                                  y=f2.identity(), sample_radius=5)
-    rep = coarse_quotient_check(sub, f2.parse("b"), sel, 5, counting_radii=(3, 4, 5))
+    rep = coarse_quotient_check(sub, f2.parse("b"), sel, 5)
+    assert [r for r, _, _, _ in rep.counting] == [3, 4, 5]
     assert rep.verdict == "PASS"
     assert all(ok for (_, _, _, ok) in rep.counting)
     elapsed = time.perf_counter() - t0

@@ -85,13 +85,6 @@ def test_enumeration_budget(f2):
         list(ball_elements(f2, 8, max_elements=50))
 
 
-def test_work_split_by_first_letter(f2):
-    whole = set(ball_elements(f2, 4))
-    parts = [set(ball_elements(f2, 4, first_gen=i)) for i in range(2)]
-    assert parts[0] & parts[1] == set()
-    assert parts[0] | parts[1] | {f2.identity()} == whole
-
-
 # -- growth rates -----------------------------------------------------------
 
 def test_f2_rate_exact(f2):

@@ -75,6 +75,8 @@ def test_rmax_below_three_is_an_error(command, sub_file, tmp_path, capsys):
     (["quotient", "--rmax", "0"], "error: radii must be >= 3"),
     (["gap", "--g0", "ab", "--margin", "0"], "error: margins must be > 0"),
     (["gap", "--g0", "ab", "--margin", "-0.5"], "error: margins must be > 0"),
+    (["gap", "--g0", "ab", "--margin", "nan"], "error: margins must be > 0"),
+    (["gap", "--g0", "ab", "--margin", "inf"], "error: margins must be > 0"),
     (["audit", "--axis", "ab", "--rmax", "0"], "error: --rmax must be >= 1"),
     (["audit", "--axis", "ab", "--rmax", "-1"], "error: --rmax must be >= 1"),
     (["selector", "--g0", "b", "--rmax", "0"], "error: --rmax must be >= 1"),
@@ -105,13 +107,18 @@ def test_zero_and_negative_values_are_errors(args, message, sub_file, tmp_path, 
      "error: --config needs a path"),
     (["gap", "--group", "free:2", "--config", "{missing}"], "error: [Errno 2]"),
     (["gap", "--group", "free:2", "--config", "{bad_json}"], "error: Expecting"),
+    (["gap", "--group", "free:2", "--config", "{list_json}"],
+     "error: --config must hold a JSON object"),
 ])
 def test_bad_outside_input_is_an_error(args, message, sub_file, tmp_path, capsys):
     """Malformed groups, missing files and a bad --config print one error
     line and exit 1 instead of raising."""
     bad_json = tmp_path / "bad.json"
     bad_json.write_text("{")
-    args = [a.format(sub=sub_file, missing=tmp_path / "missing", bad_json=bad_json)
+    list_json = tmp_path / "list.json"
+    list_json.write_text("[1]")
+    args = [a.format(sub=sub_file, missing=tmp_path / "missing", bad_json=bad_json,
+                     list_json=list_json)
             for a in args]
     out = tmp_path / "r.json"
     code = main(args[:1] + ["--out", str(out)] + args[1:])
@@ -200,6 +207,31 @@ def test_buffering_negative_parameter_is_an_error(tmp_path, capsys):
     assert code == 1
     assert capsys.readouterr().err.startswith("error:")
     assert not (tmp_path / "b.json").exists()
+
+
+CHAIN = {"group": "free:2", "subgroup": ["a"], "g": "b",
+         "word": [["h", "a"], ["k", "bbb"]], "radius": 2}
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"subgroup": None}, "error: chain spec 'subgroup' must be a list of words, got None"),
+    ({"g": None}, "error: chain spec 'g' must be a string, got None"),
+    ({"word": None}, "error: chain spec 'word' must be a list of [label, word] pairs"),
+    ({"word": [["h"]]}, "error: chain spec 'word' must be a list of [label, word] pairs"),
+    ({"epsilon": "x"}, "error: chain spec 'epsilon' must be an integer >= 0, got 'x'"),
+    ({"radius": -1}, "error: chain spec 'radius' must be an integer >= 0, got -1"),
+])
+def test_bad_chain_spec_is_an_error(change, message, tmp_path, capsys):
+    """A chain spec with a missing or malformed key names the key, prints
+    one error line and exits 1 before any work.  ``None`` drops the key."""
+    spec = {k: v for k, v in {**CHAIN, **change}.items() if v is not None}
+    chain = tmp_path / "chain.json"
+    chain.write_text(json.dumps(spec))
+    out = tmp_path / "b.json"
+    code = main(["buffering", "--chain", str(chain), "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(message)
+    assert not out.exists()
 
 
 def test_closure_command(tmp_path):

@@ -128,7 +128,7 @@ def test_separation_power_monotone(f2):
     pm = ProjectionMap(Axis(f2.parse("b")))
     y = [h for h in sub.elements_in_ball(5)]
     for m in (3, 6):
-        for u in _coset_words(f2.parse("b"), m, [f2.identity()], 3, 2):
+        for u in _coset_words(f2.parse("b"), m, [f2.identity()], 3):
             assert pm.projected_set_distance(y, [u * p for p in y]) > 2
 
 

@@ -313,7 +313,7 @@ def test_coarse_quotient_trivial_pair(f2):
     sub = FreeSubgroup(fold(f2, ["a"]))
     _, sel = find_selector_power(f2.parse("b"), epsilon=0, theta=1,
                                  y=f2.identity(), sample_radius=4)
-    rep = coarse_quotient_check(sub, f2.parse("b"), sel, 4, counting_radii=(3, 4))
+    rep = coarse_quotient_check(sub, f2.parse("b"), sel, 4)
     # u = v is in the same class with distance 0; theta_cq1 stays 0
     assert rep.theta_cq1 == 0
 
@@ -329,12 +329,3 @@ def test_reports_are_deterministic():
     ja.pop("timestamp"), jb.pop("timestamp")
     assert json.dumps(ja, sort_keys=True) == json.dumps(jb, sort_keys=True)
 
-
-def test_coarse_quotient_theta_cap_violation(f2):
-    from growthlab.errors import CQViolation
-    sub = FreeSubgroup(fold(f2, ["a"]))
-    _, sel = find_selector_power(f2.parse("b"), epsilon=0, theta=1,
-                                 y=f2.identity(), sample_radius=4)
-    with pytest.raises(CQViolation):
-        coarse_quotient_check(sub, f2.parse("b"), sel, 4, counting_radii=(3,),
-                              theta_cap=0)
