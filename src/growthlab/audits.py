@@ -18,8 +18,7 @@ table: the canonical geodesic for (3) and (4), and every tie arc (both
 arcs of a syllable x^(m/2)) for CS2, (7) and eta.
 
 Every audit has one fixed design: a scan refuses more than
-``DEFAULT_PAIR_CAP`` pairs, and properties (6) and (7) sample with seed 0
-(see ``elementary_properties_audit``).
+``DEFAULT_PAIR_CAP`` pairs; properties (6) and (7) sample with seed 0.
 """
 
 from __future__ import annotations

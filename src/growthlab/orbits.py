@@ -42,18 +42,9 @@ class FiniteSubgroup:
                                      "elements; not finite at this cap")
         self.elements = frozenset(elements)
 
-    def contains(self, w: Word) -> bool:
-        return w in self.elements
-
     def elements_in_ball(self, radius: int) -> Iterator[Word]:
         return (h for h in sorted(self.elements, key=lambda w: (w.length, str(w)))
                 if h.length <= radius)
-
-    def index(self) -> float:
-        return float("inf")  # infinite ambient group, finite subgroup
-
-    def __len__(self) -> int:
-        return len(self.elements)
 
 
 class FreeSubgroup:

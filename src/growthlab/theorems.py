@@ -40,7 +40,7 @@ DIVERGENCE_REASON = ("a nontrivial finitely generated subgroup of F_k has purely
                      "exponential growth, so it is of divergence type (Coornaert 1993); "
                      "equally, its growth series is rational with nonnegative "
                      "coefficients, so by Pringsheim's theorem it has a pole at 1/rho")
-AMALGAM_J_MAX = 4  # the <g^M>-letters of amalgam_injectivity are g^{Mj}, 0 < |j| <= 4
+AMALGAM_J_MAX = 4  # amalgam_injectivity's <g^M>-letters are g^{Mj}, 0 < |j| <= 4
 PROJECTION_BOUND = 8  # largest mutual projection free_subgroup_witness accepts
 COUNTING_RADII = (3, 4, 5)  # radii of the ball-counting inequality of coarse_quotient_check
 
@@ -59,8 +59,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if min(self.r_ball, self.r_schreier) < 3 or self.r_audit < 3:
             raise PreconditionFailed("radii must be >= 3")
-        if not all(math.isfinite(m) and m > 0 for m in (self.gap_margin,
-                                                         self.quotient_tolerance)):
+        margins = (self.gap_margin, self.quotient_tolerance)
+        if not all(math.isfinite(m) and m > 0 for m in margins):
             raise PreconditionFailed("margins must be > 0 and finite")
 
     def marked_group(self) -> MarkedGroup:
