@@ -75,8 +75,6 @@ def test_rmax_below_three_is_an_error(command, sub_file, tmp_path, capsys):
     (["quotient", "--rmax", "0"], "error: radii must be >= 3"),
     (["gap", "--g0", "ab", "--margin", "0"], "error: margins must be > 0"),
     (["gap", "--g0", "ab", "--margin", "-0.5"], "error: margins must be > 0"),
-    (["gap", "--g0", "ab", "--margin", "nan"], "error: margins must be > 0"),
-    (["gap", "--g0", "ab", "--margin", "inf"], "error: margins must be > 0"),
     (["audit", "--axis", "ab", "--rmax", "0"], "error: --rmax must be >= 1"),
     (["audit", "--axis", "ab", "--rmax", "-1"], "error: --rmax must be >= 1"),
     (["selector", "--g0", "b", "--rmax", "0"], "error: --rmax must be >= 1"),
@@ -85,6 +83,8 @@ def test_rmax_below_three_is_an_error(command, sub_file, tmp_path, capsys):
     (["amalgam", "--g0", "b", "--syllables", "0"], "error: --syllables must be >= 1"),
     (["selector", "--g0", "b", "--theta", "-1"], "error: --theta must be >= 0"),
     (["selector", "--g0", "b", "--epsilon", "-3"], "error: --epsilon must be >= 0"),
+    (["gap", "--g0", "ab", "--margin", "nan"], "error: margins must be > 0"),
+    (["gap", "--g0", "ab", "--margin", "inf"], "error: margins must be > 0"),
 ])
 def test_zero_and_negative_values_are_errors(args, message, sub_file, tmp_path, capsys):
     out = tmp_path / "r.json"
