@@ -6,14 +6,45 @@ indexed by an integer position t.  The line is geodesic, <uwu^-1>-invariant,
 and g translates it by exactly |w|, which is therefore the asymptotic
 translation length.
 
-Projections are exact nearest-vertex maps computed by a windowed walk
-along the line: d(x, vertex(t)) >= |t| - d(x, vertex(0)), so positions
-beyond |t| = 2 d(x, vertex(0)) can never beat the best seen and the
-window search is provably sufficient.  Ties (possible only around even
-cycles of a free product) are broken toward the position of smallest
-absolute value.  That settles every tie: equally near vertices lie on
-one arc of one cycle, and positions t and -t on one arc would put
-vertex(0) strictly inside it, which the cyclically reduced core rules out.
+Projections are exact nearest-vertex maps read off the word in O(|x|)
+(Bridson-Haefliger, Metric Spaces of Non-positive Curvature, III.H.1).
+Left multiplication by u^-1 is an isometry onto the line L through o, so
+pi_A(x) has the position of pi_L(y), y = u^-1 x.  The two rays of L
+leave o on different edges: w is cyclically reduced, so the first
+letters of w and w^-1 differ, and in a free product the first and last
+syllables of w lie on different generators.  Hence at most one ray can
+share a first letter (a first generator) with y.
+
+Free groups.  The Cayley graph is a tree.  The geodesic from o to y runs
+along one ray for the k letters that y shares with its spelling, then
+leaves L for good, and every path from y to L passes through the vertex
+where it left.  That vertex is the unique nearest point: t = +-k and
+d = |y| - k.  Letters are compared, not syllables: for a one-syllable
+core such as a, w^infty is a single unbounded syllable.
+
+Free products of finite cyclics.  The Cayley graph is a tree of cycles:
+the coset v<x_i> spans a cycle of length m_i (one edge when m_i = 2),
+and every vertex is a cut vertex joining one cycle per generator.  L
+crosses one cycle per syllable of w^+-infty, along the syllable's
+canonical arc, and passes between cycles at cut vertices.  Let y share k
+whole syllables with one ray, ending at P on L at position T = |P|.
+ - y = P: y lies on L, d = 0.
+ - The next syllable of y is on another generator than the ray's next
+   one: the rest of y lies in a component of the graph minus P that
+   misses L, so every path to L passes through P; pi = P, d = |y| - T.
+ - The next syllable x_i^f is on the ray's generator, with f != e for
+   the ray's x_i^e: Q = P x_i^f lies on the cycle C whose arc P x_i^(js),
+   j = 0..c, L crosses (s = +-1 its direction, c = |x_i^e|).  The rest of
+   y leaves Q on other generators, so d(y, v) = |y| - T - |x_i^f| +
+   d(Q, v).  A vertex of L off the arc is reached from C only through an
+   end of the arc, and is strictly farther than that end, so the minimum
+   and every tie lie on the arc.  With r the residue of x_i^f read in
+   direction s, d(Q, arc) is 0 at j = r when r <= c, and otherwise
+   min(r - c, m_i - r), at j = c or j = 0.
+Ties (the last case, at r - c = m_i - r, so m_i even) go to j = 0.  The
+rule is the least (dist, |t|): all arc positions share one sign, so the
+smallest j is the smallest |t|, and no two nearest vertices ever have
+equal |t|.
 
 The projection onto a translate uA is u . pi_A(u^-1 x).  A translated map
 keeps the positions of the base axis, so projected distances and
@@ -26,7 +57,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import FiniteOrderElement
-from .groups import MarkedGroup, Word, cyclic_reduce, distance, is_torsion
+from .groups import MarkedGroup, Word, _cost, cyclic_reduce, is_torsion
 
 
 @dataclass(frozen=True)
@@ -48,8 +79,10 @@ class Axis:
         self.conjugator = conj
         self.core = core
         self.translation_length = core.length
+        self._conj_inv = conj.inverse()
         self._fwd = core.letters()
         self._bwd = core.inverse().letters()
+        self._rays = ((1, core.syllables), (-1, core.inverse().syllables))
         # line words grown on demand; _line[t] = conj * spelling(t)
         self._pos: list[Word] = [conj]
         self._neg: list[Word] = [conj]
@@ -91,7 +124,14 @@ class Axis:
 
 class ProjectionMap:
     """Exact nearest-point projection onto an axis or a translate of it,
-    with memoization."""
+    with memoization.
+
+    Each new point costs one word product and one pass over its letters
+    (free groups) or syllables (free products), as the module docstring
+    proves.  The nearest vertex is unique in a free group; in a free
+    product, equally near vertices lie on one arc of one cycle, and the
+    one of least |t| wins.
+    """
 
     def __init__(self, axis: Axis, u: Word | None = None,
                  _cache: dict[Word, ProjectionResult] | None = None):
@@ -117,19 +157,46 @@ class ProjectionMap:
         return result
 
     def _nearest(self, x: Word) -> ProjectionResult:
-        vertex = self.axis.vertex
-        d0 = distance(vertex(0), x)
-        window = 2 * d0 + self.axis.translation_length + 2
-        # order: (dist, |t|)
-        best_d, best_abs, best_t = d0 + 1, 0, 0
-        for t in range(-window, window + 1):
-            d = distance(vertex(t), x)
-            if d > best_d:
-                continue
-            a = t if t >= 0 else -t
-            if d < best_d or a < best_abs:
-                best_d, best_abs, best_t = d, a, t
-        return ProjectionResult(position=best_t, vertex=vertex(best_t), dist=best_d)
+        axis = self.axis
+        y = axis._conj_inv * x
+        if self.group.is_free:
+            letters = y.letters()
+            ray, sign = (axis._fwd, 1) if letters[:1] == axis._fwd[:1] else (axis._bwd, -1)
+            n, k = len(ray), 0
+            while k < len(letters) and letters[k] == ray[k % n]:
+                k += 1
+            t, dist = sign * k, len(letters) - k
+        else:
+            t, dist = self._read_cycles(y)
+        return ProjectionResult(position=t, vertex=axis.vertex(t), dist=dist)
+
+    def _read_cycles(self, y: Word) -> tuple[int, int]:
+        """(position, dist) of pi_L(y) in a free product (module docstring)."""
+        sylls = y.syllables
+        for sign, ray in self.axis._rays:
+            if sylls and sylls[0][0] == ray[0][0]:
+                break
+        else:
+            return 0, y.length
+        orders = self.group.orders
+        n, k, at = len(ray), 0, 0
+        while k < len(sylls) and sylls[k] == ray[k % n]:
+            i, e = sylls[k]
+            at += _cost(orders[i], e)
+            k += 1
+        if k == len(sylls):
+            return sign * at, 0
+        (i, f), (ray_i, e) = sylls[k], ray[k % n]
+        if i != ray_i:
+            return sign * at, y.length - at
+        m = orders[i]
+        c, r = (e, f) if 2 * e <= m else (m - e, m - f)
+        rest = y.length - at - _cost(m, f)
+        if r <= c:
+            return sign * (at + r), rest
+        if r - c < m - r:
+            return sign * (at + c), rest + r - c
+        return sign * at, rest + m - r
 
     def axis_points_in_ball(self, radius: int) -> list[Word]:
         """The vertices of the projected line (u times the axis) in B(o, radius)."""

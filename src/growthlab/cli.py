@@ -246,9 +246,17 @@ def _apply_config_file(argv: list[str]) -> list[str]:
     return argv[:i] + argv[i + 2:] + injected
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises argparse's usage errors instead of exiting with status 2,
+    which this CLI reserves for a failed hypothesis.  Subparsers inherit
+    the class."""
+
+    def error(self, message):
+        raise PreconditionFailed(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="growthlab",
-                                     description="desk-scale growth experiments")
+    parser = _Parser(prog="growthlab", description="desk-scale growth experiments")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, subgroup=False, g0=False):

@@ -4,7 +4,9 @@ Everything here is deliberately written against different representations
 than the package: strings instead of syllables, BFS graphs instead of
 normal-form lengths, numpy eigenvalues instead of power iteration, and a
 PSL(2,Z) matrix model of Z2 * Z3 whose arithmetic shares no code with the
-package at all.
+package at all.  The one exception is ``nearest_by_window``, a scan along
+an axis that measures with the package's ``distance`` (itself checked
+against the string models); it is the reference for the exact projection.
 """
 
 from __future__ import annotations
@@ -14,6 +16,8 @@ from collections import deque
 
 import numpy as np
 from hypothesis import strategies as st
+
+from growthlab import distance
 
 
 # -- free groups as strings ------------------------------------------------
@@ -290,6 +294,25 @@ SUBGROUPS = st.one_of(
     st.integers(2, 6).map(lambda k: ["a" * k, "b" * k]),      # periodic
     st.integers(1, 6).flatmap(reduced_words).map(lambda w: [w]),  # cyclic, maybe with a stem
 )
+
+
+# -- axis projections by a window scan ----------------------------------------
+
+def nearest_by_window(axis, x):
+    """(position, dist, vertex) of the nearest point of ``axis`` to x, by
+    measuring every position of a window.
+
+    The line is geodesic, so d(x, vertex(t)) >= |t| - d0 with
+    d0 = d(x, vertex(0)); a position with |t| > 2 d0 is strictly farther
+    than vertex(0), and the window covers every nearer one.  Ties go to
+    the least |t|, then to the first position scanned.
+    """
+    vertex = axis.vertex
+    d0 = distance(vertex(0), x)
+    window = 2 * d0 + axis.translation_length + 2
+    best = min(range(-window, window + 1),
+               key=lambda t: (distance(vertex(t), x), abs(t)))
+    return best, distance(vertex(best), x), vertex(best)
 
 
 # -- folded cores and transfer matrices --------------------------------------

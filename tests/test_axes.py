@@ -1,15 +1,19 @@
 """Axes, translation lengths, and exact nearest-point projections.
-Oracles: brute-force distance tables over ball enumerations and the
-PSL(2,Z) matrix model."""
+Oracles: brute-force distance tables over ball enumerations, the window
+scan along an axis, and the PSL(2,Z) matrix model."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from growthlab import Axis, MarkedGroup, ProjectionMap, ball_elements, distance
+from growthlab import Axis, MarkedGroup, ProjectionMap, ball_elements, distance, is_torsion
 from growthlab.errors import FiniteOrderElement
 
-from oracles import PslCayley
+from oracles import PslCayley, nearest_by_window
+
+ORACLE_GROUPS = [MarkedGroup.free(2), MarkedGroup.free(3)] + [
+    MarkedGroup.free_product(orders)
+    for orders in ([2, 3], [4, 4], [4, 2], [6, 4], [2, 2, 5])]
 
 
 def test_axis_examples(f2):
@@ -105,6 +109,44 @@ def test_projection_tie_break_deterministic(z42):
             r = pm.project(x)
             assert (r.position, r.dist, r.vertex) == (t, d, vertex(t))
     assert ties > 0
+
+
+def _words(group, max_size, min_size=0):
+    letters = [s * (i + 1) for i in range(group.rank) for s in (1, -1)]
+    return st.lists(st.sampled_from(letters), min_size=min_size,
+                    max_size=max_size).map(group.from_letters)
+
+
+@st.composite
+def _axes(draw):
+    """Axes of random elements, half of them conjugated, in ORACLE_GROUPS."""
+    group = draw(st.sampled_from(ORACLE_GROUPS))
+    g = draw(_words(group, 6, min_size=1).filter(lambda w: not is_torsion(w)))
+    u = draw(_words(group, 3))
+    return Axis(g.conjugated_by(u))
+
+
+def _assert_matches_window_scan(axis, radius=4):
+    pm = ProjectionMap(axis)
+    for x in ball_elements(axis.group, radius):
+        r = pm.project(x)
+        assert (r.position, r.dist, r.vertex) == nearest_by_window(axis, x), (axis, x)
+
+
+@given(_axes())
+@settings(max_examples=100, deadline=None)
+def test_projection_matches_window_scan(axis):
+    _assert_matches_window_scan(axis)
+
+
+@pytest.mark.parametrize("g, x, position", [("a", "A", -1), ("AAA", "A", 1),
+                                            ("bAAAB", "bA", 1)])
+def test_projection_one_syllable_free_core(f2, g, x, position):
+    # w^infty is one unbounded syllable, so the read-off compares letters
+    axis = Axis(f2.parse(g))
+    r = ProjectionMap(axis).project(f2.parse(x))
+    assert (r.position, r.dist, r.vertex) == (position, 0, f2.parse(x))
+    _assert_matches_window_scan(axis)
 
 
 def test_projected_distance_and_diameter(f2):

@@ -127,6 +127,33 @@ def test_bad_outside_input_is_an_error(args, message, sub_file, tmp_path, capsys
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["gap", "--group", "free:2", "--subgroup", "{sub}", "--rmax", "x"],
+     "error: argument --rmax: invalid int value: 'x'"),
+    (["gap", "--group", "free:2", "--subgroup", "{sub}", "--bogus"],
+     "error: unrecognized arguments: --bogus"),
+    (["gap", "--group", "free:2", "--subgroup", "{sub}", "--config", "{cfg}"],
+     "error: argument --rmax: invalid int value: 'x'"),
+    (["nosuch"], "error: argument command: invalid choice: 'nosuch'"),
+    ([], "error: the following arguments are required: command"),
+])
+def test_argparse_rejections_are_errors(argv, message, sub_file, tmp_path, capsys):
+    """Exit code 2 means a failed hypothesis, so a flag that argparse
+    rejects prints one error line and exits 1 like other bad input."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"rmax": "x"}))
+    assert main([a.format(sub=sub_file, cfg=cfg) for a in argv]) == 1
+    assert capsys.readouterr().err.startswith(message)
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["audit", "--help"]])
+def test_help_exits_zero(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: growthlab")
+
+
 def test_quotient_command_csv(sub_file, tmp_path):
     out = tmp_path / "q.csv"
     code = main(["quotient", "--group", "free:2", "--subgroup", sub_file,
