@@ -32,9 +32,9 @@ from .closure import elementary_closure, find_selector_power
 from .errors import (BudgetExceeded, CounterexampleFound, GrowthLabError,
                      HypothesisFailed, PreconditionFailed)
 from .groups import MarkedGroup
-from .orbits import FreeSubgroup
 from .reports import (flatten_for_csv, growth_records, render_csv, render_json,
                       write_text)
+from .stallings import stallings_fold
 from .theorems import (ExperimentConfig, amalgam_injectivity,
                        coarse_quotient_check, verify_growth_gap,
                        verify_quotient_growth)
@@ -64,7 +64,7 @@ def _at_least(flag: str, value, low) -> None:
         raise PreconditionFailed(f"{flag} must be >= {low}, got {value}")
 
 
-def _emit(payload: dict, args, records=None) -> None:
+def _emit(payload, args, records=None) -> None:
     if args.format == "csv":
         rows = records if records is not None else flatten_for_csv(payload)
         write_text(render_csv(rows), args.out)
@@ -94,13 +94,13 @@ def cmd_gap(args) -> int:
     try:
         report = verify_growth_gap(cfg)
     except HypothesisFailed as exc:
-        _emit(exc.report.to_dict(), args)
+        _emit(exc.report, args)
         return EXIT_HYPOTHESIS
     records = None
     if args.format == "csv":
         records = growth_records(itertools.accumulate(report.details["h_counts"]),
                                  report.omega_h)
-    _emit(report.to_dict(), args, records)
+    _emit(report, args, records)
     return EXIT_OK if report.verdict == "PASS" else EXIT_HYPOTHESIS
 
 
@@ -109,19 +109,19 @@ def cmd_quotient(args) -> int:
     try:
         report = verify_quotient_growth(cfg, max_states=args.max_states)
     except HypothesisFailed as exc:
-        _emit(exc.report.to_dict(), args)
+        _emit(exc.report, args)
         return EXIT_HYPOTHESIS
     records = None
     if args.format == "csv":
         records = growth_records(report.details["coset_counts"], report.omega_quotient)
-    _emit(report.to_dict(), args, records)
+    _emit(report, args, records)
     return EXIT_OK if report.verdict == "PASS" else EXIT_HYPOTHESIS
 
 
 def cmd_amalgam(args) -> int:
     _at_least("--syllables", args.syllables, 1)
     group = _group(args.group)
-    sub = FreeSubgroup.from_words(group, [group.parse(w) for w in _read_subgroup(args.subgroup)])
+    sub = stallings_fold(group, [group.parse(w) for w in _read_subgroup(args.subgroup)])
     g = group.parse(args.g0)
     try:
         report = amalgam_injectivity(sub, g, M=args.power, n_syllables=args.syllables,
@@ -182,7 +182,7 @@ def _read_chain(path: str) -> dict:
 def cmd_buffering(args) -> int:
     spec = _read_chain(args.chain)
     group = _group(spec["group"])
-    sub = FreeSubgroup.from_words(group, [group.parse(w) for w in spec["subgroup"]])
+    sub = stallings_fold(group, [group.parse(w) for w in spec["subgroup"]])
     g = group.parse(spec["g"])
     letters = [group.parse(w) for _, w in spec["word"]]
     params = BufferingParams(spec["delta"], spec["epsilon"], spec["L"])
@@ -218,7 +218,7 @@ def cmd_selector(args) -> int:
     _at_least("--theta", args.theta, 0)
     r = _sample_radius(args, 5)
     group = _group(args.group)
-    sub = FreeSubgroup.from_words(group, [group.parse(w) for w in _read_subgroup(args.subgroup)])
+    sub = stallings_fold(group, [group.parse(w) for w in _read_subgroup(args.subgroup)])
     g = group.parse(args.g0)
     m, sel = find_selector_power(g, epsilon=args.epsilon, theta=args.theta,
                                  y=group.identity(), sample_radius=r)

@@ -173,21 +173,19 @@ def subgroup_closure_intersection(subgroup, g: Word, radius: int) -> list[Word]:
 
 
 def _coset_words(g: Word, M: int, f_elements: list[Word], j_max: int) -> list[Word]:
-    """Sample of <g^M, F> - F: the powers p, q = g^{Mj} with 0 < |j| <= j_max,
-    then each product p f q, f in F nontrivial, that is not itself a power."""
+    """Sample of <g^M, F> - F, each word once in first-seen order: the
+    powers p = g^{Mj} with 0 < |j| <= j_max, then the products p f q with
+    f in F nontrivial and q a power."""
     gM = g**M
     powers = [gM**j for j in range(-j_max, j_max + 1) if j != 0]
-    samples: list[Word] = list(powers)
+    words = dict.fromkeys(powers)
     for p in powers:
         for f in f_elements:
-            if f.is_identity:
-                continue
-            for q in powers:
-                cand = p * f * q
-                if cand not in powers:
-                    samples.append(cand)
+            if not f.is_identity:
+                for q in powers:
+                    words.setdefault(p * f * q)
     f_set = set(f_elements)
-    return [w for w in samples if w not in f_set and not w.is_identity]
+    return [w for w in words if w not in f_set and not w.is_identity]
 
 
 def _doubling_search(attempt, failure: str):

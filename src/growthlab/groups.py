@@ -399,28 +399,13 @@ def is_torsion(w: Word) -> bool:
     return False
 
 
-def geodesic(x: Word, y: Word) -> list[Word]:
-    """The canonical geodesic vertex path from x to y.
-
-    Steps spell the normal form of x^-1 y; every subpath is geodesic.
-    """
-    if x.group != y.group:
-        raise GroupMismatch("endpoints live in different groups")
-    step = x.group.letter_table
-    path = [x]
-    cur = x
-    for l in (x.inverse() * y).letters():
-        cur = cur * step[l]
-        path.append(cur)
-    return path
-
-
 def all_geodesics(x: Word, y: Word) -> Iterator[list[Word]]:
     """All geodesic vertex paths from x to y.
 
     In a free group the geodesic is unique.  In a free product a syllable
     with exponent exactly m/2 (m even, m > 2) can be spelled along either
     arc of its cycle, and each independent choice yields one geodesic.
+    The first path spells the canonical normal form (``Word.letters``).
     """
     if x.group != y.group:
         raise GroupMismatch("endpoints live in different groups")

@@ -1,10 +1,12 @@
-"""Subgroups and their orbits as point sets in the Cayley graph.
+"""Orbits of a subgroup's core as point sets in the Cayley graph.
 
-The audits need two things from an orbit Y = H o: a finite sample
-Y & B(o, r) and the exact distance d(x, Y) for arbitrary x.  For a
-free-group subgroup the latter is the coset distance d(H, Hx), read off
-the Stallings core in O(|x|); for a finite subgroup it is a minimum
-over the elements.
+A finitely generated subgroup H of F_k is its folded Stallings core
+(``CoreGraph``).  The audits need two things from the orbit Y = H o: a
+finite sample Y & B(o, r) and the exact distance d(x, Y) for arbitrary
+x, which is the coset distance d(H, Hx), read off the core in O(|x|).
+``FiniteSubgroup`` is the torsion case, a subgroup of a free product
+given by the closure of its generators; it serves the closure and
+buffering functions, which take any subgroup with ``elements_in_ball``.
 """
 
 from __future__ import annotations
@@ -12,9 +14,9 @@ from __future__ import annotations
 from typing import Iterator, Sequence
 
 from .errors import BudgetExceeded
-from .groups import MarkedGroup, Word, distance
+from .groups import MarkedGroup, Word
 from .schreier import coset_distance
-from .stallings import CoreGraph, stallings_fold
+from .stallings import CoreGraph
 
 FINITE_SUBGROUP_CAP = 4096  # elements a finite subgroup's closure may reach
 
@@ -47,41 +49,17 @@ class FiniteSubgroup:
                 if h.length <= radius)
 
 
-class FreeSubgroup:
-    """A finitely generated subgroup of a free group, via its core graph."""
+class SubgroupOrbit:
+    """The orbit H o of a subgroup of F_k, given by its core."""
 
     def __init__(self, core: CoreGraph):
         self.core = core
         self.group = core.group
 
-    @staticmethod
-    def from_words(group: MarkedGroup, generators: Sequence[Word]) -> "FreeSubgroup":
-        return FreeSubgroup(stallings_fold(group, generators))
-
-    def contains(self, w: Word) -> bool:
-        return self.core.contains(w)
-
-    def elements_in_ball(self, radius: int) -> Iterator[Word]:
-        return self.core.elements_in_ball(radius)
-
-    def index(self):
-        return self.core.index()
-
-
-class SubgroupOrbit:
-    """The orbit H o of a subgroup."""
-
-    def __init__(self, subgroup):
-        self.subgroup = subgroup
-        self.group = subgroup.group
-
     def sample_in_ball(self, radius: int) -> list[Word]:
         """All orbit points within B(o, radius)."""
-        return list(self.subgroup.elements_in_ball(radius))
+        return list(self.core.elements_in_ball(radius))
 
     def distance_to(self, x: Word) -> int:
-        """Exact d(x, Y).  For a core-backed subgroup this is the coset
-        distance of x, read off the core."""
-        if isinstance(self.subgroup, FreeSubgroup):
-            return coset_distance(self.subgroup.core, x)
-        return min(distance(h, x) for h in self.subgroup.elements)
+        """Exact d(x, Y): the coset distance of x, read off the core."""
+        return coset_distance(self.core, x)

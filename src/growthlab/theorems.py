@@ -1,20 +1,23 @@
 """End-to-end pipelines: growth-gap, quotient-growth, amalgam injectivity,
 free-subgroup witnesses, and the coarse-quotient counting argument.
 
-Each pipeline produces a machine-readable report that splits its
-hypotheses in two.  ``hypotheses`` holds the checks that some input can
-make false, each computed once and exactly; ``assumed`` names what the
-theory guarantees for every input the pipeline accepts, with the reason.
-A report PASSes only when every checked hypothesis holds and the
-conclusion clears the configured margin; a failed hypothesis yields
-INAPPLICABLE (and optionally a named HypothesisFailed error), never PASS.
+A finitely generated subgroup H of F_k is its folded Stallings core
+(``CoreGraph``): the pipelines take the core, or any subgroup with
+``elements_in_ball`` where only a ball sample is needed.
 
-The growth-gap and quotient-growth pipelines fold a Stallings core and
-decide from it alone, with no sampled audit and no fitted rate.  The
-ambient group is the free group F_k, so omega_G = log(2k - 1); the
-subgroup is quasi-convex with the exact constant eta read off the core
-(``CoreGraph.depths``); omega_H is the log Perron root of the core; a
-nontrivial subgroup is divergent; and the coset space grows at exactly
+The growth-gap and quotient-growth reports split their hypotheses in
+two.  ``hypotheses`` holds the checks that some input can make false,
+each computed once and exactly; ``assumed`` names what the theory
+guarantees for every input the pipeline accepts, with the reason.  One
+verdict rule (``_conclude``) decides both: INAPPLICABLE when a checked
+hypothesis fails (raised as HypothesisFailed when asked), otherwise PASS
+or FAIL as the conclusion holds or not.
+
+Both decide from the core alone, with no sampled audit and no fitted
+rate.  The ambient group is the free group F_k, so omega_G = log(2k - 1);
+the subgroup is quasi-convex with the exact constant eta read off the
+core (``CoreGraph.depths``); omega_H is the log Perron root of the core;
+a nontrivial subgroup is divergent; and the coset space grows at exactly
 log(2k - 1) when the index is infinite.
 """
 
@@ -22,7 +25,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
+from typing import ClassVar
 
 from .axes import Axis, ProjectionMap
 from .balls import ball_elements, sphere_counts
@@ -30,9 +34,8 @@ from .closure import (SeparationSelector, subgroup_closure_intersection,
                       _coset_words)
 from .errors import CounterexampleFound, HypothesisFailed, PreconditionFailed
 from .groups import MarkedGroup, Word, distance, is_torsion
-from .orbits import FreeSubgroup
 from .schreier import coset_sphere_sizes, schreier_growth
-from .stallings import coset_key, relative_growth
+from .stallings import CoreGraph, coset_key, relative_growth, stallings_fold
 
 QUASI_CONVEX_REASON = ("finitely generated subgroups of F_k are quasi-convex; "
                        "eta is the largest core depth")
@@ -54,21 +57,22 @@ class ExperimentConfig:
     r_schreier: int = 14
     r_audit: int = 4
     gap_margin: float = 0.01
-    quotient_tolerance: float = 0.05
+    # the error in omega_{G/H} that perfbench's reference check allows;
+    # the quotient verdict itself is exact
+    quotient_tolerance: ClassVar[float] = 0.05
 
     def __post_init__(self):
         if min(self.r_ball, self.r_schreier) < 3 or self.r_audit < 3:
             raise PreconditionFailed("radii must be >= 3")
-        margins = (self.gap_margin, self.quotient_tolerance)
-        if not all(math.isfinite(m) and m > 0 for m in margins):
+        if not (math.isfinite(self.gap_margin) and self.gap_margin > 0):
             raise PreconditionFailed("margins must be > 0 and finite")
 
     def marked_group(self) -> MarkedGroup:
         return MarkedGroup.from_descriptor(self.group)
 
-    def free_subgroup(self) -> FreeSubgroup:
+    def core(self) -> CoreGraph:
         g = self.marked_group()
-        return FreeSubgroup.from_words(g, [g.parse(w) for w in self.subgroup])
+        return stallings_fold(g, [g.parse(w) for w in self.subgroup])
 
     def g0_word(self) -> Word:
         group = self.marked_group()
@@ -87,25 +91,31 @@ class TheoremReport:
     gap: float | None = None
     details: dict = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return asdict(self)
 
-
-def _subgroup_facts(cfg: ExperimentConfig) -> tuple[FreeSubgroup, dict, dict, float]:
-    """The facts both growth pipelines share: the folded subgroup, its index,
-    the exact eta, and omega_G = log(2k - 1) of the free ambient group."""
-    sub = cfg.free_subgroup()
-    idx = sub.index()
+def _subgroup_facts(cfg: ExperimentConfig) -> tuple[CoreGraph, dict, dict, float]:
+    """The facts both growth pipelines share: the core, its index, the
+    exact eta, and omega_G = log(2k - 1) of the free ambient group."""
+    core = cfg.core()
+    idx = core.index()
     hypotheses = {"infinite_index": idx == math.inf}
     details = {"index": "infinite" if idx == math.inf else int(idx),
-               "eta": max(sub.core.depths.values())}
-    return sub, hypotheses, details, math.log(2 * sub.group.rank - 1)
+               "eta": max(core.depths.values())}
+    return core, hypotheses, details, math.log(2 * core.group.rank - 1)
 
 
-def _hypothesis_failed(report: TheoremReport) -> HypothesisFailed:
-    exc = HypothesisFailed(", ".join(k for k, v in report.hypotheses.items() if not v))
-    exc.report = report
-    return exc
+def _conclude(theorem: str, hypotheses: dict, holds: bool, raise_on_hypothesis: bool,
+              **fields) -> TheoremReport:
+    """The report with its verdict: INAPPLICABLE when a checked hypothesis
+    fails, raised as HypothesisFailed (carrying the report) when
+    ``raise_on_hypothesis``; otherwise PASS or FAIL as ``holds``."""
+    failed = [name for name, ok in hypotheses.items() if not ok]
+    verdict = "INAPPLICABLE" if failed else ("PASS" if holds else "FAIL")
+    report = TheoremReport(theorem=theorem, verdict=verdict, hypotheses=hypotheses, **fields)
+    if failed and raise_on_hypothesis:
+        exc = HypothesisFailed(", ".join(failed))
+        exc.report = report
+        raise exc
+    return report
 
 
 def verify_growth_gap(cfg: ExperimentConfig, raise_on_hypothesis: bool = True) -> TheoremReport:
@@ -123,31 +133,25 @@ def verify_growth_gap(cfg: ExperimentConfig, raise_on_hypothesis: bool = True) -
     omega_H is the log Perron root of the core and omega_G = log(2k - 1),
     both exact.
     """
-    sub, hypotheses, details, omega_g = _subgroup_facts(cfg)
+    core, hypotheses, details, omega_g = _subgroup_facts(cfg)
     assumed = {"quasi_convex": QUASI_CONVEX_REASON,
                "axis_constriction": "the axis of an infinite-order element of F_k "
                                     "is 0-constricting in the Cayley tree",
                "divergence_type": DIVERGENCE_REASON}
 
-    rel = relative_growth(sub.core, cfg.r_ball)
+    rel = relative_growth(core, cfg.r_ball)
     omega_h = rel.rate
     details["omega_h_spectral"] = rel.spectral.rate
     details["h_counts"] = list(rel.counts.sphere_sizes)
-    hypotheses["divergent"] = bool(sub.core.edges)
+    hypotheses["divergent"] = bool(core.edges)
 
     g0 = cfg.g0_word()
     hypotheses["constricting_element"] = not is_torsion(g0)
     details["g0"] = str(g0)
 
-    all_hyp = all(hypotheses.values())
-    conclusion = omega_h + cfg.gap_margin < omega_g
-    verdict = "PASS" if (all_hyp and conclusion) else ("INAPPLICABLE" if not all_hyp else "FAIL")
-    report = TheoremReport(theorem="growth_gap", verdict=verdict, hypotheses=hypotheses,
-                           assumed=assumed, omega_g=omega_g, omega_h=omega_h,
-                           gap=omega_g - omega_h, details=details)
-    if raise_on_hypothesis and not all_hyp:
-        raise _hypothesis_failed(report)
-    return report
+    return _conclude("growth_gap", hypotheses, omega_h + cfg.gap_margin < omega_g,
+                     raise_on_hypothesis, assumed=assumed, omega_g=omega_g,
+                     omega_h=omega_h, gap=omega_g - omega_h, details=details)
 
 
 def verify_quotient_growth(cfg: ExperimentConfig, raise_on_hypothesis: bool = True,
@@ -158,30 +162,22 @@ def verify_quotient_growth(cfg: ExperimentConfig, raise_on_hypothesis: bool = Tr
     Checked: ``infinite_index``.  Assumed: ``quasi_convex`` (exact eta in
     ``details``).  omega_{G/H} is exact: log(2k - 1) at infinite index and
     0 at finite index, from the coset sphere identity that
-    ``schreier_growth`` checks past eta.  ``max_states`` caps the cosets
-    within radius r_schreier (BudgetExceeded)."""
-    sub, hypotheses, details, omega_g = _subgroup_facts(cfg)
+    ``schreier_growth`` checks past eta.  The conclusion is
+    omega_{G/H} == omega_G, with no tolerance.  ``max_states`` caps the
+    cosets within radius r_schreier (BudgetExceeded)."""
+    core, hypotheses, details, omega_g = _subgroup_facts(cfg)
     assumed = {"quasi_convex": QUASI_CONVEX_REASON}
 
-    sg = schreier_growth(sub.core, cfg.r_schreier, max_states=max_states)
+    sg = schreier_growth(core, cfg.r_schreier, max_states=max_states)
     omega_quotient = sg.rate.rate
     details["coset_counts"] = list(sg.counts.cumulative)
-
-    if not hypotheses["infinite_index"]:
-        # finite index: quotient growth is 0 <= omega_G; theorem inapplicable
+    infinite = hypotheses["infinite_index"]
+    if not infinite:
         details["note"] = "finite index: omega_{G/H} = 0 <= omega_G"
-        report = TheoremReport(theorem="quotient_growth", verdict="INAPPLICABLE",
-                               hypotheses=hypotheses, assumed=assumed, omega_g=omega_g,
-                               omega_quotient=omega_quotient, details=details)
-        if raise_on_hypothesis:
-            raise _hypothesis_failed(report)
-        return report
-
-    gap = abs(omega_quotient - omega_g)
-    return TheoremReport(theorem="quotient_growth",
-                         verdict="PASS" if gap <= cfg.quotient_tolerance else "FAIL",
-                         hypotheses=hypotheses, assumed=assumed, omega_g=omega_g,
-                         omega_quotient=omega_quotient, gap=gap, details=details)
+    return _conclude("quotient_growth", hypotheses, omega_quotient == omega_g,
+                     raise_on_hypothesis, assumed=assumed, omega_g=omega_g,
+                     omega_quotient=omega_quotient,
+                     gap=omega_g - omega_quotient if infinite else None, details=details)
 
 
 @dataclass(frozen=True)
@@ -369,7 +365,7 @@ def coarse_quotient_check(subgroup, g: Word, selector: SeparationSelector,
     # the coset key of the inverse word
     classes: dict[tuple, list[Word]] = {}
     for u in points:
-        classes.setdefault(coset_key(subgroup.core, phi[u].inverse()), []).append(u)
+        classes.setdefault(coset_key(subgroup, phi[u].inverse()), []).append(u)
     theta_cq1 = 0
     for members in classes.values():
         for u, v in itertools.combinations(members, 2):
@@ -381,7 +377,7 @@ def coarse_quotient_check(subgroup, g: Word, selector: SeparationSelector,
     ok = True
     for r in COUNTING_RADII:
         ball_r = sum(sphere_counts(group, r))
-        cosets = sum(coset_sphere_sizes(subgroup.core, r + theta))
+        cosets = sum(coset_sphere_sizes(subgroup, r + theta))
         bound = kappa * cosets
         rows.append((r, ball_r, bound, ball_r <= bound))
         ok = ok and ball_r <= bound

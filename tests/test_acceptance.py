@@ -19,7 +19,6 @@ from growthlab.buffering import (BufferingParams, BufferingSequence, behrstock_t
                                  build_axis_chain, chain_separation, check_buffering)
 from growthlab.closure import (elementary_closure, find_selector_power,
                                find_transversal_conjugate, geometric_separation_power)
-from growthlab.orbits import FreeSubgroup
 from growthlab.theorems import amalgam_injectivity, coarse_quotient_check
 
 LOG3 = math.log(3)
@@ -136,12 +135,12 @@ def test_criterion_07_amalgam_injectivity(f2):
     """Alternating words map to nontrivial elements: H = <a>, g = b at
     6 syllables; H = <a, bab^-1> with a found transversal conjugate at 4."""
     t0 = time.perf_counter()
-    sub_a = FreeSubgroup(stallings_fold(f2, [f2.parse("a")]))
+    sub_a = stallings_fold(f2, [f2.parse("a")])
     rep1 = amalgam_injectivity(sub_a, f2.parse("b"), M=1, n_syllables=6, letter_cap=4)
     assert rep1.verdict == "PASS"
     assert rep1.words_checked == 2 * sum(8 ** d for d in range(1, 7))
 
-    sub2 = FreeSubgroup(stallings_fold(f2, [f2.parse("a"), f2.parse("baB")]))
+    sub2 = stallings_fold(f2, [f2.parse("a"), f2.parse("baB")])
     trans = find_transversal_conjugate(sub2, f2.parse("b"), 2, theta=1, orbit_radius=5)
     g = f2.parse("b").conjugated_by(trans.k)
     m = geometric_separation_power(sub2, g, epsilon=trans.diameter + 1, theta=2)["M"]
@@ -158,7 +157,7 @@ def test_criterion_08_buffering_machinery(f2):
     positive separation margins; the projection alternative holds over all
     of B(o, 5) on the shipped triple."""
     t0 = time.perf_counter()
-    sub = FreeSubgroup(stallings_fold(f2, [f2.parse("a")]))
+    sub = stallings_fold(f2, [f2.parse("a")])
     g = f2.parse("b")
     for word_texts in (("a", "bbb"), ("a", "bbb", "aa", "BBB"),
                        ("a", "bb", "aaa", "bb", "A", "bb")):
@@ -185,7 +184,7 @@ def test_criterion_09_coarse_quotient(f2):
     H = <a>, g = b, and |B(o,r)| <= kappa |L(B(o, r + theta))| at r = 3, 4, 5
     with kappa = |B(o, 3 theta)|."""
     t0 = time.perf_counter()
-    sub = FreeSubgroup(stallings_fold(f2, [f2.parse("a")]))
+    sub = stallings_fold(f2, [f2.parse("a")])
     m, sel = find_selector_power(f2.parse("b"), epsilon=0, theta=1,
                                  y=f2.identity(), sample_radius=5)
     rep = coarse_quotient_check(sub, f2.parse("b"), sel, 5)

@@ -11,7 +11,6 @@ from growthlab.buffering import (BufferingParams, BufferingSequence, behrstock_t
                                  build_axis_chain, chain_separation, check_buffering)
 from growthlab.errors import (EmptyInteriorSet, InvalidAlternatingWord,
                               PreconditionFailed)
-from growthlab.orbits import FreeSubgroup
 
 
 def fold(group, words):
@@ -81,7 +80,7 @@ def test_empty_interior_rejected(f2):
 def test_monotone_in_epsilon_antitone_in_l(eps, eps_extra, L_hi, L_drop):
     """pass(eps, L) implies pass(eps' >= eps, L' <= L)."""
     f2 = MarkedGroup.free(2)
-    sub = FreeSubgroup(stallings_fold(f2, [f2.parse("a")]))
+    sub = stallings_fold(f2, [f2.parse("a")])
     chain = build_axis_chain(sub, f2.parse("b"), [f2.parse("a"), f2.parse("bbb")], 2)
     base = check_buffering(chain, BufferingParams(0, eps, L_hi))
     wider = check_buffering(chain, BufferingParams(0, eps + eps_extra, max(0, L_hi - L_drop)))
@@ -92,7 +91,7 @@ def test_monotone_in_epsilon_antitone_in_l(eps, eps_extra, L_hi, L_drop):
 # -- chains -------------------------------------------------------------------
 
 def test_build_chain_three_terms(f2):
-    sub = FreeSubgroup(fold(f2, ["a"]))
+    sub = fold(f2, ["a"])
     chain = build_axis_chain(sub, f2.parse("b"), [f2.parse("a"), f2.parse("bbb")], 2)
     assert chain.n == 1
     assert len(chain.y_sets) == 2  # Y_0, A_1, Y_1: a three-term sequence
@@ -103,14 +102,14 @@ def test_build_chain_three_terms(f2):
 
 def test_chain_separation_base_case(f2):
     # n = 1 reduces to BS4: gap L > theta passes
-    sub = FreeSubgroup(fold(f2, ["a"]))
+    sub = fold(f2, ["a"])
     chain = build_axis_chain(sub, f2.parse("b"), [f2.parse("a"), f2.parse("bbb")], 2)
     rep = chain_separation(chain, BufferingParams(0, 2, 3), theta=2)
     assert rep.passed and rep.margins == (1,)
 
 
 def test_chain_separation_longer_chain(f2):
-    sub = FreeSubgroup(fold(f2, ["a"]))
+    sub = fold(f2, ["a"])
     word = [f2.parse(w) for w in ("a", "bbb", "aa", "BBB", "A", "bbb")]
     chain = build_axis_chain(sub, f2.parse("b"), word, 2)
     verdict = check_buffering(chain, BufferingParams(0, 2, 3))
@@ -122,14 +121,14 @@ def test_chain_separation_longer_chain(f2):
 
 
 def test_chain_separation_inapplicable_small_l(f2):
-    sub = FreeSubgroup(fold(f2, ["a"]))
+    sub = fold(f2, ["a"])
     chain = build_axis_chain(sub, f2.parse("b"), [f2.parse("a"), f2.parse("bbb")], 2)
     with pytest.raises(PreconditionFailed):
         chain_separation(chain, BufferingParams(0, 2, 100), theta=2)
 
 
 def test_chain_rejects_bad_letters(f2):
-    sub = FreeSubgroup(fold(f2, ["a"]))
+    sub = fold(f2, ["a"])
     g = f2.parse("b")
     with pytest.raises(InvalidAlternatingWord):
         build_axis_chain(sub, g, [], 2)
@@ -144,7 +143,7 @@ def test_chain_rejects_bad_letters(f2):
 def test_chain_threshold_grid(f2):
     """Grid-search the least L whose chains separate with margin, and check
     the corollary conclusion on every passing chain."""
-    sub = FreeSubgroup(fold(f2, ["a"]))
+    sub = fold(f2, ["a"])
     theta = 1
     passing_l = None
     for L in range(0, 5):

@@ -10,7 +10,7 @@ from growthlab.closure import (elementary_closure, find_M, find_selector_power,
                                is_power_of, separation_selector,
                                subgroup_closure_intersection)
 from growthlab.errors import FiniteOrderElement, NotFoundWithinBound, PreconditionFailed
-from growthlab.orbits import FiniteSubgroup, FreeSubgroup
+from growthlab.orbits import FiniteSubgroup
 
 
 def fold(group, words):
@@ -87,20 +87,20 @@ def test_is_power_of(f2):
 # -- transversal conjugates ----------------------------------------------------------
 
 def test_transversal_same_generator(f2):
-    sub = FreeSubgroup(fold(f2, ["a"]))
+    sub = fold(f2, ["a"])
     rec = find_transversal_conjugate(sub, f2.parse("a"), 3, theta=0)
     assert rec.diameter == 0
     assert rec.k.length == 1 and str(rec.k) in ("b", "B")
 
 
 def test_transversal_trivial_case(f2):
-    sub = FreeSubgroup(fold(f2, ["a"]))
+    sub = fold(f2, ["a"])
     rec = find_transversal_conjugate(sub, f2.parse("b"), 3, theta=0)
     assert rec.k.is_identity and rec.diameter == 0
 
 
 def test_transversal_finite_index_not_found(f2):
-    rose = FreeSubgroup(fold(f2, ["a", "b"]))
+    rose = fold(f2, ["a", "b"])
     with pytest.raises(NotFoundWithinBound) as exc:
         find_transversal_conjugate(rose, p0 := f2.parse("a"), 2, theta=0, orbit_radius=4)
     assert exc.value.best["diameter"] > 0
@@ -110,21 +110,21 @@ def test_transversal_finite_index_not_found(f2):
 
 def test_separation_power_theta_two(f2):
     # projections of <a> and b^{3j} <a> sit 3|j| apart on the b-axis
-    sub = FreeSubgroup(fold(f2, ["a"]))
+    sub = fold(f2, ["a"])
     rec = geometric_separation_power(sub, f2.parse("b"), epsilon=0, theta=2)
     assert rec["M"] == 3
     assert rec["h_cap_e"] == ["1"]
 
 
 def test_separation_power_theta_zero(f2):
-    sub = FreeSubgroup(fold(f2, ["a"]))
+    sub = fold(f2, ["a"])
     assert geometric_separation_power(sub, f2.parse("b"), epsilon=0, theta=0)["M"] == 1
 
 
 def test_separation_power_monotone(f2):
     """Enlarging M keeps the separation property (checked at M and 2M)."""
     from growthlab.closure import _coset_words
-    sub = FreeSubgroup(fold(f2, ["a"]))
+    sub = fold(f2, ["a"])
     pm = ProjectionMap(Axis(f2.parse("b")))
     y = [h for h in sub.elements_in_ball(5)]
     for m in (3, 6):
@@ -132,8 +132,32 @@ def test_separation_power_monotone(f2):
             assert pm.projected_set_distance(y, [u * p for p in y]) > 2
 
 
+def test_coset_words_are_distinct_when_h_meets_the_closure(f2):
+    """For H = <bb> and g = b, H & E(g) holds the even powers of b, so many
+    products p f q coincide; each element is sampled once, first-seen first.
+    Integer model: b^e for e = j, or j1 + 2i + j2 with 0 < |j|, |j1|, |j2| <= 4
+    and b^{2i} in the scanned intersection, less the intersection itself."""
+    from growthlab.closure import (SEPARATION_J_MAX, _coset_words,
+                                   subgroup_closure_intersection)
+    sub, b = fold(f2, ["bb"]), f2.parse("b")
+    f_elements = subgroup_closure_intersection(sub, b, 6)
+    f_exps = {2 * i for i in range(-3, 4)}
+    assert {str(f) for f in f_elements} == {str(b**e) for e in f_exps}
+    js = [j for j in range(-4, 5) if j]
+    exps = set(js) | {j1 + f + j2 for j1 in js for f in f_exps - {0} for j2 in js}
+    words = _coset_words(b, 1, f_elements, 4)
+    assert len(words) == len(set(words)) == 22
+    assert set(words) == {b**e for e in exps - f_exps}
+    assert words[:4] == [b**e for e in js if e % 2]
+
+    rec = geometric_separation_power(sub, b, epsilon=100, theta=1)
+    f_elements = subgroup_closure_intersection(sub, b, 5)
+    assert rec["samples"] == len(set(_coset_words(b, rec["M"], f_elements, SEPARATION_J_MAX)))
+    assert (rec["M"], rec["samples"]) == (14, 54)
+
+
 def test_separation_power_precondition(f2):
-    sub = FreeSubgroup(fold(f2, ["a"]))
+    sub = fold(f2, ["a"])
     with pytest.raises(PreconditionFailed):
         geometric_separation_power(sub, f2.parse("a"), epsilon=0, theta=1)
 

@@ -1,12 +1,16 @@
-"""Every name a growthlab module imports is used in that module.
+"""Every name a growthlab module imports is used in that module, and
+every name the package exports exists.
 
-``__init__`` is skipped: its imports are the package's re-exports.
+``__init__`` is skipped by the unused-import check: its imports are the
+package's re-exports, which the export check covers instead.
 """
 
 import ast
 from pathlib import Path
 
 import pytest
+
+import growthlab
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "growthlab"
 MODULES = sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py")
@@ -36,3 +40,7 @@ def test_guard_sees_an_unused_import():
 @pytest.mark.parametrize("module", MODULES)
 def test_no_unused_imports(module):
     assert unused_imports((SRC / module).read_text()) == []
+
+
+def test_every_export_exists():
+    assert [name for name in growthlab.__all__ if not hasattr(growthlab, name)] == []

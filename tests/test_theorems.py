@@ -3,6 +3,7 @@ free subgroups, coarse quotients.  Includes report determinism."""
 
 import json
 import math
+from dataclasses import asdict, replace
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +13,7 @@ import oracles
 from growthlab import MarkedGroup, Word, stallings_fold
 from growthlab.closure import find_selector_power, geometric_separation_power, find_transversal_conjugate
 from growthlab.errors import CounterexampleFound, HypothesisFailed, PreconditionFailed
-from growthlab.orbits import FiniteSubgroup, FreeSubgroup
+from growthlab.orbits import FiniteSubgroup
 from growthlab.reports import render_json
 from growthlab.series import divergence_diagnostic
 from growthlab.theorems import (ExperimentConfig, amalgam_injectivity,
@@ -117,7 +118,7 @@ def test_eta_is_exact_against_the_sampled_audit(k, gens, eta):
 
     cfg = ExperimentConfig(group=f"free:{k}", subgroup=gens, r_schreier=6)
     assert verify_quotient_growth(cfg).details["eta"] == eta
-    orbit = SubgroupOrbit(cfg.free_subgroup())
+    orbit = SubgroupOrbit(cfg.core())
     assert quasiconvexity_audit(orbit, 8) == eta
     for r in (3, 4):
         assert quasiconvexity_audit(orbit, r) <= eta
@@ -131,7 +132,7 @@ def test_divergent_matches_poincare_verdict(gens, r):
     trivial subgroups."""
     cfg = ExperimentConfig(group="free:2", subgroup=tuple(gens), g0="ab", r_ball=r)
     rep = verify_growth_gap(cfg, raise_on_hypothesis=False)
-    oracle = divergence_diagnostic(cfg.free_subgroup().core, rep.omega_h, max(r, 15))
+    oracle = divergence_diagnostic(cfg.core(), rep.omega_h, max(r, 15))
     assert rep.hypotheses["divergent"] == (oracle.verdict == "diverges")
     assert rep.hypotheses["divergent"] == bool(gens)
     assert "Coornaert" in rep.assumed["divergence_type"]
@@ -168,13 +169,33 @@ def test_quotient_rate_is_exact(k, gens, r, index):
     rep = verify_quotient_growth(cfg, raise_on_hypothesis=False)
     assert len(rep.details["coset_counts"]) == r + 1
     if index == math.inf:
-        assert rep.omega_quotient == math.log(2 * k - 1)
+        assert rep.omega_quotient == rep.omega_g == math.log(2 * k - 1)
         assert rep.gap == 0.0
         assert rep.verdict == "PASS"
     else:
         assert rep.details["index"] == index
         assert rep.omega_quotient == 0.0
         assert rep.verdict == "INAPPLICABLE"
+
+
+@pytest.mark.parametrize("k, gens", [(2, ("a",)), (2, ("a", "baB")), (3, ("ab", "cA"))])
+def test_quotient_verdict_can_fail(monkeypatch, k, gens):
+    """The conclusion is omega_{G/H} == omega_G with no tolerance: a rate
+    0.01 short of log(2k - 1) FAILs (the real rate PASSes, see
+    test_quotient_rate_is_exact)."""
+    from growthlab import theorems
+
+    cfg = ExperimentConfig(group=f"free:{k}", subgroup=gens, r_schreier=8)
+    exact = theorems.schreier_growth
+
+    def short(core, r_max, max_states=None):
+        sg = exact(core, r_max, max_states=max_states)
+        return replace(sg, rate=replace(sg.rate, rate=math.log(2 * k - 1) - 0.01))
+
+    monkeypatch.setattr(theorems, "schreier_growth", short)
+    rep = verify_quotient_growth(cfg)
+    assert rep.verdict == "FAIL"
+    assert rep.gap == pytest.approx(0.01)
 
 
 def test_quotient_finite_index_note():
@@ -188,7 +209,7 @@ def test_quotient_finite_index_note():
 # -- amalgams -----------------------------------------------------------------------
 
 def test_amalgam_free_case(f2):
-    sub = FreeSubgroup(fold(f2, ["a"]))
+    sub = fold(f2, ["a"])
     rep = amalgam_injectivity(sub, f2.parse("b"), M=1, n_syllables=6, letter_cap=4)
     assert rep.verdict == "PASS"
     # pools a^{+-1..4} and b^{+-1..4}: 8^d alternating words of d letters per
@@ -200,7 +221,7 @@ def test_amalgam_free_case(f2):
 def test_amalgam_small_power_refuted(f2):
     # M = 1 genuinely fails for H = <a, bab^-1>:
     # (b a^-1 b^-1) . b . a . b^-1 = 1
-    sub = FreeSubgroup(fold(f2, ["a", "baB"]))
+    sub = fold(f2, ["a", "baB"])
     w = f2.parse("bAB") * f2.parse("b") * f2.parse("a") * f2.parse("B")
     assert w.is_identity
     with pytest.raises(CounterexampleFound):
@@ -208,7 +229,7 @@ def test_amalgam_small_power_refuted(f2):
 
 
 def test_amalgam_with_searched_power(f2):
-    sub = FreeSubgroup(fold(f2, ["a", "baB"]))
+    sub = fold(f2, ["a", "baB"])
     m = geometric_separation_power(sub, f2.parse("b"), epsilon=1, theta=2)["M"]
     rep = amalgam_injectivity(sub, f2.parse("b"), M=m, n_syllables=4, letter_cap=4)
     assert rep.verdict == "PASS"
@@ -232,7 +253,7 @@ def test_amalgam_search_matches_string_oracle(f2, gens, n):
     # (in the order the package lists them) and b^{+-1..4}; the string model
     # walks the same order and must stop at the same word with the same
     # witness, or visit as many words
-    sub = FreeSubgroup(fold(f2, gens))
+    sub = fold(f2, gens)
     pool_h = [str(h) for h in sub.elements_in_ball(4) if not h.is_identity]
     pad = max(len(w) for w in gens)
     assert set(pool_h) == oracles.closure_membership(2, list(gens), 4, pad) - {""}
@@ -252,7 +273,7 @@ def test_amalgam_spends_one_product_per_word(f2, monkeypatch):
     # the search multiplies its prefix by one letter per word; the only other
     # products (122 here) build the pools and H & E(b).  A collision replay
     # run on a passing search, or a second product per word, breaks the bound.
-    sub = FreeSubgroup(fold(f2, ["a"]))
+    sub = fold(f2, ["a"])
     products = 0
     mul = Word.__mul__
 
@@ -299,7 +320,7 @@ def test_free_witness_same_axis_rejected(f2):
 # -- coarse quotient ----------------------------------------------------------------------
 
 def test_coarse_quotient_cyclic(f2):
-    sub = FreeSubgroup(fold(f2, ["a"]))
+    sub = fold(f2, ["a"])
     m, sel = find_selector_power(f2.parse("b"), epsilon=0, theta=1,
                                  y=f2.identity(), sample_radius=5)
     rep = coarse_quotient_check(sub, f2.parse("b"), sel, 5)
@@ -310,7 +331,7 @@ def test_coarse_quotient_cyclic(f2):
 
 
 def test_coarse_quotient_trivial_pair(f2):
-    sub = FreeSubgroup(fold(f2, ["a"]))
+    sub = fold(f2, ["a"])
     _, sel = find_selector_power(f2.parse("b"), epsilon=0, theta=1,
                                  y=f2.identity(), sample_radius=4)
     rep = coarse_quotient_check(sub, f2.parse("b"), sel, 4)
@@ -322,8 +343,8 @@ def test_coarse_quotient_trivial_pair(f2):
 
 def test_reports_are_deterministic():
     cfg = ExperimentConfig(group="free:2", subgroup=("a",), g0="ab")
-    a = verify_growth_gap(cfg).to_dict()
-    b = verify_growth_gap(cfg).to_dict()
+    a = asdict(verify_growth_gap(cfg))
+    b = asdict(verify_growth_gap(cfg))
     ja = json.loads(render_json(a))
     jb = json.loads(render_json(b))
     ja.pop("timestamp"), jb.pop("timestamp")
