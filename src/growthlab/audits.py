@@ -8,14 +8,47 @@ the test suite pins only the exactly-known tree values (delta = 0,
 Lipschitz constant 1).
 
 The pair scans (CS2, properties (3), (4) and (7), and eta) stay
-exhaustive over every pair of the ball, but they run on integer vertex
-ids, not words.  ``_Vertices`` interns each vertex a scan visits and
-fills its letter-to-neighbour row lazily, so an edge costs one word
-product however many paths cross it; it memoises projections and the
-distances to projection vertices by id.  Each pair spells its geodesics
-once, from the single product x^-1 y, and walks them through the id
-table: the canonical geodesic for (3) and (4), and every tie arc (both
-arcs of a syllable x^(m/2)) for CS2, (7) and eta.
+exhaustive over every pair of the ball, but they make one traversal per
+source point instead of one walk per pair.  Each scan builds one graph
+on integer ids, ``_Region``: a set P of seed points closed under
+canonical prefixes (the ball B(o, r), or an orbit sample and its
+prefixes), plus every vertex on a geodesic arc of one cycle between two
+vertices of P on that cycle.  A cycle is a coset v<x_i> of a factor of
+order m > 2; in F_k there is none, and the region is P itself.
+
+Lemma: the region holds every geodesic between two points of P.  In
+F_k the Cayley graph is a tree, and the geodesic from x to y runs through
+prefixes of x and of y.  The Cayley graph of a free product is a tree of
+cycles, so a geodesic from x to y crosses each cycle C on its way along a
+geodesic arc of C, entering at the vertex a of C nearest to x and
+leaving at the vertex b nearest to y.  Both lie in P.  If a is not the
+vertex of C nearest to o, every path from o to x passes through a, the
+canonical one included; otherwise b is not, and every path from o to y
+passes through a.  The same holds for b.  The vertices of P on C form an
+arc around the vertex nearest to o, reaching s steps one way and s' the
+other; a far arc between two of them is geodesic exactly when
+2(s + s') >= m, and then the far arcs together cover C.  On Z4*Z4 at
+r = 4 the region has 121 vertices against 97 in the ball.
+
+So the BFS over the region from a source x reaches each y in P at depth
+d(x, y), and the paths of its DAG from x to y are exactly the geodesics
+from x to y.  Along that DAG:
+ - CS2: A_x[v] = min(d(v, pi x), max of A_x over v's DAG predecessors)
+   is the best, over geodesics from x to v, of their least distance to
+   pi x; the worst approach of a pair is max(A_x[y], A_y[x]).  d(., p)
+   is one column per distinct projection vertex p.
+ - (3) and (4): canonical spellings (``Word.letters``) are prefix-closed,
+   so they form a spanning tree of the DAG, and the canonical geodesic's
+   length, projection range and first and last on-axis index ride down
+   that tree.  ``_canonical_steps`` decides which letters extend a
+   canonical spelling.
+ - eta: the DAG vertices from which a later orbit point can be reached
+   are the vertices on geodesics from x to later orbit points.
+The traversals only fill per-pair values.  The pairs are then scanned in
+the order of a per-pair scan (ball order, x before y), so every maximum
+and every first-argmax witness is that scan's.  The per-pair scan, which
+spells every geodesic of each pair from x^-1 y, is the reference in
+``tests/oracles.py``.
 
 Every audit has one fixed design: a scan refuses more than
 ``DEFAULT_PAIR_CAP`` pairs; properties (6) and (7) sample with seed 0.
@@ -23,14 +56,13 @@ Every audit has one fixed design: a scan refuses more than
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 
 from .axes import ProjectionMap
 from .balls import ball_elements
 from .errors import BudgetExceeded
-from .groups import Word, distance
+from .groups import Word, _cost, distance
 
 DEFAULT_PAIR_CAP = 2_000_000
 QG_GRID = ((1, 0), (1, 2), (2, 2), (2, 4))  # (kappa, lambda) quasi-geodesic constants
@@ -38,109 +70,155 @@ QG_SAMPLES = 40  # perturbed axis geodesics per grid point
 PERTURBATIONS = (0, 1)  # random steps applied to each axis vertex
 
 
-class _Vertices:
-    """The vertices a pair scan visits, interned as ints.
+def _canonical_steps(orders: tuple[int, ...]) -> tuple[list[int], list[list[int]]]:
+    """(letters, step): the traversal's signed letters and the
+    canonical-extension table.
 
-    ``words[i]`` is vertex i.  ``walk`` follows a spelling through
-    letter-to-neighbour rows filled on first use, one word product per
-    directed edge.  A row is a list indexed by the signed letter itself:
-    -l lands at 2k + 1 - l, past the positive letters.  ``project`` (with
-    a projection map) and ``dist`` memoise by id, so each vertex is
-    projected once and measured once against each projection vertex.
+    A state is the last run of a canonical spelling, (letter, run
+    length), or None for the empty spelling; state 0 is None.
+    ``step[s][j]`` is the state after appending ``letters[j]``, or -1 when
+    the longer spelling is not the canonical spelling of its word.  A run
+    of x_i on a factor of order m may grow to m/2 letters forwards (the
+    tie arc is spelled forwards) and to fewer than m/2 backwards; a free
+    run never ends, so its length stays 1.  An order-2 factor has the
+    one letter x_i = x_i^-1.
     """
+    letters = [s * (i + 1) for i, m in enumerate(orders) for s in (1, -1) if s > 0 or m != 2]
 
-    def __init__(self, group, pm: ProjectionMap | None = None):
-        self.words: list[Word] = []
-        self._ids: dict[Word, int] = {}
-        self._rows: list[list | None] = []
-        self._proj: list[tuple[int, int, int] | None] = []
-        self._near: list[dict[int, int] | None] = []
-        self._pm = pm
-        self._letter = group.letter_table
-        self._width = 2 * group.rank + 1
+    def extend(state, l):
+        if state is None or abs(state[0]) != abs(l):
+            return (l, 1)
+        last, run = state
+        m = orders[abs(l) - 1]
+        if last != l:
+            return None
+        if m == 0:
+            return state
+        if 2 * (run + 1) < m or (l > 0 and 2 * (run + 1) == m):
+            return (l, run + 1)
+        return None
 
-    def id(self, w: Word) -> int:
-        i = self._ids.get(w)
-        if i is None:
-            i = self._ids[w] = len(self.words)
-            self.words.append(w)
-            self._rows.append(None)
-            self._proj.append(None)
-            self._near.append(None)
-        return i
-
-    def walk(self, start: int, letters: list[int]) -> list[int]:
-        """Ids of the vertex path from ``start`` along ``letters``."""
-        rows = self._rows
-        path = [start]
-        cur = start
+    states: list = [None]
+    index = {None: 0}
+    step = []
+    for state in states:  # grows as new states appear
+        row = []
         for l in letters:
-            row = rows[cur]
-            if row is None:
-                row = rows[cur] = [None] * self._width
-            nxt = row[l]
-            if nxt is None:
-                nxt = row[l] = self.id(self.words[cur] * self._letter[l])
-            path.append(nxt)
-            cur = nxt
-        return path
-
-    def project(self, i: int) -> tuple[int, int, int]:
-        """(position, dist, vertex id) of the projection of vertex i."""
-        hit = self._proj[i]
-        if hit is None:
-            r = self._pm.project(self.words[i])
-            hit = self._proj[i] = (r.position, r.dist, self.id(r.vertex))
-        return hit
-
-    def dist(self, i: int, p: int) -> int:
-        """d(vertex i, vertex p)."""
-        near = self._near[i]
-        if near is None:
-            near = self._near[i] = {}
-        d = near.get(p)
-        if d is None:
-            d = near[p] = distance(self.words[i], self.words[p])
-        return d
+            nxt = extend(state, l)
+            if nxt is not None and nxt not in index:
+                index[nxt] = len(states)
+                states.append(nxt)
+            row.append(-1 if nxt is None else index[nxt])
+        step.append(row)
+    return letters, step
 
 
-def _spellings(w: Word):
-    """Every geodesic spelling of w: one per choice of arc on each tie
-    syllable (exponent m/2 on a factor of even order m > 2)."""
-    for choice in itertools.product(*w.syllable_spellings()):
-        yield [l for block in choice for l in block]
+class _Region:
+    """The graph of one pair scan (module docstring), on integer ids.
 
-
-def _cs2_delta(vx: _Vertices, points: list[int], proj, gap) -> int:
-    """Least delta certifying CS2 over all pairs of ``points`` (vertex ids).
-
-    ``proj[i]`` is (gap key, projection vertex id) of point i, and
-    ``gap(key_x, key_y)`` the projected distance of a pair.  A pair with
-    projections delta-close is a vacuous case, never a violation, so the
-    least certifying delta of a pair is min(gap, worst approach), where the
-    approach of a geodesic is the larger of its distances to the two
-    projection vertices and the worst is taken over every geodesic.
+    ``points`` must be closed under canonical prefixes; they get ids 0 to
+    ``n`` - 1 in their given order, and the far arcs of their cycles come
+    after.  ``nbrs[v]`` lists the neighbours of v inside the region, and
+    ``children[s][v]`` the (neighbour, state) pairs that extend a canonical
+    spelling ending at v in state s (``_canonical_steps``); building them
+    costs one word product per directed edge.
     """
-    words = vx.words
-    dist = vx.dist
-    needed = 0  # max over pairs of the least certifying delta
-    for n, x in enumerate(points):
-        kx, px = proj[x]
-        xinv = words[x].inverse()
-        for y in points[n + 1:]:
-            ky, py = proj[y]
-            g = gap(kx, ky)
-            if g <= needed:
-                continue  # cannot raise the running maximum
-            worst = 0
-            for letters in _spellings(xinv * words[y]):
-                path = vx.walk(x, letters)
-                ax = 0 if px in path else min(dist(v, px) for v in path)
-                ay = 0 if py in path else min(dist(v, py) for v in path)
-                worst = max(worst, ax, ay)
-                if worst >= g:
-                    break  # min(g, worst) is settled
-            needed = max(needed, min(g, worst))
+
+    def __init__(self, group, points: list[Word]):
+        self.n = len(points)
+        words = list(points)
+        ids = {w: i for i, w in enumerate(words)}
+        for c in points:
+            # c is the vertex nearest to o of its cycle on each factor
+            # other than the one of its last syllable
+            last = c.syllables[-1][0] if c.syllables else -1
+            for i, m in enumerate(group.orders):
+                if m <= 2 or i == last:
+                    continue
+                cycle = [Word(group, c.syllables + ((i, e),), c.length + _cost(m, e))
+                         for e in range(1, m)]
+                ahead = next((f for f in range(m // 2) if cycle[f] not in ids), m // 2)
+                back = next((f for f in range((m - 1) // 2) if cycle[-1 - f] not in ids),
+                            (m - 1) // 2)
+                if 2 * (ahead + back) >= m:
+                    for w in cycle:
+                        if w not in ids:
+                            ids[w] = len(words)
+                            words.append(w)
+        self.words = words
+        letters, step = _canonical_steps(group.orders)
+        gens = [group.letter_table[l] for l in letters]
+        rows = [[ids.get(w * g, -1) for g in gens] for w in words]
+        self.nbrs = [[v for v in row if v >= 0] for row in rows]
+        self.children = [[[(v, s) for v, s in zip(row, after) if v >= 0 and s >= 0]
+                          for row in rows] for after in step]
+
+
+def _with_prefixes(points: list[Word]) -> list[Word]:
+    """``points`` followed by the canonical prefixes of them it lacks."""
+    out = list(points)
+    seen = set(out)
+    for w in points:
+        step = w.group.letter_table
+        cur = w.group.identity()
+        for l in w.letters():
+            if cur not in seen:
+                seen.add(cur)
+                out.append(cur)
+            cur = cur * step[l]
+    return out
+
+
+def _bottleneck(region: _Region, x: int, col: list[int]) -> list[int]:
+    """A_x over the region: A_x[v] is the largest, over the paths of the
+    BFS DAG from x to v, of the least ``col`` value along the path.
+
+    The BFS fills it in passing: A_x[v] = min(col[v], max of A_x over v's
+    DAG predecessors), and every predecessor leaves the queue before v.
+    """
+    nbrs = region.nbrs
+    depth = [-1] * len(nbrs)
+    reach = col[:]  # min(col[v], best over the predecessors seen so far)
+    depth[x] = 0
+    queue = [x]
+    for v in queue:  # grows as the search goes
+        a = reach[v]
+        d = depth[v] + 1
+        for w in nbrs[v]:
+            dw = depth[w]
+            if dw < 0:
+                depth[w] = d
+                queue.append(w)
+                reach[w] = a if a < col[w] else col[w]
+            elif dw == d and a > reach[w]:
+                reach[w] = a if a < col[w] else col[w]
+    return reach
+
+
+def _cs2_delta(region: _Region, proj: list[Word], gaps) -> int:
+    """Least delta certifying CS2 over all pairs of the region's points.
+
+    ``proj[i]`` is the projection vertex of point i, and ``gaps(x)`` lists
+    the projected distance from point x to every point.  A pair with
+    projections delta-close is a vacuous case, never a violation, so the
+    least certifying delta of a pair is min(gap, worst approach), where
+    the approach of a geodesic is the larger of its distances to the two
+    projection vertices and the worst is taken over every geodesic.  The
+    worst approach is max(A_x[y], A_y[x]), with A_x the ``_bottleneck`` of
+    d(., proj[x]) from x, and gap is symmetric, so the answer is the
+    largest min(gap, A_x[y]) over ordered pairs.
+    """
+    columns: dict[Word, list[int]] = {}  # projection vertex p -> d(., p) over the region
+    needed = 0
+    for x in range(region.n):
+        row = gaps(x)
+        if max(row) <= needed:
+            continue  # no pair from x can raise the running maximum
+        px = proj[x]
+        col = columns.get(px)
+        if col is None:
+            col = columns[px] = [distance(w, px) for w in region.words]
+        needed = max(needed, max(map(min, row, _bottleneck(region, x, col))))
     return needed
 
 
@@ -177,13 +255,10 @@ def constriction_audit(pm: ProjectionMap, sample_radius: int) -> ConstrictionRep
     for _, v in pm.axis.vertices_in_ball(sample_radius):
         delta_cs1 = max(delta_cs1, pm.project(v).dist)
 
-    vx = _Vertices(group, pm)
-    ids = [vx.id(x) for x in points]
-    proj = {}
-    for i in ids:
-        position, _, vertex = vx.project(i)
-        proj[i] = (position, vertex)
-    needed = _cs2_delta(vx, ids, proj, lambda s, t: abs(s - t))
+    projected = [pm.project(x) for x in points]
+    ts = [p.position for p in projected]
+    needed = _cs2_delta(_Region(group, points), [p.vertex for p in projected],
+                        lambda x: [abs(ts[x] - t) for t in ts])
     return ConstrictionReport(delta_cs1=delta_cs1, delta_cs2=needed,
                               samples=n * (n - 1) // 2)
 
@@ -197,18 +272,58 @@ def quasiconvexity_audit(orbit, sample_radius: int) -> int:
     points = orbit.sample_in_ball(sample_radius)
     if len(points) ** 2 > DEFAULT_PAIR_CAP:
         raise BudgetExceeded(f"{len(points) ** 2} pairs exceed cap {DEFAULT_PAIR_CAP}")
-    vx = _Vertices(orbit.group)
-    words = vx.words
-    ids = [vx.id(x) for x in points]
-    seen: dict[int, int] = {}  # vertex id -> d(vertex, Y), in order of first visit
-    for n, x in enumerate(ids):
-        xinv = words[x].inverse()
-        for y in ids[n + 1:]:
-            for letters in _spellings(xinv * words[y]):
-                for v in vx.walk(x, letters):
-                    if v not in seen:
-                        seen[v] = orbit.distance_to(words[v])
-    return max(seen.values(), default=0)
+    region = _Region(orbit.group, _with_prefixes(points))
+    n, nbrs = len(points), region.nbrs
+    seen: set[int] = set()  # vertices on geodesics between orbit points
+    for x in range(n - 1):
+        depth = [-1] * len(nbrs)
+        depth[x] = 0
+        order = [x]
+        for v in order:  # grows as the search goes
+            for w in nbrs[v]:
+                if depth[w] < 0:
+                    depth[w] = depth[v] + 1
+                    order.append(w)
+        later = [False] * len(nbrs)  # a later orbit point is reachable in the DAG
+        for v in reversed(order):
+            d = depth[v] + 1
+            if x < v < n or any(later[w] for w in nbrs[v] if depth[w] == d):
+                later[v] = True
+                seen.add(v)
+    return max((orbit.distance_to(region.words[v]) for v in seen), default=0)
+
+
+def _canonical_tree(region: _Region, x: int, pos: list[int], on: list[bool]):
+    """(length, image) per point y of the region: d(x, y), and
+    |diam(A & gamma) - diam_A(gamma)| along the canonical geodesic gamma
+    from x to y, by one walk down the tree of canonical spellings from x.
+
+    ``pos[v]`` is the projection position of vertex v and ``on[v]``
+    whether v lies on the axis.  Along gamma the walk carries the least
+    and largest position and the first and last on-axis index (-1 while
+    there is none, so that their difference reads 0).
+    """
+    n, children = region.n, region.children
+    length = [0] * n
+    image = [0] * n
+    t = pos[x]
+    f = 0 if on[x] else -1
+    stack = [(x, 0, 0, t, t, f, f)]
+    while stack:
+        v, s, k, lo, hi, first, last = stack.pop()
+        if v < n:
+            length[v] = k
+            image[v] = abs(last - first - (hi - lo))
+        k += 1
+        for w, s2 in children[s][v]:
+            t = pos[w]
+            lo2 = t if t < lo else lo
+            hi2 = t if t > hi else hi
+            if on[w]:
+                stack.append((w, s2, k, lo2, hi2, k if first < 0 else first, k))
+            else:
+                stack.append((w, s2, k, lo2, hi2, first, last))
+    return length, image
 
 
 @dataclass(frozen=True)
@@ -285,6 +400,7 @@ def elementary_properties_audit(pm_a: ProjectionMap, pm_b: ProjectionMap | None,
     """
     group = pm_a.group
     points = list(ball_elements(group, sample_radius, max_elements=DEFAULT_PAIR_CAP))
+    region = _Region(group, points)
     rng = random.Random(0)
     window = sample_radius + 2 * max(pm_a.axis.translation_length, 1) + \
         pm_a.axis.conjugator.length + 2
@@ -308,36 +424,31 @@ def elementary_properties_audit(pm_a: ProjectionMap, pm_b: ProjectionMap | None,
         for x in points:
             lhs = pm_a.project(h * x).vertex
             rhs = h * pm_a.project(x).vertex
-            if distance(lhs, rhs) > theta2 or "equivariance" not in witnesses:
-                theta2 = max(theta2, distance(lhs, rhs))
+            d = distance(lhs, rhs)
+            if d > theta2 or "equivariance" not in witnesses:
+                theta2 = max(theta2, d)
                 witnesses["equivariance"] = f"h={h}, x={x}"
 
     # (3) coarse Lipschitz and (4) intersection-image, per pair, along
     # the canonical geodesic
     theta3 = 0
     theta4 = 0
-    vx = _Vertices(group, pm_a)
-    words = vx.words
-    project = vx.project
-    ids = [vx.id(x) for x in points]
-    for n, x in enumerate(ids):
-        wx = words[x]
-        xinv = wx.inverse()
-        tx = project(x)[0]
-        for y in ids[n + 1:]:
-            w = xinv * words[y]
-            excess = abs(tx - project(y)[0]) - w.length  # w.length = d(x, y)
+    words = region.words
+    projected = [pm_a.project(w) for w in words]
+    pos = [p.position for p in projected]
+    on = [p.dist == 0 for p in projected]
+    n = region.n
+    for x in range(n):
+        length, image = _canonical_tree(region, x, pos, on)
+        tx = pos[x]
+        for y in range(x + 1, n):
+            excess = abs(tx - pos[y]) - length[y]  # length[y] = d(x, y)
             if excess > theta3 or "lipschitz" not in witnesses:
                 theta3 = max(theta3, excess)
-                witnesses["lipschitz"] = f"x={wx}, y={words[y]}"
-            path = [project(v) for v in vx.walk(x, w.letters())]
-            on_axis = [i for i, (_, d, _) in enumerate(path) if d == 0]
-            diam_inter = (on_axis[-1] - on_axis[0]) if on_axis else 0
-            positions = [t for t, _, _ in path]
-            diam_proj = max(positions) - min(positions)
-            if abs(diam_inter - diam_proj) > theta4 or "intersection_image" not in witnesses:
-                theta4 = max(theta4, abs(diam_inter - diam_proj))
-                witnesses["intersection_image"] = f"x={wx}, y={words[y]}"
+                witnesses["lipschitz"] = f"x={words[x]}, y={words[y]}"
+            if image[y] > theta4 or "intersection_image" not in witnesses:
+                theta4 = max(theta4, image[y])
+                witnesses["intersection_image"] = f"x={words[x]}, y={words[y]}"
 
     # (5) Behrstock inequality for the pair of axes
     theta5 = None
@@ -393,8 +504,11 @@ def elementary_properties_audit(pm_a: ProjectionMap, pm_b: ProjectionMap | None,
     # (7) coarse invariance: epsilon-perturbed axis sets stay constricting
     zeta_rows = []
     small_r = min(sample_radius, 3)
-    small_points = list(ball_elements(group, small_r, max_elements=DEFAULT_PAIR_CAP))
-    small_ids = [vx.id(x) for x in small_points]
+    if small_r == sample_radius:
+        small = region
+    else:
+        small = _Region(group, list(ball_elements(group, small_r,
+                                                  max_elements=DEFAULT_PAIR_CAP)))
     for eps in PERTURBATIONS:
         b_set = []
         for _, v in pm_a.axis.vertices_in_ball(window):
@@ -406,11 +520,12 @@ def elementary_properties_audit(pm_a: ProjectionMap, pm_b: ProjectionMap | None,
                     w = cand
             b_set.append(w)
         sp = SetProjection(b_set)
-        proj = {}
-        for i, x in zip(small_ids, small_points):
-            b = sp.project(x)[0]
-            proj[i] = (b, vx.id(b))
-        zeta_rows.append((eps, _cs2_delta(vx, small_ids, proj, distance), len(small_points)))
+        proj = [sp.project(x)[0] for x in small.words[:small.n]]
+        keys: dict[Word, int] = {}  # projection vertex -> row of the gap table
+        ks = [keys.setdefault(b, len(keys)) for b in proj]
+        gap = [[distance(p, q) for q in keys] for p in keys]
+        zeta_rows.append((eps, _cs2_delta(small, proj, lambda x: [gap[ks[x]][k] for k in ks]),
+                          small.n))
 
     return AuditTable(radius=sample_radius, samples=len(points),
                       theta_nearest_point=theta1, theta_equivariance=theta2,

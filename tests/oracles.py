@@ -4,9 +4,12 @@ Everything here is deliberately written against different representations
 than the package: strings instead of syllables, BFS graphs instead of
 normal-form lengths, numpy eigenvalues instead of power iteration, and a
 PSL(2,Z) matrix model of Z2 * Z3 whose arithmetic shares no code with the
-package at all.  The one exception is ``nearest_by_window``, a scan along
-an axis that measures with the package's ``distance`` (itself checked
-against the string models); it is the reference for the exact projection.
+package at all.  Two exceptions measure with the package's ``distance``
+(itself checked against the string models): ``nearest_by_window``, a scan
+along an axis that is the reference for the exact projection, and the
+per-pair scans of the projection audits, which spell every geodesic of
+each pair from x^-1 y and are the reference for the per-source traversals
+of ``growthlab.audits``.
 """
 
 from __future__ import annotations
@@ -17,7 +20,8 @@ from collections import deque
 import numpy as np
 from hypothesis import strategies as st
 
-from growthlab import distance
+from growthlab import ball_elements, distance
+from growthlab.audits import ConstrictionReport
 
 
 # -- free groups as strings ------------------------------------------------
@@ -313,6 +317,113 @@ def nearest_by_window(axis, x):
     best = min(range(-window, window + 1),
                key=lambda t: (distance(vertex(t), x), abs(t)))
     return best, distance(vertex(best), x), vertex(best)
+
+
+# -- per-pair scans of the projection audits ---------------------------------
+
+def geodesic_spellings(w):
+    """Every geodesic spelling of w: one per choice of arc on each tie
+    syllable (exponent m/2 on a factor of even order m > 2)."""
+    for choice in itertools.product(*w.syllable_spellings()):
+        yield [l for block in choice for l in block]
+
+
+def _walk(x, letters, memo):
+    """The vertex path from x along ``letters``; ``memo`` keeps each edge's
+    product, keyed by (vertex, letter)."""
+    step = x.group.letter_table
+    path = [x]
+    for l in letters:
+        v = path[-1]
+        nxt = memo.get((v, l))
+        if nxt is None:
+            nxt = memo[(v, l)] = v * step[l]
+        path.append(nxt)
+    return path
+
+
+def cs2_by_pairs(points, proj, gap):
+    """Least delta certifying CS2 over all pairs of ``points``, pair by pair.
+
+    ``proj[x]`` is (gap key, projection vertex) of x, and ``gap(key_x,
+    key_y)`` the projected distance of a pair.  Each pair spells every
+    geodesic of x^-1 y, walks it from x and takes the worst approach (the
+    larger of its least distances to the two projection vertices), then
+    min(gap, worst approach).
+    """
+    memo = {}
+    needed = 0
+    for n, x in enumerate(points):
+        kx, px = proj[x]
+        xinv = x.inverse()
+        for y in points[n + 1:]:
+            ky, py = proj[y]
+            g = gap(kx, ky)
+            if g <= needed:
+                continue  # cannot raise the running maximum
+            worst = 0
+            for letters in geodesic_spellings(xinv * y):
+                path = _walk(x, letters, memo)
+                worst = max(worst, min(distance(v, px) for v in path),
+                            min(distance(v, py) for v in path))
+                if worst >= g:
+                    break  # min(g, worst) is settled
+            needed = max(needed, min(g, worst))
+    return needed
+
+
+def constriction_by_pairs(pm, radius):
+    """The ConstrictionReport of an axis by the per-pair scan over B(o, r)."""
+    points = list(ball_elements(pm.group, radius))
+    delta_cs1 = max((pm.project(v).dist for _, v in pm.axis.vertices_in_ball(radius)),
+                    default=0)
+    proj = {x: (pm.project(x).position, pm.project(x).vertex) for x in points}
+    n = len(points)
+    return ConstrictionReport(delta_cs1=delta_cs1,
+                              delta_cs2=cs2_by_pairs(points, proj, lambda s, t: abs(s - t)),
+                              samples=n * (n - 1) // 2)
+
+
+def lipschitz_image_by_pairs(pm, radius):
+    """(theta3, theta4, witnesses) of properties (3) and (4) over B(o, r),
+    pair by pair along the canonical geodesic of x^-1 y.  A witness is the
+    first pair in scan order that sets the running maximum."""
+    memo = {}
+    points = list(ball_elements(pm.group, radius))
+    theta3 = theta4 = 0
+    witnesses = {}
+    for n, x in enumerate(points):
+        tx = pm.project(x).position
+        for y in points[n + 1:]:
+            w = x.inverse() * y
+            excess = abs(tx - pm.project(y).position) - w.length
+            if excess > theta3 or "lipschitz" not in witnesses:
+                theta3 = max(theta3, excess)
+                witnesses["lipschitz"] = f"x={x}, y={y}"
+            path = [pm.project(v) for v in _walk(x, w.letters(), memo)]
+            on_axis = [i for i, p in enumerate(path) if p.dist == 0]
+            diam_inter = on_axis[-1] - on_axis[0] if on_axis else 0
+            positions = [p.position for p in path]
+            image = abs(diam_inter - (max(positions) - min(positions)))
+            if image > theta4 or "intersection_image" not in witnesses:
+                theta4 = max(theta4, image)
+                witnesses["intersection_image"] = f"x={x}, y={y}"
+    return max(theta3, 0), theta4, witnesses
+
+
+def eta_by_pairs(orbit, radius):
+    """eta of an orbit: the largest distance to the orbit from a vertex on
+    any geodesic between two orbit points in B(o, r), pair by pair."""
+    memo = {}
+    points = orbit.sample_in_ball(radius)
+    seen = {}
+    for n, x in enumerate(points):
+        for y in points[n + 1:]:
+            for letters in geodesic_spellings(x.inverse() * y):
+                for v in _walk(x, letters, memo):
+                    if v not in seen:
+                        seen[v] = orbit.distance_to(v)
+    return max(seen.values(), default=0)
 
 
 # -- folded cores and transfer matrices --------------------------------------

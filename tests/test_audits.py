@@ -1,17 +1,24 @@
 """Projection-geometry audits: constriction, quasi-convexity and the
 seven elementary properties.  Oracles: independent CS2 re-scan on oracle
-graphs, closure membership, hand-verified gate arguments (noted inline)."""
+graphs, the per-pair scans of ``oracles``, closure membership,
+hand-verified gate arguments (noted inline)."""
 
+import dataclasses
 import itertools
 import math
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from growthlab import Axis, MarkedGroup, ProjectionMap, Word, audits, stallings_fold
+import oracles
+from growthlab import (Axis, MarkedGroup, ProjectionMap, Word, all_geodesics, audits,
+                       ball_elements, cyclic_reduce, distance, is_torsion, stallings_fold)
 from growthlab.audits import (constriction_audit, elementary_properties_audit,
                               quasiconvexity_audit)
-from growthlab.orbits import SubgroupOrbit
+from growthlab.orbits import FiniteSubgroup, SubgroupOrbit
 from growthlab.schreier import coset_distance
 
 from oracles import (ProductCayley, closure_membership, free_ball, free_inverse, free_reduce,
@@ -147,10 +154,11 @@ def test_axis_audit_oracle(orders, g, delta_cs2, monkeypatch):
     assert table.zeta_table == tuple(zeta)
 
 
-def test_constriction_scan_spells_each_pair_once(f2, monkeypatch):
-    # the CS2 scan takes one product x^-1 y per pair and walks the interned
-    # vertex table; a walk that multiplies words per step made 69,820
-    # products here.  Counts repeat exactly, so the bound cannot flake.
+def test_constriction_scan_makes_few_products(f2, monkeypatch):
+    # one traversal per source over an interned graph: one product per
+    # directed edge of B(o, 4) plus one per projection, 813 here, where
+    # a scan that forms x^-1 y makes at least one per pair.  Counts repeat
+    # exactly, so the bound cannot flake.
     products = 0
     mul = Word.__mul__
 
@@ -162,7 +170,117 @@ def test_constriction_scan_spells_each_pair_once(f2, monkeypatch):
     monkeypatch.setattr(Word, "__mul__", counting)
     rep = constriction_audit(ProjectionMap(Axis(f2.parse("ab"))), 4)
     assert rep.samples == 12_880
-    assert products <= 2 * rep.samples
+    assert products < rep.samples / 4
+
+
+GROUPS = ("free:2", "free:3", "product:2,3", "product:4,4", "product:4,2", "product:6,4",
+          "product:2,2,5")
+
+
+@st.composite
+def axes(draw):
+    """A cyclically reduced infinite-order word of length 1 to 4 in one of
+    GROUPS, and a radius of 2 or 3."""
+    group = MarkedGroup.from_descriptor(draw(st.sampled_from(GROUPS)))
+    signed = [s * (i + 1) for i in range(group.rank) for s in (1, -1)]
+    word = group.from_letters(draw(st.lists(st.sampled_from(signed), min_size=1, max_size=4)))
+    assume(word.length >= 1 and cyclic_reduce(word)[0].is_identity and not is_torsion(word))
+    return word, draw(st.integers(2, 3))
+
+
+@given(axes())
+@settings(max_examples=25, deadline=None)
+def test_pair_scans_match_the_per_pair_oracle(case):
+    """The per-source traversals give the per-pair scan's ConstrictionReport
+    and AuditTable, witnesses included: CS2 and (7) over every geodesic,
+    (3) and (4) along the canonical one."""
+    word, r = case
+    assert constriction_audit(ProjectionMap(Axis(word)), r) == \
+        oracles.constriction_by_pairs(ProjectionMap(Axis(word)), r)
+
+    drawn = []
+
+    class Recording(audits.SetProjection):
+        def __init__(self, points):
+            super().__init__(points)
+            drawn.append(self)
+
+    pm = ProjectionMap(Axis(word))
+    with mock.patch.object(audits, "SetProjection", Recording):
+        table = elementary_properties_audit(pm, None, r)
+    theta3, theta4, witnesses = oracles.lipschitz_image_by_pairs(pm, r)
+    points = list(ball_elements(word.group, min(r, 3)))
+    zeta = []
+    for (eps, _, _), sp in zip(table.zeta_table, drawn):
+        proj = {x: (sp.project(x)[0],) * 2 for x in points}
+        zeta.append((eps, oracles.cs2_by_pairs(points, proj, distance), len(points)))
+    assert len(drawn) == len(table.zeta_table) == 2
+    assert table == dataclasses.replace(
+        table, theta_lipschitz=theta3, theta_intersection_image=theta4, zeta_table=tuple(zeta),
+        witnesses=tuple(sorted({**dict(table.witnesses), **witnesses}.items())))
+
+
+def _off_region(group, ball, region):
+    """The vertices of geodesics between ball points that are not in region."""
+    return {v for x, y in itertools.combinations(ball, 2)
+            for path in all_geodesics(x, y) for v in path if v not in region}
+
+
+@pytest.mark.parametrize("descriptor, r, size", [
+    ("product:4,4", 4, 121),   # tie arcs of the 4-cycles leave the ball (97)
+    ("product:6,4", 3, 53),    # the 6-cycles' far arcs too (45)
+    ("product:2,3", 5, 34),
+    ("product:2,2,5", 3, 51),
+    ("free:2", 3, 53),         # in F_k the region is the ball
+])
+def test_region_holds_every_geodesic_between_ball_points(descriptor, r, size):
+    group = MarkedGroup.from_descriptor(descriptor)
+    ball = list(ball_elements(group, r))
+    region = audits._Region(group, ball)
+    assert len(region.words) == size
+    assert _off_region(group, ball, set(region.words)) == set()
+    # the lemma's content: where the region outgrows the ball, the bare
+    # ball misses geodesics
+    assert bool(_off_region(group, ball, set(ball))) == (size > len(ball))
+
+
+@pytest.mark.parametrize("descriptor", ["product:4,4", "product:6,4", "product:6,6"])
+def test_bottleneck_is_the_best_geodesic(descriptor):
+    """A_x[y] is the largest, over every geodesic from x to y, of its least
+    distance to p.  p runs over every fifth vertex of the region, far arcs
+    included, so some p lie on one of the two tie arcs of a pair, which
+    approach p differently."""
+    group = MarkedGroup.from_descriptor(descriptor)
+    ball = list(ball_elements(group, 3))
+    region = audits._Region(group, ball)
+    for p in region.words[::5]:
+        col = [distance(w, p) for w in region.words]
+        for x in range(region.n):
+            reach = audits._bottleneck(region, x, col)
+            for y in range(region.n):
+                best = max(min(distance(v, p) for v in path)
+                           for path in all_geodesics(ball[x], ball[y]))
+                assert reach[y] == best
+
+
+@pytest.mark.parametrize("descriptor", ["free:2", "product:2,3", "product:4,4", "product:6,4"])
+def test_canonical_spellings_are_prefix_closed_and_stepped(descriptor):
+    """Word.letters() is prefix-closed on B(o, 6), and the traversal's
+    extension table accepts exactly the letters l with
+    (w l).letters() == w.letters() + [l]."""
+    group = MarkedGroup.from_descriptor(descriptor)
+    letters, step = audits._canonical_steps(group.orders)
+    signed = [s * (i + 1) for i in range(group.rank) for s in (1, -1)]
+    for w in ball_elements(group, 6):
+        spelling = w.letters()
+        assert group.from_letters(spelling[:-1]).letters() == spelling[:-1]
+        state = 0
+        for l in spelling:
+            state = step[state][letters.index(l)]
+            assert state >= 0
+        for l in signed:
+            canonical = (w * group.letter_table[l]).letters() == spelling + [l]
+            assert (l in letters and step[state][letters.index(l)] >= 0) == canonical
 
 
 def test_vacuous_pairs_never_violate(f2):
@@ -218,6 +336,40 @@ def test_eta_matches_string_oracle(f2, seed, expected):
     orbit = SubgroupOrbit(fold(f2, gens))
     assert len(orbit.sample_in_ball(r)) == len(points)
     assert quasiconvexity_audit(orbit, r) == eta == expected
+
+
+class _FiniteOrbit:
+    """The orbit of a finite subgroup of a free product, for the eta scan."""
+
+    def __init__(self, group, generators):
+        self.group = group
+        self.sub = FiniteSubgroup(group, generators)
+
+    def sample_in_ball(self, radius):
+        return list(self.sub.elements_in_ball(radius))
+
+    def distance_to(self, x):
+        return min(distance(h, x) for h in self.sub.elements)
+
+
+@st.composite
+def orbits(draw):
+    """A subgroup orbit of F2, or the orbit of a conjugate u <x_i> u^-1 of
+    a factor in a free product, where tie arcs join the orbit points."""
+    if draw(st.booleans()):
+        f2 = MarkedGroup.free(2)
+        return SubgroupOrbit(fold(f2, draw(oracles.SUBGROUPS)))
+    group = MarkedGroup.from_descriptor(draw(st.sampled_from(GROUPS[2:])))
+    signed = [s * (i + 1) for i in range(group.rank) for s in (1, -1)]
+    u = group.from_letters(draw(st.lists(st.sampled_from(signed), max_size=3)))
+    x = group.letter_table[draw(st.sampled_from(signed))]
+    return _FiniteOrbit(group, [x.conjugated_by(u)])
+
+
+@given(orbits(), st.integers(2, 5))
+@settings(max_examples=40, deadline=None)
+def test_eta_matches_the_per_pair_oracle(orbit, r):
+    assert quasiconvexity_audit(orbit, r) == oracles.eta_by_pairs(orbit, r)
 
 
 # -- elementary properties -------------------------------------------------------
