@@ -56,6 +56,7 @@ Every audit has one fixed design: a scan refuses more than
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 
@@ -374,15 +375,16 @@ class SetProjection:
         hit = self._cache.get(x)
         if hit is None:
             # points are in label order and min keeps the first of equals
-            best = min(self.points, key=lambda p: distance(p, x))
-            hit = (best, distance(best, x))
-            self._cache[x] = hit
+            d, best = min(((distance(p, x), p) for p in self.points), key=lambda dp: dp[0])
+            hit = self._cache[x] = (best, d)
         return hit
 
 
 def _quasi_geodesic_ok(path: list[Word], kappa: float, lam: float) -> bool:
+    # a pair with j - i <= lam cannot fail, since kappa * d >= 0
+    gap = max(1, math.floor(lam) + 1)
     for i in range(len(path)):
-        for j in range(i + 1, len(path)):
+        for j in range(i + gap, len(path)):
             if j - i > kappa * distance(path[i], path[j]) + lam:
                 return False
     return True

@@ -298,10 +298,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(func=cmd_buffering)
 
-    p = sub.add_parser("closure", help="elementary closure scan")
+    p = sub.add_parser("closure", help="exact elementary closure E(g), re-verified in a ball")
     p.add_argument("--group", required=True)
     p.add_argument("--g0", required=True)
-    p.add_argument("--radius", type=int, default=6)
+    p.add_argument("--radius", type=int, default=6,
+                   help="radius of the ball whose elements of E(g) are re-verified")
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(func=cmd_closure)

@@ -1,12 +1,16 @@
 """Elementary closures, transversal conjugates, and geometric separation.
 
-The elementary closure E(g) of an infinite-order element consists of the
-u with u g^m u^-1 = g^{+-m} for some m != 0 (in free groups and free
-products of finite cyclics, conjugation preserves translation length, so
-the exponents can only match up to sign).  All existential constants
-(M, thresholds, powers) are found by bounded searches with certified
-re-verification on the scanned sample, since the theory provides no
-closed forms.  The bounds of those searches are the named constants below.
+The elementary closure E(g) of an infinite-order g is the stabiliser of
+the pair of ends of its axis.  In free groups and free products of finite
+cyclics the edges of the Bass-Serre tree have trivial stabilisers (Serre,
+Trees, 1980), so E(g) acts faithfully on the axis line: it is either <z>,
+with z the primitive root of g, or the infinite dihedral group <z, t>,
+with t an involution that reverses the axis (cf. Dahmani-Guirardel-Osin,
+Mem. AMS 2017, Lemma 6.5).  Every u in E(g) therefore satisfies
+u g u^-1 = g^{+-1}: the uniform power M is 1, and that single identity is
+the membership test.  The separation and selector powers have no closed
+form; they are found by a doubling search bounded by POWER_CAP and
+certified on the sample they are checked against.
 """
 
 from __future__ import annotations
@@ -16,56 +20,30 @@ from dataclasses import dataclass, field
 
 from .axes import Axis, ProjectionMap
 from .balls import ball_elements
-from .errors import (CrossCheckFailed, FiniteOrderElement, NotFoundWithinBound,
-                     PreconditionFailed)
-from .groups import Word, is_torsion, primitive_root
+from .errors import CrossCheckFailed, FiniteOrderElement, NotFoundWithinBound, PreconditionFailed
+from .groups import Word, cyclic_reduce, is_torsion, primitive_root
 
-M_SCAN = 4  # a closure element satisfies the criterion for some m <= M_SCAN
-UNIFORM_M_CAP = 24  # find_M tries M = 1 .. UNIFORM_M_CAP
 POWER_CAP = 64  # the doubling searches try M <= POWER_CAP
-ELEMENT_CAP = 500_000  # elements the closure scan may enumerate
 SEPARATION_ORBIT_RADIUS = 5  # the orbit sample Y of geometric_separation_power
 SEPARATION_J_MAX = 3  # its coset sample uses the powers g^{Mj}, 0 < |j| <= SEPARATION_J_MAX
 
 
-def is_power_of(w: Word, g: Word) -> bool:
-    """True iff w = g^k for some integer k (k = 0 allowed)."""
-    if w.is_identity:
-        return True
-    if is_torsion(w):
-        return False
-    zg, ng = primitive_root(g)
-    zw, nw = primitive_root(w)
-    if zw == zg:
-        return nw % ng == 0
-    if zw == zg.inverse():
-        return nw % ng == 0
-    return False
-
-
-def _criterion(g: Word, m: int):
-    """The closure criterion for one m, as a function of u: the sign s of
-    u g^m u^-1 = g^{s m}, or 0 when u g^m u^-1 is neither g^m nor g^-m."""
-    gm = g**m
-    gminv = gm.inverse()
+def _criterion(h: Word):
+    """The closure criterion as a function of u: the sign s of
+    u h u^-1 = h^s, or 0 when u h u^-1 is neither h nor h^-1."""
+    h_inv = h.inverse()
 
     def sign(u: Word) -> int:
-        c = gm.conjugated_by(u)
-        if c == gm:
+        c = h.conjugated_by(u)
+        if c == h:
             return 1
-        return -1 if c == gminv else 0
+        return -1 if c == h_inv else 0
     return sign
-
-
-def _closure_members(g: Word, candidates) -> list[Word]:
-    """The candidates u with u g^m u^-1 = g^{+-m} for some m <= M_SCAN."""
-    signs = [_criterion(g, m) for m in range(1, M_SCAN + 1)]
-    return [u for u in candidates if any(sign(u) for sign in signs)]
 
 
 @dataclass(frozen=True)
 class ClosureDescriptor:
-    """E(g) as discovered by a ball scan, with re-verified certificates."""
+    """E(g) = <E_generators>, with its elements in B(o, search_radius)."""
 
     g: Word
     M: int
@@ -76,62 +54,79 @@ class ClosureDescriptor:
     search_radius: int = 0
 
     def verify(self) -> bool:
-        """Re-check u g^M u^-1 in {g^M, g^-M} for every scanned element."""
-        return all(map(_criterion(self.g, self.M), self.elements))
+        """Re-check u g^M u^-1 in {g^M, g^-M} for every listed element."""
+        return all(map(_criterion(self.g**self.M), self.elements))
 
 
-def find_M(g: Word, candidates) -> int:
-    """Least M >= 1 with u g^M u^-1 = g^{+-M} for every candidate u."""
-    cands = list(candidates)
-    for m in range(1, UNIFORM_M_CAP + 1):
-        if all(map(_criterion(g, m), cands)):
-            return m
-    raise NotFoundWithinBound(f"no uniform M <= {UNIFORM_M_CAP} for the candidate set")
+def _axis_reflection(root: Word) -> Word | None:
+    """An involution t with t root t = root^-1, or None when there is none.
+
+    A reflection of the axis fixes a vertex v<x_i> of the Bass-Serre tree
+    that lies on the axis, so t = v x_i^(m_i/2) v^-1 for a vertex v of the
+    Cayley-graph axis and a factor of even order m_i.  The reflections of
+    <z, t> have their centres every half period, so the vertices of one
+    period of the core meet one of them.  F_k has no involution.
+    """
+    group = root.group
+    halves = [group.word([(i, m // 2)]) for i, m in enumerate(group.orders)
+              if m and m % 2 == 0]
+    if not halves:
+        return None
+    conj, core = cyclic_reduce(root)
+    root_inv = root.inverse()
+    step = group.letter_table
+    v = conj
+    for letter in core.letters():
+        for half in halves:
+            t = half.conjugated_by(v)
+            if root.conjugated_by(t) == root_inv:
+                return t
+        v = v * step[letter]
+    return None
 
 
 def elementary_closure(g: Word, search_radius: int) -> ClosureDescriptor:
-    """Scan B(o, search_radius) for closure elements of g.
+    """E(g) read off the axis of g, and its elements in B(o, search_radius).
 
-    Tests the algebraic criterion u g^m u^-1 = g^{+-m} for m <= M_SCAN
-    directly instead of estimating Hausdorff distances; exact word
-    arithmetic beats coarse geometry at desk scale.
+    E(g) is <z> or <z, t> (module docstring), with z the primitive root,
+    g = z^n, and t the reflection found by ``_axis_reflection``.  So M = 1,
+    [E(g) : E+(g)] is 1 or 2, and [E(g) : <g>] is n or 2n.  The elements
+    listed are the z^i and z^i t in the ball.  With z = c w c^-1 and w
+    cyclically reduced, |z^i| >= |i| |w| - 2|c| and |z^i t| >= |z^i| - |t|,
+    which bounds the exponents to try.  The list is re-verified by plain
+    word arithmetic and certified closed under inverses and under the
+    products that stay in the ball.
     """
     if is_torsion(g):
         raise FiniteOrderElement(f"{g} has finite order; closure undefined here")
-    found = _closure_members(g, ball_elements(g.group, search_radius,
-                                              max_elements=ELEMENT_CAP))
-    M = find_M(g, found)
+    root, n = primitive_root(g)
+    t = _axis_reflection(root)
+    conj, core = cyclic_reduce(root)
+    bound = (search_radius + 2 * conj.length + (t.length if t else 0)) // core.length + 1
+    candidates = [g.group.identity()]
+    for z in (root, root.inverse()):
+        p = candidates[0]
+        for _ in range(bound):
+            p = p * z
+            candidates.append(p)
+    if t is not None:
+        candidates += [p * t for p in candidates]
+    found = [u for u in candidates if u.length <= search_radius]
 
-    # group the scan by <g>-coset; shortest representative per class
-    reps: list[Word] = []
-    for u in sorted(found, key=lambda w: (w.length, str(w))):
-        if not any(is_power_of(u * r.inverse(), g) for r in reps):
-            reps.append(u)
-    index_over_cyclic = len(reps)
-    sign = _criterion(g, M)
-    has_inverter = any(sign(u) == -1 for u in found)
-    e_plus_index = 2 if has_inverter else 1
-
-    root, _ = primitive_root(g)
-    gens: list[Word] = [root]
-    for r in reps:
-        if not r.is_identity and not is_power_of(r, root):
-            gens.append(r)
-
-    # closure certificate: products and inverses of scanned elements stay in
-    # the scan whenever they fit in the ball
+    # closure certificate: inverses and products of listed elements stay in
+    # the list whenever they fit in the ball
     found_set = set(found)
     for u in found:
         if u.inverse() not in found_set:
-            raise CrossCheckFailed(f"scan not closed under inverses: {u}")
+            raise CrossCheckFailed(f"closure not closed under inverses: {u}")
     for u, v in itertools.islice(itertools.combinations(found, 2), 20_000):
         uv = u * v
         if uv.length <= search_radius and uv not in found_set:
-            raise CrossCheckFailed(f"scan not closed under products: {u} * {v}")
+            raise CrossCheckFailed(f"closure not closed under products: {u} * {v}")
 
-    return ClosureDescriptor(g=g, M=M, E_generators=tuple(gens),
-                             E_plus_index=e_plus_index,
-                             index_over_cyclic=index_over_cyclic,
+    index = 1 if t is None else 2
+    return ClosureDescriptor(g=g, M=1, E_generators=(root,) if t is None else (root, t),
+                             E_plus_index=index, index_over_cyclic=index * n,
                              elements=tuple(found), search_radius=search_radius)
 
 
@@ -168,8 +163,9 @@ def find_transversal_conjugate(subgroup, g0: Word, search_radius: int,
 
 
 def subgroup_closure_intersection(subgroup, g: Word, radius: int) -> list[Word]:
-    """H & E(g) by scanning the subgroup ball with the algebraic criterion."""
-    return _closure_members(g, subgroup.elements_in_ball(radius))
+    """H & E(g) in B(o, radius): the subgroup elements u there with
+    u g u^-1 = g^{+-1}, exact by the theorem in the module docstring."""
+    return list(filter(_criterion(g), subgroup.elements_in_ball(radius)))
 
 
 def _coset_words(g: Word, M: int, f_elements: list[Word], j_max: int) -> list[Word]:

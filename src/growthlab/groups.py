@@ -426,30 +426,20 @@ def primitive_root(w: Word) -> tuple[Word, int]:
     """Write w = z^n with n maximal; returns (z, n).
 
     Requires w of infinite order.  Works by cyclic reduction followed by
-    syllable-periodicity of the core (a single free syllable (i, e) has
-    root (i, sign e) with n = |e|).
+    the least period of the core's spelling read as a cyclic word.  Letters
+    are compared, not syllables: a free core such as bab or a^3 starts and
+    ends on one generator, so its syllables are not periodic even where
+    its letters are.  In a free product the core starts and ends on
+    different generators, so a letter period is a syllable period.
     """
     if is_torsion(w):
         raise FiniteOrderElement(f"{w} has finite order; no primitive root")
-    g = w.group
     conj, core = cyclic_reduce(w)
-    sylls = core.syllables
-    q = len(sylls)
-    if q == 1:
-        i, e = sylls[0]
-        z = g.word([(i, 1 if e > 0 else -1)])
-        n = abs(e)
-    else:
-        n = 1
-        z = core
-        for d in range(1, q):
-            if q % d != 0:
-                continue
-            if all(sylls[k] == sylls[k % d] for k in range(q)):
-                z = g.word(sylls[:d])
-                n = q // d
-                break
-    root = conj * z * conj.inverse()
+    letters = core.letters()
+    q = len(letters)
+    d = next(d for d in range(1, q + 1) if q % d == 0 and letters[d:] + letters[:d] == letters)
+    root = conj * w.group.from_letters(letters[:d]) * conj.inverse()
+    n = q // d
     if root**n != w:
         raise CrossCheckFailed(f"primitive root {root} to the power {n} is not {w}")
     return root, n

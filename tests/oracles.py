@@ -9,19 +9,23 @@ package at all.  Two exceptions measure with the package's ``distance``
 along an axis that is the reference for the exact projection, and the
 per-pair scans of the projection audits, which spell every geodesic of
 each pair from x^-1 y and are the reference for the per-source traversals
-of ``growthlab.audits``.
+of ``growthlab.audits``.  The ball scan ``closure_by_scan`` multiplies
+package words too; it is the reference for the elementary closure read
+off the axis.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import deque
+from dataclasses import dataclass
 
 import numpy as np
 from hypothesis import strategies as st
 
-from growthlab import ball_elements, distance
+from growthlab import ball_elements, distance, is_torsion, primitive_root
 from growthlab.audits import ConstrictionReport
+from growthlab.errors import NotFoundWithinBound
 
 
 # -- free groups as strings ------------------------------------------------
@@ -424,6 +428,100 @@ def eta_by_pairs(orbit, radius):
                     if v not in seen:
                         seen[v] = orbit.distance_to(v)
     return max(seen.values(), default=0)
+
+
+# -- elementary closures by a ball scan ---------------------------------------
+
+M_SCAN = 4  # a scanned element satisfies u g^m u^-1 = g^{+-m} for some m <= M_SCAN
+UNIFORM_M_CAP = 24  # find_M tries M = 1 .. UNIFORM_M_CAP
+
+
+def is_power_of(w, g) -> bool:
+    """True iff w = g^k for some integer k (k = 0 allowed)."""
+    if w.is_identity:
+        return True
+    if is_torsion(w):
+        return False
+    zg, ng = primitive_root(g)
+    zw, nw = primitive_root(w)
+    return zw in (zg, zg.inverse()) and nw % ng == 0
+
+
+def _inverts_or_fixes(g, m):
+    """u -> the sign s of u g^m u^-1 = g^{s m}, or 0."""
+    gm = g**m
+    return lambda u: {gm: 1, gm.inverse(): -1}.get(gm.conjugated_by(u), 0)
+
+
+def find_M(g, candidates) -> int:
+    """Least M >= 1 with u g^M u^-1 = g^{+-M} for every candidate u."""
+    cands = list(candidates)
+    for m in range(1, UNIFORM_M_CAP + 1):
+        if all(map(_inverts_or_fixes(g, m), cands)):
+            return m
+    raise NotFoundWithinBound(f"no uniform M <= {UNIFORM_M_CAP} for the candidate set")
+
+
+@dataclass(frozen=True)
+class ScannedClosure:
+    elements: frozenset
+    M: int
+    E_generators: tuple
+    E_plus_index: int
+    index_over_cyclic: int
+
+
+def closure_members(g, candidates) -> list:
+    """The candidates u with u g^m u^-1 = g^{+-m} for some m <= M_SCAN."""
+    tests = [_inverts_or_fixes(g, m) for m in range(1, M_SCAN + 1)]
+    return [u for u in candidates if any(test(u) for test in tests)]
+
+
+def closure_by_scan(g, radius) -> ScannedClosure:
+    """E(g) & B(o, radius) by testing u g^m u^-1 = g^{+-m} for m <= M_SCAN
+    on every ball element, with no use of the structure of E(g).
+
+    M is the least uniform power over the scan, [E : <g>] the number of
+    <g>-cosets it meets, E+ has index 2 when some element inverts g^M, and
+    the generators are the primitive root and the shortest coset
+    representatives that are not powers of it.
+    """
+    found = closure_members(g, ball_elements(g.group, radius))
+    M = find_M(g, found)
+    reps = []
+    for u in sorted(found, key=lambda w: (w.length, str(w))):
+        if not any(is_power_of(u * r.inverse(), g) for r in reps):
+            reps.append(u)
+    root, _ = primitive_root(g)
+    inverts = _inverts_or_fixes(g, M)
+    return ScannedClosure(
+        elements=frozenset(found), M=M,
+        E_generators=(root, *(r for r in reps if not is_power_of(r, root))),
+        E_plus_index=2 if any(inverts(u) == -1 for u in found) else 1,
+        index_over_cyclic=len(reps))
+
+
+def subgroup_in_ball(gens, radius) -> set:
+    """<gens> & B(o, radius), by closing {1} under the generators and their
+    inverses inside B(o, radius + 2 max|gen|).  For generators (z, t) of
+    E(g) the pad suffices: |z^j| grows with |j|, so the path z, ..., z^i, t
+    to z^i t stays within |z^i t| + |t|."""
+    steps = [w for g in gens for w in (g, g.inverse())]
+    bound = radius + 2 * max(g.length for g in gens)
+    members = {gens[0].group.identity()}
+    frontier = list(members)
+    while frontier:
+        new = []
+        for h in frontier:
+            for step in steps:
+                w = h * step
+                if w.length <= bound and w not in members:
+                    members.add(w)
+                    new.append(w)
+        frontier = new
+        if len(members) > 100_000:
+            raise NotFoundWithinBound(f"<{gens}> has over 100,000 elements in B(o, {bound})")
+    return {w for w in members if w.length <= radius}
 
 
 # -- folded cores and transfer matrices --------------------------------------

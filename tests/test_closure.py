@@ -1,14 +1,16 @@
 """Elementary closures, transversal conjugates, separation powers and
-selectors.  Oracles: primitive-root centralizers in free groups and
-direct conjugation arithmetic."""
+selectors.  Oracles: primitive-root centralizers in free groups, the ball
+scan ``oracles.closure_by_scan`` and direct conjugation arithmetic."""
 
+import oracles
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
-from growthlab import Axis, MarkedGroup, ProjectionMap, primitive_root, stallings_fold
-from growthlab.closure import (elementary_closure, find_M, find_selector_power,
+from growthlab import Axis, MarkedGroup, ProjectionMap, is_torsion, primitive_root, stallings_fold
+from growthlab.closure import (elementary_closure, find_selector_power,
                                find_transversal_conjugate, geometric_separation_power,
-                               is_power_of, separation_selector,
-                               subgroup_closure_intersection)
+                               separation_selector, subgroup_closure_intersection)
 from growthlab.errors import FiniteOrderElement, NotFoundWithinBound, PreconditionFailed
 from growthlab.orbits import FiniteSubgroup
 
@@ -70,18 +72,61 @@ def test_closure_infinite_dihedral(z22):
 
 
 def test_find_m_examples(f2, z22):
-    assert find_M(f2.parse("ab"), [f2.parse("ab")]) == 1
-    assert find_M(f2.parse("aa"), [f2.parse("a")]) == 1
-    assert find_M(z22.parse("xy"), [z22.parse("x"), z22.parse("xy")]) == 1
+    assert oracles.find_M(f2.parse("ab"), [f2.parse("ab")]) == 1
+    assert oracles.find_M(f2.parse("aa"), [f2.parse("a")]) == 1
+    assert oracles.find_M(z22.parse("xy"), [z22.parse("x"), z22.parse("xy")]) == 1
 
 
 def test_is_power_of(f2):
     g = f2.parse("ab")
-    assert is_power_of(f2.identity(), g)
-    assert is_power_of(g**3, g)
-    assert is_power_of((g**2).inverse(), g)
-    assert not is_power_of(f2.parse("a"), g)
-    assert not is_power_of(f2.parse("abab") * f2.parse("a"), g)
+    assert oracles.is_power_of(f2.identity(), g)
+    assert oracles.is_power_of(g**3, g)
+    assert oracles.is_power_of((g**2).inverse(), g)
+    assert not oracles.is_power_of(f2.parse("a"), g)
+    assert not oracles.is_power_of(f2.parse("abab") * f2.parse("a"), g)
+
+
+CLOSURE_GROUPS = ("free:2", "free:3", "product:2,3", "product:2,2", "product:2,4",
+                  "product:4,4", "product:6,4", "product:2,2,5")
+
+
+@st.composite
+def closure_cases(draw):
+    """An infinite-order word of length 1 to 5 in one of CLOSURE_GROUPS, and
+    a radius of 1 to 5."""
+    group = MarkedGroup.from_descriptor(draw(st.sampled_from(CLOSURE_GROUPS)))
+    signed = [s * (i + 1) for i in range(group.rank) for s in (1, -1)]
+    g = group.from_letters(draw(st.lists(st.sampled_from(signed), min_size=1, max_size=5)))
+    assume(not is_torsion(g))
+    return g, draw(st.integers(1, 5))
+
+
+F2 = MarkedGroup.free(2)
+_Z225 = MarkedGroup.free_product([2, 2, 5])
+
+
+@given(closure_cases())
+@example((MarkedGroup.free_product([2, 2]).parse("xy"), 5))
+@example((_Z225.parse("zxyZ"), 5))    # a conjugated axis, reflected by zxZ
+@example((_Z225.parse("xyxzxZ"), 5))  # reflected by xyx, centred off o
+@example((_Z225.parse("xzxz"), 5))    # (xz)^2: cyclic, index 2 over <g>
+@example((F2.parse("babbab"), 5))     # (bab)^2: a root that starts and ends on b
+@settings(max_examples=60, deadline=None)
+def test_closure_matches_the_ball_scan(case):
+    """The closure read off the axis lists exactly the scanned elements of
+    B(o, r), and its generators span them there.  Its indexes match those
+    of the scan of B(o, 5), which meets every coset of <g> for each g of
+    length <= 5 here: in F_k the cosets z^j <g>, |j| <= n/2, lie within |g|,
+    and for the free products all such g were checked one by one."""
+    g, r = case
+    desc = elementary_closure(g, r)
+    scan = oracles.closure_by_scan(g, 5)
+    in_ball = {u for u in scan.elements if u.length <= r}
+    assert set(desc.elements) == in_ball and len(desc.elements) == len(in_ball)
+    assert oracles.subgroup_in_ball(desc.E_generators, r) == in_ball
+    assert (desc.M, desc.E_plus_index, desc.index_over_cyclic) == \
+        (scan.M, scan.E_plus_index, scan.index_over_cyclic)
+    assert desc.verify()
 
 
 # -- transversal conjugates ----------------------------------------------------------
@@ -156,6 +201,29 @@ def test_coset_words_are_distinct_when_h_meets_the_closure(f2):
     assert (rec["M"], rec["samples"]) == (14, 54)
 
 
+@st.composite
+def subgroups_and_elements(draw):
+    """A random subgroup of F2, and g a random word of length 1 to 4 or a
+    power of the primitive root of the subgroup's first generator."""
+    gens = draw(oracles.SUBGROUPS)
+    if draw(st.booleans()):
+        g = F2.parse(draw(st.integers(1, 4).flatmap(oracles.reduced_words)))
+    else:
+        g = primitive_root(F2.parse(gens[0]))[0] ** draw(st.sampled_from([-2, -1, 1, 2, 3]))
+    return gens, g
+
+
+@given(subgroups_and_elements())
+@settings(max_examples=40, deadline=None)
+def test_closure_intersection_matches_the_scan(case):
+    """The single criterion u g u^-1 = g^{+-1} keeps exactly the subgroup
+    elements that the scan's m <= M_SCAN keeps."""
+    gens, g = case
+    sub = fold(F2, gens)
+    assert subgroup_closure_intersection(sub, g, 6) == \
+        oracles.closure_members(g, sub.elements_in_ball(6))
+
+
 def test_separation_power_precondition(f2):
     sub = fold(f2, ["a"])
     with pytest.raises(PreconditionFailed):
@@ -168,7 +236,7 @@ def test_separation_power_excludes_h_cap_e(z23):
     g = z23.parse("xy") * z23.parse("yx")  # infinite order
     sub = FiniteSubgroup(z23, [z23.parse("x")])
     f_els = subgroup_closure_intersection(sub, g, 3)
-    assert all(f.is_identity or not is_power_of(f, g) for f in f_els)
+    assert all(f.is_identity or not oracles.is_power_of(f, g) for f in f_els)
 
 
 def test_selector_rows_satisfy_bound(f2):

@@ -2,7 +2,7 @@
 geodesics.  Oracle: string reduction and BFS Cayley graphs."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from growthlab import MarkedGroup, all_geodesics, cyclic_reduce, distance, is_torsion, primitive_root
@@ -244,6 +244,32 @@ def test_primitive_root_divisor_oracle(f2):
 def test_primitive_root_conjugated(f2):
     r, n = primitive_root(f2.parse("baaB"))  # b a^2 b^-1
     assert (str(r), n) == ("baB", 2)
+
+
+@pytest.mark.parametrize("text, root, n", [
+    ("bab", "bab", 1),
+    ("babbab", "bab", 2),          # the core bab starts and ends on b
+    ("abaaba" * 2, "aba", 4),
+    ("cabaabaC", "cabaC", 2),
+])
+def test_primitive_root_of_cores_on_one_generator(text, root, n):
+    f3 = MarkedGroup.free(3)
+    assert primitive_root(f3.parse(text)) == (f3.parse(root), n)
+
+
+@given(st.sampled_from(["free:2", "free:3", "product:2,3", "product:4,4", "product:2,2,5"]),
+       st.lists(st.integers(0, 5), min_size=1, max_size=5), st.integers(1, 4))
+@settings(max_examples=80, deadline=None)
+def test_primitive_root_of_a_power(descriptor, picks, k):
+    """For w = h^k, primitive_root(w) = (z, n) has z^n = w, k divides n and
+    h = z^(n/k)."""
+    group = MarkedGroup.from_descriptor(descriptor)
+    signed = [s * (i + 1) for i in range(group.rank) for s in (1, -1)]
+    h = group.from_letters(signed[p % len(signed)] for p in picks)
+    assume(not is_torsion(h))
+    z, n = primitive_root(h**k)
+    assert z**n == h**k and n % k == 0
+    assert z**(n // k) == h
 
 
 def test_group_descriptors():
