@@ -140,6 +140,13 @@ def test_chain_rejects_bad_letters(f2):
         build_axis_chain(sub, g, [f2.parse("a"), f2.parse("ab")], 2)  # k not a power
 
 
+def test_chain_accepts_powers_of_a_core_on_one_generator(f2):
+    """bab starts and ends on b; (bab)^2 and (bab)^-1 are powers of it."""
+    sub = fold(f2, ["a"])
+    word = [f2.parse("a"), f2.parse("babbab"), f2.parse("aa"), f2.parse("BAB")]
+    assert len(build_axis_chain(sub, f2.parse("bab"), word, 2).projections) == 2
+
+
 def test_chain_threshold_grid(f2):
     """Grid-search the least L whose chains separate with margin, and check
     the corollary conclusion on every passing chain."""
