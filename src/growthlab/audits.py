@@ -61,7 +61,7 @@ import random
 from dataclasses import dataclass
 
 from .axes import ProjectionMap
-from .balls import ball_elements
+from .balls import ball_elements, sphere_counts
 from .errors import BudgetExceeded
 from .groups import Word, _cost, distance
 
@@ -155,6 +155,12 @@ class _Region:
                           for row in rows] for after in step]
 
 
+def _refuse_pairs(n: int):
+    """Refuse a scan of n points past ``DEFAULT_PAIR_CAP`` pairs (BudgetExceeded)."""
+    if n * n > DEFAULT_PAIR_CAP:
+        raise BudgetExceeded(f"{n * n} pairs exceed cap {DEFAULT_PAIR_CAP}")
+
+
 def _with_prefixes(points: list[Word]) -> list[Word]:
     """``points`` followed by the canonical prefixes of them it lacks."""
     out = list(points)
@@ -246,10 +252,9 @@ def constriction_audit(pm: ProjectionMap, sample_radius: int) -> ConstrictionRep
     min(d_A(x, y), worst approach distance of its geodesics).
     """
     group = pm.group
-    points = list(ball_elements(group, sample_radius, max_elements=DEFAULT_PAIR_CAP))
+    _refuse_pairs(sum(sphere_counts(group, sample_radius)))
+    points = list(ball_elements(group, sample_radius))
     n = len(points)
-    if n * n > DEFAULT_PAIR_CAP:
-        raise BudgetExceeded(f"{n * n} pairs exceed cap {DEFAULT_PAIR_CAP}")
 
     # CS1: points of the axis must project to themselves.
     delta_cs1 = 0
@@ -271,8 +276,7 @@ def quasiconvexity_audit(orbit, sample_radius: int) -> int:
     them of the distance from a geodesic vertex to Y (exact distances).
     """
     points = orbit.sample_in_ball(sample_radius)
-    if len(points) ** 2 > DEFAULT_PAIR_CAP:
-        raise BudgetExceeded(f"{len(points) ** 2} pairs exceed cap {DEFAULT_PAIR_CAP}")
+    _refuse_pairs(len(points))
     region = _Region(orbit.group, _with_prefixes(points))
     n, nbrs = len(points), region.nbrs
     seen: set[int] = set()  # vertices on geodesics between orbit points
@@ -401,7 +405,8 @@ def elementary_properties_audit(pm_a: ProjectionMap, pm_b: ProjectionMap | None,
     moved by epsilon random steps for each epsilon in PERTURBATIONS.
     """
     group = pm_a.group
-    points = list(ball_elements(group, sample_radius, max_elements=DEFAULT_PAIR_CAP))
+    _refuse_pairs(sum(sphere_counts(group, sample_radius)))
+    points = list(ball_elements(group, sample_radius))
     region = _Region(group, points)
     rng = random.Random(0)
     window = sample_radius + 2 * max(pm_a.axis.translation_length, 1) + \
@@ -509,8 +514,7 @@ def elementary_properties_audit(pm_a: ProjectionMap, pm_b: ProjectionMap | None,
     if small_r == sample_radius:
         small = region
     else:
-        small = _Region(group, list(ball_elements(group, small_r,
-                                                  max_elements=DEFAULT_PAIR_CAP)))
+        small = _Region(group, list(ball_elements(group, small_r)))
     for eps in PERTURBATIONS:
         b_set = []
         for _, v in pm_a.axis.vertices_in_ball(window):

@@ -1,13 +1,16 @@
 """Ball counting, streaming enumeration, and growth-rate estimation.
 
-Sphere sizes are computed by an exact dynamic program over syllable
-normal forms (normal forms are prefix-closed, so counting by last
-syllable is exact).  Enumeration is a DFS over normal-form extensions,
-which keeps memory O(radius) and yields each element exactly once.
+Counts and enumeration read one table, ``_syllables``: each generator's
+syllables (exponent, cost) in visiting order.  Sphere sizes come from an
+exact dynamic program over syllable normal forms (normal forms are
+prefix-closed, so counting by last syllable is exact).  Enumeration is a
+DFS over normal-form extensions, which keeps memory O(radius) and yields
+each element exactly once.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -16,33 +19,29 @@ from typing import Iterator
 import numpy as np
 
 from .errors import BudgetExceeded, WindowTooSmall
-from .groups import MarkedGroup, Word
+from .groups import MarkedGroup, Word, _cost
 
 DEFAULT_ELEMENT_CAP = 10**8
 
 
 @dataclass(frozen=True)
 class BallCounts:
-    """Exact sphere and ball sizes of a marked group up to a radius."""
+    """Exact sphere sizes of a marked group, radius 0 up; ball sizes are their sums."""
 
-    radius: int
     sphere_sizes: tuple[int, ...]
-    cumulative: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.sphere_sizes) != self.radius + 1:
-            raise ValueError(f"{len(self.sphere_sizes)} sphere sizes for radius {self.radius}")
-        if self.sphere_sizes[0] != 1:
-            raise ValueError(f"sphere of radius 0 has {self.sphere_sizes[0]} elements, not 1")
-        if any(c != t for c, t in zip(self.cumulative, itertools.accumulate(self.sphere_sizes))):
-            raise ValueError("cumulative counts are not the running sums of the spheres")
+        if self.sphere_sizes[:1] != (1,):
+            raise ValueError(f"sphere sizes {self.sphere_sizes} do not start with 1")
 
-    @classmethod
-    def from_spheres(cls, spheres) -> "BallCounts":
-        """Ball sizes from sphere sizes 0..radius (running sums)."""
-        spheres = tuple(spheres)
-        return cls(radius=len(spheres) - 1, sphere_sizes=spheres,
-                   cumulative=tuple(itertools.accumulate(spheres)))
+    @property
+    def radius(self) -> int:
+        return len(self.sphere_sizes) - 1
+
+    @functools.cached_property
+    def cumulative(self) -> tuple[int, ...]:
+        """Ball sizes |B(0)| .. |B(radius)|."""
+        return tuple(itertools.accumulate(self.sphere_sizes))
 
 
 @dataclass(frozen=True)
@@ -63,36 +62,27 @@ class GrowthEstimate:
             raise ValueError(f"negative rate {self.rate} or error bound {self.error_bound}")
 
 
-def _exponent_costs(group: MarkedGroup, i: int, budget: int) -> list[tuple[int, int]]:
-    """(cost, multiplicity) pairs for syllables on generator i, cost <= budget."""
-    m = group.orders[i]
-    if m == 0:
-        return [(t, 2) for t in range(1, budget + 1)]
-    out = []
-    for t in range(1, m // 2 + 1):
-        if t > budget:
-            break
-        mult = 1 if (m % 2 == 0 and t == m - t) or m == 2 else 2
-        out.append((t, mult))
-    return out
+def _syllables(group: MarkedGroup, radius: int) -> list[list[tuple[int, int]]]:
+    """Per generator, its syllables (exponent, cost <= radius) priced by ``_cost``, in
+    visiting order: free 1, -1, 2, -2, ...; of order m, 1 .. m - 1."""
+    table = []
+    for m in group.orders:
+        exponents = range(1, m) if m else [e for t in range(1, radius + 1) for e in (t, -t)]
+        table.append([(e, _cost(m, e)) for e in exponents if _cost(m, e) <= radius])
+    return table
 
 
 def sphere_counts(group: MarkedGroup, radius: int) -> list[int]:
     """Exact sphere sizes |S(0)|..|S(radius)| via the syllable DP."""
-    k = group.rank
-    # last[i][L] = number of normal forms of length L ending in gen i
-    last = [[0] * (radius + 1) for _ in range(k)]
+    table = _syllables(group, radius)
+    # last[i][L] = number of normal forms of length L ending in gen i, each a
+    # form of length L - t not ending in gen i (or empty) and a syllable of cost t
+    last = [[0] * (radius + 1) for _ in table]
+    spheres = [1]
     for L in range(1, radius + 1):
-        for i in range(k):
-            acc = 0
-            for cost, mult in _exponent_costs(group, i, L):
-                prev = L - cost
-                others = 1 if prev == 0 else sum(
-                    last[j][prev] for j in range(k) if j != i
-                )
-                acc += mult * others
-            last[i][L] = acc
-    spheres = [1] + [sum(last[i][L] for i in range(k)) for L in range(1, radius + 1)]
+        for i, syllables in enumerate(table):
+            last[i][L] = sum(spheres[L - t] - last[i][L - t] for _, t in syllables if t <= L)
+        spheres.append(sum(row[L] for row in last))
     return spheres
 
 
@@ -104,57 +94,36 @@ def ball(group: MarkedGroup, radius: int, max_elements: int | None = DEFAULT_ELE
     """
     if radius < 0:
         raise ValueError("radius must be >= 0")
-    counts = BallCounts.from_spheres(sphere_counts(group, radius))
+    counts = BallCounts(tuple(sphere_counts(group, radius)))
     total = counts.cumulative[-1]
     if max_elements is not None and total > max_elements:
         raise BudgetExceeded(f"ball of radius {radius} has {total} elements > cap {max_elements}")
     return counts
 
 
-def ball_elements(
-    group: MarkedGroup,
-    radius: int,
-    max_elements: int | None = DEFAULT_ELEMENT_CAP,
-) -> Iterator[Word]:
-    """Stream every element of B(o, radius) exactly once (DFS order)."""
-    count = 0
+def ball_elements(group: MarkedGroup, radius: int) -> Iterator[Word]:
+    """Stream every element of B(o, radius) exactly once (DFS order), raising
+    BudgetExceeded past ``DEFAULT_ELEMENT_CAP`` elements."""
+    table = _syllables(group, radius)
+    prefix: list[tuple[int, int]] = []
 
-    def bump():
-        nonlocal count
-        count += 1
-        if max_elements is not None and count > max_elements:
-            raise BudgetExceeded(f"enumeration exceeded cap {max_elements}")
-
-    def extensions(prefix: list, cost: int, last: int) -> Iterator[Word]:
-        budget = radius - cost
-        for i in range(group.rank):
+    def extensions(cost: int, last: int) -> Iterator[Word]:
+        for i, syllables in enumerate(table):
             if i == last:
                 continue
-            m = group.orders[i]
-            if m == 0:
-                for t in range(1, budget + 1):
-                    for e in (t, -t):
-                        prefix.append((i, e))
-                        w = Word(group, tuple(prefix), cost + t)
-                        bump()
-                        yield w
-                        yield from extensions(prefix, cost + t, i)
-                        prefix.pop()
-            else:
-                for e in range(1, m):
-                    t = min(e, m - e)
-                    if t > budget:
-                        continue
-                    prefix.append((i, e))
-                    w = Word(group, tuple(prefix), cost + t)
-                    bump()
-                    yield w
-                    yield from extensions(prefix, cost + t, i)
-                    prefix.pop()
+            for e, t in syllables:
+                if cost + t > radius:
+                    continue
+                prefix.append((i, e))
+                yield Word(group, tuple(prefix), cost + t)
+                yield from extensions(cost + t, i)
+                prefix.pop()
 
-    bump()
-    yield group.identity()
-    yield from extensions([], 0, -1)
+    elements = itertools.chain([group.identity()], extensions(0, -1))
+    for count, w in enumerate(elements, 1):
+        if count > DEFAULT_ELEMENT_CAP:
+            raise BudgetExceeded(f"enumeration exceeded cap {DEFAULT_ELEMENT_CAP}")
+        yield w
 
 
 # -- growth-rate estimation ---------------------------------------------

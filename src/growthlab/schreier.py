@@ -37,19 +37,17 @@ from .stallings import CoreGraph, coset_key
 class SchreierAutomaton:
     """Lazy BFS over the right cosets Hg, out from H.
 
-    States 0 .. n_vertices - 1 are the core's vertices; ``delta[s]`` maps
-    a letter (generator i as i, its inverse as k + i) to a state.  A
-    missing transition mints a coset, whose one known transition is the
-    letter back, so the frontier holds it as (state, letter back), with
-    no row; a core vertex is (state, None).
+    States 0 .. n_vertices - 1 are the core's vertices, whose transitions
+    are the core's table ``CoreGraph.step``; letters are tried 1 .. k, then
+    -1 .. -k.  A missing transition mints a coset, whose one known
+    transition is the letter back, so the frontier holds it as (state,
+    letter back); a core vertex is (state, None).
     """
 
     def __init__(self, core: CoreGraph):
         self.core = core
         k = core.group.rank
-        self.delta = [dict(core.out[v]) for v in range(core.n_vertices)]
-        for u, g, v in core.edges:
-            self.delta[v][g + k] = u
+        self._letters = (*range(1, k + 1), *range(-1, -k - 1, -1))
         self.n_states = core.n_vertices
         self.level_sizes = [1]
         self._seen = {core.base}
@@ -57,17 +55,16 @@ class SchreierAutomaton:
 
     def complete_to(self, radius: int):
         """Run the BFS out to the given radius, one level at a time."""
-        k = self.core.group.rank
         while len(self.level_sizes) <= radius:
             level = []
             for s, back in self._frontier:
-                row = self.delta[s] if back is None else {}
-                for letter in range(2 * k):
+                row = self.core.step[s] if back is None else {}
+                for letter in self._letters:
                     if letter == back:
                         continue
                     t = row.get(letter)
                     if t is None:
-                        level.append((self.n_states, (letter + k) % (2 * k)))
+                        level.append((self.n_states, -letter))
                         self.n_states += 1
                     elif t not in self._seen:
                         self._seen.add(t)
@@ -147,7 +144,7 @@ def schreier_growth(core: CoreGraph, r_max: int,
     eta = max(core.depths.values())
     reach = max(r_max, eta + 2)
     spheres = coset_sphere_sizes(core, reach)
-    counts = BallCounts.from_spheres(spheres[:r_max + 1])
+    counts = BallCounts(tuple(spheres[:r_max + 1]))
     if max_states is not None and counts.cumulative[-1] > max_states:
         raise BudgetExceeded(f"{counts.cumulative[-1]} cosets within radius {r_max} "
                              f"exceed the budget of {max_states}")

@@ -27,7 +27,11 @@ from .groups import MarkedGroup, Word
 
 
 class CoreGraph:
-    """Folded subgroup graph.  Immutable after construction."""
+    """Folded subgroup graph.  Immutable after construction.
+
+    ``step[v][l]`` is where the signed letter l leads from vertex v: edge
+    (u, g, v) reads g + 1 from u and -(g + 1) from v, as in ``by_tail``.
+    Folded means that no vertex reads one letter twice."""
 
     def __init__(self, group: MarkedGroup, n_vertices: int,
                  edges: Sequence[tuple[int, int, int]]):
@@ -35,13 +39,12 @@ class CoreGraph:
         self.n_vertices = n_vertices
         self.base = 0
         self.edges = tuple(sorted(edges))
-        self.out = [dict() for _ in range(n_vertices)]
-        self.into = [dict() for _ in range(n_vertices)]
+        self.step: list[dict[int, int]] = [{} for _ in range(n_vertices)]
         for u, g, v in self.edges:
-            if g in self.out[u] or g in self.into[v]:
+            if g + 1 in self.step[u] or -(g + 1) in self.step[v]:
                 raise ValueError("core graph is not folded")
-            self.out[u][g] = v
-            self.into[v][g] = u
+            self.step[u][g + 1] = v
+            self.step[v][-(g + 1)] = u
 
     # -- membership and index -------------------------------------------
 
@@ -71,7 +74,7 @@ class CoreGraph:
         while frontier:
             nxt = []
             for v in frontier:
-                for w in (*self.out[v].values(), *self.into[v].values()):
+                for w in self.step[v].values():
                     if w not in depth:
                         depth[w] = depth[v] + 1
                         nxt.append(w)
@@ -192,7 +195,7 @@ def coset_key(core: CoreGraph, w: Word) -> tuple[int, tuple[int, ...]]:
     v = core.base
     letters = w.letters()
     for i, l in enumerate(letters):
-        nxt = core.out[v].get(l - 1) if l > 0 else core.into[v].get(-l - 1)
+        nxt = core.step[v].get(l)
         if nxt is None:
             return v, tuple(letters[i:])
         v = nxt
@@ -301,10 +304,6 @@ class RelativeGrowth:
     counts: BallCounts
     spectral: GrowthEstimate
 
-    @property
-    def rate(self) -> float:
-        return self.spectral.rate
-
 
 def relative_growth(core: CoreGraph, r_max: int) -> RelativeGrowth:
     """|B_G(o,r) & H| counts with the exact spectral rate omega_H."""
@@ -313,5 +312,5 @@ def relative_growth(core: CoreGraph, r_max: int) -> RelativeGrowth:
             else "trivial subgroup")
     spectral = GrowthEstimate(core.spectral_rate(), "spectral_radius", (0, r_max), 0.0,
                               notes=(note,))
-    return RelativeGrowth(counts=BallCounts.from_spheres(core.counts_by_length(r_max)),
+    return RelativeGrowth(counts=BallCounts(tuple(core.counts_by_length(r_max))),
                           spectral=spectral)

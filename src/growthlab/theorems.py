@@ -140,7 +140,7 @@ def verify_growth_gap(cfg: ExperimentConfig, raise_on_hypothesis: bool = True) -
                "divergence_type": DIVERGENCE_REASON}
 
     rel = relative_growth(core, cfg.r_ball)
-    omega_h = rel.rate
+    omega_h = rel.spectral.rate
     details["omega_h_spectral"] = rel.spectral.rate
     details["h_counts"] = list(rel.counts.sphere_sizes)
     hypotheses["divergent"] = bool(core.edges)

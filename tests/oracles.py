@@ -105,6 +105,32 @@ def free_ball(rank: int, radius: int):
     return spheres, seen
 
 
+def ball_order(symbols, orders, radius: int) -> list[str]:
+    """B(o, radius) spelled as strings, in the order of a DFS that appends
+    one syllable on another generator at a time.  Generators are tried in
+    order; on a free generator x the syllables x, X, xx, XX, ...; on a
+    factor of order m the powers x^1 .. x^(m-1), each spelled short (as
+    X^(m-e) when m - e < e)."""
+    def syllables(sym, m):
+        if m == 0:
+            return [s * t for t in range(1, radius + 1) for s in (sym, sym.upper())]
+        return [sym * e if 2 * e <= m else sym.upper() * (m - e) for e in range(1, m)]
+
+    table = [syllables(sym, m) for sym, m in zip(symbols, orders)]
+    out = ["1"]
+
+    def walk(spelled: str, last: int):
+        for i, spellings in enumerate(table):
+            if i != last:
+                for s in spellings:
+                    if len(spelled) + len(s) <= radius:
+                        out.append(spelled + s)
+                        walk(spelled + s, i)
+
+    walk("", -1)
+    return out
+
+
 # -- free products as rewritten strings ------------------------------------
 
 def product_reduce(s: str, orders: dict[str, int]) -> str:
@@ -534,11 +560,11 @@ def canonical_form(core) -> tuple:
     queue = deque([core.base])
     while queue:
         v = queue.popleft()
-        for side in (core.out[v], core.into[v]):
-            for g in sorted(side):
-                if side[g] not in order:
-                    order[side[g]] = len(order)
-                    queue.append(side[g])
+        step = core.step[v]  # out-edges by label, then in-edges by label
+        for letter in sorted(step, key=lambda l: (l < 0, abs(l))):
+            if step[letter] not in order:
+                order[step[letter]] = len(order)
+                queue.append(step[letter])
     edges = tuple(sorted((order[u], g, order[v]) for u, g, v in core.edges))
     return (len(order), edges)
 

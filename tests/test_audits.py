@@ -18,6 +18,7 @@ from growthlab import (Axis, MarkedGroup, ProjectionMap, Word, all_geodesics, au
                        ball_elements, cyclic_reduce, distance, is_torsion, stallings_fold)
 from growthlab.audits import (constriction_audit, elementary_properties_audit,
                               quasiconvexity_audit)
+from growthlab.errors import BudgetExceeded
 from growthlab.orbits import FiniteSubgroup, SubgroupOrbit
 from growthlab.schreier import coset_distance
 
@@ -171,6 +172,19 @@ def test_constriction_scan_makes_few_products(f2, monkeypatch):
     rep = constriction_audit(ProjectionMap(Axis(f2.parse("ab"))), 4)
     assert rep.samples == 12_880
     assert products < rep.samples / 4
+
+
+def test_over_budget_ball_is_refused_before_listing(f2, monkeypatch):
+    # |B(o, 11)| = 354,293 in F2: 1.26e11 pairs against a cap of 2,000,000
+    def listing(*args):
+        raise AssertionError("the ball was listed")
+
+    monkeypatch.setattr(audits, "ball_elements", listing)
+    pm = ProjectionMap(Axis(f2.parse("ab")))
+    with pytest.raises(BudgetExceeded, match="pairs exceed cap"):
+        constriction_audit(pm, 11)
+    with pytest.raises(BudgetExceeded, match="pairs exceed cap"):
+        elementary_properties_audit(pm, None, 11)
 
 
 GROUPS = ("free:2", "free:3", "product:2,3", "product:4,4", "product:4,2", "product:6,4",

@@ -7,11 +7,11 @@ import math
 import numpy as np
 import pytest
 
-from growthlab import BallCounts, MarkedGroup, ball, ball_elements, growth_rate
+from growthlab import BallCounts, MarkedGroup, ball, ball_elements, balls, growth_rate
 from growthlab.balls import sphere_counts
 from growthlab.errors import BudgetExceeded, WindowTooSmall
 
-from oracles import PslCayley, free_ball, spectral_radius, syllable_transfer_z2z3
+from oracles import PslCayley, ball_order, free_ball, spectral_radius, syllable_transfer_z2z3
 
 
 def test_f2_r0(f2):
@@ -63,8 +63,13 @@ def test_budget_cap(f2):
         ball(f2, 10, max_elements=100)
 
 
-def test_enumeration_equals_counts(f2, z23):
-    for group in (f2, z23):
+GROUPS = [MarkedGroup.free(2), MarkedGroup.free(3), MarkedGroup.free_product([2, 3]),
+          MarkedGroup.free_product([4, 2]), MarkedGroup.free_product([6, 4]),
+          MarkedGroup.free_product([2, 2, 5])]
+
+
+def test_enumeration_equals_counts():
+    for group in GROUPS:
         counts = ball(group, 6)
         elements = list(ball_elements(group, 6))
         assert len(elements) == len(set(elements)) == counts.cumulative[-1]
@@ -80,9 +85,19 @@ def test_enumeration_equals_brute_force_set(f2):
     assert ours == oracle_set
 
 
-def test_enumeration_budget(f2):
+def test_enumeration_order_matches_string_dfs():
+    # the audits report the first maximiser in this order as their witness
+    for group in GROUPS:
+        for r in range(5):
+            assert [str(w) for w in ball_elements(group, r)] == \
+                ball_order(group.symbols, group.orders, r)
+
+
+def test_enumeration_budget(f2, monkeypatch):
+    monkeypatch.setattr(balls, "DEFAULT_ELEMENT_CAP", 50)
+    assert len(list(ball_elements(f2, 2))) == 17
     with pytest.raises(BudgetExceeded):
-        list(ball_elements(f2, 8, max_elements=50))
+        list(ball_elements(f2, 8))
 
 
 # -- growth rates -----------------------------------------------------------
@@ -104,7 +119,7 @@ def test_f2_rate_bfs_fit(f2):
 
 def test_trivial_rate():
     # the trivial subgroup's balls are all {1}: slope 0, no residual
-    est = growth_rate(BallCounts.from_spheres([1] + [0] * 10))
+    est = growth_rate(BallCounts((1,) + (0,) * 10))
     assert est.rate == 0.0
     assert est.error_bound == 0.0
 

@@ -33,7 +33,7 @@ def test_divergence_verdicts(f2):
 
 def test_divergence_at_omega_quasiconvex(f2):
     core = fold(f2, ["a", "baB"])
-    omega = relative_growth(core, 12).rate
+    omega = relative_growth(core, 12).spectral.rate
     d = divergence_diagnostic(core, omega, 15)
     assert d.verdict == "diverges"
     assert divergence_diagnostic(core, omega + 0.4, 18).verdict == "converges"
@@ -43,7 +43,7 @@ def test_divergence_at_omega_quasiconvex(f2):
                                   ["a" * 16, "b" * 16]])
 def test_divergence_at_the_exact_rate(f2, gens):
     core = fold(f2, gens)
-    omega = relative_growth(core, 15).rate
+    omega = relative_growth(core, 15).spectral.rate
     d = divergence_diagnostic(core, omega, 15)
     assert d.verdict == "diverges"
     assert d.tail_mean_increment > 0
@@ -60,7 +60,7 @@ def test_divergence_trivial_subgroup_converges(f2):
 
 def test_divergence_below_the_rate(f2):
     core = fold(f2, ["a", "baB"])
-    omega = relative_growth(core, 12).rate
+    omega = relative_growth(core, 12).spectral.rate
     assert divergence_diagnostic(core, omega - 0.1, 15).verdict == "diverges"
 
 

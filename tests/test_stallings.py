@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from growthlab import MarkedGroup, ball_elements, relative_growth, stallings_fold
+from growthlab import CoreGraph, MarkedGroup, ball_elements, relative_growth, stallings_fold
 from growthlab.balls import sphere_counts
 from growthlab.errors import NotFreeGroup, PowerIterationDiverged
 from growthlab.schreier import coset_key
@@ -50,6 +50,13 @@ def test_fold_index_two_subgroup(f2):
 def test_not_free_group(z23):
     with pytest.raises(NotFreeGroup):
         stallings_fold(z23, [z23.parse("x")])
+
+
+@pytest.mark.parametrize("edges", [[(0, 0, 1), (0, 0, 2)],   # two a-edges out of 0
+                                   [(1, 0, 0), (2, 0, 0)]])  # two a-edges into 0
+def test_unfolded_edges_are_refused(f2, edges):
+    with pytest.raises(ValueError, match="not folded"):
+        CoreGraph(f2, 3, edges)
 
 
 def test_fold_order_independence(f2):
@@ -129,7 +136,7 @@ def test_index_examples(f2):
 def test_cyclic_subgroup_counts(f2):
     rg = relative_growth(fold(f2, ["a"]), 8)
     assert rg.counts.sphere_sizes == (1, 2, 2, 2, 2, 2, 2, 2, 2)
-    assert rg.rate == pytest.approx(0.0, abs=1e-12)
+    assert rg.spectral.rate == pytest.approx(0.0, abs=1e-12)
 
 
 def test_counts_match_membership_filter(f2):
@@ -191,7 +198,7 @@ def test_periodic_rate_a16_b16(f2):
     assert core.perron[1] == 16
     rg = relative_growth(core, 14)
     assert rg.counts.sphere_sizes == (1,) + (0,) * 14
-    assert rg.rate == pytest.approx(math.log(3) / 16, abs=1e-12)
+    assert rg.spectral.rate == pytest.approx(math.log(3) / 16, abs=1e-12)
 
 
 def nonbacktracking_matrix(core):
@@ -213,5 +220,5 @@ def nonbacktracking_matrix(core):
 def test_rate_matches_numpy_spectral_radius(f2, gens):
     core = fold(f2, gens)
     rg = relative_growth(core, 12)
-    assert rg.rate == pytest.approx(math.log(spectral_radius(nonbacktracking_matrix(core))),
-                                    abs=1e-9)
+    assert rg.spectral.rate == pytest.approx(
+        math.log(spectral_radius(nonbacktracking_matrix(core))), abs=1e-9)
