@@ -275,8 +275,8 @@ def quasiconvexity_audit(orbit, sample_radius: int) -> int:
     Max over endpoint pairs in Y & B(o, r) and over all geodesics between
     them of the distance from a geodesic vertex to Y (exact distances).
     """
+    _refuse_pairs(orbit.size_in_ball(sample_radius))
     points = orbit.sample_in_ball(sample_radius)
-    _refuse_pairs(len(points))
     region = _Region(orbit.group, _with_prefixes(points))
     n, nbrs = len(points), region.nbrs
     seen: set[int] = set()  # vertices on geodesics between orbit points

@@ -119,7 +119,9 @@ def cmd_quotient(args) -> int:
 
 
 def cmd_amalgam(args) -> int:
-    _at_least("--syllables", args.syllables, 1)
+    for flag, value in (("--syllables", args.syllables), ("-M", args.power),
+                        ("--letter-cap", args.letter_cap)):
+        _at_least(flag, value, 1)
     group = _group(args.group)
     sub = stallings_fold(group, [group.parse(w) for w in _read_subgroup(args.subgroup)])
     g = group.parse(args.g0)

@@ -1,8 +1,8 @@
 """Orbits of a subgroup's core as point sets in the Cayley graph.
 
 A finitely generated subgroup H of F_k is its folded Stallings core
-(``CoreGraph``).  The audits need two things from the orbit Y = H o: a
-finite sample Y & B(o, r) and the exact distance d(x, Y) for arbitrary
+(``CoreGraph``).  The audits read from the orbit Y = H o the size and
+the points of Y & B(o, r) and the exact distance d(x, Y) for arbitrary
 x, which is the coset distance d(H, Hx), read off the core in O(|x|).
 ``FiniteSubgroup`` is the torsion case, a subgroup of a free product
 given by the closure of its generators; it serves the closure and
@@ -59,6 +59,10 @@ class SubgroupOrbit:
     def sample_in_ball(self, radius: int) -> list[Word]:
         """All orbit points within B(o, radius)."""
         return list(self.core.elements_in_ball(radius))
+
+    def size_in_ball(self, radius: int) -> int:
+        """|Y & B(o, radius)|, counted without listing the points."""
+        return sum(self.core.counts_by_length(radius))
 
     def distance_to(self, x: Word) -> int:
         """Exact d(x, Y): the coset distance of x, read off the core."""

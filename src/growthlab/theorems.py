@@ -202,18 +202,18 @@ def amalgam_injectivity(subgroup, g: Word, M: int, n_syllables: int,
     trivial, distinct alternating words are distinct amalgam elements, so
     image collisions are counterexamples too.
 
-    The search is depth-first, H-letters first, each pool in its order,
-    and spends one product per word.  Images are kept as normal-form
-    tuples (``Word.syllables``), which name an element of the group
-    exactly; the letters of the current word sit on one trail stack.
-    Only a collision needs the earlier word, and ``_first_with_image``
-    rebuilds it by replaying the same order, so nothing but the image is
-    stored per word.
+    The search (``_search``) is depth-first, H-letters first, each pool in
+    its order, and keeps only each word's image, a normal-form tuple that
+    names the element exactly.  Most words are checked in batches, in C:
+    no image is empty (``all``) and, with H&E trivial, ``set.update`` grows
+    the image set by the batch's length.  A failing batch is replayed word
+    by word to the first bad word in search order, and once more to the
+    earlier word of a collision, so verdict, count and witness are those
+    of a word-by-word search; a passing search never replays.
     """
-    group = g.group
     f_elements = subgroup_closure_intersection(subgroup, g, letter_cap + 2)
     f_set = set(f_elements)
-    f_trivial = all(f.is_identity for f in f_elements)
+    collisions = all(f.is_identity for f in f_elements)
     pool_h = [h for h in subgroup.elements_in_ball(letter_cap)
               if not h.is_identity and h not in f_set]
     pool_k = [w for w in _coset_words(g, M, f_elements, AMALGAM_J_MAX)
@@ -221,64 +221,81 @@ def amalgam_injectivity(subgroup, g: Word, M: int, n_syllables: int,
     if not pool_h or not pool_k:
         raise PreconditionFailed("empty letter pool; enlarge letter_cap or shrink M")
 
-    pools = (pool_h, pool_k)
-    last = n_syllables - 1
-    words_checked = 0
+    letters, h = pool_h + pool_k, len(pool_h)
+    follows = [range(h, len(letters))] * h + [range(h)] * len(pool_k)
     images: set[tuple] = set()
-    trail: list[Word] = []
 
-    def spelled(letter: Word) -> list[str]:
-        return [str(x) for x in trail] + [str(letter)]
+    def fresh(batch: list[tuple]) -> bool:
+        size = len(images) + len(batch)
+        images.update(batch)
+        if len(images) == size and all(batch):
+            return True
+        images.clear()  # terminal: the word-by-word replay refills the set
+        return False
 
-    def dfs(prefix: Word, kind: int, depth: int):
-        nonlocal words_checked
-        for letter in pools[kind]:
-            w = prefix * letter
-            words_checked += 1
-            image = w.syllables
-            if not image:
-                raise CounterexampleFound("alternating word maps to the identity",
-                                          witness=spelled(letter))
-            if f_trivial:  # one hash per word: add, then see if the set grew
-                size = len(images)
-                images.add(image)
-                if len(images) == size:
-                    first = _first_with_image(group, pools, n_syllables, image)
-                    raise CounterexampleFound(
-                        "two distinct alternating words share an image",
-                        witness=([str(x) for x in first], spelled(letter)))
-            if depth < last:
-                trail.append(letter)
-                dfs(w, 1 - kind, depth + 1)
-                trail.pop()
+    def spelled(trail: list[int]) -> list[str]:
+        return [str(letters[i]) for i in trail]
 
-    if n_syllables > 0:
-        dfs(group.identity(), 0, 0)
-        dfs(group.identity(), 1, 0)
+    def visit(image: tuple, trail: list[int]) -> bool:
+        if not image:
+            raise CounterexampleFound("alternating word maps to the identity",
+                                      witness=spelled(trail))
+        if collisions and image in images:
+            first = _search(letters, follows, n_syllables, lambda other, _: other == image)[1]
+            raise CounterexampleFound("two distinct alternating words share an image",
+                                      witness=(spelled(first), spelled(trail)))
+        images.add(image)
+        return False
+
+    words_checked, _ = _search(letters, follows, n_syllables, visit, fresh if collisions else all)
     return AmalgamReport(verdict="PASS", words_checked=words_checked,
                          max_syllables=n_syllables, letter_cap=letter_cap, M=M,
                          pool_h=len(pool_h), pool_k=len(pool_k),
                          h_cap_e=tuple(str(f) for f in f_elements))
 
 
-def _first_with_image(group: MarkedGroup, pools: tuple[list[Word], list[Word]],
-                      n_syllables: int, image: tuple) -> list[Word]:
-    """The letters of the first alternating word, in the search order of
-    ``amalgam_injectivity``, whose normal form is ``image``."""
-    trail: list[Word] = []
+def _search(letters: list[Word], follows, n: int, visit, batch=None):
+    """Walk the words letters[i_1] ... letters[i_d], 1 <= d <= n, with each
+    i_{t+1} in ``follows[i_t]``, depth-first.  Each word's image goes to
+    ``visit(image, indices)``, and a true return stops the walk; returns the
+    count visited and the stopping word's indices, or None.  With ``batch``,
+    the words under each prefix of n - 2 letters, a stretch of the walk, go
+    to ``batch(images)`` in one list, and a false return replays the walk
+    without it.  Inner words are one ``Word`` product each; a last-level
+    image concatenates normal forms where the seam cannot merge (``groups``).
+    """
+    syllables = [w.syllables for w in letters]
+    heads = [s[0][0] if s else -1 for s in syllables]
+    last, trail, count = n - 1, [], 0
 
-    def walk(prefix: Word, kind: int, depth: int) -> bool:
-        for letter in pools[kind]:
-            w = prefix * letter
-            trail.append(letter)
-            if w.syllables == image or (
-                    depth + 1 < n_syllables and walk(w, 1 - kind, depth + 1)):
+    def walk(prefix: Word, options, depth: int) -> bool:
+        nonlocal count
+        if batch is not None and depth >= last - 1:
+            words = [prefix * letters[i] for i in options]
+            images = [w.syllables for w in words]
+            if depth < last:
+                seams = [a[-1][0] if a else -1 for a in images]
+                images += [a + syllables[j] if heads[j] != seam else (w * letters[j]).syllables
+                           for i, w, a, seam in zip(options, words, images, seams)
+                           for j in follows[i]]
+            count += len(images)
+            return not batch(images)
+        for i in options:
+            w = prefix * letters[i]
+            count += 1
+            trail.append(i)
+            if visit(w.syllables, trail) or (
+                    depth < last and walk(w, follows[i], depth + 1)):
                 return True
             trail.pop()
         return False
 
-    walk(group.identity(), 0, 0) or walk(group.identity(), 1, 0)
-    return trail
+    identity, root = letters[0].group.identity(), range(len(letters))
+    if n > 0 and walk(identity, root, 0) and batch is not None:
+        batch, count = None, 0
+        trail.clear()
+        walk(identity, root, 0)
+    return count, trail or None
 
 
 def free_subgroup_witness(g1: Word, g2: Word, M: int, n_letters: int) -> dict:
@@ -290,11 +307,10 @@ def free_subgroup_witness(g1: Word, g2: Word, M: int, n_letters: int) -> dict:
 
     The letters are g1^M, g1^-M, g2^M, g2^-M, so the inverse of letter i
     is letter i ^ 1 and a freely reduced word never follows i by i ^ 1.
-    The search is depth-first in letter order and spends one product per
-    word; the letter indices of the current word sit on one trail stack,
-    copied only into a witness.
+    The search (``_search``) is depth-first in letter order.  A batch of
+    words fails on an identity image (``all``) and is replayed word by
+    word, so the witness, a word's letter indices, is the first in order.
     """
-    group = g1.group
     pm1, pm2 = ProjectionMap(Axis(g1)), ProjectionMap(Axis(g2))
     window = 3 * max(pm1.axis.translation_length, pm2.axis.translation_length) + \
         pm1.axis.conjugator.length + pm2.axis.conjugator.length + 6
@@ -305,28 +321,11 @@ def free_subgroup_witness(g1: Word, g2: Word, M: int, n_letters: int) -> dict:
             f"mutual projections too large ({d12}, {d21}); axes not independent")
 
     letters = [g1**M, (g1**M).inverse(), g2**M, (g2**M).inverse()]
-    last = n_letters - 1
-    checked = 0
-    trail: list[int] = []
-
-    def dfs(prefix: Word, prev: int, depth: int):
-        nonlocal checked
-        for i, letter in enumerate(letters):
-            if i == prev ^ 1:
-                continue  # formally reducible; not a new group element
-            w = prefix * letter
-            checked += 1
-            if w.is_identity:
-                raise CounterexampleFound(
-                    "freely reduced alternating power word maps to identity",
-                    witness=tuple(trail) + (i,))
-            if depth < last:
-                trail.append(i)
-                dfs(w, i, depth + 1)
-                trail.pop()
-
-    if n_letters > 0:
-        dfs(group.identity(), -1, 0)
+    follows = [[j for j in range(4) if j != i ^ 1] for i in range(4)]
+    checked, trail = _search(letters, follows, n_letters, lambda image, _: not image, all)
+    if trail is not None:
+        raise CounterexampleFound("freely reduced alternating power word maps to identity",
+                                  witness=tuple(trail))
     return {"verdict": "PASS", "words_checked": checked, "M": M,
             "mutual_projections": (d12, d21)}
 

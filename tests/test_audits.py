@@ -187,6 +187,17 @@ def test_over_budget_ball_is_refused_before_listing(f2, monkeypatch):
         elementary_properties_audit(pm, None, 11)
 
 
+def test_over_budget_orbit_is_refused_before_listing(f2, monkeypatch):
+    # H = <a, b> is F2: |H & B(o, 11)| = 354,293, again 1.26e11 pairs
+    def listing(*args):
+        raise AssertionError("the orbit sample was listed")
+
+    monkeypatch.setattr(SubgroupOrbit, "sample_in_ball", listing)
+    orbit = SubgroupOrbit(stallings_fold(f2, [f2.parse("a"), f2.parse("b")]))
+    with pytest.raises(BudgetExceeded, match="125523529849 pairs exceed cap"):
+        quasiconvexity_audit(orbit, 11)
+
+
 GROUPS = ("free:2", "free:3", "product:2,3", "product:4,4", "product:4,2", "product:6,4",
           "product:2,2,5")
 
@@ -361,6 +372,9 @@ class _FiniteOrbit:
 
     def sample_in_ball(self, radius):
         return list(self.sub.elements_in_ball(radius))
+
+    def size_in_ball(self, radius):
+        return len(self.sample_in_ball(radius))
 
     def distance_to(self, x):
         return min(distance(h, x) for h in self.sub.elements)

@@ -6,7 +6,7 @@ import math
 from dataclasses import asdict, replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -245,34 +245,91 @@ def test_amalgam_free_product_with_torsion(z23):
     assert rep.verdict == "PASS"
 
 
+def _string_pools(sub, cap):
+    """The letter pools of amalgam_injectivity(sub, b, M=1, letter_cap=cap)
+    as strings, or None when H & E(b) is nontrivial (collisions are then
+    not checked) or the H pool is empty: H - 1 within radius cap, in the
+    order the package lists it, and b^j with 0 < |j| <= min(4, cap)."""
+    f2 = sub.group
+    if any(sub.contains(f2.parse("b" * j)) for j in range(1, cap + 3)):
+        return None
+    pool_h = [str(h) for h in sub.elements_in_ball(cap) if not h.is_identity]
+    pool_k = ["B" * -j if j < 0 else "b" * j for j in range(-4, 5) if j and abs(j) <= cap]
+    return (pool_h, pool_k) if pool_h else None
+
+
+def _matches_string_oracle(sub, cap, n):
+    """amalgam_injectivity(sub, b, M=1) stops at the same word with the same
+    witness as the string model, or visits as many words; returns the
+    model's (verdict, words, witness)."""
+    verdict, words, witness = oracles.alternating_search(_string_pools(sub, cap), n)
+    try:
+        rep = amalgam_injectivity(sub, sub.group.parse("b"), M=1, n_syllables=n, letter_cap=cap)
+    except CounterexampleFound as exc:
+        assert verdict == ("collision" if "share an image" in str(exc) else "identity")
+        assert exc.witness == witness
+    else:
+        assert (verdict, rep.words_checked) == ("PASS", words)
+    return verdict, words, witness
+
+
 @pytest.mark.parametrize("gens, n", [
     (("a", "baB"), 3), (("a", "baB"), 4), (("a", "bab"), 4), (("aB", "ba"), 4),
     (("a",), 5), (("ab",), 4), (("a", "bbaBB"), 4)])
 def test_amalgam_search_matches_string_oracle(f2, gens, n):
     # H & E(b) is trivial for each H, so the pools are H - 1 within radius 4
-    # (in the order the package lists them) and b^{+-1..4}; the string model
-    # walks the same order and must stop at the same word with the same
-    # witness, or visit as many words
+    # (in the order the package lists them) and b^{+-1..4}
     sub = fold(f2, gens)
-    pool_h = [str(h) for h in sub.elements_in_ball(4) if not h.is_identity]
+    pool_h = _string_pools(sub, 4)[0]
     pad = max(len(w) for w in gens)
     assert set(pool_h) == oracles.closure_membership(2, list(gens), 4, pad) - {""}
-    pool_k = ["B" * -j if j < 0 else "b" * j for j in range(-4, 5) if j]
-    verdict, words, witness = oracles.alternating_search((pool_h, pool_k), n)
-    try:
-        rep = amalgam_injectivity(sub, f2.parse("b"), M=1, n_syllables=n, letter_cap=4)
-    except CounterexampleFound as exc:
-        assert verdict == ("collision" if "share an image" in str(exc) else "identity")
-        assert exc.witness == witness
+    _matches_string_oracle(sub, 4, n)
+
+
+@pytest.mark.parametrize("gens, cap, n, batch", [
+    (("bab", "BaB"), 3, 4, "identity"),  # bab.BB.bAb.BB = 1
+    (("aa", "bab"), 3, 3, "earlier"),    # BB.bab.B = BAB.b.aa, under prefixes BB and BAB
+    (("a", "baB"), 3, 2, "same"),        # B.baB = a.B, both in the one batch of n = 2
+])
+def test_first_bad_word_in_a_last_level_batch(f2, gens, cap, n, batch):
+    # the batched search checks the words under each prefix of n - 2 letters
+    # (those of n - 1 and n letters) as one batch; where the first bad word
+    # in search order has n letters, the replay must still find it
+    verdict, _, witness = _matches_string_oracle(fold(f2, gens), cap, n)
+    if batch == "identity":
+        assert verdict == "identity" and len(witness) == n
     else:
-        assert verdict == "PASS"
-        assert rep.words_checked == words
+        first, second = witness
+        assert verdict == "collision" and len(second) == n
+        same = len(first) >= n - 1 and first[:n - 2] == second[:n - 2]
+        assert same == (batch == "same")
+
+
+def _with_conjugate(w, j):
+    """[w, b^j w b^-j]: such a pair makes alternating words collide."""
+    return [w, "b" * j + w + "B" * j if j > 0 else "B" * -j + w + "b" * -j]
+
+
+@given(st.one_of(st.lists(st.integers(1, 3).flatmap(oracles.reduced_words),
+                          min_size=1, max_size=2),
+                 st.builds(_with_conjugate, st.integers(1, 2).flatmap(oracles.reduced_words),
+                           st.sampled_from([-2, -1, 1, 2]))),
+       st.integers(2, 3), st.integers(1, 4))
+@settings(max_examples=80, deadline=None)
+def test_amalgam_search_matches_string_oracle_on_random_subgroups(gens, cap, n):
+    f2 = MarkedGroup.free(2)
+    sub = fold(f2, gens)
+    pools = _string_pools(sub, cap)
+    assume(pools is not None and (len(pools[0]) * len(pools[1])) ** (n / 2) <= 4000)
+    _matches_string_oracle(sub, cap, n)
 
 
 def test_amalgam_spends_one_product_per_word(f2, monkeypatch):
-    # the search multiplies its prefix by one letter per word; the only other
-    # products (122 here) build the pools and H & E(b).  A collision replay
-    # run on a passing search, or a second product per word, breaks the bound.
+    # pools a^{+-1..4} and b^{+-1..4}: 2 (8 + 8^2 + 8^3 + 8^4) = 9,360 words
+    # of fewer than 5 letters, one product each; the 65,536 words of 5 letters
+    # concatenate normal forms (a and b never merge at the seam), and the
+    # pools and H & E(b) take the other products (38 here).  A product per
+    # last-level word, or a replay of the passing search, breaks the bound.
     sub = fold(f2, ["a"])
     products = 0
     mul = Word.__mul__
@@ -285,7 +342,7 @@ def test_amalgam_spends_one_product_per_word(f2, monkeypatch):
     monkeypatch.setattr(Word, "__mul__", counting)
     rep = amalgam_injectivity(sub, f2.parse("b"), M=1, n_syllables=5, letter_cap=4)
     assert rep.words_checked == 2 * sum(8 ** d for d in range(1, 6))
-    assert products <= rep.words_checked + 200
+    assert products <= 9360 + 200
 
 
 # -- free subgroup witnesses -----------------------------------------------------------
@@ -310,6 +367,52 @@ def test_free_witness_counts_every_reduced_word(f2, M, n):
     rep = free_subgroup_witness(f2.parse("ab"), f2.parse("aB"), M, n)
     assert rep["verdict"] == "PASS"
     assert rep["words_checked"] == 2 * (3 ** n - 1)
+
+
+def _per_word_ping_pong(g1, g2, M, n):
+    """(words visited, witness or None) of a depth-first search over the
+    freely reduced words of 1..n letters in g1^M, g1^-M, g2^M, g2^-M, in
+    that letter order, with one ``Word`` product per word."""
+    letters = [g1**M, (g1**M).inverse(), g2**M, (g2**M).inverse()]
+    words = 0
+
+    def walk(prefix, prev, depth):
+        nonlocal words
+        for i, letter in enumerate(letters):
+            if i == prev ^ 1:
+                continue
+            w = prefix * letter
+            words += 1
+            if w.is_identity:
+                return (i,)
+            found = walk(w, i, depth + 1) if depth + 1 < n else None
+            if found:
+                return (i,) + found
+        return None
+
+    witness = walk(g1.group.identity(), -1, 0)
+    return words, witness
+
+
+@pytest.mark.parametrize("group, g1, g2, M, n, fails", [
+    ("free:2", "ab", "aB", 1, 6, False),
+    ("free:2", "a", "b", 2, 5, False),
+    ("product:2,3", "xy", "yx", 2, 5, False),
+    ("product:2,3", "Yx", "xY", 1, 6, True),   # (Yx)^2 xY (Yx)^2 xY = 1, 6 letters
+    ("product:2,3", "Yx", "xY", 1, 7, True),   # the same word, one level above the last
+])
+def test_free_witness_matches_a_per_word_search(group, g1, g2, M, n, fails):
+    grp = MarkedGroup.from_descriptor(group)
+    w1, w2 = grp.parse(g1), grp.parse(g2)
+    words, witness = _per_word_ping_pong(w1, w2, M, n)
+    assert (witness is not None) == fails
+    try:
+        rep = free_subgroup_witness(w1, w2, M, n)
+    except CounterexampleFound as exc:
+        assert exc.witness == witness
+    else:
+        assert witness is None
+        assert rep["words_checked"] == words == 2 * (3 ** n - 1)
 
 
 def test_free_witness_same_axis_rejected(f2):
