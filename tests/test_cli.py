@@ -81,13 +81,13 @@ def test_rmax_below_three_is_an_error(command, sub_file, tmp_path, capsys):
     (["selector", "--g0", "b", "--rmax", "-2"], "error: --rmax must be >= 1"),
     (["closure", "--g0", "ab", "--radius", "0"], "error: --radius must be >= 1"),
     (["amalgam", "--g0", "b", "--syllables", "0"], "error: --syllables must be >= 1"),
-    (["amalgam", "--g0", "b", "-M", "-1"], "error: -M must be >= 1"),
-    (["amalgam", "--g0", "b", "-M", "0"], "error: -M must be >= 1"),
-    (["amalgam", "--g0", "b", "--letter-cap", "0"], "error: --letter-cap must be >= 1"),
     (["selector", "--g0", "b", "--theta", "-1"], "error: --theta must be >= 0"),
     (["selector", "--g0", "b", "--epsilon", "-3"], "error: --epsilon must be >= 0"),
     (["gap", "--g0", "ab", "--margin", "nan"], "error: margins must be > 0"),
     (["gap", "--g0", "ab", "--margin", "inf"], "error: margins must be > 0"),
+    (["amalgam", "--g0", "b", "-M", "-1"], "error: -M must be >= 1"),
+    (["amalgam", "--g0", "b", "-M", "0"], "error: -M must be >= 1"),
+    (["amalgam", "--g0", "b", "--letter-cap", "0"], "error: --letter-cap must be >= 1"),
 ])
 def test_zero_and_negative_values_are_errors(args, message, sub_file, tmp_path, capsys):
     out = tmp_path / "r.json"
