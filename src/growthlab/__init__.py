@@ -12,15 +12,15 @@ from .balls import BallCounts, GrowthEstimate, ball, ball_elements, growth_rate
 from .groups import (MarkedGroup, Word, all_geodesics, cyclic_reduce, distance,
                      is_torsion, primitive_root)
 from .axes import Axis, ProjectionMap
-from .orbits import FiniteSubgroup, SubgroupOrbit
+from .orbits import SubgroupOrbit
 from .schreier import SchreierAutomaton, schreier_growth
 from .series import divergence_diagnostic, poincare_partial
 from .stallings import CoreGraph, relative_growth, stallings_fold
 
 __all__ = [
-    "Axis", "BallCounts", "CoreGraph", "FiniteSubgroup",
-    "GrowthEstimate", "MarkedGroup", "ProjectionMap", "SchreierAutomaton",
-    "SubgroupOrbit", "Word", "all_geodesics", "ball", "ball_elements",
+    "Axis", "BallCounts", "CoreGraph", "GrowthEstimate",
+    "MarkedGroup", "ProjectionMap", "SchreierAutomaton", "SubgroupOrbit",
+    "Word", "all_geodesics", "ball", "ball_elements",
     "cyclic_reduce", "distance", "divergence_diagnostic", "growth_rate", "is_torsion",
     "poincare_partial", "primitive_root", "relative_growth",
     "schreier_growth", "stallings_fold",

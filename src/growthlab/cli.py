@@ -1,18 +1,26 @@
 """Command-line interface.
 
-    growthlab gap       --group free:2 --subgroup sub.txt --g0 ab --rmax 12
-    growthlab quotient  --group free:2 --subgroup sub.txt --rmax 14
-    growthlab amalgam   --group free:2 --subgroup sub.txt --g0 b -M 1 --syllables 6
-    growthlab audit     --group free:2 --axis ab --rmax 5
-    growthlab buffering --chain chain.json
-    growthlab closure   --group free:2 --g0 ab --radius 6
-    growthlab selector  --group free:2 --subgroup sub.txt --g0 b --rmax 5
+    growthlab gap       --group G [--subgroup FILE] [--g0 W] [--rmax 12] [--margin 0.01]
+    growthlab quotient  --group G [--subgroup FILE] [--rmax 14] [--max-states N]
+    growthlab amalgam   --group G [--subgroup FILE] --g0 W [-M 1] [--syllables 4]
+                        [--letter-cap 4]
+    growthlab audit     --group G --axis W [--rmax 4]
+    growthlab buffering --chain FILE
+    growthlab closure   --group G --g0 W [--radius 6]
+    growthlab selector  --group G [--subgroup FILE] --g0 W [--rmax 5] [--epsilon 0]
+                        [--theta 1]
+
+Every command also takes --out FILE (default: standard output) and
+--format json|csv (default json).  Each command is declared once, by
+``command`` on its handler, with exactly the flags the handler reads.
 
 Subgroup files carry one generator word per line (``a b A`` style, upper
-case = inverse).  A chain spec is JSON:
+case = inverse); without one the subgroup is trivial.  A chain spec is
+JSON:
 {"group": "free:2", "subgroup": ["a"], "g": "b",
  "word": [["h","a"],["k","bbb"]], "radius": 2}.
---config loads any of the flags from a JSON file; explicit flags win.
+--config loads any of the command's flags from a JSON file; explicit
+flags win.
 
 Exit codes: 0 pass/complete, 1 bad input (printed as ``error: ...``),
 2 hypothesis failed, 3 counterexample found, 4 budget exceeded.
@@ -21,6 +29,7 @@ Exit codes: 0 pass/complete, 1 bad input (printed as ``error: ...``),
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import sys
@@ -32,9 +41,8 @@ from .closure import elementary_closure, find_selector_power
 from .errors import (BudgetExceeded, CounterexampleFound, GrowthLabError,
                      HypothesisFailed, PreconditionFailed)
 from .groups import MarkedGroup
-from .reports import (flatten_for_csv, growth_records, render_csv, render_json,
-                      write_text)
-from .stallings import stallings_fold
+from .reports import flatten_for_csv, growth_records, render_csv, render_json, write_text
+from .stallings import CoreGraph, stallings_fold
 from .theorems import (ExperimentConfig, amalgam_injectivity,
                        coarse_quotient_check, verify_growth_gap,
                        verify_quotient_growth)
@@ -43,6 +51,29 @@ EXIT_OK = 0
 EXIT_HYPOTHESIS = 2
 EXIT_COUNTEREXAMPLE = 3
 EXIT_BUDGET = 4
+
+COMMANDS: dict[str, tuple] = {}  # name -> (handler, summary, flags), filled by ``command``
+
+
+def _flag(*names: str, **kwargs) -> tuple:
+    """One ``add_argument`` call: its names and keyword arguments."""
+    return names, kwargs
+
+
+GROUP = _flag("--group", required=True, help="free:K or product:M1,M2,...")
+SUBGROUP = _flag("--subgroup", help="file with one generator word per line")
+G0 = _flag("--g0", required=True, help="distinguished element (ASCII word)")
+OUTPUT = (_flag("--out", help="output file (default: standard output)"),
+          _flag("--format", choices=("json", "csv"), default="json"))
+
+
+def command(name: str, summary: str, *flags: tuple):
+    """Declare the subcommand ``name`` run by the decorated handler, with
+    ``flags`` and ``OUTPUT``, which the handler reads through ``_emit``."""
+    def declare(handler):
+        COMMANDS[name] = handler, summary, flags + OUTPUT
+        return handler
+    return declare
 
 
 def _read_subgroup(path: str | None) -> tuple[str, ...]:
@@ -59,71 +90,68 @@ def _group(text: str) -> MarkedGroup:
         raise PreconditionFailed(f"bad group {text!r}: {exc}") from None
 
 
+def _core(group: MarkedGroup, words) -> CoreGraph:
+    """The folded core of the subgroup the words generate."""
+    return stallings_fold(group, [group.parse(w) for w in words])
+
+
 def _at_least(flag: str, value, low) -> None:
     if value < low:
         raise PreconditionFailed(f"{flag} must be >= {low}, got {value}")
 
 
-def _emit(payload, args, records=None) -> None:
-    if args.format == "csv":
-        rows = records if records is not None else flatten_for_csv(payload)
-        write_text(render_csv(rows), args.out)
-    else:
-        write_text(render_json(payload), args.out)
+def _emit(payload, args, rows=flatten_for_csv) -> None:
+    """Write ``payload`` to --out as JSON, or as the CSV rows ``rows(payload)``."""
+    text = render_csv(rows(payload)) if args.format == "csv" else render_json(payload)
+    write_text(text, args.out)
 
 
-def _experiment_config(args) -> ExperimentConfig:
+def _growth(args, pipeline, rows, **config) -> int:
+    """Run a growth pipeline on the --group and --subgroup flags and the
+    ``config`` fields, and write its report; CSV output is ``rows(report)``,
+    or key,value rows when a hypothesis fails.  Exit 2 unless it PASSes."""
     _group(args.group)
-    kwargs = dict(group=args.group, subgroup=_read_subgroup(args.subgroup), g0=args.g0 or "")
-    if args.rmax is not None:
-        kwargs["r_ball"] = args.rmax
-        kwargs["r_schreier"] = args.rmax
-    if getattr(args, "margin", None) is not None:
-        kwargs["gap_margin"] = args.margin
-    return ExperimentConfig(**kwargs)
+    cfg = ExperimentConfig(args.group, _read_subgroup(args.subgroup), **config)
+    try:
+        report = pipeline(cfg)
+    except HypothesisFailed as exc:
+        _emit(exc.report, args)
+        return EXIT_HYPOTHESIS
+    _emit(report, args, rows)
+    return EXIT_OK if report.verdict == "PASS" else EXIT_HYPOTHESIS
 
 
-def _sample_radius(args, default: int) -> int:
-    r = default if args.rmax is None else args.rmax
-    _at_least("--rmax", r, 1)
-    return r
-
-
+@command("gap", "growth-gap pipeline", GROUP, SUBGROUP,
+         _flag("--g0", default="", help="distinguished element (default: the last generator)"),
+         _flag("--rmax", type=int, default=ExperimentConfig.r_ball),
+         _flag("--margin", type=float, default=ExperimentConfig.gap_margin))
 def cmd_gap(args) -> int:
-    cfg = _experiment_config(args)
-    try:
-        report = verify_growth_gap(cfg)
-    except HypothesisFailed as exc:
-        _emit(exc.report, args)
-        return EXIT_HYPOTHESIS
-    records = None
-    if args.format == "csv":
-        records = growth_records(itertools.accumulate(report.details["h_counts"]),
-                                 report.omega_h)
-    _emit(report, args, records)
-    return EXIT_OK if report.verdict == "PASS" else EXIT_HYPOTHESIS
+    return _growth(args, verify_growth_gap,
+                   lambda r: growth_records(itertools.accumulate(r.details["h_counts"]),
+                                            r.omega_h),
+                   g0=args.g0, r_ball=args.rmax, gap_margin=args.margin)
 
 
+@command("quotient", "quotient-growth pipeline", GROUP, SUBGROUP,
+         _flag("--rmax", type=int, default=ExperimentConfig.r_schreier),
+         _flag("--max-states", type=int,
+               help="cap on the cosets within --rmax (exit 4 when exceeded)"))
 def cmd_quotient(args) -> int:
-    cfg = _experiment_config(args)
-    try:
-        report = verify_quotient_growth(cfg, max_states=args.max_states)
-    except HypothesisFailed as exc:
-        _emit(exc.report, args)
-        return EXIT_HYPOTHESIS
-    records = None
-    if args.format == "csv":
-        records = growth_records(report.details["coset_counts"], report.omega_quotient)
-    _emit(report, args, records)
-    return EXIT_OK if report.verdict == "PASS" else EXIT_HYPOTHESIS
+    return _growth(args, functools.partial(verify_quotient_growth, max_states=args.max_states),
+                   lambda r: growth_records(r.details["coset_counts"], r.omega_quotient),
+                   r_schreier=args.rmax)
 
 
+@command("amalgam", "amalgam injectivity refutation attempt", GROUP, SUBGROUP, G0,
+         _flag("-M", "--power", type=int, default=1),
+         _flag("--syllables", type=int, default=4),
+         _flag("--letter-cap", type=int, default=4))
 def cmd_amalgam(args) -> int:
     for flag, value in (("--syllables", args.syllables), ("-M", args.power),
                         ("--letter-cap", args.letter_cap)):
         _at_least(flag, value, 1)
     group = _group(args.group)
-    sub = stallings_fold(group, [group.parse(w) for w in _read_subgroup(args.subgroup)])
+    sub = _core(group, _read_subgroup(args.subgroup))
     g = group.parse(args.g0)
     try:
         report = amalgam_injectivity(sub, g, M=args.power, n_syllables=args.syllables,
@@ -135,21 +163,19 @@ def cmd_amalgam(args) -> int:
     return EXIT_OK
 
 
+@command("audit", "constriction and projection property audit", GROUP,
+         _flag("--axis", required=True), _flag("--rmax", type=int, default=4))
 def cmd_audit(args) -> int:
-    r = _sample_radius(args, 4)
+    _at_least("--rmax", args.rmax, 1)
     group = _group(args.group)
-    g = group.parse(args.axis)
-    pm = ProjectionMap(Axis(g))
-    rep = constriction_audit(pm, r)
-    table = elementary_properties_audit(pm, None, min(r, 4))
-    payload = {
-        "axis": args.axis,
-        "constriction": rep,
-        "properties": table.property_rows(),
-        "sigma_table": table.sigma_table,
-        "zeta_table": table.zeta_table,
-    }
-    _emit(payload, args)
+    pm = ProjectionMap(Axis(group.parse(args.axis)))
+    rep = constriction_audit(pm, args.rmax)
+    table = elementary_properties_audit(pm, None, min(args.rmax, 4))
+    _emit({"axis": args.axis,
+           "constriction": rep,
+           "properties": table.property_rows(),
+           "sigma_table": table.sigma_table,
+           "zeta_table": table.zeta_table}, args)
     return EXIT_OK
 
 
@@ -181,10 +207,12 @@ def _read_chain(path: str) -> dict:
     return spec
 
 
+@command("buffering", "check a chain spec file", _flag("--chain", required=True,
+                                                        help="JSON chain spec"))
 def cmd_buffering(args) -> int:
     spec = _read_chain(args.chain)
     group = _group(spec["group"])
-    sub = stallings_fold(group, [group.parse(w) for w in spec["subgroup"]])
+    sub = _core(group, spec["subgroup"])
     g = group.parse(spec["g"])
     letters = [group.parse(w) for _, w in spec["word"]]
     params = BufferingParams(spec["delta"], spec["epsilon"], spec["L"])
@@ -197,36 +225,38 @@ def cmd_buffering(args) -> int:
     return EXIT_OK if verdict.passed else EXIT_HYPOTHESIS
 
 
+@command("closure", "exact elementary closure E(g), re-verified in a ball", GROUP, G0,
+         _flag("--radius", type=int, default=6,
+               help="radius of the ball whose elements of E(g) are re-verified"))
 def cmd_closure(args) -> int:
     _at_least("--radius", args.radius, 1)
     group = _group(args.group)
-    g = group.parse(args.g0)
-    desc = elementary_closure(g, args.radius)
-    payload = {
-        "g": args.g0,
-        "M": desc.M,
-        "E_gens": [str(w) for w in desc.E_generators],
-        "E_plus_index": desc.E_plus_index,
-        "index_over_cyclic": desc.index_over_cyclic,
-        "certificates": {"conjugation_identities": desc.verify(),
-                         "elements_scanned": len(desc.elements)},
-    }
-    _emit(payload, args)
+    desc = elementary_closure(group.parse(args.g0), args.radius)
+    _emit({"g": args.g0,
+           "M": desc.M,
+           "E_gens": [str(w) for w in desc.E_generators],
+           "E_plus_index": desc.E_plus_index,
+           "index_over_cyclic": desc.index_over_cyclic,
+           "certificates": {"conjugation_identities": desc.verify(),
+                            "elements_scanned": len(desc.elements)}}, args)
     return EXIT_OK
 
 
+@command("selector", "separation selector and coarse quotient check", GROUP, SUBGROUP, G0,
+         _flag("--rmax", type=int, default=5),
+         _flag("--epsilon", type=int, default=0),
+         _flag("--theta", type=int, default=1))
 def cmd_selector(args) -> int:
     _at_least("--epsilon", args.epsilon, 0)
     _at_least("--theta", args.theta, 0)
-    r = _sample_radius(args, 5)
+    _at_least("--rmax", args.rmax, 1)
     group = _group(args.group)
-    sub = stallings_fold(group, [group.parse(w) for w in _read_subgroup(args.subgroup)])
+    sub = _core(group, _read_subgroup(args.subgroup))
     g = group.parse(args.g0)
     m, sel = find_selector_power(g, epsilon=args.epsilon, theta=args.theta,
-                                 y=group.identity(), sample_radius=r)
-    report = coarse_quotient_check(sub, g, sel, r)
-    payload = {"M": m, "threshold": sel.threshold, "coarse_quotient": report}
-    _emit(payload, args)
+                                 y=group.identity(), sample_radius=args.rmax)
+    report = coarse_quotient_check(sub, g, sel, args.rmax)
+    _emit({"M": m, "threshold": sel.threshold, "coarse_quotient": report}, args)
     return EXIT_OK if report.verdict == "PASS" else EXIT_HYPOTHESIS
 
 
@@ -257,64 +287,17 @@ class _Parser(argparse.ArgumentParser):
         raise PreconditionFailed(message)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of ``COMMANDS``, built on first use and reused: parsing
+    leaves no state in it."""
     parser = _Parser(prog="growthlab", description="desk-scale growth experiments")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, subgroup=False, g0=False):
-        p.add_argument("--group", required=True, help="free:K or product:M1,M2,...")
-        if subgroup:
-            p.add_argument("--subgroup", help="file with one generator word per line")
-        if g0:
-            p.add_argument("--g0", help="distinguished element (ASCII word)")
-        p.add_argument("--rmax", type=int, default=None)
-        p.add_argument("--out", default=None)
-        p.add_argument("--format", choices=("json", "csv"), default="json")
-
-    p = sub.add_parser("gap", help="growth-gap pipeline")
-    common(p, subgroup=True, g0=True)
-    p.add_argument("--margin", type=float, default=None)
-    p.set_defaults(func=cmd_gap)
-
-    p = sub.add_parser("quotient", help="quotient-growth pipeline")
-    common(p, subgroup=True, g0=True)
-    p.add_argument("--max-states", type=int, default=None,
-                   help="cap on the cosets within --rmax (exit 4 when exceeded)")
-    p.set_defaults(func=cmd_quotient)
-
-    p = sub.add_parser("amalgam", help="amalgam injectivity refutation attempt")
-    common(p, subgroup=True, g0=True)
-    p.add_argument("-M", "--power", type=int, default=1)
-    p.add_argument("--syllables", type=int, default=4)
-    p.add_argument("--letter-cap", type=int, default=4)
-    p.set_defaults(func=cmd_amalgam)
-
-    p = sub.add_parser("audit", help="constriction and projection property audit")
-    common(p)
-    p.add_argument("--axis", required=True)
-    p.set_defaults(func=cmd_audit)
-
-    p = sub.add_parser("buffering", help="check a chain spec file")
-    p.add_argument("--chain", required=True, help="JSON chain spec")
-    p.add_argument("--out", default=None)
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.set_defaults(func=cmd_buffering)
-
-    p = sub.add_parser("closure", help="exact elementary closure E(g), re-verified in a ball")
-    p.add_argument("--group", required=True)
-    p.add_argument("--g0", required=True)
-    p.add_argument("--radius", type=int, default=6,
-                   help="radius of the ball whose elements of E(g) are re-verified")
-    p.add_argument("--out", default=None)
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.set_defaults(func=cmd_closure)
-
-    p = sub.add_parser("selector", help="separation selector and coarse quotient check")
-    common(p, subgroup=True, g0=True)
-    p.add_argument("--epsilon", type=int, default=0)
-    p.add_argument("--theta", type=int, default=1)
-    p.set_defaults(func=cmd_selector)
-
+    for name, (handler, summary, flags) in COMMANDS.items():
+        p = sub.add_parser(name, help=summary)
+        for names, kwargs in flags:
+            p.add_argument(*names, **kwargs)
+        p.set_defaults(func=handler)
     return parser
 
 
@@ -326,12 +309,6 @@ def main(argv: list[str] | None = None) -> int:
     except BudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except CounterexampleFound as exc:
-        print(f"counterexample: {exc}", file=sys.stderr)
-        return EXIT_COUNTEREXAMPLE
-    except HypothesisFailed as exc:
-        print(f"{exc}", file=sys.stderr)
-        return EXIT_HYPOTHESIS
     except (GrowthLabError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -18,6 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
+from .audits import _refuse_pairs
 from .axes import Axis, ProjectionMap
 from .balls import ball_elements
 from .errors import CrossCheckFailed, FiniteOrderElement, NotFoundWithinBound, PreconditionFailed
@@ -95,7 +96,8 @@ def elementary_closure(g: Word, search_radius: int) -> ClosureDescriptor:
     cyclically reduced, |z^i| >= |i| |w| - 2|c| and |z^i t| >= |z^i| - |t|,
     which bounds the exponents to try.  The list is re-verified by plain
     word arithmetic and certified closed under inverses and under the
-    products that stay in the ball.
+    products u v, each ordered pair, that stay in the ball; a list with more
+    than ``DEFAULT_PAIR_CAP`` ordered pairs is refused (BudgetExceeded).
     """
     if is_torsion(g):
         raise FiniteOrderElement(f"{g} has finite order; closure undefined here")
@@ -115,11 +117,12 @@ def elementary_closure(g: Word, search_radius: int) -> ClosureDescriptor:
 
     # closure certificate: inverses and products of listed elements stay in
     # the list whenever they fit in the ball
+    _refuse_pairs(len(found))
     found_set = set(found)
     for u in found:
         if u.inverse() not in found_set:
             raise CrossCheckFailed(f"closure not closed under inverses: {u}")
-    for u, v in itertools.islice(itertools.combinations(found, 2), 20_000):
+    for u, v in itertools.product(found, repeat=2):
         uv = u * v
         if uv.length <= search_radius and uv not in found_set:
             raise CrossCheckFailed(f"closure not closed under products: {u} * {v}")

@@ -32,7 +32,7 @@ from .axes import Axis, ProjectionMap
 from .balls import ball_elements, sphere_counts
 from .closure import (SeparationSelector, subgroup_closure_intersection,
                       _coset_words)
-from .errors import CounterexampleFound, HypothesisFailed, PreconditionFailed
+from .errors import BudgetExceeded, CounterexampleFound, HypothesisFailed, PreconditionFailed
 from .groups import MarkedGroup, Word, distance, is_torsion
 from .schreier import coset_sphere_sizes, schreier_growth
 from .stallings import CoreGraph, coset_key, relative_growth, stallings_fold
@@ -44,6 +44,7 @@ DIVERGENCE_REASON = ("a nontrivial finitely generated subgroup of F_k has purely
                      "equally, its growth series is rational with nonnegative "
                      "coefficients, so by Pringsheim's theorem it has a pole at 1/rho")
 AMALGAM_J_MAX = 4  # amalgam_injectivity's <g^M>-letters are g^{Mj}, 0 < |j| <= 4
+AMALGAM_WORD_CAP = 1_000_000  # alternating words amalgam_injectivity may search
 PROJECTION_BOUND = 8  # largest mutual projection free_subgroup_witness accepts
 COUNTING_RADII = (3, 4, 5)  # radii of the ball-counting inequality of coarse_quotient_check
 
@@ -209,7 +210,9 @@ def amalgam_injectivity(subgroup, g: Word, M: int, n_syllables: int,
     the image set by the batch's length.  A failing batch is replayed word
     by word to the first bad word in search order, and once more to the
     earlier word of a collision, so verdict, count and witness are those
-    of a word-by-word search; a passing search never replays.
+    of a word-by-word search; a passing search never replays.  A search of
+    more than ``AMALGAM_WORD_CAP`` words, counted from the pool sizes, is
+    refused before it starts (BudgetExceeded).
     """
     f_elements = subgroup_closure_intersection(subgroup, g, letter_cap + 2)
     f_set = set(f_elements)
@@ -220,6 +223,10 @@ def amalgam_injectivity(subgroup, g: Word, M: int, n_syllables: int,
               if w.length <= letter_cap]
     if not pool_h or not pool_k:
         raise PreconditionFailed("empty letter pool; enlarge letter_cap or shrink M")
+    if _alternating_words(len(pool_h), len(pool_k), n_syllables) > AMALGAM_WORD_CAP:
+        raise BudgetExceeded(f"more than {AMALGAM_WORD_CAP} alternating words of at most "
+                             f"{n_syllables} letters from pools of {len(pool_h)} and "
+                             f"{len(pool_k)} letters")
 
     letters, h = pool_h + pool_k, len(pool_h)
     follows = [range(h, len(letters))] * h + [range(h)] * len(pool_k)
@@ -252,6 +259,19 @@ def amalgam_injectivity(subgroup, g: Word, M: int, n_syllables: int,
                          max_syllables=n_syllables, letter_cap=letter_cap, M=M,
                          pool_h=len(pool_h), pool_k=len(pool_k),
                          h_cap_e=tuple(str(f) for f in f_elements))
+
+
+def _alternating_words(h: int, k: int, n: int) -> int:
+    """The alternating words of 1..n letters from pools of h and k letters,
+    either kind first, counted exactly up to the first length that takes
+    the count past ``AMALGAM_WORD_CAP``."""
+    total, ends_h, ends_k = 0, h, k
+    for _ in range(n):
+        total += ends_h + ends_k
+        if total > AMALGAM_WORD_CAP:
+            break
+        ends_h, ends_k = ends_k * h, ends_h * k
+    return total
 
 
 def _search(letters: list[Word], follows, n: int, visit, batch=None):

@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 
 from growthlab import ball_elements, distance, is_torsion, primitive_root
 from growthlab.audits import ConstrictionReport
-from growthlab.errors import NotFoundWithinBound
+from growthlab.errors import BudgetExceeded, NotFoundWithinBound
 
 
 # -- free groups as strings ------------------------------------------------
@@ -548,6 +548,39 @@ def subgroup_in_ball(gens, radius) -> set:
         if len(members) > 100_000:
             raise NotFoundWithinBound(f"<{gens}> has over 100,000 elements in B(o, {bound})")
     return {w for w in members if w.length <= radius}
+
+
+FINITE_SUBGROUP_CAP = 4096  # elements a finite subgroup's closure may reach
+
+
+class FiniteSubgroup:
+    """A finite subgroup of a free product, given by closure of its
+    generators: the torsion case of the closure, buffering and amalgam
+    functions, which take any subgroup with ``elements_in_ball``."""
+
+    def __init__(self, group, generators):
+        self.group = group
+        elements = {group.identity()}
+        frontier = {g for g in generators if not g.is_identity}
+        gens = list(generators) + [g.inverse() for g in generators]
+        elements |= frontier
+        while frontier:
+            new = set()
+            for h in frontier:
+                for g in gens:
+                    w = h * g
+                    if w not in elements:
+                        new.add(w)
+            elements |= new
+            frontier = new
+            if len(elements) > FINITE_SUBGROUP_CAP:
+                raise BudgetExceeded(f"subgroup closure exceeded {FINITE_SUBGROUP_CAP} "
+                                     "elements; not finite at this cap")
+        self.elements = frozenset(elements)
+
+    def elements_in_ball(self, radius):
+        return (h for h in sorted(self.elements, key=lambda w: (w.length, str(w)))
+                if h.length <= radius)
 
 
 # -- folded cores and transfer matrices --------------------------------------

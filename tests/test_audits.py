@@ -19,11 +19,11 @@ from growthlab import (Axis, MarkedGroup, ProjectionMap, Word, all_geodesics, au
 from growthlab.audits import (constriction_audit, elementary_properties_audit,
                               quasiconvexity_audit)
 from growthlab.errors import BudgetExceeded
-from growthlab.orbits import FiniteSubgroup, SubgroupOrbit
+from growthlab.orbits import SubgroupOrbit
 from growthlab.schreier import coset_distance
 
-from oracles import (ProductCayley, closure_membership, free_ball, free_inverse, free_reduce,
-                     product_canonical_display, product_reduce)
+from oracles import (FiniteSubgroup, ProductCayley, closure_membership, free_ball,
+                     free_inverse, free_reduce, product_canonical_display, product_reduce)
 
 
 def fold(group, words):

@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from growthlab import cli
 from growthlab.cli import main
 
 
@@ -139,13 +140,30 @@ def test_bad_outside_input_is_an_error(args, message, sub_file, tmp_path, capsys
      "error: argument --rmax: invalid int value: 'x'"),
     (["nosuch"], "error: argument command: invalid choice: 'nosuch'"),
     ([], "error: the following arguments are required: command"),
+    (["quotient", "--group", "free:2", "--subgroup", "{sub}", "--g0", "ab"],
+     "error: unrecognized arguments: --g0 ab"),
+    (["quotient", "--group", "free:2", "--subgroup", "{sub}", "--config", "{g0_cfg}"],
+     "error: unrecognized arguments: --g0 ab"),
+    (["amalgam", "--group", "free:2", "--subgroup", "{sub}", "--g0", "b", "--rmax", "3"],
+     "error: unrecognized arguments: --rmax 3"),
+    (["amalgam", "--group", "free:2", "--subgroup", "{sub}", "--g0", "b",
+      "--config", "{rmax_cfg}"], "error: unrecognized arguments: --rmax 3"),
+    (["amalgam", "--group", "free:2", "--subgroup", "{sub}"],
+     "error: the following arguments are required: --g0"),
+    (["selector", "--group", "free:2", "--subgroup", "{sub}"],
+     "error: the following arguments are required: --g0"),
 ])
 def test_argparse_rejections_are_errors(argv, message, sub_file, tmp_path, capsys):
     """Exit code 2 means a failed hypothesis, so a flag that argparse
-    rejects prints one error line and exits 1 like other bad input."""
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"rmax": "x"}))
-    assert main([a.format(sub=sub_file, cfg=cfg) for a in argv]) == 1
+    rejects prints one error line and exits 1 like other bad input.  That
+    includes a flag the command does not read (``quotient --g0``,
+    ``amalgam --rmax``), given directly or through --config, and a
+    missing --g0 where the command needs one."""
+    configs = {"cfg": {"rmax": "x"}, "g0_cfg": {"g0": "ab"}, "rmax_cfg": {"rmax": 3}}
+    for name, data in configs.items():
+        configs[name] = tmp_path / f"{name}.json"
+        configs[name].write_text(json.dumps(data))
+    assert main([a.format(sub=sub_file, **configs) for a in argv]) == 1
     assert capsys.readouterr().err.startswith(message)
 
 
@@ -311,3 +329,27 @@ def test_quotient_budget_exit_code(sub_file, tmp_path):
                  "--rmax", "12", "--max-states", "100",
                  "--out", str(tmp_path / "q.json")])
     assert code == 4
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["amalgam", "--group", "free:2", "--subgroup", "{sub}", "--g0", "b", "--syllables", "12"],
+     "budget exceeded: more than 1000000 alternating words of at most 12 letters"),
+    (["closure", "--group", "free:2", "--g0", "a", "--radius", "1000"],
+     "budget exceeded: 4004001 pairs exceed cap 2000000"),
+])
+def test_over_budget_searches_are_refused(argv, message, sub_file, tmp_path, capsys):
+    """The amalgam search counts its words, and the closure certificate its
+    pairs, before starting, and refuses past the cap with exit 4."""
+    out = tmp_path / "r.json"
+    code = main([a.format(sub=sub_file) for a in argv] + ["--out", str(out)])
+    assert code == 4
+    assert capsys.readouterr().err.startswith(message)
+    assert not out.exists()
+
+
+def test_main_builds_the_parser_once(tmp_path):
+    cli.build_parser.cache_clear()
+    for name in ("a.json", "b.json"):
+        assert main(["closure", "--group", "free:2", "--g0", "ab",
+                     "--out", str(tmp_path / name)]) == 0
+    assert cli.build_parser.cache_info().misses == 1

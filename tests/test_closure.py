@@ -7,12 +7,12 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from growthlab import Axis, MarkedGroup, ProjectionMap, is_torsion, primitive_root, stallings_fold
+from growthlab import (Axis, MarkedGroup, ProjectionMap, Word, is_torsion, primitive_root,
+                       stallings_fold)
 from growthlab.closure import (elementary_closure, find_selector_power,
                                find_transversal_conjugate, geometric_separation_power,
                                separation_selector, subgroup_closure_intersection)
 from growthlab.errors import FiniteOrderElement, NotFoundWithinBound, PreconditionFailed
-from growthlab.orbits import FiniteSubgroup
 
 
 def fold(group, words):
@@ -40,6 +40,23 @@ def test_closure_of_proper_power(f2):
     assert [str(g) for g in desc.E_generators] == ["a"]
     oracle = {f2.parse("a") ** k for k in range(-6, 7)}
     assert set(desc.elements) == oracle
+
+
+def test_closure_certificate_checks_every_pair(f2, monkeypatch):
+    # the 301 elements a^i, |i| <= 150, make 90,601 ordered pairs, each
+    # multiplied once; the certificate once stopped after 20,000 pairs
+    products = 0
+    mul = Word.__mul__
+
+    def counting(u, v):
+        nonlocal products
+        products += 1
+        return mul(u, v)
+
+    monkeypatch.setattr(Word, "__mul__", counting)
+    desc = elementary_closure(f2.parse("a"), 150)
+    assert len(desc.elements) == 301
+    assert products >= 301 ** 2
 
 
 def test_closure_torsion_rejected(z23):
@@ -234,7 +251,7 @@ def test_separation_power_excludes_h_cap_e(z23):
     # H = <x> is finite; H & E(g) can be nontrivial yet is excluded from
     # the separation quantifier
     g = z23.parse("xy") * z23.parse("yx")  # infinite order
-    sub = FiniteSubgroup(z23, [z23.parse("x")])
+    sub = oracles.FiniteSubgroup(z23, [z23.parse("x")])
     f_els = subgroup_closure_intersection(sub, g, 3)
     assert all(f.is_identity or not oracles.is_power_of(f, g) for f in f_els)
 

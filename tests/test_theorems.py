@@ -12,8 +12,9 @@ from hypothesis import strategies as st
 import oracles
 from growthlab import MarkedGroup, Word, stallings_fold
 from growthlab.closure import find_selector_power, geometric_separation_power, find_transversal_conjugate
-from growthlab.errors import CounterexampleFound, HypothesisFailed, PreconditionFailed
-from growthlab.orbits import FiniteSubgroup
+from growthlab import theorems
+from growthlab.errors import (BudgetExceeded, CounterexampleFound, HypothesisFailed,
+                              PreconditionFailed)
 from growthlab.reports import render_json
 from growthlab.series import divergence_diagnostic
 from growthlab.theorems import (ExperimentConfig, amalgam_injectivity,
@@ -218,6 +219,23 @@ def test_amalgam_free_case(f2):
     assert rep.h_cap_e == ("1",)
 
 
+@pytest.mark.parametrize("h, k, n", [(8, 8, 6), (3, 5, 7), (5, 3, 8), (1, 1, 9)])
+def test_amalgam_word_count_is_exact(h, k, n):
+    # d-letter words: h^ceil(d/2) k^floor(d/2) starting with H, and the
+    # mirror image starting with K; (8, 8, 6) is criterion 7's search
+    words = sum(h ** ((d + 1) // 2) * k ** (d // 2) + k ** ((d + 1) // 2) * h ** (d // 2)
+                for d in range(1, n + 1))
+    assert theorems._alternating_words(h, k, n) == words
+    assert words <= theorems.AMALGAM_WORD_CAP
+
+
+def test_amalgam_over_budget_is_refused_before_searching(f2, monkeypatch):
+    # 2 (8 + ... + 8^7) = 4,793,488 words
+    monkeypatch.setattr(theorems, "_search", lambda *a, **k: pytest.fail("searched"))
+    with pytest.raises(BudgetExceeded, match="more than 1000000 alternating words"):
+        amalgam_injectivity(fold(f2, ["a"]), f2.parse("b"), M=1, n_syllables=7)
+
+
 def test_amalgam_small_power_refuted(f2):
     # M = 1 genuinely fails for H = <a, bab^-1>:
     # (b a^-1 b^-1) . b . a . b^-1 = 1
@@ -237,7 +255,7 @@ def test_amalgam_with_searched_power(f2):
 
 def test_amalgam_free_product_with_torsion(z23):
     # H = <x> finite; g a transversal conjugate of the constricting xy
-    sub = FiniteSubgroup(z23, [z23.parse("x")])
+    sub = oracles.FiniteSubgroup(z23, [z23.parse("x")])
     g0 = z23.parse("xy")
     rec = find_transversal_conjugate(sub, g0, 3, theta=1, orbit_radius=3)
     g = g0.conjugated_by(rec.k)
