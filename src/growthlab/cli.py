@@ -41,7 +41,8 @@ from .closure import elementary_closure, find_selector_power
 from .errors import (BudgetExceeded, CounterexampleFound, GrowthLabError,
                      HypothesisFailed, PreconditionFailed)
 from .groups import MarkedGroup
-from .reports import flatten_for_csv, growth_records, render_csv, render_json, write_text
+from .reports import (flatten_for_csv, growth_records, render_csv, render_json,
+                      write_text)
 from .stallings import CoreGraph, stallings_fold
 from .theorems import (ExperimentConfig, amalgam_injectivity,
                        coarse_quotient_check, verify_growth_gap,
@@ -168,14 +169,18 @@ def cmd_amalgam(args) -> int:
 def cmd_audit(args) -> int:
     _at_least("--rmax", args.rmax, 1)
     group = _group(args.group)
-    pm = ProjectionMap(Axis(group.parse(args.axis)))
+    g = group.parse(args.axis)
+    pm = ProjectionMap(Axis(g))
     rep = constriction_audit(pm, args.rmax)
     table = elementary_properties_audit(pm, None, min(args.rmax, 4))
-    _emit({"axis": args.axis,
-           "constriction": rep,
-           "properties": table.property_rows(),
-           "sigma_table": table.sigma_table,
-           "zeta_table": table.zeta_table}, args)
+    payload = {
+        "axis": args.axis,
+        "constriction": rep,
+        "properties": table.property_rows(),
+        "sigma_table": table.sigma_table,
+        "zeta_table": table.zeta_table,
+    }
+    _emit(payload, args)
     return EXIT_OK
 
 
@@ -231,14 +236,18 @@ def cmd_buffering(args) -> int:
 def cmd_closure(args) -> int:
     _at_least("--radius", args.radius, 1)
     group = _group(args.group)
-    desc = elementary_closure(group.parse(args.g0), args.radius)
-    _emit({"g": args.g0,
-           "M": desc.M,
-           "E_gens": [str(w) for w in desc.E_generators],
-           "E_plus_index": desc.E_plus_index,
-           "index_over_cyclic": desc.index_over_cyclic,
-           "certificates": {"conjugation_identities": desc.verify(),
-                            "elements_scanned": len(desc.elements)}}, args)
+    g = group.parse(args.g0)
+    desc = elementary_closure(g, args.radius)
+    payload = {
+        "g": args.g0,
+        "M": desc.M,
+        "E_gens": [str(w) for w in desc.E_generators],
+        "E_plus_index": desc.E_plus_index,
+        "index_over_cyclic": desc.index_over_cyclic,
+        "certificates": {"conjugation_identities": desc.verify(),
+                         "elements_scanned": len(desc.elements)},
+    }
+    _emit(payload, args)
     return EXIT_OK
 
 
@@ -256,7 +265,8 @@ def cmd_selector(args) -> int:
     m, sel = find_selector_power(g, epsilon=args.epsilon, theta=args.theta,
                                  y=group.identity(), sample_radius=args.rmax)
     report = coarse_quotient_check(sub, g, sel, args.rmax)
-    _emit({"M": m, "threshold": sel.threshold, "coarse_quotient": report}, args)
+    payload = {"M": m, "threshold": sel.threshold, "coarse_quotient": report}
+    _emit(payload, args)
     return EXIT_OK if report.verdict == "PASS" else EXIT_HYPOTHESIS
 
 

@@ -96,14 +96,17 @@ def elementary_closure(g: Word, search_radius: int) -> ClosureDescriptor:
     cyclically reduced, |z^i| >= |i| |w| - 2|c| and |z^i t| >= |z^i| - |t|,
     which bounds the exponents to try.  The list is re-verified by plain
     word arithmetic and certified closed under inverses and under the
-    products u v, each ordered pair, that stay in the ball; a list with more
-    than ``DEFAULT_PAIR_CAP`` ordered pairs is refused (BudgetExceeded).
+    products u v, each ordered pair, that stay in the ball.  A list with
+    more than ``DEFAULT_PAIR_CAP`` ordered pairs is refused
+    (BudgetExceeded): before listing when the z^i with
+    |i| |w| + 2|c| <= search_radius, all in the ball, are already too many.
     """
     if is_torsion(g):
         raise FiniteOrderElement(f"{g} has finite order; closure undefined here")
     root, n = primitive_root(g)
     t = _axis_reflection(root)
     conj, core = cyclic_reduce(root)
+    _refuse_pairs(2 * max(0, (search_radius - 2 * conj.length) // core.length) + 1)
     bound = (search_radius + 2 * conj.length + (t.length if t else 0)) // core.length + 1
     candidates = [g.group.identity()]
     for z in (root, root.inverse()):

@@ -348,6 +348,8 @@ def test_over_budget_searches_are_refused(argv, message, sub_file, tmp_path, cap
 
 
 def test_main_builds_the_parser_once(tmp_path):
+    """Building the parser takes longer than a small command's own work,
+    so main() builds it on the first call and reuses it."""
     cli.build_parser.cache_clear()
     for name in ("a.json", "b.json"):
         assert main(["closure", "--group", "free:2", "--g0", "ab",

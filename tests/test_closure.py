@@ -12,7 +12,8 @@ from growthlab import (Axis, MarkedGroup, ProjectionMap, Word, is_torsion, primi
 from growthlab.closure import (elementary_closure, find_selector_power,
                                find_transversal_conjugate, geometric_separation_power,
                                separation_selector, subgroup_closure_intersection)
-from growthlab.errors import FiniteOrderElement, NotFoundWithinBound, PreconditionFailed
+from growthlab.errors import (BudgetExceeded, FiniteOrderElement, NotFoundWithinBound,
+                              PreconditionFailed)
 
 
 def fold(group, words):
@@ -42,21 +43,33 @@ def test_closure_of_proper_power(f2):
     assert set(desc.elements) == oracle
 
 
-def test_closure_certificate_checks_every_pair(f2, monkeypatch):
-    # the 301 elements a^i, |i| <= 150, make 90,601 ordered pairs, each
-    # multiplied once; the certificate once stopped after 20,000 pairs
-    products = 0
+@pytest.fixture()
+def products(monkeypatch):
+    """The count of ``Word`` products made since the fixture was set up."""
+    count = [0]
     mul = Word.__mul__
 
     def counting(u, v):
-        nonlocal products
-        products += 1
+        count[0] += 1
         return mul(u, v)
 
     monkeypatch.setattr(Word, "__mul__", counting)
+    return count
+
+
+def test_closure_certificate_checks_every_pair(f2, products):
+    # the 301 elements a^i, |i| <= 150, make 90,601 ordered pairs, each
+    # multiplied once; the certificate once stopped after 20,000 pairs
     desc = elementary_closure(f2.parse("a"), 150)
     assert len(desc.elements) == 301
-    assert products >= 301 ** 2
+    assert products[0] >= 301 ** 2
+
+
+def test_closure_past_the_pair_cap_is_refused_before_listing(f2, products):
+    # the 2001 powers a^i, |i| <= 1000, make 4,004,001 ordered pairs
+    with pytest.raises(BudgetExceeded, match="4004001 pairs exceed cap 2000000"):
+        elementary_closure(f2.parse("a"), 1000)
+    assert products[0] < 10
 
 
 def test_closure_torsion_rejected(z23):
