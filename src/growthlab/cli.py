@@ -19,8 +19,8 @@ case = inverse); without one the subgroup is trivial.  A chain spec is
 JSON:
 {"group": "free:2", "subgroup": ["a"], "g": "b",
  "word": [["h","a"],["k","bbb"]], "radius": 2}.
---config loads any of the command's flags from a JSON file; explicit
-flags win.
+--config FILE (or --config=FILE) loads any of the command's flags from a
+JSON object; explicit flags win, in any spelling argparse accepts.
 
 Exit codes: 0 pass/complete, 1 bad input (printed as ``error: ...``),
 2 hypothesis failed, 3 counterexample found, 4 budget exceeded.
@@ -271,21 +271,21 @@ def cmd_selector(args) -> int:
 
 
 def _apply_config_file(argv: list[str]) -> list[str]:
-    if "--config" not in argv:
+    """argv with the flags of --config put right after the command name,
+    where the explicit flags, which argparse reads later, override them."""
+    pre = _Parser(add_help=False, allow_abbrev=False)
+    pre.add_argument("--config", nargs="?", const="")
+    known, rest = pre.parse_known_args(argv)
+    if known.config is None:
         return argv
-    i = argv.index("--config")
-    if i + 1 == len(argv):
+    if not known.config:
         raise PreconditionFailed("--config needs a path")
-    with open(argv[i + 1]) as fh:
+    with open(known.config) as fh:
         data = json.load(fh)
     if not isinstance(data, dict):
         raise PreconditionFailed("--config must hold a JSON object")
-    injected = []
-    for key, value in data.items():
-        flag = "--" + key.replace("_", "-")
-        if flag not in argv:
-            injected.extend([flag, str(value)])
-    return argv[:i] + argv[i + 2:] + injected
+    injected = [a for k, v in data.items() for a in ("--" + k.replace("_", "-"), str(v))]
+    return rest[:1] + injected + rest[1:]
 
 
 class _Parser(argparse.ArgumentParser):

@@ -8,22 +8,23 @@ with z the primitive root of g, or the infinite dihedral group <z, t>,
 with t an involution that reverses the axis (cf. Dahmani-Guirardel-Osin,
 Mem. AMS 2017, Lemma 6.5).  Every u in E(g) therefore satisfies
 u g u^-1 = g^{+-1}: the uniform power M is 1, and that single identity is
-the membership test.  The separation and selector powers have no closed
-form; they are found by a doubling search bounded by POWER_CAP and
-certified on the sample they are checked against.
+the membership test, and the presentation certifies the list of
+``elementary_closure``, which a letter budget bounds.  The separation and
+selector powers have no closed form; they are found by a doubling search
+bounded by POWER_CAP and certified on the sample they are checked against.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
-from .audits import _refuse_pairs
 from .axes import Axis, ProjectionMap
 from .balls import ball_elements
-from .errors import CrossCheckFailed, FiniteOrderElement, NotFoundWithinBound, PreconditionFailed
+from .errors import (BudgetExceeded, CrossCheckFailed, FiniteOrderElement, NotFoundWithinBound,
+                     PreconditionFailed)
 from .groups import Word, cyclic_reduce, is_torsion, primitive_root
 
+CLOSURE_LETTER_CAP = 2_000_000  # letters elementary_closure may list
 POWER_CAP = 64  # the doubling searches try M <= POWER_CAP
 SEPARATION_ORBIT_RADIUS = 5  # the orbit sample Y of geometric_separation_power
 SEPARATION_J_MAX = 3  # its coset sample uses the powers g^{Mj}, 0 < |j| <= SEPARATION_J_MAX
@@ -44,7 +45,7 @@ def _criterion(h: Word):
 
 @dataclass(frozen=True)
 class ClosureDescriptor:
-    """E(g) = <E_generators>, with its elements in B(o, search_radius)."""
+    """E(g) = <E_generators>, with its elements in a ball."""
 
     g: Word
     M: int
@@ -52,7 +53,6 @@ class ClosureDescriptor:
     E_plus_index: int
     index_over_cyclic: int
     elements: tuple[Word, ...] = field(repr=False, default=())
-    search_radius: int = 0
 
     def verify(self) -> bool:
         """Re-check u g^M u^-1 in {g^M, g^-M} for every listed element."""
@@ -91,23 +91,29 @@ def elementary_closure(g: Word, search_radius: int) -> ClosureDescriptor:
 
     E(g) is <z> or <z, t> (module docstring), with z the primitive root,
     g = z^n, and t the reflection found by ``_axis_reflection``.  So M = 1,
-    [E(g) : E+(g)] is 1 or 2, and [E(g) : <g>] is n or 2n.  The elements
-    listed are the z^i and z^i t in the ball.  With z = c w c^-1 and w
-    cyclically reduced, |z^i| >= |i| |w| - 2|c| and |z^i t| >= |z^i| - |t|,
-    which bounds the exponents to try.  The list is re-verified by plain
-    word arithmetic and certified closed under inverses and under the
-    products u v, each ordered pair, that stay in the ball.  A list with
-    more than ``DEFAULT_PAIR_CAP`` ordered pairs is refused
-    (BudgetExceeded): before listing when the z^i with
-    |i| |w| + 2|c| <= search_radius, all in the ball, are already too many.
+    [E(g) : E+(g)] is 1 or 2, and [E(g) : <g>] is n or 2n.  The z^i and z^i t
+    in the ball are listed, |i| <= bound, as z = c w c^-1 with w cyclically
+    reduced gives |z^i| >= |i||w| - 2|c| and |z^i t| >= |z^i| - |t|.  Word
+    arithmetic certifies t t = 1, t z t = z^-1, z^{+-bound} (and z^{+-bound} t)
+    outside the ball, closure under inverses, and ``verify``.  Closure under
+    in-ball products follows, as z^i t^a z^j t^b = z^{i+(-1)^a j} t^{a+b}.
+    Listing more than ``CLOSURE_LETTER_CAP`` letters, sum (|i||w| + 2|c|
+    (+ |t|)) in closed form, is refused before it starts (BudgetExceeded).
     """
     if is_torsion(g):
         raise FiniteOrderElement(f"{g} has finite order; closure undefined here")
     root, n = primitive_root(g)
     t = _axis_reflection(root)
+    gens = (root,) if t is None else (root, t)
     conj, core = cyclic_reduce(root)
-    _refuse_pairs(2 * max(0, (search_radius - 2 * conj.length) // core.length) + 1)
-    bound = (search_radius + 2 * conj.length + (t.length if t else 0)) // core.length + 1
+    tl = t.length if t else 0
+    bound = (search_radius + 2 * conj.length + tl) // core.length + 1
+    letters = (2 * bound + 1) * (2 * len(gens) * conj.length + tl) \
+        + len(gens) * bound * (bound + 1) * core.length
+    if letters > CLOSURE_LETTER_CAP:
+        raise BudgetExceeded(f"{letters} letters exceed cap {CLOSURE_LETTER_CAP}")
+    if t is not None and not ((t * t).is_identity and (t * root) * t == root.inverse()):
+        raise CrossCheckFailed(f"{t} is not an involution inverting {root}")
     candidates = [g.group.identity()]
     for z in (root, root.inverse()):
         p = candidates[0]
@@ -116,24 +122,16 @@ def elementary_closure(g: Word, search_radius: int) -> ClosureDescriptor:
             candidates.append(p)
     if t is not None:
         candidates += [p * t for p in candidates]
+    # z^bound, z^-bound and, with t, z^bound t and z^-bound t end the runs
+    if any(candidates[i].length <= search_radius for i in {bound, 2 * bound, -bound - 1, -1}):
+        raise CrossCheckFailed(f"exponent bound {bound} stops inside B(o, {search_radius})")
     found = [u for u in candidates if u.length <= search_radius]
-
-    # closure certificate: inverses and products of listed elements stay in
-    # the list whenever they fit in the ball
-    _refuse_pairs(len(found))
     found_set = set(found)
     for u in found:
         if u.inverse() not in found_set:
             raise CrossCheckFailed(f"closure not closed under inverses: {u}")
-    for u, v in itertools.product(found, repeat=2):
-        uv = u * v
-        if uv.length <= search_radius and uv not in found_set:
-            raise CrossCheckFailed(f"closure not closed under products: {u} * {v}")
-
-    index = 1 if t is None else 2
-    return ClosureDescriptor(g=g, M=1, E_generators=(root,) if t is None else (root, t),
-                             E_plus_index=index, index_over_cyclic=index * n,
-                             elements=tuple(found), search_radius=search_radius)
+    return ClosureDescriptor(g=g, M=1, E_generators=gens, E_plus_index=len(gens),
+                             index_over_cyclic=len(gens) * n, elements=tuple(found))
 
 
 @dataclass(frozen=True)

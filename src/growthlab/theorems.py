@@ -210,10 +210,12 @@ def amalgam_injectivity(subgroup, g: Word, M: int, n_syllables: int,
     the image set by the batch's length.  A failing batch is replayed word
     by word to the first bad word in search order, and once more to the
     earlier word of a collision, so verdict, count and witness are those
-    of a word-by-word search; a passing search never replays.  A search of
-    more than ``AMALGAM_WORD_CAP`` words, counted from the pool sizes, is
-    refused before it starts (BudgetExceeded).
+    of a word-by-word search; a passing search never replays.  More than
+    ``AMALGAM_WORD_CAP`` words (counted from the pool sizes) or elements of
+    H in B(o, letter_cap + 2) are refused before listing (BudgetExceeded).
     """
+    if sum(subgroup.counts_by_length(letter_cap + 2)) > AMALGAM_WORD_CAP:
+        raise BudgetExceeded(f"over {AMALGAM_WORD_CAP} elements of H in B(o, {letter_cap + 2})")
     f_elements = subgroup_closure_intersection(subgroup, g, letter_cap + 2)
     f_set = set(f_elements)
     collisions = all(f.is_identity for f in f_elements)

@@ -5,7 +5,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from growthlab import MarkedGroup
+from growthlab import MarkedGroup, Word
 
 
 @pytest.fixture(scope="session")
@@ -26,3 +26,17 @@ def z22():
 @pytest.fixture(scope="session")
 def z42():
     return MarkedGroup.free_product([4, 2])
+
+
+@pytest.fixture()
+def products(monkeypatch):
+    """The count of ``Word`` products made since the fixture was set up."""
+    count = [0]
+    mul = Word.__mul__
+
+    def counting(u, v):
+        count[0] += 1
+        return mul(u, v)
+
+    monkeypatch.setattr(Word, "__mul__", counting)
+    return count

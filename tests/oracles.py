@@ -11,7 +11,8 @@ per-pair scans of the projection audits, which spell every geodesic of
 each pair from x^-1 y and are the reference for the per-source traversals
 of ``growthlab.audits``.  The ball scan ``closure_by_scan`` multiplies
 package words too; it is the reference for the elementary closure read
-off the axis.
+off the axis, and the pair scan ``unclosed_product`` for its closure
+under products.
 """
 
 from __future__ import annotations
@@ -527,6 +528,18 @@ def closure_by_scan(g, radius) -> ScannedClosure:
         index_over_cyclic=len(reps))
 
 
+def unclosed_product(elements, radius):
+    """The first ordered pair (u, v) of ``elements`` whose product lies in
+    B(o, radius) but not among ``elements``, or None: the scan of every
+    pair that once certified ``elementary_closure``, and now checks it."""
+    members = set(elements)
+    for u, v in itertools.product(elements, repeat=2):
+        uv = u * v
+        if uv.length <= radius and uv not in members:
+            return u, v
+    return None
+
+
 def subgroup_in_ball(gens, radius) -> set:
     """<gens> & B(o, radius), by closing {1} under the generators and their
     inverses inside B(o, radius + 2 max|gen|).  For generators (z, t) of
@@ -581,6 +594,10 @@ class FiniteSubgroup:
     def elements_in_ball(self, radius):
         return (h for h in sorted(self.elements, key=lambda w: (w.length, str(w)))
                 if h.length <= radius)
+
+    def counts_by_length(self, r_max):
+        """|{h in H : |h| = n}| for n = 0..r_max, as ``CoreGraph`` counts them."""
+        return [sum(h.length == n for h in self.elements) for n in range(r_max + 1)]
 
 
 # -- folded cores and transfer matrices --------------------------------------

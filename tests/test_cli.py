@@ -312,6 +312,29 @@ def test_config_file(tmp_path, sub_file):
     assert json.loads(out.read_text())["verdict"] == "PASS"
 
 
+def test_explicit_flags_beat_the_config_in_any_spelling(sub_file, tmp_path, capsys):
+    """--config FILE and --config=FILE load the file; an explicit flag wins
+    wherever it stands and however argparse lets it be spelled."""
+    r9, ms = tmp_path / "r9.json", tmp_path / "ms.json"
+    r9.write_text(json.dumps({"rmax": 9}))
+    ms.write_text(json.dumps({"max_states": 100000}))
+
+    def radius(*flags):
+        out = tmp_path / "g.json"
+        assert main(["gap", "--group", "free:2", "--subgroup", sub_file, *flags,
+                     "--out", str(out)]) == 0
+        return len(json.loads(out.read_text())["details"]["h_counts"]) - 1
+
+    assert radius("--config", str(r9)) == radius(f"--config={r9}") == 9
+    assert radius("--rmax", "5", "--config", str(r9)) == 5
+    assert radius("--rmax=5", "--config", str(r9)) == 5
+    assert radius(f"--config={r9}", "--rm", "5") == 5
+    capsys.readouterr()
+    assert main(["quotient", "--group", "free:2", "--subgroup", sub_file,
+                 "--max", "10", "--config", str(ms)]) == 4
+    assert "exceed the budget of 10\n" in capsys.readouterr().err
+
+
 def test_json_determinism(sub_file, tmp_path):
     outs = []
     for name in ("a.json", "b.json"):
@@ -334,17 +357,29 @@ def test_quotient_budget_exit_code(sub_file, tmp_path):
 @pytest.mark.parametrize("argv, message", [
     (["amalgam", "--group", "free:2", "--subgroup", "{sub}", "--g0", "b", "--syllables", "12"],
      "budget exceeded: more than 1000000 alternating words of at most 12 letters"),
-    (["closure", "--group", "free:2", "--g0", "a", "--radius", "1000"],
-     "budget exceeded: 4004001 pairs exceed cap 2000000"),
+    (["closure", "--group", "free:2", "--g0", "a", "--radius", "20000"],
+     "budget exceeded: 400060002 letters exceed cap 2000000"),
+    (["audit", "--group", "free:2", "--axis", "ab", "--rmax", "11"],
+     "budget exceeded: 125523529849 pairs exceed cap 2000000"),
+    (["quotient", "--group", "free:2", "--subgroup", "{sub}", "--rmax", "12",
+      "--max-states", "100"],
+     "budget exceeded: 531441 cosets within radius 12 exceed the budget of 100"),
+    (["amalgam", "--group", "free:2", "--subgroup", "{rose}", "--g0", "ab", "--syllables", "1",
+      "--letter-cap", "10"], "budget exceeded: over 1000000 elements of H in B(o, 12)"),
 ])
-def test_over_budget_searches_are_refused(argv, message, sub_file, tmp_path, capsys):
-    """The amalgam search counts its words, and the closure certificate its
-    pairs, before starting, and refuses past the cap with exit 4."""
+def test_over_budget_searches_are_refused(argv, message, sub_file, tmp_path, capsys, products):
+    """Every budget of the CLI is counted before the work it bounds starts
+    and refuses past its cap with exit 4, after fewer than 1,000 products:
+    the amalgam search's words and its subgroup listing, the closure's
+    letters, the audit's pairs and the quotient's cosets."""
+    rose = tmp_path / "rose.txt"
+    rose.write_text("a\nb\n")
     out = tmp_path / "r.json"
-    code = main([a.format(sub=sub_file) for a in argv] + ["--out", str(out)])
+    code = main([a.format(sub=sub_file, rose=rose) for a in argv] + ["--out", str(out)])
     assert code == 4
     assert capsys.readouterr().err.startswith(message)
     assert not out.exists()
+    assert products[0] < 1000
 
 
 def test_main_builds_the_parser_once(tmp_path):

@@ -7,13 +7,13 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from growthlab import (Axis, MarkedGroup, ProjectionMap, Word, is_torsion, primitive_root,
+from growthlab import (Axis, MarkedGroup, ProjectionMap, closure, is_torsion, primitive_root,
                        stallings_fold)
 from growthlab.closure import (elementary_closure, find_selector_power,
                                find_transversal_conjugate, geometric_separation_power,
                                separation_selector, subgroup_closure_intersection)
-from growthlab.errors import (BudgetExceeded, FiniteOrderElement, NotFoundWithinBound,
-                              PreconditionFailed)
+from growthlab.errors import (BudgetExceeded, CrossCheckFailed, FiniteOrderElement,
+                              NotFoundWithinBound, PreconditionFailed)
 
 
 def fold(group, words):
@@ -43,33 +43,36 @@ def test_closure_of_proper_power(f2):
     assert set(desc.elements) == oracle
 
 
-@pytest.fixture()
-def products(monkeypatch):
-    """The count of ``Word`` products made since the fixture was set up."""
-    count = [0]
-    mul = Word.__mul__
-
-    def counting(u, v):
-        count[0] += 1
-        return mul(u, v)
-
-    monkeypatch.setattr(Word, "__mul__", counting)
-    return count
-
-
-def test_closure_certificate_checks_every_pair(f2, products):
-    # the 301 elements a^i, |i| <= 150, make 90,601 ordered pairs, each
-    # multiplied once; the certificate once stopped after 20,000 pairs
+def test_closure_certificate_products_are_linear(f2, products):
+    # the 301 elements a^i, |i| <= 150: the certificate stands on the
+    # presentation, so listing takes one product per power; a scan of every
+    # ordered pair, as the certificate once was, makes 90,601
     desc = elementary_closure(f2.parse("a"), 150)
     assert len(desc.elements) == 301
-    assert products[0] >= 301 ** 2
+    assert products[0] <= 2 * len(desc.elements)
+    assert oracles.unclosed_product(desc.elements, 150) is None
 
 
-def test_closure_past_the_pair_cap_is_refused_before_listing(f2, products):
-    # the 2001 powers a^i, |i| <= 1000, make 4,004,001 ordered pairs
-    with pytest.raises(BudgetExceeded, match="4004001 pairs exceed cap 2000000"):
-        elementary_closure(f2.parse("a"), 1000)
+def test_closure_past_the_letter_cap_is_refused_before_listing(f2, products):
+    # the powers a^i, |i| <= 20,001, would take 20,001 * 20,002 letters
+    with pytest.raises(BudgetExceeded, match="400060002 letters exceed cap 2000000"):
+        elementary_closure(f2.parse("a"), 20_000)
     assert products[0] < 10
+
+
+def test_closure_certificate_rejects_a_wrong_reflection(monkeypatch):
+    # x has order 4 in Z4*Z4, so t = x fails t t = 1
+    z44 = MarkedGroup.free_product([4, 4])
+    monkeypatch.setattr(closure, "_axis_reflection", lambda root: z44.parse("x"))
+    with pytest.raises(CrossCheckFailed, match="not an involution"):
+        elementary_closure(z44.parse("xy"), 6)
+
+
+def test_closure_certificate_rejects_a_short_exponent_bound(f2, monkeypatch):
+    # a core of 3 letters for z = a cuts the exponents to |i| <= 3 at radius 6
+    monkeypatch.setattr(closure, "cyclic_reduce", lambda w: (f2.identity(), f2.parse("aaa")))
+    with pytest.raises(CrossCheckFailed, match="exponent bound 3 stops inside"):
+        elementary_closure(f2.parse("a"), 6)
 
 
 def test_closure_torsion_rejected(z23):
@@ -157,6 +160,39 @@ def test_closure_matches_the_ball_scan(case):
     assert (desc.M, desc.E_plus_index, desc.index_over_cyclic) == \
         (scan.M, scan.E_plus_index, scan.index_over_cyclic)
     assert desc.verify()
+
+
+PRODUCT_GROUPS = ("free:2", "product:2,2", "product:2,3", "product:4,4")
+
+
+@st.composite
+def product_cases(draw):
+    """An infinite-order word of length 1 to 5 in one of PRODUCT_GROUPS, a
+    radius of 1 to 8, and an index into the closure's list."""
+    group = MarkedGroup.from_descriptor(draw(st.sampled_from(PRODUCT_GROUPS)))
+    signed = [s * (i + 1) for i in range(group.rank) for s in (1, -1)]
+    g = group.from_letters(draw(st.lists(st.sampled_from(signed), min_size=1, max_size=5)))
+    assume(not is_torsion(g))
+    return g, draw(st.integers(1, 8)), draw(st.integers(0, 10 ** 6))
+
+
+@given(product_cases())
+@example((MarkedGroup.free_product([2, 2]).parse("xy"), 6, 3))  # dihedral
+@example((MarkedGroup.free_product([4, 4]).parse("xxyy"), 8, 1))  # dihedral, t = x^2
+@settings(max_examples=60, deadline=None)
+def test_closure_is_closed_under_in_ball_products(case):
+    """The pair scan finds every in-ball product of listed elements listed.
+    It is not vacuous: it misses the identity once it is dropped, since
+    u u^-1 = 1, and a nontrivial u once it is dropped when u^2 != 1 lies in
+    the ball, since u = u^2 u^-1."""
+    g, r, k = case
+    elements = elementary_closure(g, r).elements
+    assert oracles.unclosed_product(elements, r) is None
+    if len(elements) > 1:  # elements[0] == 1
+        assert oracles.unclosed_product(elements[1:], r) is not None
+    u = elements[k % len(elements)]
+    if not u.is_identity and (u * u).length <= r and not (u * u).is_identity:
+        assert oracles.unclosed_product([v for v in elements if v != u], r) is not None
 
 
 # -- transversal conjugates ----------------------------------------------------------
