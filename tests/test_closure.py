@@ -162,30 +162,16 @@ def test_closure_matches_the_ball_scan(case):
     assert desc.verify()
 
 
-PRODUCT_GROUPS = ("free:2", "product:2,2", "product:2,3", "product:4,4")
-
-
-@st.composite
-def product_cases(draw):
-    """An infinite-order word of length 1 to 5 in one of PRODUCT_GROUPS, a
-    radius of 1 to 8, and an index into the closure's list."""
-    group = MarkedGroup.from_descriptor(draw(st.sampled_from(PRODUCT_GROUPS)))
-    signed = [s * (i + 1) for i in range(group.rank) for s in (1, -1)]
-    g = group.from_letters(draw(st.lists(st.sampled_from(signed), min_size=1, max_size=5)))
-    assume(not is_torsion(g))
-    return g, draw(st.integers(1, 8)), draw(st.integers(0, 10 ** 6))
-
-
-@given(product_cases())
-@example((MarkedGroup.free_product([2, 2]).parse("xy"), 6, 3))  # dihedral
-@example((MarkedGroup.free_product([4, 4]).parse("xxyy"), 8, 1))  # dihedral, t = x^2
+@given(closure_cases(), st.integers(0, 10 ** 6))
+@example((MarkedGroup.free_product([2, 2]).parse("xy"), 6), 3)  # dihedral
+@example((MarkedGroup.free_product([4, 4]).parse("xxyy"), 8), 1)  # dihedral, t = x^2
 @settings(max_examples=60, deadline=None)
-def test_closure_is_closed_under_in_ball_products(case):
+def test_closure_is_closed_under_in_ball_products(case, k):
     """The pair scan finds every in-ball product of listed elements listed.
     It is not vacuous: it misses the identity once it is dropped, since
     u u^-1 = 1, and a nontrivial u once it is dropped when u^2 != 1 lies in
     the ball, since u = u^2 u^-1."""
-    g, r, k = case
+    g, r = case
     elements = elementary_closure(g, r).elements
     assert oracles.unclosed_product(elements, r) is None
     if len(elements) > 1:  # elements[0] == 1
