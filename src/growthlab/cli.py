@@ -1,6 +1,6 @@
 """Command-line interface.
 
-    growthlab gap       --group G [--subgroup FILE] [--g0 W] [--rmax 12] [--margin 0.01]
+    growthlab gap       --group G [--subgroup FILE] [--g0 W] [--rmax 12]
     growthlab quotient  --group G [--subgroup FILE] [--rmax 14] [--max-states N]
     growthlab amalgam   --group G [--subgroup FILE] --g0 W [-M 1] [--syllables 4]
                         [--letter-cap 4]
@@ -124,13 +124,12 @@ def _growth(args, pipeline, rows, **config) -> int:
 
 @command("gap", "growth-gap pipeline", GROUP, SUBGROUP,
          _flag("--g0", default="", help="distinguished element (default: the last generator)"),
-         _flag("--rmax", type=int, default=ExperimentConfig.r_ball),
-         _flag("--margin", type=float, default=ExperimentConfig.gap_margin))
+         _flag("--rmax", type=int, default=ExperimentConfig.r_ball))
 def cmd_gap(args) -> int:
     return _growth(args, verify_growth_gap,
                    lambda r: growth_records(itertools.accumulate(r.details["h_counts"]),
                                             r.omega_h),
-                   g0=args.g0, r_ball=args.rmax, gap_margin=args.margin)
+                   g0=args.g0, r_ball=args.rmax)
 
 
 @command("quotient", "quotient-growth pipeline", GROUP, SUBGROUP,

@@ -361,9 +361,7 @@ def cyclic_reduce(w: Word) -> tuple[Word, Word]:
     g = w.group
     sylls = list(w.syllables)
     conj: list[Syllable] = []
-    guard = 2 * len(sylls) + 4
-    while len(sylls) >= 2 and guard > 0:
-        guard -= 1
+    while len(sylls) >= 2:
         (i, e), (j, f) = sylls[0], sylls[-1]
         if i != j:
             break
@@ -376,8 +374,6 @@ def cyclic_reduce(w: Word) -> tuple[Word, Word]:
             conj.append((i, s * t))
             e2, f2 = e - s * t, f + s * t
             sylls = ([(i, e2)] if e2 else []) + sylls[1:-1] + ([(i, f2)] if f2 else [])
-            if e2 and f2:
-                break
         else:
             # rotate the leading syllable past the end and merge mod m
             conj.append((i, e))

@@ -177,9 +177,9 @@ class CoreGraph:
         return rho, period
 
     def spectral_rate(self) -> float:
-        """omega_H = log rho, or 0 when rho <= 1 (cyclic or trivial subgroups)."""
-        rho = self.perron[0]
-        return math.log(rho) if rho > 1.0 + 1e-12 else 0.0
+        """omega_H = log rho, or 0 at rank E - V + 1 <= 1, a trivial or cyclic
+        subgroup, where rho <= 1 (rank >= 2 gives rho > 1)."""
+        return math.log(self.perron[0]) if len(self.edges) > self.n_vertices else 0.0
 
     def __repr__(self) -> str:
         return f"CoreGraph({self.n_vertices} vertices, {len(self.edges)} edges)"

@@ -591,6 +591,9 @@ class FiniteSubgroup:
                                      "elements; not finite at this cap")
         self.elements = frozenset(elements)
 
+    def contains(self, w):
+        return w in self.elements
+
     def elements_in_ball(self, radius):
         return (h for h in sorted(self.elements, key=lambda w: (w.length, str(w)))
                 if h.length <= radius)

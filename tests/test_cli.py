@@ -33,6 +33,15 @@ def test_gap_command(sub_file, tmp_path):
     assert "timestamp" in payload
 
 
+def test_gap_is_strict(tmp_path):
+    """<a^20, a^i b a^-i : 0 < i < 20> has omega_G - omega_H = 0.00943 > 0."""
+    sub = tmp_path / "slow.txt"
+    sub.write_text("a" * 20 + "".join(f"\n{'a' * i}b{'A' * i}" for i in range(1, 20)))
+    out = tmp_path / "gap.json"
+    assert main(["gap", "--group", "free:2", "--subgroup", str(sub), "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["verdict"] == "PASS"
+
+
 def test_gap_finite_index_exit_code(tmp_path):
     sub = tmp_path / "rose.txt"
     sub.write_text("a\nb\n")
@@ -74,8 +83,8 @@ def test_rmax_below_three_is_an_error(command, sub_file, tmp_path, capsys):
 @pytest.mark.parametrize("args, message", [
     (["gap", "--g0", "ab", "--rmax", "0"], "error: radii must be >= 3"),
     (["quotient", "--rmax", "0"], "error: radii must be >= 3"),
-    (["gap", "--g0", "ab", "--margin", "0"], "error: margins must be > 0"),
-    (["gap", "--g0", "ab", "--margin", "-0.5"], "error: margins must be > 0"),
+    (["gap", "--g0", "ab", "--rmax", "-1"], "error: radii must be >= 3"),
+    (["quotient", "--rmax", "-1"], "error: radii must be >= 3"),
     (["audit", "--axis", "ab", "--rmax", "0"], "error: --rmax must be >= 1"),
     (["audit", "--axis", "ab", "--rmax", "-1"], "error: --rmax must be >= 1"),
     (["selector", "--g0", "b", "--rmax", "0"], "error: --rmax must be >= 1"),
@@ -84,8 +93,8 @@ def test_rmax_below_three_is_an_error(command, sub_file, tmp_path, capsys):
     (["amalgam", "--g0", "b", "--syllables", "0"], "error: --syllables must be >= 1"),
     (["selector", "--g0", "b", "--theta", "-1"], "error: --theta must be >= 0"),
     (["selector", "--g0", "b", "--epsilon", "-3"], "error: --epsilon must be >= 0"),
-    (["gap", "--g0", "ab", "--margin", "nan"], "error: margins must be > 0"),
-    (["gap", "--g0", "ab", "--margin", "inf"], "error: margins must be > 0"),
+    (["closure", "--g0", "ab", "--radius", "-1"], "error: --radius must be >= 1"),
+    (["amalgam", "--g0", "b", "--syllables", "-1"], "error: --syllables must be >= 1"),
     (["amalgam", "--g0", "b", "-M", "-1"], "error: -M must be >= 1"),
     (["amalgam", "--g0", "b", "-M", "0"], "error: -M must be >= 1"),
     (["amalgam", "--g0", "b", "--letter-cap", "0"], "error: --letter-cap must be >= 1"),
@@ -152,14 +161,20 @@ def test_bad_outside_input_is_an_error(args, message, sub_file, tmp_path, capsys
      "error: the following arguments are required: --g0"),
     (["selector", "--group", "free:2", "--subgroup", "{sub}"],
      "error: the following arguments are required: --g0"),
+    (["gap", "--group", "free:2", "--subgroup", "{sub}", "--margin", "0.1"],
+     "error: unrecognized arguments: --margin 0.1"),
+    (["gap", "--group", "free:2", "--subgroup", "{sub}", "--config", "{margin_cfg}"],
+     "error: unrecognized arguments: --margin 0.1"),
 ])
 def test_argparse_rejections_are_errors(argv, message, sub_file, tmp_path, capsys):
     """Exit code 2 means a failed hypothesis, so a flag that argparse
     rejects prints one error line and exits 1 like other bad input.  That
     includes a flag the command does not read (``quotient --g0``,
-    ``amalgam --rmax``), given directly or through --config, and a
-    missing --g0 where the command needs one."""
-    configs = {"cfg": {"rmax": "x"}, "g0_cfg": {"g0": "ab"}, "rmax_cfg": {"rmax": 3}}
+    ``amalgam --rmax``) or no longer has (``gap --margin``: the gap is
+    strict), given directly or through --config, and a missing --g0
+    where the command needs one."""
+    configs = {"cfg": {"rmax": "x"}, "g0_cfg": {"g0": "ab"}, "rmax_cfg": {"rmax": 3},
+               "margin_cfg": {"margin": 0.1}}
     for name, data in configs.items():
         configs[name] = tmp_path / f"{name}.json"
         configs[name].write_text(json.dumps(data))
@@ -378,6 +393,20 @@ def test_over_budget_searches_are_refused(argv, message, sub_file, tmp_path, cap
     code = main([a.format(sub=sub_file, rose=rose) for a in argv] + ["--out", str(out)])
     assert code == 4
     assert capsys.readouterr().err.startswith(message)
+    assert not out.exists()
+    assert products[0] < 1000
+
+
+def test_amalgam_power_in_h_is_refused_before_listing(tmp_path, capsys, products):
+    """g = ab lies in H = F2, so no <g>-letter is left: the 354,293
+    elements of H in B(o, 11) are not listed."""
+    rose = tmp_path / "rose.txt"
+    rose.write_text("a\nb\n")
+    out = tmp_path / "r.json"
+    code = main(["amalgam", "--group", "free:2", "--subgroup", str(rose), "--g0", "ab",
+                 "--syllables", "1", "--letter-cap", "9", "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: empty letter pool")
     assert not out.exists()
     assert products[0] < 1000
 

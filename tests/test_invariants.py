@@ -74,8 +74,6 @@ def test_selector_monotone_in_power(f2):
 def test_experiment_config_validation():
     with pytest.raises(PreconditionFailed):
         ExperimentConfig(group="free:2", r_ball=2)
-    with pytest.raises(PreconditionFailed):
-        ExperimentConfig(group="free:2", gap_margin=0.0)
 
 
 def test_invariants_survive_python_O():

@@ -117,6 +117,23 @@ def test_fold_leaves_no_hanging_vertex(case):
         assert core.contains(w) == (coset_key(core, w) == (core.base, ()))
 
 
+@given(generators_and_probes())
+@settings(max_examples=100, deadline=None)
+def test_rank_decides_a_zero_rate(case):
+    """omega_H = 0 exactly when the rank E - V + 1 is at most 1: the
+    eigenvalues of a separately built Hashimoto matrix put rho at most 1
+    there and above 1 past it, where the rate is log rho."""
+    rank, gens, _ = case
+    group = MarkedGroup.free(rank)
+    core = stallings_fold(group, [group.parse(w) for w in gens])
+    rho = spectral_radius(nonbacktracking_matrix(core)) if core.edges else 0.0
+    if len(core.edges) - core.n_vertices + 1 <= 1:
+        assert core.spectral_rate() == 0.0 and rho <= 1 + 1e-9
+    else:
+        assert rho > 1 + 1e-6
+        assert core.spectral_rate() == pytest.approx(math.log(rho), abs=1e-9)
+
+
 # -- contains / index ----------------------------------------------------------
 
 def test_contains_examples(f2):

@@ -46,6 +46,35 @@ def test_gap_rank_two_subgroup():
     assert rep.omega_h < rep.omega_g - 0.1
 
 
+# <a^20, a^i b a^-i : 0 < i < 20>: infinite index, omega_G - omega_H = 0.00943
+SLOW_GAP = ("a" * 20,) + tuple("a" * i + "b" + "A" * i for i in range(1, 20))
+
+
+def test_gap_is_strict():
+    """The conclusion is omega_H < omega_G, with no margin: a true gap of
+    0.00943, under the 0.01 a margin would demand, PASSes."""
+    rep = verify_growth_gap(ExperimentConfig(group="free:2", subgroup=SLOW_GAP))
+    assert rep.verdict == "PASS"
+    assert rep.details["index"] == "infinite"
+    assert rep.gap == pytest.approx(0.00943, abs=1e-5)
+
+
+def test_gap_verdict_can_fail(monkeypatch):
+    """With omega_H patched to log 3 = omega_G the strict conclusion fails
+    (the real omega_H = log 2 PASSes, see test_gap_rank_two_subgroup)."""
+    cfg = ExperimentConfig(group="free:2", subgroup=("a", "baB"), g0="ab")
+    exact = theorems.relative_growth
+
+    def full(core, r_max):
+        rel = exact(core, r_max)
+        return replace(rel, spectral=replace(rel.spectral, rate=math.log(3)))
+
+    monkeypatch.setattr(theorems, "relative_growth", full)
+    rep = verify_growth_gap(cfg)
+    assert rep.verdict == "FAIL"
+    assert rep.gap == 0.0
+
+
 def test_gap_finite_index_inapplicable():
     cfg = ExperimentConfig(group="free:2", subgroup=("a", "b"), g0="ab")
     with pytest.raises(HypothesisFailed) as exc:
@@ -261,6 +290,28 @@ def test_amalgam_free_product_with_torsion(z23):
     g = g0.conjugated_by(rec.k)
     rep = amalgam_injectivity(sub, g, M=2, n_syllables=4, letter_cap=6)
     assert rep.verdict == "PASS"
+
+
+@pytest.mark.parametrize("group, gens, g, M", [
+    ("free:2", ("a", "b"), "ab", 1), ("free:2", ("a", "baB"), "a", 2),
+    ("free:2", ("bb", "a"), "b", 2), ("free:2", ("aba",), "aba", 3),
+    ("product:2,3", ("y",), "y", 1), ("product:2,3", ("x",), "x", 2)])
+def test_amalgam_power_in_h_is_refused_before_listing(monkeypatch, group, gens, g, M):
+    """g^M in H leaves no <g^M>-letter outside H & E(g): the run ends in
+    "empty letter pool" before H is listed, as the full listing (the
+    membership test patched out) ends too."""
+    group = MarkedGroup.from_descriptor(group)
+    sub = (fold(group, gens) if group.is_free
+           else oracles.FiniteSubgroup(group, [group.parse(w) for w in gens]))
+    g = group.parse(g)
+    listing = sub.elements_in_ball
+    monkeypatch.setattr(sub, "elements_in_ball", lambda r: pytest.fail("listed H"))
+    with pytest.raises(PreconditionFailed, match="empty letter pool"):
+        amalgam_injectivity(sub, g, M=M, n_syllables=2, letter_cap=4)
+    monkeypatch.setattr(sub, "elements_in_ball", listing)
+    monkeypatch.setattr(sub, "contains", lambda w: False)
+    with pytest.raises(PreconditionFailed, match="empty letter pool"):
+        amalgam_injectivity(sub, g, M=M, n_syllables=2, letter_cap=4)
 
 
 def _string_pools(sub, cap):
