@@ -50,8 +50,8 @@ and every first-argmax witness is that scan's.  The per-pair scan, which
 spells every geodesic of each pair from x^-1 y, is the reference in
 ``tests/oracles.py``.
 
-Every audit has one fixed design: a scan refuses more than
-``DEFAULT_PAIR_CAP`` pairs; properties (6) and (7) sample with seed 0.
+Every audit has one fixed design: a scan of n points refuses n * n past
+``balls.PAIR_CAP`` pairs; properties (6) and (7) sample with seed 0.
 """
 
 from __future__ import annotations
@@ -61,11 +61,9 @@ import random
 from dataclasses import dataclass
 
 from .axes import ProjectionMap
-from .balls import ball_elements, sphere_counts
-from .errors import BudgetExceeded
+from .balls import ball_elements, refuse_pairs, sphere_counts
 from .groups import Word, _cost, distance
 
-DEFAULT_PAIR_CAP = 2_000_000
 QG_GRID = ((1, 0), (1, 2), (2, 2), (2, 4))  # (kappa, lambda) quasi-geodesic constants
 QG_SAMPLES = 40  # perturbed axis geodesics per grid point
 PERTURBATIONS = (0, 1)  # random steps applied to each axis vertex
@@ -153,12 +151,6 @@ class _Region:
         self.nbrs = [[v for v in row if v >= 0] for row in rows]
         self.children = [[[(v, s) for v, s in zip(row, after) if v >= 0 and s >= 0]
                           for row in rows] for after in step]
-
-
-def _refuse_pairs(n: int):
-    """Refuse a scan of n points past ``DEFAULT_PAIR_CAP`` pairs (BudgetExceeded)."""
-    if n * n > DEFAULT_PAIR_CAP:
-        raise BudgetExceeded(f"{n * n} pairs exceed cap {DEFAULT_PAIR_CAP}")
 
 
 def _with_prefixes(points: list[Word]) -> list[Word]:
@@ -252,7 +244,7 @@ def constriction_audit(pm: ProjectionMap, sample_radius: int) -> ConstrictionRep
     min(d_A(x, y), worst approach distance of its geodesics).
     """
     group = pm.group
-    _refuse_pairs(sum(sphere_counts(group, sample_radius)))
+    refuse_pairs(sum(sphere_counts(group, sample_radius)) ** 2)
     points = list(ball_elements(group, sample_radius))
     n = len(points)
 
@@ -275,7 +267,7 @@ def quasiconvexity_audit(orbit, sample_radius: int) -> int:
     Max over endpoint pairs in Y & B(o, r) and over all geodesics between
     them of the distance from a geodesic vertex to Y (exact distances).
     """
-    _refuse_pairs(orbit.size_in_ball(sample_radius))
+    refuse_pairs(orbit.size_in_ball(sample_radius) ** 2)
     points = orbit.sample_in_ball(sample_radius)
     region = _Region(orbit.group, _with_prefixes(points))
     n, nbrs = len(points), region.nbrs
@@ -405,7 +397,7 @@ def elementary_properties_audit(pm_a: ProjectionMap, pm_b: ProjectionMap | None,
     moved by epsilon random steps for each epsilon in PERTURBATIONS.
     """
     group = pm_a.group
-    _refuse_pairs(sum(sphere_counts(group, sample_radius)))
+    refuse_pairs(sum(sphere_counts(group, sample_radius)) ** 2)
     points = list(ball_elements(group, sample_radius))
     region = _Region(group, points)
     rng = random.Random(0)

@@ -1,4 +1,4 @@
-"""Ball counting, streaming enumeration, and growth-rate estimation.
+"""Ball counting, streaming enumeration, growth rates, and every budget.
 
 Counts and enumeration read one table, ``_syllables``: each generator's
 syllables (exponent, cost) in visiting order.  Sphere sizes come from an
@@ -6,6 +6,9 @@ exact dynamic program over syllable normal forms (normal forms are
 prefix-closed, so counting by last syllable is exact).  Enumeration is a
 DFS over normal-form extensions, which keeps memory O(radius) and yields
 each element exactly once.
+
+Each budget is a constant here, counted exactly before the work it bounds
+(BudgetExceeded); the two listings count their elements before the first.
 """
 
 from __future__ import annotations
@@ -21,7 +24,21 @@ import numpy as np
 from .errors import BudgetExceeded, WindowTooSmall
 from .groups import MarkedGroup, Word, _cost
 
-DEFAULT_ELEMENT_CAP = 10**8
+ELEMENT_CAP = 1_000_000  # elements a ball listing may yield
+PAIR_CAP = 2_000_000  # pairs a pair scan may make
+CLOSURE_LETTER_CAP = 2_000_000  # letters elementary_closure may list
+
+
+def refuse_elements(count: int, where: str) -> None:
+    """Refuse listing ``count`` elements ``where`` past ``ELEMENT_CAP``."""
+    if count > ELEMENT_CAP:
+        raise BudgetExceeded(f"over {ELEMENT_CAP} elements {where}")
+
+
+def refuse_pairs(pairs: int) -> None:
+    """Refuse a scan of ``pairs`` pairs past ``PAIR_CAP``."""
+    if pairs > PAIR_CAP:
+        raise BudgetExceeded(f"{pairs} pairs exceed cap {PAIR_CAP}")
 
 
 @dataclass(frozen=True)
@@ -86,24 +103,17 @@ def sphere_counts(group: MarkedGroup, radius: int) -> list[int]:
     return spheres
 
 
-def ball(group: MarkedGroup, radius: int, max_elements: int | None = DEFAULT_ELEMENT_CAP) -> BallCounts:
-    """Exact counts of normal forms of length <= radius.
-
-    Raises BudgetExceeded when the ball size passes ``max_elements``
-    (a guardrail for callers that go on to enumerate; pass None to lift).
-    """
+def ball(group: MarkedGroup, radius: int) -> BallCounts:
+    """Exact counts of normal forms of length <= radius."""
     if radius < 0:
         raise ValueError("radius must be >= 0")
-    counts = BallCounts(tuple(sphere_counts(group, radius)))
-    total = counts.cumulative[-1]
-    if max_elements is not None and total > max_elements:
-        raise BudgetExceeded(f"ball of radius {radius} has {total} elements > cap {max_elements}")
-    return counts
+    return BallCounts(tuple(sphere_counts(group, radius)))
 
 
 def ball_elements(group: MarkedGroup, radius: int) -> Iterator[Word]:
-    """Stream every element of B(o, radius) exactly once (DFS order), raising
-    BudgetExceeded past ``DEFAULT_ELEMENT_CAP`` elements."""
+    """Stream every element of B(o, radius) exactly once (DFS order).  A
+    ball of more than ``ELEMENT_CAP`` elements is refused before the first."""
+    refuse_elements(sum(sphere_counts(group, radius)), f"in B(o, {radius})")
     table = _syllables(group, radius)
     prefix: list[tuple[int, int]] = []
 
@@ -119,11 +129,8 @@ def ball_elements(group: MarkedGroup, radius: int) -> Iterator[Word]:
                 yield from extensions(cost + t, i)
                 prefix.pop()
 
-    elements = itertools.chain([group.identity()], extensions(0, -1))
-    for count, w in enumerate(elements, 1):
-        if count > DEFAULT_ELEMENT_CAP:
-            raise BudgetExceeded(f"enumeration exceeded cap {DEFAULT_ELEMENT_CAP}")
-        yield w
+    yield group.identity()
+    yield from extensions(0, -1)
 
 
 # -- growth-rate estimation ---------------------------------------------

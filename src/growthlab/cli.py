@@ -1,7 +1,7 @@
 """Command-line interface.
 
     growthlab gap       --group G [--subgroup FILE] [--g0 W] [--rmax 12]
-    growthlab quotient  --group G [--subgroup FILE] [--rmax 14] [--max-states N]
+    growthlab quotient  --group G [--subgroup FILE] [--rmax 14]
     growthlab amalgam   --group G [--subgroup FILE] --g0 W [-M 1] [--syllables 4]
                         [--letter-cap 4]
     growthlab audit     --group G --axis W [--rmax 4]
@@ -133,11 +133,9 @@ def cmd_gap(args) -> int:
 
 
 @command("quotient", "quotient-growth pipeline", GROUP, SUBGROUP,
-         _flag("--rmax", type=int, default=ExperimentConfig.r_schreier),
-         _flag("--max-states", type=int,
-               help="cap on the cosets within --rmax (exit 4 when exceeded)"))
+         _flag("--rmax", type=int, default=ExperimentConfig.r_schreier))
 def cmd_quotient(args) -> int:
-    return _growth(args, functools.partial(verify_quotient_growth, max_states=args.max_states),
+    return _growth(args, verify_quotient_growth,
                    lambda r: growth_records(r.details["coset_counts"], r.omega_quotient),
                    r_schreier=args.rmax)
 
@@ -272,9 +270,7 @@ def cmd_selector(args) -> int:
 def _apply_config_file(argv: list[str]) -> list[str]:
     """argv with the flags of --config put right after the command name,
     where the explicit flags, which argparse reads later, override them."""
-    pre = _Parser(add_help=False, allow_abbrev=False)
-    pre.add_argument("--config", nargs="?", const="")
-    known, rest = pre.parse_known_args(argv)
+    known, rest = _config_parser().parse_known_args(argv)
     if known.config is None:
         return argv
     if not known.config:
@@ -294,6 +290,14 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise PreconditionFailed(message)
+
+
+@functools.cache
+def _config_parser() -> argparse.ArgumentParser:
+    """The pre-parser of --config, built once like ``build_parser``."""
+    pre = _Parser(add_help=False, allow_abbrev=False)
+    pre.add_argument("--config", nargs="?", const="")
+    return pre
 
 
 @functools.cache

@@ -19,12 +19,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .axes import Axis, ProjectionMap
-from .balls import ball_elements
+from .balls import CLOSURE_LETTER_CAP, ball_elements
 from .errors import (BudgetExceeded, CrossCheckFailed, FiniteOrderElement, NotFoundWithinBound,
                      PreconditionFailed)
 from .groups import Word, cyclic_reduce, is_torsion, primitive_root
 
-CLOSURE_LETTER_CAP = 2_000_000  # letters elementary_closure may list
 POWER_CAP = 64  # the doubling searches try M <= POWER_CAP
 SEPARATION_ORBIT_RADIUS = 5  # the orbit sample Y of geometric_separation_power
 SEPARATION_J_MAX = 3  # its coset sample uses the powers g^{Mj}, 0 < |j| <= SEPARATION_J_MAX
@@ -97,7 +96,7 @@ def elementary_closure(g: Word, search_radius: int) -> ClosureDescriptor:
     arithmetic certifies t t = 1, t z t = z^-1, z^{+-bound} (and z^{+-bound} t)
     outside the ball, closure under inverses, and ``verify``.  Closure under
     in-ball products follows, as z^i t^a z^j t^b = z^{i+(-1)^a j} t^{a+b}.
-    Listing more than ``CLOSURE_LETTER_CAP`` letters, sum (|i||w| + 2|c|
+    Listing more than ``balls.CLOSURE_LETTER_CAP`` letters, sum (|i||w| + 2|c|
     (+ |t|)) in closed form, is refused before it starts (BudgetExceeded).
     """
     if is_torsion(g):

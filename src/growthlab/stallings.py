@@ -21,7 +21,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .balls import BallCounts, GrowthEstimate
+from .balls import BallCounts, GrowthEstimate, refuse_elements
 from .errors import NotFreeGroup, PowerIterationDiverged
 from .groups import MarkedGroup, Word
 
@@ -97,7 +97,8 @@ class CoreGraph:
         return tuple(map(tuple, table))
 
     def elements_in_ball(self, radius: int) -> Iterator[Word]:
-        """All subgroup elements of length <= radius (identity included)."""
+        """Subgroup elements of length <= radius, identity first, under ``balls.ELEMENT_CAP``."""
+        refuse_elements(sum(self.counts_by_length(radius)), f"of H in B(o, {radius})")
         yield self.group.identity()
         letters: list[int] = []
 

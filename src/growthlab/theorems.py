@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from typing import ClassVar
 
 from .axes import Axis, ProjectionMap
-from .balls import ball_elements, sphere_counts
+from .balls import ELEMENT_CAP, ball_elements, refuse_pairs, sphere_counts
 from .closure import (SeparationSelector, subgroup_closure_intersection,
                       _coset_words)
 from .errors import BudgetExceeded, CounterexampleFound, HypothesisFailed, PreconditionFailed
@@ -45,7 +45,6 @@ DIVERGENCE_REASON = ("a nontrivial finitely generated subgroup of F_k has purely
                      "equally, its growth series is rational with nonnegative "
                      "coefficients, so by Pringsheim's theorem it has a pole at 1/rho")
 AMALGAM_J_MAX = 4  # amalgam_injectivity's <g^M>-letters are g^{Mj}, 0 < |j| <= 4
-AMALGAM_WORD_CAP = 1_000_000  # alternating words amalgam_injectivity may search
 PROJECTION_BOUND = 8  # largest mutual projection free_subgroup_witness accepts
 COUNTING_RADII = (3, 4, 5)  # radii of the ball-counting inequality of coarse_quotient_check
 
@@ -154,8 +153,8 @@ def verify_growth_gap(cfg: ExperimentConfig, raise_on_hypothesis: bool = True) -
                      omega_h=omega_h, gap=omega_g - omega_h, details=details)
 
 
-def verify_quotient_growth(cfg: ExperimentConfig, raise_on_hypothesis: bool = True,
-                           max_states: int | None = None) -> TheoremReport:
+def verify_quotient_growth(cfg: ExperimentConfig,
+                           raise_on_hypothesis: bool = True) -> TheoremReport:
     """Quotient-growth pipeline: coset counts of an infinite-index
     quasi-convex subgroup grow at the full rate omega_G.
 
@@ -163,12 +162,12 @@ def verify_quotient_growth(cfg: ExperimentConfig, raise_on_hypothesis: bool = Tr
     ``details``).  omega_{G/H} is exact: log(2k - 1) at infinite index and
     0 at finite index, from the coset sphere identity that
     ``schreier_growth`` checks past eta.  The conclusion is
-    omega_{G/H} == omega_G, with no tolerance.  ``max_states`` caps the
-    cosets within radius r_schreier (BudgetExceeded)."""
+    omega_{G/H} == omega_G, with no tolerance; no budget applies (see
+    ``schreier_growth``)."""
     core, hypotheses, details, omega_g = _subgroup_facts(cfg)
     assumed = {"quasi_convex": QUASI_CONVEX_REASON}
 
-    sg = schreier_growth(core, cfg.r_schreier, max_states=max_states)
+    sg = schreier_growth(core, cfg.r_schreier)
     omega_quotient = sg.rate.rate
     details["coset_counts"] = list(sg.counts.cumulative)
     infinite = hypotheses["infinite_index"]
@@ -209,13 +208,11 @@ def amalgam_injectivity(subgroup, g: Word, M: int, n_syllables: int,
     the image set by the batch's length.  A failing batch is replayed word
     by word to the first bad word in search order, and once more to the
     earlier word of a collision, so verdict, count and witness are those
-    of a word-by-word search; a passing search never replays.  More than
-    ``AMALGAM_WORD_CAP`` words (counted from the pool sizes) or elements of
-    H in B(o, letter_cap + 2) are refused before listing (BudgetExceeded),
-    and so is g^M in H, which empties the <g^M>-pool (PreconditionFailed).
+    of a word-by-word search; a passing search never replays.  g^M in H,
+    which empties the <g^M>-pool, is refused before H is listed
+    (PreconditionFailed), and more than ``ELEMENT_CAP`` words, counted from
+    the pool sizes, before the search (BudgetExceeded).
     """
-    if sum(subgroup.counts_by_length(letter_cap + 2)) > AMALGAM_WORD_CAP:
-        raise BudgetExceeded(f"over {AMALGAM_WORD_CAP} elements of H in B(o, {letter_cap + 2})")
     if subgroup.contains(g ** M):
         raise PreconditionFailed("empty letter pool; enlarge letter_cap or shrink M")
     f_elements = subgroup_closure_intersection(subgroup, g, letter_cap + 2)
@@ -227,8 +224,8 @@ def amalgam_injectivity(subgroup, g: Word, M: int, n_syllables: int,
               if w.length <= letter_cap]
     if not pool_h or not pool_k:
         raise PreconditionFailed("empty letter pool; enlarge letter_cap or shrink M")
-    if _alternating_words(len(pool_h), len(pool_k), n_syllables) > AMALGAM_WORD_CAP:
-        raise BudgetExceeded(f"more than {AMALGAM_WORD_CAP} alternating words of at most "
+    if _alternating_words(len(pool_h), len(pool_k), n_syllables) > ELEMENT_CAP:
+        raise BudgetExceeded(f"more than {ELEMENT_CAP} alternating words of at most "
                              f"{n_syllables} letters from pools of {len(pool_h)} and "
                              f"{len(pool_k)} letters")
 
@@ -268,11 +265,11 @@ def amalgam_injectivity(subgroup, g: Word, M: int, n_syllables: int,
 def _alternating_words(h: int, k: int, n: int) -> int:
     """The alternating words of 1..n letters from pools of h and k letters,
     either kind first, counted exactly up to the first length that takes
-    the count past ``AMALGAM_WORD_CAP``."""
+    the count past ``ELEMENT_CAP``."""
     total, ends_h, ends_k = 0, h, k
     for _ in range(n):
         total += ends_h + ends_k
-        if total > AMALGAM_WORD_CAP:
+        if total > ELEMENT_CAP:
             break
         ends_h, ends_k = ends_k * h, ends_h * k
     return total
@@ -369,7 +366,8 @@ def coarse_quotient_check(subgroup, g: Word, selector: SeparationSelector,
                           sample_radius: int) -> CoarseQuotientReport:
     """Exhaustive CQ1/CQ2 check of phi(u) = u f(u) plus the ball-counting
     inequality |B(o,r)| <= kappa |L(B(o,r+theta))| with kappa = |B(o,3 theta)|,
-    for r in COUNTING_RADII.
+    for r in COUNTING_RADII.  CQ1 compares the pairs within each class of
+    phi(u)H; more than ``balls.PAIR_CAP`` are refused before the first.
     """
     group = g.group
     pm = ProjectionMap(Axis(g))
@@ -389,6 +387,7 @@ def coarse_quotient_check(subgroup, g: Word, selector: SeparationSelector,
     classes: dict[tuple, list[Word]] = {}
     for u in points:
         classes.setdefault(coset_key(subgroup, phi[u].inverse()), []).append(u)
+    refuse_pairs(sum(len(members) * (len(members) - 1) // 2 for members in classes.values()))
     theta_cq1 = 0
     for members in classes.values():
         for u, v in itertools.combinations(members, 2):

@@ -12,7 +12,8 @@ each pair from x^-1 y and are the reference for the per-source traversals
 of ``growthlab.audits``.  The ball scan ``closure_by_scan`` multiplies
 package words too; it is the reference for the elementary closure read
 off the axis, and the pair scan ``unclosed_product`` for its closure
-under products.
+under products.  Subgroup membership in F_k reads ``string_fold``, a
+Stallings fold over strings.
 """
 
 from __future__ import annotations
@@ -287,25 +288,56 @@ class PslCayley:
         return self.dist[_psl_key(m)]
 
 
-# -- subgroup membership by closure -----------------------------------------
+# -- subgroup membership by a string fold -----------------------------------
 
-def closure_membership(rank: int, gens: list[str], radius: int, pad: int = 4) -> set[str]:
-    """Elements of <gens> within radius, by padded closure (free group)."""
-    gens = [free_reduce(g) for g in gens]
-    gens = gens + [free_inverse(g) for g in gens]
-    bound = radius + pad
-    members = {""}
-    frontier = {""}
-    while frontier:
-        new = set()
-        for h in frontier:
-            for g in gens:
-                w = free_reduce(h + g)
-                if len(w) <= bound and w not in members:
-                    members.add(w)
-                    new.add(w)
-        frontier = new
-    return {w for w in members if len(w) <= radius}
+def string_fold(gens: list[str]) -> tuple[dict[tuple[int, str], int], int]:
+    """The Stallings fold of the bouquet of ``gens`` (free group, strings):
+    its moves (vertex, letter) -> vertex, upper case for inverse letters,
+    and its base.  Equal letters at a vertex are merged, by union-find,
+    until no vertex reads a letter twice."""
+    edges, n = [], 1
+    for g in map(free_reduce, gens):
+        path = [0, *range(n, n + len(g) - 1), 0]
+        n += max(len(g) - 1, 0)
+        edges += zip(path, g, path[1:])
+    parent = list(range(n))
+
+    def find(v: int) -> int:
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    merged = True
+    while merged:
+        merged, step = False, {}
+        for u, ch, v in edges:
+            for key, head in (((find(u), ch), v), ((find(v), ch.swapcase()), u)):
+                other = step.setdefault(key, head)
+                if find(other) != find(head):
+                    parent[find(other)] = find(head)
+                    merged = True
+    return {key: find(head) for key, head in step.items()}, find(0)
+
+
+def closure_membership(rank: int, gens: list[str], radius: int) -> set[str]:
+    """Elements of <gens> within radius (free group): the reduced words
+    that read a base loop of ``string_fold(gens)``, exact for any
+    generators (Stallings 1983)."""
+    step, base = string_fold(gens)
+    letters = free_letters(rank)
+    members = set()
+
+    def walk(v: int, word: str) -> None:
+        if v == base:
+            members.add(word)
+        if len(word) < radius:
+            for ch in letters:
+                head = step.get((v, ch))
+                if head is not None and not word.endswith(ch.swapcase()):
+                    walk(head, word + ch)
+
+    walk(base, "")
+    return members
 
 
 # -- random subgroups of F2 (hypothesis strategies) --------------------------

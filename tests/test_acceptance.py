@@ -36,7 +36,7 @@ def f2():
 def test_criterion_01_omega_g_f2(f2):
     """omega_G(F2) = log 3 via bfs_fit on [8, 12], within 1e-3, under 10 s."""
     t0 = time.perf_counter()
-    counts = ball(f2, 12, max_elements=None)
+    counts = ball(f2, 12)
     # oracle: exact sphere sizes 4 * 3^(r-1)
     assert counts.sphere_sizes == tuple([1] + [4 * 3 ** (r - 1) for r in range(1, 13)])
     est = growth_rate(counts, window=(8, 12))

@@ -340,9 +340,9 @@ def test_eta_whole_group(f2):
 def test_eta_matches_string_oracle(f2, seed, expected):
     """eta over B(o, 6) against strings, on a seeded random 2-generator
     subgroup of F2 (<aBB, aBaB> and <bAB, aaBAb>).  Orbit points come
-    from the padded string closure of the generators; a nearest orbit
-    point of a vertex v lies in B(o, 2|v|), so the closure to radius 12
-    gives every distance to the orbit.  Geodesics are free reductions."""
+    from the string fold of the generators; a nearest orbit point of a
+    vertex v lies in B(o, 2|v|), so the members to radius 12 give every
+    distance to the orbit.  Geodesics are free reductions."""
     rng = random.Random(seed)
     gens = []
     for _ in range(2):
@@ -351,7 +351,7 @@ def test_eta_matches_string_oracle(f2, seed, expected):
             w = free_reduce(w + rng.choice("abAB"))
         gens.append(w)
     r = 6
-    members = closure_membership(2, gens, 2 * r, pad=6)
+    members = closure_membership(2, gens, 2 * r)
     points = [h for h in members if len(h) <= r]
     visited = set()
     for x, y in itertools.combinations(points, 2):

@@ -58,11 +58,6 @@ def test_cumulative_strictly_increasing(f2, z23):
         assert all(b > a for a, b in zip(c, c[1:]))
 
 
-def test_budget_cap(f2):
-    with pytest.raises(BudgetExceeded):
-        ball(f2, 10, max_elements=100)
-
-
 GROUPS = [MarkedGroup.free(2), MarkedGroup.free(3), MarkedGroup.free_product([2, 3]),
           MarkedGroup.free_product([4, 2]), MarkedGroup.free_product([6, 4]),
           MarkedGroup.free_product([2, 2, 5])]
@@ -94,10 +89,13 @@ def test_enumeration_order_matches_string_dfs():
 
 
 def test_enumeration_budget(f2, monkeypatch):
-    monkeypatch.setattr(balls, "DEFAULT_ELEMENT_CAP", 50)
+    """|B(o, 2)| = 17 in F2: a cap of 17 lists it, and a cap of 16 refuses
+    it before the first element."""
+    monkeypatch.setattr(balls, "ELEMENT_CAP", 17)
     assert len(list(ball_elements(f2, 2))) == 17
-    with pytest.raises(BudgetExceeded):
-        list(ball_elements(f2, 8))
+    monkeypatch.setattr(balls, "ELEMENT_CAP", 16)
+    with pytest.raises(BudgetExceeded, match=r"^over 16 elements in B\(o, 2\)$"):
+        next(iter(ball_elements(f2, 2)))
 
 
 # -- growth rates -----------------------------------------------------------
@@ -105,7 +103,7 @@ def test_enumeration_budget(f2, monkeypatch):
 def test_f2_rate_exact(f2):
     # balls 2 * 3^r - 1: past r = 36 the -1 is below float resolution, so
     # the log-slope fit over radii 36..40 is log 3 to machine precision
-    est = growth_rate(ball(f2, 40, max_elements=None))
+    est = growth_rate(ball(f2, 40))
     assert est.window == (36, 40)
     assert abs(est.rate - math.log(3)) < 1e-12
     assert est.error_bound < 1e-12
@@ -128,7 +126,7 @@ def test_z23_rate_against_transfer_oracle(z23):
     rho = spectral_radius(syllable_transfer_z2z3())
     # spheres double every two radii; at radius 40 the fit over the last
     # five radii is within 1e-3 of log rho
-    est = growth_rate(ball(z23, 40, max_elements=None))
+    est = growth_rate(ball(z23, 40))
     assert abs(est.rate - math.log(rho)) < 1e-3
 
 

@@ -165,14 +165,17 @@ def test_bad_outside_input_is_an_error(args, message, sub_file, tmp_path, capsys
      "error: unrecognized arguments: --margin 0.1"),
     (["gap", "--group", "free:2", "--subgroup", "{sub}", "--config", "{margin_cfg}"],
      "error: unrecognized arguments: --margin 0.1"),
+    (["quotient", "--group", "free:2", "--subgroup", "{sub}", "--max-states", "100"],
+     "error: unrecognized arguments: --max-states 100"),
 ])
 def test_argparse_rejections_are_errors(argv, message, sub_file, tmp_path, capsys):
     """Exit code 2 means a failed hypothesis, so a flag that argparse
     rejects prints one error line and exits 1 like other bad input.  That
     includes a flag the command does not read (``quotient --g0``,
     ``amalgam --rmax``) or no longer has (``gap --margin``: the gap is
-    strict), given directly or through --config, and a missing --g0
-    where the command needs one."""
+    strict; ``quotient --max-states``: no coset count needs a budget),
+    given directly or through --config, and a missing --g0 where the
+    command needs one."""
     configs = {"cfg": {"rmax": "x"}, "g0_cfg": {"g0": "ab"}, "rmax_cfg": {"rmax": 3},
                "margin_cfg": {"margin": 0.1}}
     for name, data in configs.items():
@@ -330,9 +333,9 @@ def test_config_file(tmp_path, sub_file):
 def test_explicit_flags_beat_the_config_in_any_spelling(sub_file, tmp_path, capsys):
     """--config FILE and --config=FILE load the file; an explicit flag wins
     wherever it stands and however argparse lets it be spelled."""
-    r9, ms = tmp_path / "r9.json", tmp_path / "ms.json"
+    r9, s2 = tmp_path / "r9.json", tmp_path / "s2.json"
     r9.write_text(json.dumps({"rmax": 9}))
-    ms.write_text(json.dumps({"max_states": 100000}))
+    s2.write_text(json.dumps({"syllables": 2}))
 
     def radius(*flags):
         out = tmp_path / "g.json"
@@ -345,9 +348,9 @@ def test_explicit_flags_beat_the_config_in_any_spelling(sub_file, tmp_path, caps
     assert radius("--rmax=5", "--config", str(r9)) == 5
     assert radius(f"--config={r9}", "--rm", "5") == 5
     capsys.readouterr()
-    assert main(["quotient", "--group", "free:2", "--subgroup", sub_file,
-                 "--max", "10", "--config", str(ms)]) == 4
-    assert "exceed the budget of 10\n" in capsys.readouterr().err
+    assert main(["amalgam", "--group", "free:2", "--subgroup", sub_file, "--g0", "b",
+                 "--syll", "12", "--config", str(s2)]) == 4
+    assert "alternating words of at most 12 letters" in capsys.readouterr().err
 
 
 def test_json_determinism(sub_file, tmp_path):
@@ -362,13 +365,6 @@ def test_json_determinism(sub_file, tmp_path):
     assert outs[0] == outs[1]
 
 
-def test_quotient_budget_exit_code(sub_file, tmp_path):
-    code = main(["quotient", "--group", "free:2", "--subgroup", sub_file,
-                 "--rmax", "12", "--max-states", "100",
-                 "--out", str(tmp_path / "q.json")])
-    assert code == 4
-
-
 @pytest.mark.parametrize("argv, message", [
     (["amalgam", "--group", "free:2", "--subgroup", "{sub}", "--g0", "b", "--syllables", "12"],
      "budget exceeded: more than 1000000 alternating words of at most 12 letters"),
@@ -376,21 +372,27 @@ def test_quotient_budget_exit_code(sub_file, tmp_path):
      "budget exceeded: 400060002 letters exceed cap 2000000"),
     (["audit", "--group", "free:2", "--axis", "ab", "--rmax", "11"],
      "budget exceeded: 125523529849 pairs exceed cap 2000000"),
-    (["quotient", "--group", "free:2", "--subgroup", "{sub}", "--rmax", "12",
-      "--max-states", "100"],
-     "budget exceeded: 531441 cosets within radius 12 exceed the budget of 100"),
-    (["amalgam", "--group", "free:2", "--subgroup", "{rose}", "--g0", "ab", "--syllables", "1",
+    (["selector", "--group", "free:2", "--subgroup", "{sub}", "--g0", "b", "--rmax", "12"],
+     "budget exceeded: over 1000000 elements in B(o, 12)"),
+    (["amalgam", "--group", "free:3", "--subgroup", "{rose}", "--g0", "c",
       "--letter-cap", "10"], "budget exceeded: over 1000000 elements of H in B(o, 12)"),
+    (["buffering", "--chain", "{chain}"],
+     "budget exceeded: over 1000000 elements of H in B(o, 12)"),
 ])
 def test_over_budget_searches_are_refused(argv, message, sub_file, tmp_path, capsys, products):
     """Every budget of the CLI is counted before the work it bounds starts
     and refuses past its cap with exit 4, after fewer than 1,000 products:
-    the amalgam search's words and its subgroup listing, the closure's
-    letters, the audit's pairs and the quotient's cosets."""
+    the amalgam search's words, the closure's letters, the audit's pairs,
+    and the listings of B(o, 12) (selector) and of H & B(o, 12) for
+    H = <a, b> (amalgam, buffering), 1,062,881 elements each."""
     rose = tmp_path / "rose.txt"
     rose.write_text("a\nb\n")
+    chain = tmp_path / "chain.json"
+    chain.write_text(json.dumps({"group": "free:2", "subgroup": ["a", "b"], "g": "b",
+                                 "word": [["h", "a"], ["k", "bbb"]], "radius": 12}))
     out = tmp_path / "r.json"
-    code = main([a.format(sub=sub_file, rose=rose) for a in argv] + ["--out", str(out)])
+    code = main([a.format(sub=sub_file, rose=rose, chain=chain) for a in argv]
+                + ["--out", str(out)])
     assert code == 4
     assert capsys.readouterr().err.startswith(message)
     assert not out.exists()
@@ -412,10 +414,13 @@ def test_amalgam_power_in_h_is_refused_before_listing(tmp_path, capsys, products
 
 
 def test_main_builds_the_parser_once(tmp_path):
-    """Building the parser takes longer than a small command's own work,
-    so main() builds it on the first call and reuses it."""
+    """Building the parsers takes longer than a small command's own work,
+    so main() builds the parser and the --config pre-parser on the first
+    call and reuses them."""
     cli.build_parser.cache_clear()
+    cli._config_parser.cache_clear()
     for name in ("a.json", "b.json"):
         assert main(["closure", "--group", "free:2", "--g0", "ab",
                      "--out", str(tmp_path / name)]) == 0
     assert cli.build_parser.cache_info().misses == 1
+    assert cli._config_parser.cache_info().misses == 1

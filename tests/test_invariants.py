@@ -47,9 +47,9 @@ def test_independent_estimators_agree(f2):
     spectral rate of two Stallings cores."""
     z23 = MarkedGroup.free_product([2, 3])
     cases = [
-        (math.log(3), growth_rate(ball(f2, 12, max_elements=None), window=(8, 12))),
+        (math.log(3), growth_rate(ball(f2, 12), window=(8, 12))),
         (math.log(spectral_radius(syllable_transfer_z2z3())),
-         growth_rate(ball(z23, 14, max_elements=None), window=(9, 14))),
+         growth_rate(ball(z23, 14), window=(9, 14))),
     ]
     for gens in (["a", "baB"], ["aa", "bb"]):
         rg = relative_growth(fold(f2, gens), 12)

@@ -1,5 +1,5 @@
 """Stallings core graphs: folding, membership, index, relative growth.
-Oracles: fold-by-hand graphs, closure-based membership, brute-force
+Oracles: fold-by-hand graphs, string-fold membership, brute-force
 membership filters, numpy spectral radii."""
 
 import math
@@ -10,9 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from growthlab import CoreGraph, MarkedGroup, ball_elements, relative_growth, stallings_fold
+from growthlab import CoreGraph, MarkedGroup, ball_elements, balls, relative_growth, stallings_fold
 from growthlab.balls import sphere_counts
-from growthlab.errors import NotFreeGroup, PowerIterationDiverged
+from growthlab.errors import BudgetExceeded, NotFreeGroup, PowerIterationDiverged
 from growthlab.schreier import coset_key
 from growthlab.stallings import power_iteration
 
@@ -41,7 +41,7 @@ def test_fold_index_two_subgroup(f2):
     core = fold(f2, ["aa", "b", "abA"])
     assert core.index() == 2
     # membership oracle on the ball: the even-a-count criterion is implicit;
-    # compare against padded closure membership
+    # compare against string-fold membership
     members = closure_membership(2, ["aa", "b", "abA"], 4)
     for w in ball_elements(f2, 4):
         assert core.contains(w) == ((free_reduce(str(w)) if not w.is_identity else "") in members)
@@ -78,7 +78,7 @@ def test_fold_order_independence(f2):
 def test_fold_membership_against_closure(gens):
     f2 = MarkedGroup.free(2)
     core = stallings_fold(f2, [f2.parse(g) for g in gens])
-    members = closure_membership(2, gens, 3, pad=6)
+    members = closure_membership(2, gens, 3)
     for w in ball_elements(f2, 3):
         key = free_reduce(str(w)) if not w.is_identity else ""
         assert core.contains(w) == (key in members)
@@ -188,6 +188,18 @@ def test_enumeration_matches_counts(f2):
         by_len[w.length] += 1
         assert core.contains(w)
     assert tuple(by_len) == rg.counts.sphere_sizes
+
+
+def test_core_enumeration_budget(f2, monkeypatch):
+    """A cap equal to |H & B(o, 6)| lists it, and one less refuses it
+    before the first element."""
+    core = fold(f2, ["a", "baB"])
+    size = sum(core.counts_by_length(6))
+    monkeypatch.setattr(balls, "ELEMENT_CAP", size)
+    assert len(list(core.elements_in_ball(6))) == size
+    monkeypatch.setattr(balls, "ELEMENT_CAP", size - 1)
+    with pytest.raises(BudgetExceeded, match=rf"^over {size - 1} elements of H in B\(o, 6\)$"):
+        next(iter(core.elements_in_ball(6)))
 
 
 def test_power_iteration_periodic_matrix_raises():

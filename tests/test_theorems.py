@@ -11,10 +11,13 @@ from hypothesis import strategies as st
 
 import oracles
 from growthlab import MarkedGroup, Word, stallings_fold
-from growthlab.closure import find_selector_power, geometric_separation_power, find_transversal_conjugate
-from growthlab import theorems
+from growthlab.closure import (SeparationSelector, find_selector_power,
+                               find_transversal_conjugate, geometric_separation_power)
+from growthlab import balls, theorems
+from growthlab.balls import ELEMENT_CAP
 from growthlab.errors import (BudgetExceeded, CounterexampleFound, HypothesisFailed,
                               PreconditionFailed)
+from growthlab.groups import distance
 from growthlab.reports import render_json
 from growthlab.series import divergence_diagnostic
 from growthlab.theorems import (ExperimentConfig, amalgam_injectivity,
@@ -218,8 +221,8 @@ def test_quotient_verdict_can_fail(monkeypatch, k, gens):
     cfg = ExperimentConfig(group=f"free:{k}", subgroup=gens, r_schreier=8)
     exact = theorems.schreier_growth
 
-    def short(core, r_max, max_states=None):
-        sg = exact(core, r_max, max_states=max_states)
+    def short(core, r_max):
+        sg = exact(core, r_max)
         return replace(sg, rate=replace(sg.rate, rate=math.log(2 * k - 1) - 0.01))
 
     monkeypatch.setattr(theorems, "schreier_growth", short)
@@ -255,7 +258,7 @@ def test_amalgam_word_count_is_exact(h, k, n):
     words = sum(h ** ((d + 1) // 2) * k ** (d // 2) + k ** ((d + 1) // 2) * h ** (d // 2)
                 for d in range(1, n + 1))
     assert theorems._alternating_words(h, k, n) == words
-    assert words <= theorems.AMALGAM_WORD_CAP
+    assert words <= ELEMENT_CAP
 
 
 def test_amalgam_over_budget_is_refused_before_searching(f2, monkeypatch):
@@ -350,8 +353,7 @@ def test_amalgam_search_matches_string_oracle(f2, gens, n):
     # (in the order the package lists them) and b^{+-1..4}
     sub = fold(f2, gens)
     pool_h = _string_pools(sub, 4)[0]
-    pad = max(len(w) for w in gens)
-    assert set(pool_h) == oracles.closure_membership(2, list(gens), 4, pad) - {""}
+    assert set(pool_h) == oracles.closure_membership(2, list(gens), 4) - {""}
     _matches_string_oracle(sub, 4, n)
 
 
@@ -509,6 +511,34 @@ def test_coarse_quotient_trivial_pair(f2):
     rep = coarse_quotient_check(sub, f2.parse("b"), sel, 4)
     # u = v is in the same class with distance 0; theta_cq1 stays 0
     assert rep.theta_cq1 == 0
+
+
+@pytest.mark.parametrize("r, cap, refusal", [
+    (7, 2_000_000, "9559378 pairs exceed cap 2000000"), (3, 1378, None),
+    (3, 1377, "1378 pairs exceed cap 1377")])
+def test_coarse_quotient_pairs_are_refused_before_cq1(f2, monkeypatch, r, cap, refusal):
+    """H = <a, b> = F2 puts all of B(o, r) in one class: C(4373, 2) =
+    9,559,378 CQ1 pairs at r = 7, and C(53, 2) = 1,378 at r = 3.  Past the
+    cap the check makes only its |B(o, r)| CQ2 distance calls."""
+    monkeypatch.setattr(balls, "PAIR_CAP", cap)
+    points = sum(oracles.free_ball(2, r)[0])
+    calls = [0]
+
+    def counting(u, v):
+        calls[0] += 1
+        if refusal and calls[0] > points:
+            pytest.fail("CQ1 compared a pair")
+        return distance(u, v)
+
+    monkeypatch.setattr(theorems, "distance", counting)
+    sel = SeparationSelector(g=f2.parse("b"), M=3, threshold=1, basepoint=f2.identity())
+    sub = fold(f2, ["a", "b"])
+    if refusal:
+        with pytest.raises(BudgetExceeded, match=f"^{refusal}$"):
+            coarse_quotient_check(sub, f2.parse("b"), sel, r)
+        assert calls[0] == points
+    else:
+        assert coarse_quotient_check(sub, f2.parse("b"), sel, r).verdict == "PASS"
 
 
 # -- report determinism ---------------------------------------------------------------------
