@@ -24,6 +24,7 @@ GOLDEN = Path(__file__).with_name("golden_cli.json")
 FILES = {
     "sub_a.txt": "a\n",
     "sub_a_baB.txt": "a\nbaB\n",
+    "sub_aa_bb.txt": "aa\nbb\n",
     "chain.json": json.dumps({
         "group": "free:2", "subgroup": ["a"], "g": "b",
         "word": [["h", "a"], ["k", "bbb"], ["h", "aa"], ["k", "BBB"]],
@@ -46,6 +47,8 @@ CASES = {
     "closure": ["closure", "--group", "free:2", "--g0", "aa", "--radius", "6"],
     "selector": ["selector", "--group", "free:2", "--subgroup", "{sub_a.txt}",
                  "--g0", "b", "--rmax", "5"],
+    "selector <aa, bb>": ["selector", "--group", "free:2", "--subgroup", "{sub_aa_bb.txt}",
+                          "--g0", "b", "--rmax", "5"],
 }
 
 
