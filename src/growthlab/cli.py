@@ -260,7 +260,7 @@ def cmd_selector(args) -> int:
     sub = _core(group, _read_subgroup(args.subgroup))
     g = group.parse(args.g0)
     m, sel = find_selector_power(g, epsilon=args.epsilon, theta=args.theta,
-                                 y=group.identity(), sample_radius=args.rmax)
+                                 sample_radius=args.rmax)
     report = coarse_quotient_check(sub, g, sel, args.rmax)
     payload = {"M": m, "threshold": sel.threshold, "coarse_quotient": report}
     _emit(payload, args)

@@ -10,8 +10,8 @@ Mem. AMS 2017, Lemma 6.5).  Every u in E(g) therefore satisfies
 u g u^-1 = g^{+-1}: the uniform power M is 1, and that single identity is
 the membership test, and the presentation certifies the list of
 ``elementary_closure``, which a letter budget bounds.  The separation and
-selector powers have no closed form; they are found by a doubling search
-bounded by POWER_CAP and certified on the sample they are checked against.
+selector powers have no closed form; each is the least M <= POWER_CAP that
+passes its check on the sample, found by trying M = 1, 2, ... in turn.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .errors import (BudgetExceeded, CrossCheckFailed, FiniteOrderElement, NotFo
                      PreconditionFailed)
 from .groups import Word, cyclic_reduce, is_torsion, primitive_root
 
-POWER_CAP = 64  # the doubling searches try M <= POWER_CAP
+POWER_CAP = 64  # the least-power scans try M = 1 .. POWER_CAP
 SEPARATION_ORBIT_RADIUS = 5  # the orbit sample Y of geometric_separation_power
 SEPARATION_J_MAX = 3  # its coset sample uses the powers g^{Mj}, 0 < |j| <= SEPARATION_J_MAX
 
@@ -187,32 +187,9 @@ def _coset_words(g: Word, M: int, f_elements: list[Word], j_max: int) -> list[Wo
     return [w for w in words if w not in f_set and not w.is_identity]
 
 
-def _doubling_search(attempt, failure: str):
-    """(M, attempt(M)) for the least M <= POWER_CAP whose attempt does not
-    raise NotFoundWithinBound: M doubles from 1 until an attempt passes,
-    then the least passing M in (M/2, M] is taken.  Past POWER_CAP it raises
-    NotFoundWithinBound(``failure``) with the last failure's ``best``."""
-    m = 1
-    while True:
-        try:
-            result = attempt(m)
-            break
-        except NotFoundWithinBound as exc:
-            best = exc.best
-        m *= 2
-        if m > POWER_CAP:
-            raise NotFoundWithinBound(failure, best=best)
-    for candidate in range(m // 2 + 1, m):
-        try:
-            return candidate, attempt(candidate)
-        except NotFoundWithinBound:
-            continue
-    return m, result
-
-
 def geometric_separation_power(subgroup, g: Word, epsilon: int, theta: int) -> dict:
-    """Least M (doubling search, then refine) separating Y from its
-    <g^M, H&E>-translates on the axis of g.
+    """Least M <= POWER_CAP separating Y from its <g^M, H&E>-translates on
+    the axis of g, trying M = 1, 2, ... in turn.
 
     Precondition: diam_A(Y-sample) <= epsilon.  Every sampled
     u in <g^M, H&E> - H&E must satisfy d_A(Y, uY) > theta.
@@ -223,77 +200,56 @@ def geometric_separation_power(subgroup, g: Word, epsilon: int, theta: int) -> d
     if diam > epsilon:
         raise PreconditionFailed(f"diam_A(Y) = {diam} > epsilon = {epsilon}")
     f_elements = subgroup_closure_intersection(subgroup, g, SEPARATION_ORBIT_RADIUS)
-
-    def attempt(m: int) -> int:
-        words = _coset_words(g, m, f_elements, SEPARATION_J_MAX)
-        for u in words:
-            translated = [u * y for y in y_sample]
-            if pm.projected_set_distance(y_sample, translated) <= theta:
-                raise NotFoundWithinBound(f"M = {m} does not separate")
-        return len(words)
-
-    M, samples = _doubling_search(attempt, f"no separating power M <= {POWER_CAP}")
-    return {"M": M, "epsilon": epsilon, "theta": theta, "samples": samples,
-            "h_cap_e": [str(f) for f in f_elements]}
+    for M in range(1, POWER_CAP + 1):
+        words = _coset_words(g, M, f_elements, SEPARATION_J_MAX)
+        if all(pm.projected_set_distance(y_sample, [u * y for y in y_sample]) > theta
+               for u in words):
+            return {"M": M, "epsilon": epsilon, "theta": theta, "samples": len(words),
+                    "h_cap_e": [str(f) for f in f_elements]}
+    raise NotFoundWithinBound(f"no separating power M <= {POWER_CAP}")
 
 
 @dataclass(frozen=True)
 class SeparationSelector:
-    """The two-valued selector u -> {1, g^M} built for one basepoint."""
+    """The two-valued selector u -> {1, g^M} of the coarse quotient, at the
+    basepoint 1: f(u) = 1 when d_A(u^-1, 1) > threshold, else g^M."""
 
     g: Word
     M: int
     threshold: int
-    basepoint: Word
-    rule: dict = field(repr=False, default_factory=dict)
 
     def choose(self, pm: ProjectionMap, u: Word) -> Word:
-        cached = self.rule.get(u)
-        if cached is not None:
-            return cached
-        y = self.basepoint
-        if pm.projected_distance(u.inverse() * y, y) > self.threshold:
-            value = self.g.group.identity()
-        else:
-            value = self.g**self.M
-        self.rule[u] = value
-        return value
+        identity = self.g.group.identity()
+        if pm.projected_distance(u.inverse(), identity) > self.threshold:
+            return identity
+        return self.g**self.M
 
 
-def separation_selector(g: Word, M: int, epsilon: int, theta: int, y: Word,
-                        sample_radius: int) -> SeparationSelector:
-    """Build and certify the selector of the coarse-quotient construction.
+def find_selector_power(g: Word, epsilon: int, theta: int,
+                        sample_radius: int) -> tuple[int, SeparationSelector]:
+    """The least M <= POWER_CAP whose selector certifies on B(o, r).
 
-    Rule: f(u) = 1 when d_A(u^-1 y, y) > theta + epsilon, else g^M.
-    Certification: every u in B(o, r) must satisfy
-    d_A(u^-1 y, f(u) y) > theta + epsilon; when some u fails, M was too
-    small and NotFoundWithinBound is raised.
+    Certification: every u in B(o, r) satisfies
+    d_A(u^-1, f(u)) > theta + epsilon.  Where f(u) = 1 the rule itself says
+    so; where f(u) = g^M, pi(u^-1) lies within theta + epsilon of pi(1).
+    So M certifies exactly when no such position also lies within
+    theta + epsilon of pi(g^M).  The positions are read in one pass over
+    the ball, each with the first u that reaches it, and M = 1, 2, ... is
+    tried against them.  Past POWER_CAP it raises NotFoundWithinBound with
+    the first u of the ball that fails at POWER_CAP and its distance.
     """
     pm = ProjectionMap(Axis(g))
     bound = theta + epsilon
-    selector = SeparationSelector(g=g, M=M, threshold=bound, basepoint=y)
-    worst = None
+    origin = pm.position(g.group.identity())
+    near: dict[int, Word] = {}
     for u in ball_elements(g.group, sample_radius):
-        f_u = selector.choose(pm, u)
-        achieved = pm.projected_distance(u.inverse() * y, f_u * y)
-        if achieved <= bound:
-            worst = (str(u), achieved)
-            break
-    if worst is not None:
-        raise NotFoundWithinBound(
-            f"selector bound {bound} violated at u = {worst[0]} (achieved {worst[1]}); "
-            "increase M", best=worst)
-    return selector
-
-
-def find_selector_power(g: Word, epsilon: int, theta: int, y: Word,
-                        sample_radius: int) -> tuple[int, SeparationSelector]:
-    """Doubling search for the least power M whose selector certifies.
-
-    The certification requirement grows like 2(theta + epsilon) over the
-    translation length; no closed form is used, the search simply doubles
-    M until the exhaustive check passes, then refines downward.
-    """
-    return _doubling_search(
-        lambda m: separation_selector(g, m, epsilon, theta, y, sample_radius),
-        f"no selector power <= {POWER_CAP}")
+        t = pm.position(u.inverse())
+        if abs(t - origin) <= bound:
+            near.setdefault(t, u)
+    for M in range(1, POWER_CAP + 1):
+        target = pm.position(g**M)
+        failing = [(str(u), abs(t - target)) for t, u in near.items()
+                   if abs(t - target) <= bound]
+        if not failing:
+            return M, SeparationSelector(g, M, bound)
+    raise NotFoundWithinBound(f"no selector power <= {POWER_CAP}", best=failing[0])

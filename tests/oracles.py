@@ -13,7 +13,10 @@ of ``growthlab.audits``.  The ball scan ``closure_by_scan`` multiplies
 package words too; it is the reference for the elementary closure read
 off the axis, and the pair scan ``unclosed_product`` for its closure
 under products.  Subgroup membership in F_k reads ``string_fold``, a
-Stallings fold over strings.
+Stallings fold over strings.  The coarse-quotient references are the
+package's own former scans: ``selector_certifies`` walks the ball at one
+power with ``ProjectionMap``, and ``cq1_by_pairs`` measures every pair of
+each class with ``distance``.
 """
 
 from __future__ import annotations
@@ -25,9 +28,10 @@ from dataclasses import dataclass
 import numpy as np
 from hypothesis import strategies as st
 
-from growthlab import ball_elements, distance, is_torsion, primitive_root
+from growthlab import Axis, ProjectionMap, ball_elements, distance, is_torsion, primitive_root
 from growthlab.audits import ConstrictionReport
 from growthlab.errors import BudgetExceeded, NotFoundWithinBound
+from growthlab.stallings import coset_key
 
 
 # -- free groups as strings ------------------------------------------------
@@ -593,6 +597,34 @@ def subgroup_in_ball(gens, radius) -> set:
         if len(members) > 100_000:
             raise NotFoundWithinBound(f"<{gens}> has over 100,000 elements in B(o, {bound})")
     return {w for w in members if w.length <= radius}
+
+
+# -- the coarse quotient by walks and pairs ----------------------------------
+
+def selector_certifies(g, M, bound, radius) -> bool:
+    """Whether the selector f(u) = 1 when d_A(u^-1, 1) > bound, else g^M,
+    has d_A(u^-1, f(u)) > bound at every u of B(o, radius): one walk of the
+    ball at one power, as the selector search once made for each M."""
+    pm = ProjectionMap(Axis(g))
+    one, gM = g.group.identity(), g**M
+    for u in ball_elements(g.group, radius):
+        f_u = one if pm.projected_distance(u.inverse(), one) > bound else gM
+        if pm.projected_distance(u.inverse(), f_u) <= bound:
+            return False
+    return True
+
+
+def cq1_by_pairs(subgroup, g, selector, radius) -> int:
+    """theta_CQ1 of phi(u) = u f(u) over B(o, radius): the largest distance
+    between phi(u) and phi(v) over every pair u, v whose classes phi(u)H
+    agree, with no use of the tree."""
+    pm = ProjectionMap(Axis(g))
+    classes: dict = {}
+    for u in ball_elements(g.group, radius):
+        phi = u * selector.choose(pm, u)
+        classes.setdefault(coset_key(subgroup, phi.inverse()), []).append(phi)
+    return max((distance(p, q) for members in classes.values()
+                for p, q in itertools.combinations(members, 2)), default=0)
 
 
 FINITE_SUBGROUP_CAP = 4096  # elements a finite subgroup's closure may reach

@@ -320,6 +320,18 @@ def test_selector_command(sub_file, tmp_path):
     assert payload["coarse_quotient"]["verdict"] == "PASS"
 
 
+def test_selector_with_one_class_runs_past_the_old_pair_cap(tmp_path):
+    """H = <a, b> puts all 4,373 points of B(o, 7) in one coset class, of
+    9,559,378 pairs; CQ1 reads the class diameter without the pairs."""
+    sub = tmp_path / "rose.txt"
+    sub.write_text("a\nb\n")
+    out = tmp_path / "sel.json"
+    code = main(["selector", "--group", "free:2", "--subgroup", str(sub),
+                 "--g0", "b", "--rmax", "7", "--out", str(out)])
+    assert code == 0
+    assert json.loads(out.read_text())["coarse_quotient"]["theta_cq1"] == 20
+
+
 def test_config_file(tmp_path, sub_file):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"group": "free:2", "subgroup": sub_file,

@@ -7,11 +7,11 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from growthlab import (Axis, MarkedGroup, ProjectionMap, closure, is_torsion, primitive_root,
-                       stallings_fold)
-from growthlab.closure import (elementary_closure, find_selector_power,
+from growthlab import (Axis, MarkedGroup, ProjectionMap, ball_elements, closure, is_torsion,
+                       primitive_root, stallings_fold)
+from growthlab.closure import (SeparationSelector, elementary_closure, find_selector_power,
                                find_transversal_conjugate, geometric_separation_power,
-                               separation_selector, subgroup_closure_intersection)
+                               subgroup_closure_intersection)
 from growthlab.errors import (BudgetExceeded, CrossCheckFailed, FiniteOrderElement,
                               NotFoundWithinBound, PreconditionFailed)
 
@@ -276,6 +276,29 @@ def test_closure_intersection_matches_the_scan(case):
         oracles.closure_members(g, sub.elements_in_ball(6))
 
 
+def _separates(sub, g, m, theta) -> bool:
+    """Whether every sampled u in <g^m, H&E> - H&E has d_A(Y, uY) > theta."""
+    pm = ProjectionMap(Axis(g))
+    radius = closure.SEPARATION_ORBIT_RADIUS
+    y = list(sub.elements_in_ball(radius))
+    f_elements = subgroup_closure_intersection(sub, g, radius)
+    return all(pm.projected_set_distance(y, [u * p for p in y]) > theta
+               for u in closure._coset_words(g, m, f_elements, closure.SEPARATION_J_MAX))
+
+
+@pytest.mark.parametrize("gens, g, epsilon, theta, want", [
+    (["a"], "b", 0, 2, 3), (["a"], "b", 0, 0, 1), (["bb"], "b", 100, 1, 14),
+    (["a", "baB"], "b", 1, 2, 4), (["aa", "bb"], "ab", 100, 3, 3),
+    (["abAB"], "ba", 100, 2, 3)])
+def test_separation_power_is_the_least_that_separates(f2, gens, g, epsilon, theta, want):
+    """M separates and M - 1 does not, recomputed on the same samples."""
+    sub, g = fold(f2, gens), f2.parse(g)
+    m = geometric_separation_power(sub, g, epsilon=epsilon, theta=theta)["M"]
+    assert m == want
+    assert _separates(sub, g, m, theta)
+    assert m == 1 or not _separates(sub, g, m - 1, theta)
+
+
 def test_separation_power_precondition(f2):
     sub = fold(f2, ["a"])
     with pytest.raises(PreconditionFailed):
@@ -292,33 +315,67 @@ def test_separation_power_excludes_h_cap_e(z23):
 
 
 def test_selector_rows_satisfy_bound(f2):
-    sel = separation_selector(f2.parse("b"), M=4, epsilon=0, theta=1,
-                              y=f2.identity(), sample_radius=4)
+    sel = SeparationSelector(f2.parse("b"), 4, 1)
     pm = ProjectionMap(Axis(f2.parse("b")))
     gm = f2.parse("b") ** 4
-    for u, f_u in sel.rule.items():
+    for u in ball_elements(f2, 4):
+        f_u = sel.choose(pm, u)
         assert f_u.is_identity or f_u == gm
-        assert pm.projected_distance(u.inverse() * sel.basepoint,
-                                     f_u * sel.basepoint) > sel.threshold
+        assert pm.projected_distance(u.inverse(), f_u) > sel.threshold
 
 
 def test_selector_branches(f2):
-    sel = separation_selector(f2.parse("b"), M=4, epsilon=0, theta=1,
-                              y=f2.identity(), sample_radius=4)
+    sel = SeparationSelector(f2.parse("b"), 4, 1)
     pm = ProjectionMap(Axis(f2.parse("b")))
-    # u = b^-3: u^-1 y = b^3 projects far: first branch, f = 1
+    # u = b^-3: u^-1 = b^3 projects far from 1: first branch, f = 1
     assert sel.choose(pm, f2.parse("BBB")).is_identity
     # u = 1 projects to the basepoint itself: second branch, f = g^M
     assert sel.choose(pm, f2.identity()) == f2.parse("b") ** 4
 
 
 def test_selector_power_search(f2):
-    m, sel = find_selector_power(f2.parse("b"), epsilon=0, theta=1,
-                                 y=f2.identity(), sample_radius=4)
-    assert m == 3
-    with pytest.raises(NotFoundWithinBound):
-        separation_selector(f2.parse("b"), M=1, epsilon=0, theta=1,
-                            y=f2.identity(), sample_radius=4)
+    m, sel = find_selector_power(f2.parse("b"), epsilon=0, theta=1, sample_radius=4)
+    assert (m, sel.M, sel.threshold) == (3, 3, 1)
+    assert oracles.selector_certifies(f2.parse("b"), 3, 1, 4)
+    assert not any(oracles.selector_certifies(f2.parse("b"), k, 1, 4) for k in (1, 2))
+
+
+def test_selector_power_past_the_cap_is_refused(f2, monkeypatch):
+    """Past POWER_CAP the search names the first u of the ball, in its
+    depth-first order, that fails there, and its distance: u = abaB, whose
+    u^-1 = bABA projects to position 1, within the bound 1 of g^2 at 2."""
+    monkeypatch.setattr(closure, "POWER_CAP", 2)
+    with pytest.raises(NotFoundWithinBound) as exc:
+        find_selector_power(f2.parse("b"), epsilon=0, theta=1, sample_radius=4)
+    assert exc.value.best == ("abaB", 1)
+
+
+SELECTOR_GROUPS = ("free:2", "free:3", "product:2,3", "product:4,4")
+
+
+@st.composite
+def selector_cases(draw):
+    """An infinite-order word of length 1 to 4, conjugated by one of length
+    0 to 2, in one of SELECTOR_GROUPS; epsilon, theta and a radius."""
+    group = MarkedGroup.from_descriptor(draw(st.sampled_from(SELECTOR_GROUPS)))
+    signed = [s * (i + 1) for i in range(group.rank) for s in (1, -1)]
+    g = group.from_letters(draw(st.lists(st.sampled_from(signed), min_size=1, max_size=4)))
+    assume(not is_torsion(g))
+    u = group.from_letters(draw(st.lists(st.sampled_from(signed), max_size=2)))
+    return g.conjugated_by(u), draw(st.integers(0, 2)), draw(st.integers(0, 3)), \
+        draw(st.integers(1, 4))
+
+
+@given(selector_cases())
+@settings(max_examples=40, deadline=None)
+def test_selector_power_is_the_least_the_walk_certifies(case):
+    """The power read from the ball's positions is the least M that the
+    walk of the ball at one power certifies."""
+    g, epsilon, theta, r = case
+    m, sel = find_selector_power(g, epsilon, theta, r)
+    assert (sel.g, sel.M, sel.threshold) == (g, m, theta + epsilon)
+    assert oracles.selector_certifies(g, m, theta + epsilon, r)
+    assert not any(oracles.selector_certifies(g, k, theta + epsilon, r) for k in range(1, m))
 
 
 @pytest.mark.parametrize("text", ["ab", "aab", "baB", "abAB", "bb"])

@@ -11,11 +11,10 @@ from pathlib import Path
 import pytest
 
 from growthlab import MarkedGroup, ball, growth_rate, relative_growth, stallings_fold
-from growthlab.closure import separation_selector
 from growthlab.errors import PreconditionFailed
 from growthlab.theorems import ExperimentConfig
 
-from oracles import spectral_radius, syllable_transfer_z2z3
+from oracles import selector_certifies, spectral_radius, syllable_transfer_z2z3
 
 
 def fold(group, words):
@@ -65,10 +64,9 @@ def test_independent_estimators_agree(f2):
 
 def test_selector_monotone_in_power(f2):
     """If the selector certifies at M, it certifies at 2M as well."""
-    y = f2.identity()
     for m in (3, 4):
-        separation_selector(f2.parse("b"), M=m, epsilon=0, theta=1, y=y, sample_radius=4)
-        separation_selector(f2.parse("b"), M=2 * m, epsilon=0, theta=1, y=y, sample_radius=4)
+        assert selector_certifies(f2.parse("b"), m, 1, 4)
+        assert selector_certifies(f2.parse("b"), 2 * m, 1, 4)
 
 
 def test_experiment_config_validation():

@@ -6,14 +6,14 @@ import math
 from dataclasses import asdict, replace
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
 from growthlab import MarkedGroup, Word, stallings_fold
 from growthlab.closure import (SeparationSelector, find_selector_power,
                                find_transversal_conjugate, geometric_separation_power)
-from growthlab import balls, theorems
+from growthlab import theorems
 from growthlab.balls import ELEMENT_CAP
 from growthlab.errors import (BudgetExceeded, CounterexampleFound, HypothesisFailed,
                               PreconditionFailed)
@@ -495,8 +495,7 @@ def test_free_witness_same_axis_rejected(f2):
 
 def test_coarse_quotient_cyclic(f2):
     sub = fold(f2, ["a"])
-    m, sel = find_selector_power(f2.parse("b"), epsilon=0, theta=1,
-                                 y=f2.identity(), sample_radius=5)
+    m, sel = find_selector_power(f2.parse("b"), epsilon=0, theta=1, sample_radius=5)
     rep = coarse_quotient_check(sub, f2.parse("b"), sel, 5)
     assert rep.verdict == "PASS"
     assert rep.theta_cq1 == 0  # same phi-coset forces equal basepoint image
@@ -506,39 +505,61 @@ def test_coarse_quotient_cyclic(f2):
 
 def test_coarse_quotient_trivial_pair(f2):
     sub = fold(f2, ["a"])
-    _, sel = find_selector_power(f2.parse("b"), epsilon=0, theta=1,
-                                 y=f2.identity(), sample_radius=4)
+    _, sel = find_selector_power(f2.parse("b"), epsilon=0, theta=1, sample_radius=4)
     rep = coarse_quotient_check(sub, f2.parse("b"), sel, 4)
     # u = v is in the same class with distance 0; theta_cq1 stays 0
     assert rep.theta_cq1 == 0
 
 
-@pytest.mark.parametrize("r, cap, refusal", [
-    (7, 2_000_000, "9559378 pairs exceed cap 2000000"), (3, 1378, None),
-    (3, 1377, "1378 pairs exceed cap 1377")])
-def test_coarse_quotient_pairs_are_refused_before_cq1(f2, monkeypatch, r, cap, refusal):
-    """H = <a, b> = F2 puts all of B(o, r) in one class: C(4373, 2) =
-    9,559,378 CQ1 pairs at r = 7, and C(53, 2) = 1,378 at r = 3.  Past the
-    cap the check makes only its |B(o, r)| CQ2 distance calls."""
-    monkeypatch.setattr(balls, "PAIR_CAP", cap)
-    points = sum(oracles.free_ball(2, r)[0])
+def test_coarse_quotient_diameters_take_linear_distance_calls(f2, monkeypatch):
+    """H = <a, b> = F2 puts all of B(o, 7), 4,373 points, in one class, of
+    C(4373, 2) = 9,559,378 pairs.  CQ1 reads its diameter from a farthest
+    point in at most 2 |B(o, 7)| = 8,746 distance calls."""
     calls = [0]
 
     def counting(u, v):
         calls[0] += 1
-        if refusal and calls[0] > points:
-            pytest.fail("CQ1 compared a pair")
         return distance(u, v)
 
     monkeypatch.setattr(theorems, "distance", counting)
-    sel = SeparationSelector(g=f2.parse("b"), M=3, threshold=1, basepoint=f2.identity())
-    sub = fold(f2, ["a", "b"])
-    if refusal:
-        with pytest.raises(BudgetExceeded, match=f"^{refusal}$"):
-            coarse_quotient_check(sub, f2.parse("b"), sel, r)
-        assert calls[0] == points
+    sel = SeparationSelector(f2.parse("b"), 3, 1)
+    rep = coarse_quotient_check(fold(f2, ["a", "b"]), f2.parse("b"), sel, 7)
+    assert (rep.verdict, rep.theta_cq1) == ("PASS", 20)
+    assert calls[0] <= 2 * sum(oracles.free_ball(2, 7)[0]) == 8746
+
+
+F2, F3 = MarkedGroup.free(2), MarkedGroup.free(3)
+
+
+@st.composite
+def coarse_quotient_cases(draw):
+    """A random subgroup of F2 at radius 1 to 5, or of F3 at 1 to 4; g a
+    reduced word of length 1 to 3; a selector with M in 1..4 and a
+    threshold in 0..3."""
+    if draw(st.booleans()):
+        group, gens, r = F2, draw(oracles.SUBGROUPS), draw(st.integers(1, 5))
     else:
-        assert coarse_quotient_check(sub, f2.parse("b"), sel, r).verdict == "PASS"
+        words = st.lists(st.sampled_from("abcABC"), min_size=1, max_size=4).map("".join)
+        group, r = F3, draw(st.integers(1, 4))
+        gens = draw(st.lists(words, min_size=1, max_size=3))
+        assume(all(not F3.parse(w).is_identity for w in gens))
+    g = group.parse(draw(st.lists(st.sampled_from("abAB"), min_size=1, max_size=3)
+                         .map("".join)))
+    assume(not g.is_identity)
+    sel = SeparationSelector(g, draw(st.integers(1, 4)), draw(st.integers(0, 3)))
+    return fold(group, gens), g, sel, r
+
+
+@given(coarse_quotient_cases())
+@example((fold(F2, ["aa", "bb"]), F2.parse("b"), SeparationSelector(F2.parse("b"), 3, 1), 5))
+@example((fold(F2, ["a", "b"]), F2.parse("b"), SeparationSelector(F2.parse("b"), 3, 1), 4))
+@settings(max_examples=40, deadline=None)
+def test_coarse_quotient_cq1_matches_the_pair_scan(case):
+    """The class diameters read from farthest points are those of the scan
+    of every pair in each class."""
+    sub, g, sel, r = case
+    assert coarse_quotient_check(sub, g, sel, r).theta_cq1 == \
+        oracles.cq1_by_pairs(sub, g, sel, r)
 
 
 # -- report determinism ---------------------------------------------------------------------
