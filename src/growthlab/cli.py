@@ -44,9 +44,8 @@ from .groups import MarkedGroup
 from .reports import (flatten_for_csv, growth_records, render_csv, render_json,
                       write_text)
 from .stallings import CoreGraph, stallings_fold
-from .theorems import (ExperimentConfig, amalgam_injectivity,
-                       coarse_quotient_check, verify_growth_gap,
-                       verify_quotient_growth)
+from .theorems import (ExperimentConfig, amalgam_injectivity, coarse_quotient_check,
+                       verify_growth_gap, verify_quotient_growth)
 
 EXIT_OK = 0
 EXIT_HYPOTHESIS = 2
@@ -258,11 +257,10 @@ def cmd_selector(args) -> int:
     _at_least("--rmax", args.rmax, 1)
     group = _group(args.group)
     sub = _core(group, _read_subgroup(args.subgroup))
-    g = group.parse(args.g0)
-    m, sel = find_selector_power(g, epsilon=args.epsilon, theta=args.theta,
-                                 sample_radius=args.rmax)
-    report = coarse_quotient_check(sub, g, sel, args.rmax)
-    payload = {"M": m, "threshold": sel.threshold, "coarse_quotient": report}
+    sel = find_selector_power(group.parse(args.g0), epsilon=args.epsilon, theta=args.theta,
+                              sample_radius=args.rmax)
+    report = coarse_quotient_check(sub, sel, args.rmax)
+    payload = {"M": sel.M, "threshold": sel.threshold, "coarse_quotient": report}
     _emit(payload, args)
     return EXIT_OK if report.verdict == "PASS" else EXIT_HYPOTHESIS
 

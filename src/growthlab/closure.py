@@ -11,7 +11,9 @@ u g u^-1 = g^{+-1}: the uniform power M is 1, and that single identity is
 the membership test, and the presentation certifies the list of
 ``elementary_closure``, which a letter budget bounds.  The separation and
 selector powers have no closed form; each is the least M <= POWER_CAP that
-passes its check on the sample, found by trying M = 1, 2, ... in turn.
+passes its check on the sample, trying M = 1, 2, ... in turn.  Each sample
+is read once: the selector carries its search's projections, and H & E(g)
+is filtered from the caller's listing of H.
 """
 
 from __future__ import annotations
@@ -165,10 +167,10 @@ def find_transversal_conjugate(subgroup, g0: Word, search_radius: int,
         best={"k": str(best[1]), "diameter": best[0]})
 
 
-def subgroup_closure_intersection(subgroup, g: Word, radius: int) -> list[Word]:
-    """H & E(g) in B(o, radius): the subgroup elements u there with
-    u g u^-1 = g^{+-1}, exact by the theorem in the module docstring."""
-    return list(filter(_criterion(g), subgroup.elements_in_ball(radius)))
+def subgroup_closure_intersection(elements, g: Word) -> list[Word]:
+    """H & E(g) among ``elements``, a listing of H & B(o, R): the u there
+    with u g u^-1 = g^{+-1}, exact by the theorem in the module docstring."""
+    return list(filter(_criterion(g), elements))
 
 
 def _coset_words(g: Word, M: int, f_elements: list[Word], j_max: int) -> list[Word]:
@@ -195,11 +197,11 @@ def geometric_separation_power(subgroup, g: Word, epsilon: int, theta: int) -> d
     u in <g^M, H&E> - H&E must satisfy d_A(Y, uY) > theta.
     """
     pm = ProjectionMap(Axis(g))
-    y_sample = [h for h in subgroup.elements_in_ball(SEPARATION_ORBIT_RADIUS)]
+    y_sample = list(subgroup.elements_in_ball(SEPARATION_ORBIT_RADIUS))
     diam = pm.projected_diameter(y_sample)
     if diam > epsilon:
         raise PreconditionFailed(f"diam_A(Y) = {diam} > epsilon = {epsilon}")
-    f_elements = subgroup_closure_intersection(subgroup, g, SEPARATION_ORBIT_RADIUS)
+    f_elements = subgroup_closure_intersection(y_sample, g)
     for M in range(1, POWER_CAP + 1):
         words = _coset_words(g, M, f_elements, SEPARATION_J_MAX)
         if all(pm.projected_set_distance(y_sample, [u * y for y in y_sample]) > theta
@@ -209,25 +211,23 @@ def geometric_separation_power(subgroup, g: Word, epsilon: int, theta: int) -> d
     raise NotFoundWithinBound(f"no separating power M <= {POWER_CAP}")
 
 
-@dataclass(frozen=True)
 class SeparationSelector:
-    """The two-valued selector u -> {1, g^M} of the coarse quotient, at the
-    basepoint 1: f(u) = 1 when d_A(u^-1, 1) > threshold, else g^M."""
+    """The coarse quotient's selector, at the basepoint 1: f(u) = 1 when
+    d_A(u^-1, 1) > threshold, read on ``pm`` (the search's map), else g^M."""
 
-    g: Word
-    M: int
-    threshold: int
+    def __init__(self, pm: ProjectionMap, M: int, threshold: int):
+        self.pm, self.M, self.threshold = pm, M, threshold
+        self.g, self.power = pm.axis.element, pm.axis.element**M
+        self._origin = pm.position(self.g.group.identity())
 
-    def choose(self, pm: ProjectionMap, u: Word) -> Word:
-        identity = self.g.group.identity()
-        if pm.projected_distance(u.inverse(), identity) > self.threshold:
-            return identity
-        return self.g**self.M
+    def moves(self, u_inv: Word) -> bool:
+        """Whether f(u) = g^M, read off pi_A(u^-1)."""
+        return abs(self.pm.position(u_inv) - self._origin) <= self.threshold
 
 
 def find_selector_power(g: Word, epsilon: int, theta: int,
-                        sample_radius: int) -> tuple[int, SeparationSelector]:
-    """The least M <= POWER_CAP whose selector certifies on B(o, r).
+                        sample_radius: int) -> SeparationSelector:
+    """The selector of the least M <= POWER_CAP that certifies on B(o, r).
 
     Certification: every u in B(o, r) satisfies
     d_A(u^-1, f(u)) > theta + epsilon.  Where f(u) = 1 the rule itself says
@@ -235,8 +235,9 @@ def find_selector_power(g: Word, epsilon: int, theta: int,
     So M certifies exactly when no such position also lies within
     theta + epsilon of pi(g^M).  The positions are read in one pass over
     the ball, each with the first u that reaches it, and M = 1, 2, ... is
-    tried against them.  Past POWER_CAP it raises NotFoundWithinBound with
-    the first u of the ball that fails at POWER_CAP and its distance.
+    tried against them; the selector keeps the map.  Past POWER_CAP it
+    raises NotFoundWithinBound with the first u of the ball that fails at
+    POWER_CAP and its distance.
     """
     pm = ProjectionMap(Axis(g))
     bound = theta + epsilon
@@ -251,5 +252,5 @@ def find_selector_power(g: Word, epsilon: int, theta: int,
         failing = [(str(u), abs(t - target)) for t, u in near.items()
                    if abs(t - target) <= bound]
         if not failing:
-            return M, SeparationSelector(g, M, bound)
+            return SeparationSelector(pm, M, bound)
     raise NotFoundWithinBound(f"no selector power <= {POWER_CAP}", best=failing[0])

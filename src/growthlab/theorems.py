@@ -30,8 +30,7 @@ from typing import ClassVar
 
 from .axes import Axis, ProjectionMap
 from .balls import ELEMENT_CAP, ball_elements, sphere_counts
-from .closure import (SeparationSelector, subgroup_closure_intersection,
-                      _coset_words)
+from .closure import SeparationSelector, _coset_words, subgroup_closure_intersection
 from .errors import BudgetExceeded, CounterexampleFound, HypothesisFailed, PreconditionFailed
 from .groups import MarkedGroup, Word, distance, is_torsion
 from .schreier import coset_sphere_sizes, schreier_growth
@@ -198,7 +197,8 @@ def amalgam_injectivity(subgroup, g: Word, M: int, n_syllables: int,
     are ball-bounded elements of H - (H&E) and <g^M, H&E> - (H&E), maps it
     through word arithmetic, and requires a nontrivial image.  With H&E
     trivial, distinct alternating words are distinct amalgam elements, so
-    image collisions are counterexamples too.
+    image collisions are counterexamples too.  One listing of H & B(o,
+    letter_cap + 2) gives H & E and, cut at letter_cap in order, the H-pool.
 
     The search (``_search``) is depth-first, H-letters first, each pool in
     its order, and keeps only each word's image, a normal-form tuple that
@@ -214,11 +214,11 @@ def amalgam_injectivity(subgroup, g: Word, M: int, n_syllables: int,
     """
     if subgroup.contains(g ** M):
         raise PreconditionFailed("empty letter pool; enlarge letter_cap or shrink M")
-    f_elements = subgroup_closure_intersection(subgroup, g, letter_cap + 2)
+    listed = list(subgroup.elements_in_ball(letter_cap + 2))
+    f_elements = subgroup_closure_intersection(listed, g)
     f_set = set(f_elements)
     collisions = all(f.is_identity for f in f_elements)
-    pool_h = [h for h in subgroup.elements_in_ball(letter_cap)
-              if not h.is_identity and h not in f_set]
+    pool_h = [h for h in listed if 0 < h.length <= letter_cap and h not in f_set]
     pool_k = [w for w in _coset_words(g, M, f_elements, AMALGAM_J_MAX)
               if w.length <= letter_cap]
     if not pool_h or not pool_k:
@@ -361,12 +361,13 @@ class CoarseQuotientReport:
     sample_radius: int
 
 
-def coarse_quotient_check(subgroup, g: Word, selector: SeparationSelector,
+def coarse_quotient_check(subgroup, selector: SeparationSelector,
                           sample_radius: int) -> CoarseQuotientReport:
     """Exhaustive CQ1/CQ2 check of phi(u) = u f(u) on B(o, r), at the
     basepoint 1, plus the ball-counting inequality
     |B(o,r)| <= kappa |L(B(o,r+theta))| with kappa = |B(o,3 theta)|, for r
-    in COUNTING_RADII.
+    in COUNTING_RADII.  f reads each pi(u^-1) from the selector's map, where
+    ``find_selector_power`` on the same ball left it.
 
     The check reads the core (``coset_key``, ``coset_sphere_sizes``), so it
     runs only in F_k, whose Cayley graph is a tree.  CQ2 is the largest
@@ -376,18 +377,18 @@ def coarse_quotient_check(subgroup, g: Word, selector: SeparationSelector,
     diameter takes 2|class| ``distance`` calls, not one per pair.  The
     counts come from one sphere DP and one coset count.
     """
-    group = g.group
-    pm = ProjectionMap(Axis(g))
+    group = selector.g.group
+    power, power_inv = selector.power, selector.power.inverse()
 
-    # CQ1: group by LEFT coset phi(u)H; uH <-> Hu^-1, so the class key is
-    # the coset key of the inverse word
+    # CQ1: group by LEFT coset phi(u)H; uH <-> Hu^-1, so the class key is the
+    # coset key of phi(u)^-1 = f(u)^-1 u^-1, from one inverse per u
     classes: dict[tuple, list[Word]] = {}
     theta_cq2 = 0
     for u in ball_elements(group, sample_radius):
-        f_u = selector.choose(pm, u)
-        phi_u = u * f_u
-        theta_cq2 = max(theta_cq2, f_u.length)
-        classes.setdefault(coset_key(subgroup, phi_u.inverse()), []).append(phi_u)
+        phi, phi_inv = u, u.inverse()
+        if selector.moves(phi_inv):  # f(u) = g^M, and |f(u)| is CQ2
+            phi, phi_inv, theta_cq2 = u * power, power_inv * phi_inv, power.length
+        classes.setdefault(coset_key(subgroup, phi_inv), []).append(phi)
     theta_cq1 = 0
     for members in classes.values():
         far = max(members, key=lambda v: distance(members[0], v))

@@ -5,7 +5,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from growthlab import MarkedGroup, Word
+from growthlab import MarkedGroup, ProjectionMap, Word
 
 
 @pytest.fixture(scope="session")
@@ -39,4 +39,19 @@ def products(monkeypatch):
         return mul(u, v)
 
     monkeypatch.setattr(Word, "__mul__", counting)
+    return count
+
+
+@pytest.fixture()
+def projections(monkeypatch):
+    """The count of axis projections computed, not read from a memo
+    (``ProjectionMap._nearest`` calls), since the fixture was set up."""
+    count = [0]
+    nearest = ProjectionMap._nearest
+
+    def counting(pm, x):
+        count[0] += 1
+        return nearest(pm, x)
+
+    monkeypatch.setattr(ProjectionMap, "_nearest", counting)
     return count

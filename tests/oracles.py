@@ -614,14 +614,17 @@ def selector_certifies(g, M, bound, radius) -> bool:
     return True
 
 
-def cq1_by_pairs(subgroup, g, selector, radius) -> int:
+def cq1_by_pairs(subgroup, selector, radius) -> int:
     """theta_CQ1 of phi(u) = u f(u) over B(o, radius): the largest distance
     between phi(u) and phi(v) over every pair u, v whose classes phi(u)H
-    agree, with no use of the tree."""
+    agree, with no use of the tree.  f is the selector's rule, read through
+    a map of its own, not the selector's."""
+    g = selector.g
     pm = ProjectionMap(Axis(g))
+    one, gM = g.group.identity(), g**selector.M
     classes: dict = {}
     for u in ball_elements(g.group, radius):
-        phi = u * selector.choose(pm, u)
+        phi = u * (one if pm.projected_distance(u.inverse(), one) > selector.threshold else gM)
         classes.setdefault(coset_key(subgroup, phi.inverse()), []).append(phi)
     return max((distance(p, q) for members in classes.values()
                 for p, q in itertools.combinations(members, 2)), default=0)

@@ -185,8 +185,8 @@ def test_criterion_09_coarse_quotient(f2):
     with kappa = |B(o, 3 theta)|."""
     t0 = time.perf_counter()
     sub = stallings_fold(f2, [f2.parse("a")])
-    m, sel = find_selector_power(f2.parse("b"), epsilon=0, theta=1, sample_radius=5)
-    rep = coarse_quotient_check(sub, f2.parse("b"), sel, 5)
+    sel = find_selector_power(f2.parse("b"), epsilon=0, theta=1, sample_radius=5)
+    rep = coarse_quotient_check(sub, sel, 5)
     assert [r for r, _, _, _ in rep.counting] == [3, 4, 5]
     assert rep.verdict == "PASS"
     assert all(ok for (_, _, _, ok) in rep.counting)

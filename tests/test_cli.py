@@ -3,6 +3,7 @@
 import json
 import math
 
+import oracles
 import pytest
 
 from growthlab import cli
@@ -330,6 +331,20 @@ def test_selector_with_one_class_runs_past_the_old_pair_cap(tmp_path):
                  "--g0", "b", "--rmax", "7", "--out", str(out)])
     assert code == 0
     assert json.loads(out.read_text())["coarse_quotient"]["theta_cq1"] == 20
+
+
+def test_selector_projects_each_point_once(tmp_path, projections):
+    """The coarse-quotient check reads f(u) through the map the selector
+    search filled: one projection per u^-1 of B(o, 6), plus pi(1) and
+    pi(g^m) for m = 1..M, and none in the check."""
+    sub = tmp_path / "rose.txt"
+    sub.write_text("a\nb\n")
+    out = tmp_path / "sel.json"
+    code = main(["selector", "--group", "free:2", "--subgroup", str(sub),
+                 "--g0", "b", "--rmax", "6", "--out", str(out)])
+    assert code == 0
+    ball = sum(oracles.free_ball(2, 6)[0])
+    assert projections[0] <= ball + json.loads(out.read_text())["M"] + 1
 
 
 def test_config_file(tmp_path, sub_file):

@@ -237,7 +237,7 @@ def test_coset_words_are_distinct_when_h_meets_the_closure(f2):
     from growthlab.closure import (SEPARATION_J_MAX, _coset_words,
                                    subgroup_closure_intersection)
     sub, b = fold(f2, ["bb"]), f2.parse("b")
-    f_elements = subgroup_closure_intersection(sub, b, 6)
+    f_elements = subgroup_closure_intersection(sub.elements_in_ball(6), b)
     f_exps = {2 * i for i in range(-3, 4)}
     assert {str(f) for f in f_elements} == {str(b**e) for e in f_exps}
     js = [j for j in range(-4, 5) if j]
@@ -248,7 +248,7 @@ def test_coset_words_are_distinct_when_h_meets_the_closure(f2):
     assert words[:4] == [b**e for e in js if e % 2]
 
     rec = geometric_separation_power(sub, b, epsilon=100, theta=1)
-    f_elements = subgroup_closure_intersection(sub, b, 5)
+    f_elements = subgroup_closure_intersection(sub.elements_in_ball(5), b)
     assert rec["samples"] == len(set(_coset_words(b, rec["M"], f_elements, SEPARATION_J_MAX)))
     assert (rec["M"], rec["samples"]) == (14, 54)
 
@@ -272,7 +272,7 @@ def test_closure_intersection_matches_the_scan(case):
     elements that the scan's m <= M_SCAN keeps."""
     gens, g = case
     sub = fold(F2, gens)
-    assert subgroup_closure_intersection(sub, g, 6) == \
+    assert subgroup_closure_intersection(sub.elements_in_ball(6), g) == \
         oracles.closure_members(g, sub.elements_in_ball(6))
 
 
@@ -281,7 +281,7 @@ def _separates(sub, g, m, theta) -> bool:
     pm = ProjectionMap(Axis(g))
     radius = closure.SEPARATION_ORBIT_RADIUS
     y = list(sub.elements_in_ball(radius))
-    f_elements = subgroup_closure_intersection(sub, g, radius)
+    f_elements = subgroup_closure_intersection(y, g)
     return all(pm.projected_set_distance(y, [u * p for p in y]) > theta
                for u in closure._coset_words(g, m, f_elements, closure.SEPARATION_J_MAX))
 
@@ -310,32 +310,32 @@ def test_separation_power_excludes_h_cap_e(z23):
     # the separation quantifier
     g = z23.parse("xy") * z23.parse("yx")  # infinite order
     sub = oracles.FiniteSubgroup(z23, [z23.parse("x")])
-    f_els = subgroup_closure_intersection(sub, g, 3)
+    f_els = subgroup_closure_intersection(sub.elements_in_ball(3), g)
     assert all(f.is_identity or not oracles.is_power_of(f, g) for f in f_els)
 
 
 def test_selector_rows_satisfy_bound(f2):
-    sel = SeparationSelector(f2.parse("b"), 4, 1)
+    """Checked through a map of the test's own, not the selector's."""
+    sel = SeparationSelector(ProjectionMap(Axis(f2.parse("b"))), 4, 1)
     pm = ProjectionMap(Axis(f2.parse("b")))
-    gm = f2.parse("b") ** 4
+    assert sel.power == f2.parse("b") ** 4
     for u in ball_elements(f2, 4):
-        f_u = sel.choose(pm, u)
-        assert f_u.is_identity or f_u == gm
+        f_u = sel.power if sel.moves(u.inverse()) else f2.identity()
         assert pm.projected_distance(u.inverse(), f_u) > sel.threshold
 
 
 def test_selector_branches(f2):
-    sel = SeparationSelector(f2.parse("b"), 4, 1)
-    pm = ProjectionMap(Axis(f2.parse("b")))
+    sel = SeparationSelector(ProjectionMap(Axis(f2.parse("b"))), 4, 1)
+    assert (sel.g, sel.power) == (f2.parse("b"), f2.parse("b") ** 4)
     # u = b^-3: u^-1 = b^3 projects far from 1: first branch, f = 1
-    assert sel.choose(pm, f2.parse("BBB")).is_identity
+    assert not sel.moves(f2.parse("BBB").inverse())
     # u = 1 projects to the basepoint itself: second branch, f = g^M
-    assert sel.choose(pm, f2.identity()) == f2.parse("b") ** 4
+    assert sel.moves(f2.identity())
 
 
 def test_selector_power_search(f2):
-    m, sel = find_selector_power(f2.parse("b"), epsilon=0, theta=1, sample_radius=4)
-    assert (m, sel.M, sel.threshold) == (3, 3, 1)
+    sel = find_selector_power(f2.parse("b"), epsilon=0, theta=1, sample_radius=4)
+    assert (sel.g, sel.M, sel.threshold) == (f2.parse("b"), 3, 1)
     assert oracles.selector_certifies(f2.parse("b"), 3, 1, 4)
     assert not any(oracles.selector_certifies(f2.parse("b"), k, 1, 4) for k in (1, 2))
 
@@ -372,8 +372,9 @@ def test_selector_power_is_the_least_the_walk_certifies(case):
     """The power read from the ball's positions is the least M that the
     walk of the ball at one power certifies."""
     g, epsilon, theta, r = case
-    m, sel = find_selector_power(g, epsilon, theta, r)
-    assert (sel.g, sel.M, sel.threshold) == (g, m, theta + epsilon)
+    sel = find_selector_power(g, epsilon, theta, r)
+    m = sel.M
+    assert (sel.g, sel.threshold) == (g, theta + epsilon)
     assert oracles.selector_certifies(g, m, theta + epsilon, r)
     assert not any(oracles.selector_certifies(g, k, theta + epsilon, r) for k in range(1, m))
 

@@ -10,10 +10,10 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from growthlab import MarkedGroup, Word, stallings_fold
+from growthlab import Axis, MarkedGroup, ProjectionMap, Word, stallings_fold
 from growthlab.closure import (SeparationSelector, find_selector_power,
                                find_transversal_conjugate, geometric_separation_power)
-from growthlab import theorems
+from growthlab import closure, theorems
 from growthlab.balls import ELEMENT_CAP
 from growthlab.errors import (BudgetExceeded, CounterexampleFound, HypothesisFailed,
                               PreconditionFailed)
@@ -27,6 +27,11 @@ from growthlab.theorems import (ExperimentConfig, amalgam_injectivity,
 
 def fold(group, words):
     return stallings_fold(group, [group.parse(w) for w in words])
+
+
+def selector(g, M, threshold):
+    """The selector of g^M and threshold on a fresh map of the axis of g."""
+    return SeparationSelector(ProjectionMap(Axis(g)), M, threshold)
 
 
 # -- growth gap -----------------------------------------------------------------
@@ -317,6 +322,41 @@ def test_amalgam_power_in_h_is_refused_before_listing(monkeypatch, group, gens, 
         amalgam_injectivity(sub, g, M=M, n_syllables=2, letter_cap=4)
 
 
+@pytest.mark.parametrize("group, gens, g, M, epsilon", [
+    ("free:2", ("aa", "bb"), "b", 1, 100), ("product:2,3", ("x",), "xy", 2, 1)])
+def test_each_run_lists_h_once(monkeypatch, group, gens, g, M, epsilon):
+    """amalgam_injectivity filters H & E(g) from its one listing of
+    H & B(o, N + 2) and cuts its H-pool from it; geometric_separation_power
+    filters H & E(g) from its sample Y.  Checked on a core and on a finite
+    subgroup, whose listings have different orders."""
+    group = MarkedGroup.from_descriptor(group)
+    words = [group.parse(w) for w in gens]
+    sub = fold(group, gens) if group.is_free else oracles.FiniteSubgroup(group, words)
+    g = group.parse(g)
+    listing, radii = sub.elements_in_ball, []
+
+    def counting(radius):
+        radii.append(radius)
+        return listing(radius)
+
+    monkeypatch.setattr(sub, "elements_in_ball", counting)
+    amalgam_injectivity(sub, g, M=M, n_syllables=4, letter_cap=4)
+    assert radii == [6]
+    radii.clear()
+    geometric_separation_power(sub, g, epsilon=epsilon, theta=1)
+    assert radii == [closure.SEPARATION_ORBIT_RADIUS]
+
+
+@given(oracles.SUBGROUPS, st.integers(0, 5))
+@settings(max_examples=40, deadline=None)
+def test_the_pool_cut_keeps_the_listing_order(gens, n):
+    """The H-pool is H & B(o, n + 2) cut at n: the core's listing at n,
+    a depth-first walk, is the walk at n + 2 pruned, in the same order."""
+    sub = fold(MarkedGroup.free(2), gens)
+    assert [h for h in sub.elements_in_ball(n + 2) if h.length <= n] == \
+        list(sub.elements_in_ball(n))
+
+
 def _string_pools(sub, cap):
     """The letter pools of amalgam_injectivity(sub, b, M=1, letter_cap=cap)
     as strings, or None when H & E(b) is nontrivial (collisions are then
@@ -495,18 +535,18 @@ def test_free_witness_same_axis_rejected(f2):
 
 def test_coarse_quotient_cyclic(f2):
     sub = fold(f2, ["a"])
-    m, sel = find_selector_power(f2.parse("b"), epsilon=0, theta=1, sample_radius=5)
-    rep = coarse_quotient_check(sub, f2.parse("b"), sel, 5)
+    sel = find_selector_power(f2.parse("b"), epsilon=0, theta=1, sample_radius=5)
+    rep = coarse_quotient_check(sub, sel, 5)
     assert rep.verdict == "PASS"
     assert rep.theta_cq1 == 0  # same phi-coset forces equal basepoint image
-    assert rep.theta_cq2 == m  # |f(u)| = |g^M|
+    assert rep.theta_cq2 == sel.M  # |f(u)| = |g^M|
     assert all(ok for (_, _, _, ok) in rep.counting)
 
 
 def test_coarse_quotient_trivial_pair(f2):
     sub = fold(f2, ["a"])
-    _, sel = find_selector_power(f2.parse("b"), epsilon=0, theta=1, sample_radius=4)
-    rep = coarse_quotient_check(sub, f2.parse("b"), sel, 4)
+    sel = find_selector_power(f2.parse("b"), epsilon=0, theta=1, sample_radius=4)
+    rep = coarse_quotient_check(sub, sel, 4)
     # u = v is in the same class with distance 0; theta_cq1 stays 0
     assert rep.theta_cq1 == 0
 
@@ -522,8 +562,8 @@ def test_coarse_quotient_diameters_take_linear_distance_calls(f2, monkeypatch):
         return distance(u, v)
 
     monkeypatch.setattr(theorems, "distance", counting)
-    sel = SeparationSelector(f2.parse("b"), 3, 1)
-    rep = coarse_quotient_check(fold(f2, ["a", "b"]), f2.parse("b"), sel, 7)
+    sel = selector(f2.parse("b"), 3, 1)
+    rep = coarse_quotient_check(fold(f2, ["a", "b"]), sel, 7)
     assert (rep.verdict, rep.theta_cq1) == ("PASS", 20)
     assert calls[0] <= 2 * sum(oracles.free_ball(2, 7)[0]) == 8746
 
@@ -546,20 +586,20 @@ def coarse_quotient_cases(draw):
     g = group.parse(draw(st.lists(st.sampled_from("abAB"), min_size=1, max_size=3)
                          .map("".join)))
     assume(not g.is_identity)
-    sel = SeparationSelector(g, draw(st.integers(1, 4)), draw(st.integers(0, 3)))
-    return fold(group, gens), g, sel, r
+    sel = selector(g, draw(st.integers(1, 4)), draw(st.integers(0, 3)))
+    return fold(group, gens), sel, r
 
 
 @given(coarse_quotient_cases())
-@example((fold(F2, ["aa", "bb"]), F2.parse("b"), SeparationSelector(F2.parse("b"), 3, 1), 5))
-@example((fold(F2, ["a", "b"]), F2.parse("b"), SeparationSelector(F2.parse("b"), 3, 1), 4))
+@example((fold(F2, ["aa", "bb"]), selector(F2.parse("b"), 3, 1), 5))
+@example((fold(F2, ["a", "b"]), selector(F2.parse("b"), 3, 1), 4))
 @settings(max_examples=40, deadline=None)
 def test_coarse_quotient_cq1_matches_the_pair_scan(case):
     """The class diameters read from farthest points are those of the scan
     of every pair in each class."""
-    sub, g, sel, r = case
-    assert coarse_quotient_check(sub, g, sel, r).theta_cq1 == \
-        oracles.cq1_by_pairs(sub, g, sel, r)
+    sub, sel, r = case
+    assert coarse_quotient_check(sub, sel, r).theta_cq1 == \
+        oracles.cq1_by_pairs(sub, sel, r)
 
 
 # -- report determinism ---------------------------------------------------------------------
