@@ -40,8 +40,8 @@ from x to y.  Along that DAG:
  - (3) and (4): canonical spellings (``Word.letters``) are prefix-closed,
    so they form a spanning tree of the DAG, and the canonical geodesic's
    length, projection range and first and last on-axis index ride down
-   that tree.  ``_canonical_steps`` decides which letters extend a
-   canonical spelling.
+   that tree.  Only this walk reads the tree, so only the properties audit
+   builds it, once, from the region's rows and ``_canonical_steps``.
  - eta: the DAG vertices from which a later orbit point can be reached
    are the vertices on geodesics from x to later orbit points.
 The traversals only fill per-pair values.  The pairs are then scanned in
@@ -69,6 +69,11 @@ QG_SAMPLES = 40  # perturbed axis geodesics per grid point
 PERTURBATIONS = (0, 1)  # random steps applied to each axis vertex
 
 
+def _signed_letters(orders: tuple[int, ...]) -> list[int]:
+    """x_i and x_i^-1 per factor, in traversal order; x_i alone when m_i = 2."""
+    return [s * (i + 1) for i, m in enumerate(orders) for s in (1, -1) if s > 0 or m != 2]
+
+
 def _canonical_steps(orders: tuple[int, ...]) -> tuple[list[int], list[list[int]]]:
     """(letters, step): the traversal's signed letters and the
     canonical-extension table.
@@ -82,7 +87,7 @@ def _canonical_steps(orders: tuple[int, ...]) -> tuple[list[int], list[list[int]
     run never ends, so its length stays 1.  An order-2 factor has the
     one letter x_i = x_i^-1.
     """
-    letters = [s * (i + 1) for i, m in enumerate(orders) for s in (1, -1) if s > 0 or m != 2]
+    letters = _signed_letters(orders)
 
     def extend(state, l):
         if state is None or abs(state[0]) != abs(l):
@@ -117,10 +122,9 @@ class _Region:
 
     ``points`` must be closed under canonical prefixes; they get ids 0 to
     ``n`` - 1 in their given order, and the far arcs of their cycles come
-    after.  ``nbrs[v]`` lists the neighbours of v inside the region, and
-    ``children[s][v]`` the (neighbour, state) pairs that extend a canonical
-    spelling ending at v in state s (``_canonical_steps``); building them
-    costs one word product per directed edge.
+    after.  ``rows[v][j]`` is the id of v times ``_signed_letters``[j], or
+    -1 outside the region, and ``nbrs[v]`` lists the neighbours of v inside
+    it; building them costs one word product per directed edge.
     """
 
     def __init__(self, group, points: list[Word]):
@@ -145,12 +149,9 @@ class _Region:
                             ids[w] = len(words)
                             words.append(w)
         self.words = words
-        letters, step = _canonical_steps(group.orders)
-        gens = [group.letter_table[l] for l in letters]
-        rows = [[ids.get(w * g, -1) for g in gens] for w in words]
-        self.nbrs = [[v for v in row if v >= 0] for row in rows]
-        self.children = [[[(v, s) for v, s in zip(row, after) if v >= 0 and s >= 0]
-                          for row in rows] for after in step]
+        gens = [group.letter_table[l] for l in _signed_letters(group.orders)]
+        self.rows = [[ids.get(w * g, -1) for g in gens] for w in words]
+        self.nbrs = [[v for v in row if v >= 0] for row in self.rows]
 
 
 def _with_prefixes(points: list[Word]) -> list[Word]:
@@ -290,17 +291,19 @@ def quasiconvexity_audit(orbit, sample_radius: int) -> int:
     return max((orbit.distance_to(region.words[v]) for v in seen), default=0)
 
 
-def _canonical_tree(region: _Region, x: int, pos: list[int], on: list[bool]):
+def _canonical_tree(region: _Region, children, x: int, pos: list[int], on: list[bool]):
     """(length, image) per point y of the region: d(x, y), and
     |diam(A & gamma) - diam_A(gamma)| along the canonical geodesic gamma
     from x to y, by one walk down the tree of canonical spellings from x.
 
+    ``children[s][v]`` lists the (neighbour, state) pairs extending a
+    canonical spelling that ends at v in state s (``_canonical_steps``).
     ``pos[v]`` is the projection position of vertex v and ``on[v]``
     whether v lies on the axis.  Along gamma the walk carries the least
     and largest position and the first and last on-axis index (-1 while
     there is none, so that their difference reads 0).
     """
-    n, children = region.n, region.children
+    n = region.n
     length = [0] * n
     image = [0] * n
     t = pos[x]
@@ -361,19 +364,16 @@ class AuditTable:
 
 
 class SetProjection:
-    """Exact nearest-point map onto a finite vertex set (lex tie-break)."""
+    """Exact nearest-point map onto a finite vertex set (lex tie-break).
+    It keeps no memo: property (7) projects each point once per set."""
 
     def __init__(self, points: list[Word]):
         self.points = sorted(set(points), key=str)
-        self._cache: dict[Word, tuple[Word, int]] = {}
 
     def project(self, x: Word) -> tuple[Word, int]:
-        hit = self._cache.get(x)
-        if hit is None:
-            # points are in label order and min keeps the first of equals
-            d, best = min(((distance(p, x), p) for p in self.points), key=lambda dp: dp[0])
-            hit = self._cache[x] = (best, d)
-        return hit
+        # points are in label order and min keeps the first of equals
+        d, best = min(((distance(p, x), p) for p in self.points), key=lambda dp: dp[0])
+        return best, d
 
 
 def _quasi_geodesic_ok(path: list[Word], kappa: float, lam: float) -> bool:
@@ -437,8 +437,11 @@ def elementary_properties_audit(pm_a: ProjectionMap, pm_b: ProjectionMap | None,
     pos = [p.position for p in projected]
     on = [p.dist == 0 for p in projected]
     n = region.n
+    _, step = _canonical_steps(group.orders)
+    children = [[[(v, s) for v, s in zip(row, after) if v >= 0 and s >= 0]
+                 for row in region.rows] for after in step]
     for x in range(n):
-        length, image = _canonical_tree(region, x, pos, on)
+        length, image = _canonical_tree(region, children, x, pos, on)
         tx = pos[x]
         for y in range(x + 1, n):
             excess = abs(tx - pos[y]) - length[y]  # length[y] = d(x, y)
@@ -502,11 +505,7 @@ def elementary_properties_audit(pm_a: ProjectionMap, pm_b: ProjectionMap | None,
 
     # (7) coarse invariance: epsilon-perturbed axis sets stay constricting
     zeta_rows = []
-    small_r = min(sample_radius, 3)
-    if small_r == sample_radius:
-        small = region
-    else:
-        small = _Region(group, list(ball_elements(group, small_r)))
+    small = region if sample_radius <= 3 else _Region(group, list(ball_elements(group, 3)))
     for eps in PERTURBATIONS:
         b_set = []
         for _, v in pm_a.axis.vertices_in_ball(window):

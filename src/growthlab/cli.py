@@ -186,7 +186,11 @@ def _read_chain(path: str) -> dict:
         spec = json.load(fh)
     if not isinstance(spec, dict):
         raise PreconditionFailed("a chain spec must be a JSON object")
-    spec = {"delta": 0, "epsilon": 2, "L": 1, "radius": 2, "theta": None, **spec}
+    defaults = {"delta": 0, "epsilon": 2, "L": 1, "radius": 2, "theta": None}
+    unknown = sorted(set(spec) - {"group", "subgroup", "g", "word", *defaults})
+    if unknown:
+        raise PreconditionFailed(f"chain spec has unknown key {', '.join(map(repr, unknown))}")
+    spec = {**defaults, **spec}
 
     def need(key: str, ok: bool, what: str) -> None:
         if not ok:

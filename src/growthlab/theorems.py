@@ -32,7 +32,7 @@ from .axes import Axis, ProjectionMap
 from .balls import ELEMENT_CAP, ball_elements, sphere_counts
 from .closure import SeparationSelector, _coset_words, subgroup_closure_intersection
 from .errors import BudgetExceeded, CounterexampleFound, HypothesisFailed, PreconditionFailed
-from .groups import MarkedGroup, Word, distance, is_torsion
+from .groups import MarkedGroup, Word, cyclic_reduce, distance, is_torsion
 from .schreier import coset_sphere_sizes, schreier_growth
 from .stallings import CoreGraph, coset_key, relative_growth, stallings_fold
 
@@ -45,6 +45,7 @@ DIVERGENCE_REASON = ("a nontrivial finitely generated subgroup of F_k has purely
 AMALGAM_J_MAX = 4  # amalgam_injectivity's <g^M>-letters are g^{Mj}, 0 < |j| <= 4
 PROJECTION_BOUND = 8  # largest mutual projection free_subgroup_witness accepts
 COUNTING_RADII = (3, 4, 5)  # radii of the ball-counting inequality of coarse_quotient_check
+EMPTY_POOL = "empty letter pool; enlarge letter_cap or shrink M"
 
 
 @dataclass(frozen=True)
@@ -210,10 +211,17 @@ def amalgam_injectivity(subgroup, g: Word, M: int, n_syllables: int,
     of a word-by-word search; a passing search never replays.  g^M in H,
     which empties the <g^M>-pool, is refused before H is listed
     (PreconditionFailed), and more than ``ELEMENT_CAP`` words, counted from
-    the pool sizes, before the search (BudgetExceeded).
+    the pool sizes, before the search (BudgetExceeded).  In F_k, with
+    g = c w c^-1 and w cyclically reduced, |g^M| = 2|c| + M|w| and every
+    <g^M>-letter has length >= |g^M| - (letter_cap + 2), so a pool this
+    bound empties is refused before g^M is built.
     """
+    if g.group.is_free:
+        conj, core = cyclic_reduce(g)
+        if 2 * conj.length + M * core.length - (letter_cap + 2) > letter_cap:
+            raise PreconditionFailed(EMPTY_POOL)
     if subgroup.contains(g ** M):
-        raise PreconditionFailed("empty letter pool; enlarge letter_cap or shrink M")
+        raise PreconditionFailed(EMPTY_POOL)
     listed = list(subgroup.elements_in_ball(letter_cap + 2))
     f_elements = subgroup_closure_intersection(listed, g)
     f_set = set(f_elements)
@@ -222,7 +230,7 @@ def amalgam_injectivity(subgroup, g: Word, M: int, n_syllables: int,
     pool_k = [w for w in _coset_words(g, M, f_elements, AMALGAM_J_MAX)
               if w.length <= letter_cap]
     if not pool_h or not pool_k:
-        raise PreconditionFailed("empty letter pool; enlarge letter_cap or shrink M")
+        raise PreconditionFailed(EMPTY_POOL)
     if _alternating_words(len(pool_h), len(pool_k), n_syllables) > ELEMENT_CAP:
         raise BudgetExceeded(f"more than {ELEMENT_CAP} alternating words of at most "
                              f"{n_syllables} letters from pools of {len(pool_h)} and "
@@ -372,27 +380,28 @@ def coarse_quotient_check(subgroup, selector: SeparationSelector,
     The check reads the core (``coset_key``, ``coset_sphere_sizes``), so it
     runs only in F_k, whose Cayley graph is a tree.  CQ2 is the largest
     d(u, phi(u)) = |f(u)|.  CQ1 is the largest diameter of a class
-    {phi(u) : phi(u)H fixed}.  In a tree, a point of a finite set farthest
-    from any one of its points is an end of a diameter of the set, so each
-    diameter takes 2|class| ``distance`` calls, not one per pair.  The
-    counts come from one sphere DP and one coset count.
+    {phi(u) : phi(u)H fixed}.  Each class keeps the ends a, b of a diameter
+    of its points so far, as in a tree diam(S + v) = max(d(a, b), d(a, v),
+    d(b, v)): O(#classes) words held and two ``distance`` calls per point.
+    The counts come from one sphere DP and one coset count.
     """
     group = selector.g.group
     power, power_inv = selector.power, selector.power.inverse()
 
     # CQ1: group by LEFT coset phi(u)H; uH <-> Hu^-1, so the class key is the
     # coset key of phi(u)^-1 = f(u)^-1 u^-1, from one inverse per u
-    classes: dict[tuple, list[Word]] = {}
+    classes: dict[tuple, tuple[int, Word, Word]] = {}  # key -> diameter, its ends
     theta_cq2 = 0
     for u in ball_elements(group, sample_radius):
         phi, phi_inv = u, u.inverse()
         if selector.moves(phi_inv):  # f(u) = g^M, and |f(u)| is CQ2
             phi, phi_inv, theta_cq2 = u * power, power_inv * phi_inv, power.length
-        classes.setdefault(coset_key(subgroup, phi_inv), []).append(phi)
-    theta_cq1 = 0
-    for members in classes.values():
-        far = max(members, key=lambda v: distance(members[0], v))
-        theta_cq1 = max(theta_cq1, max(distance(far, v) for v in members))
+        key = coset_key(subgroup, phi_inv)
+        diam, a, b = classes.setdefault(key, (0, phi, phi))
+        da, db = distance(a, phi), distance(b, phi)
+        if max(da, db) > diam:
+            classes[key] = (da, a, phi) if da >= db else (db, b, phi)
+    theta_cq1 = max(diam for diam, _, _ in classes.values())
     theta = max(theta_cq1, theta_cq2)
 
     spheres = sphere_counts(group, max(3 * theta, *COUNTING_RADII))

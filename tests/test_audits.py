@@ -174,6 +174,38 @@ def test_constriction_scan_makes_few_products(f2, monkeypatch):
     assert products < rep.samples / 4
 
 
+@pytest.mark.parametrize("descriptor, axis", [("free:2", "ab"), ("product:4,4", "xy")])
+def test_only_the_properties_walk_builds_canonical_rows(descriptor, axis, monkeypatch):
+    """The canonical rows (the ``_canonical_steps`` table on a region) feed
+    only the walk of properties (3) and (4): its audit builds them once, at
+    r = 4 too, where (7) scans a region of its own, and the constriction
+    and eta scans build none."""
+    builds = [0]
+    steps = audits._canonical_steps
+
+    def counting(orders):
+        builds[0] += 1
+        return steps(orders)
+
+    monkeypatch.setattr(audits, "_canonical_steps", counting)
+    group = MarkedGroup.from_descriptor(descriptor)
+    pm = ProjectionMap(Axis(group.parse(axis)))
+    constriction_audit(pm, 3)
+    if group.is_free:
+        quasiconvexity_audit(SubgroupOrbit(fold(group, ["a", "baB"])), 4)
+    assert builds[0] == 0
+    elementary_properties_audit(pm, None, 4)
+    assert builds[0] == 1
+
+
+def test_set_projection_breaks_ties_by_label(f2):
+    """Of the points nearest to x, the least label wins (A < B < a < b)."""
+    o = f2.identity()
+    sp = audits.SetProjection([f2.parse("b"), f2.parse("a"), f2.parse("A"), f2.parse("ab")])
+    assert sp.project(o) == (f2.parse("A"), 1)
+    assert audits.SetProjection([f2.parse("b"), f2.parse("B")]).project(o) == (f2.parse("B"), 1)
+
+
 def test_over_budget_ball_is_refused_before_listing(f2, monkeypatch):
     # |B(o, 11)| = 354,293 in F2: 1.26e11 pairs against a cap of 2,000,000
     def listing(*args):

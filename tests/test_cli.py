@@ -287,10 +287,13 @@ CHAIN = {"group": "free:2", "subgroup": ["a"], "g": "b",
     ({"word": [["h"]]}, "error: chain spec 'word' must be a list of [label, word] pairs"),
     ({"epsilon": "x"}, "error: chain spec 'epsilon' must be an integer >= 0, got 'x'"),
     ({"radius": -1}, "error: chain spec 'radius' must be an integer >= 0, got -1"),
+    ({"epsilom": 0}, "error: chain spec has unknown key 'epsilom'"),
 ])
 def test_bad_chain_spec_is_an_error(change, message, tmp_path, capsys):
-    """A chain spec with a missing or malformed key names the key, prints
-    one error line and exits 1 before any work.  ``None`` drops the key."""
+    """A chain spec with a missing, malformed or unknown key names the key,
+    prints one error line and exits 1 before any work.  ``None`` drops the
+    key.  An unknown key is refused rather than ignored: a misspelt
+    "epsilom" would otherwise leave epsilon at its default."""
     spec = {k: v for k, v in {**CHAIN, **change}.items() if v is not None}
     chain = tmp_path / "chain.json"
     chain.write_text(json.dumps(spec))

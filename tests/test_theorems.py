@@ -3,6 +3,7 @@ free subgroups, coarse quotients.  Includes report determinism."""
 
 import json
 import math
+import tracemalloc
 from dataclasses import asdict, replace
 
 import pytest
@@ -322,6 +323,33 @@ def test_amalgam_power_in_h_is_refused_before_listing(monkeypatch, group, gens, 
         amalgam_injectivity(sub, g, M=M, n_syllables=2, letter_cap=4)
 
 
+@pytest.mark.parametrize("gens, g, M, refused", [
+    (("bbb", "a"), "b", 10, False),  # b^10 b^-6 = b^4 is a <g^M>-letter
+    (("bbb", "a"), "b", 11, True),   # each <g^M>-letter is >= 11 - 6 long
+    (("a",), "b", 10**6, True),
+    (("a",), "abA", 10**4, True),    # |g^M| = 2|a| + M|b|
+])
+def test_amalgam_power_past_the_pool_bound_is_never_built(f2, monkeypatch, gens, g, M, refused):
+    """In F_k every <g^M>-letter is at least |g^M| - (letter_cap + 2) long,
+    with |g^M| in closed form, so a power whose pool that leaves empty is
+    refused before g^M is built; at letter_cap 4, M = 10 keeps the letter
+    b^4 and M = 11 keeps none."""
+    power = Word.__pow__
+
+    def capped(w, n):
+        if refused and abs(n) >= M:
+            pytest.fail(f"built a power g^{n}")
+        return power(w, n)
+
+    monkeypatch.setattr(Word, "__pow__", capped)
+    sub, g = fold(f2, gens), f2.parse(g)
+    if refused:
+        with pytest.raises(PreconditionFailed, match="empty letter pool"):
+            amalgam_injectivity(sub, g, M=M, n_syllables=2, letter_cap=4)
+    else:
+        assert amalgam_injectivity(sub, g, M=M, n_syllables=2, letter_cap=4).pool_k == 2
+
+
 @pytest.mark.parametrize("group, gens, g, M, epsilon", [
     ("free:2", ("aa", "bb"), "b", 1, 100), ("product:2,3", ("x",), "xy", 2, 1)])
 def test_each_run_lists_h_once(monkeypatch, group, gens, g, M, epsilon):
@@ -566,6 +594,23 @@ def test_coarse_quotient_diameters_take_linear_distance_calls(f2, monkeypatch):
     rep = coarse_quotient_check(fold(f2, ["a", "b"]), sel, 7)
     assert (rep.verdict, rep.theta_cq1) == ("PASS", 20)
     assert calls[0] <= 2 * sum(oracles.free_ball(2, 7)[0]) == 8746
+
+
+def test_coarse_quotient_holds_one_diameter_per_class(f2):
+    """H = <a, b> puts all of B(o, 7), 4,373 points, in one class.  After
+    the search has filled the selector's map, the check holds that class's
+    diameter and its two ends, not its points: its traced peak stays under
+    200 kB, where the member list of 4,373 words peaks near 0.97 MB."""
+    sel = find_selector_power(f2.parse("b"), epsilon=0, theta=1, sample_radius=7)
+    sub = fold(f2, ["a", "b"])
+    tracemalloc.start()
+    try:
+        rep = coarse_quotient_check(sub, sel, 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (rep.verdict, rep.theta_cq1) == ("PASS", 20)
+    assert peak < 200_000
 
 
 F2, F3 = MarkedGroup.free(2), MarkedGroup.free(3)
