@@ -74,13 +74,12 @@ def _signed_letters(orders: tuple[int, ...]) -> list[int]:
     return [s * (i + 1) for i, m in enumerate(orders) for s in (1, -1) if s > 0 or m != 2]
 
 
-def _canonical_steps(orders: tuple[int, ...]) -> tuple[list[int], list[list[int]]]:
-    """(letters, step): the traversal's signed letters and the
-    canonical-extension table.
+def _canonical_steps(orders: tuple[int, ...]) -> list[list[int]]:
+    """The canonical-extension table over ``_signed_letters(orders)``.
 
     A state is the last run of a canonical spelling, (letter, run
     length), or None for the empty spelling; state 0 is None.
-    ``step[s][j]`` is the state after appending ``letters[j]``, or -1 when
+    ``step[s][j]`` is the state after appending letter j, or -1 when
     the longer spelling is not the canonical spelling of its word.  A run
     of x_i on a factor of order m may grow to m/2 letters forwards (the
     tie arc is spelled forwards) and to fewer than m/2 backwards; a free
@@ -114,7 +113,7 @@ def _canonical_steps(orders: tuple[int, ...]) -> tuple[list[int], list[list[int]
                 states.append(nxt)
             row.append(-1 if nxt is None else index[nxt])
         step.append(row)
-    return letters, step
+    return step
 
 
 class _Region:
@@ -437,7 +436,7 @@ def elementary_properties_audit(pm_a: ProjectionMap, pm_b: ProjectionMap | None,
     pos = [p.position for p in projected]
     on = [p.dist == 0 for p in projected]
     n = region.n
-    _, step = _canonical_steps(group.orders)
+    step = _canonical_steps(group.orders)
     children = [[[(v, s) for v, s in zip(row, after) if v >= 0 and s >= 0]
                  for row in region.rows] for after in step]
     for x in range(n):

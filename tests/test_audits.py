@@ -326,7 +326,8 @@ def test_canonical_spellings_are_prefix_closed_and_stepped(descriptor):
     extension table accepts exactly the letters l with
     (w l).letters() == w.letters() + [l]."""
     group = MarkedGroup.from_descriptor(descriptor)
-    letters, step = audits._canonical_steps(group.orders)
+    letters = audits._signed_letters(group.orders)
+    step = audits._canonical_steps(group.orders)
     signed = [s * (i + 1) for i in range(group.rank) for s in (1, -1)]
     for w in ball_elements(group, 6):
         spelling = w.letters()

@@ -48,3 +48,26 @@ def test_outcomes_are_read_from_the_failure_summary():
     assert mutants.verdict(mutant, 0, "")["status"] == "survived"
     assert mutants.verdict(mutant, 4, "")["status"] == "stale"
     assert mutants.verdict(mutant, None, "")["status"] == "killed"
+
+
+def test_tests_failing_unmutated_make_their_mutants_stale(monkeypatch, tmp_path):
+    x = {"name": "x", "tests": ["tests/test_a.py::test_x"]}
+    y = {"name": "y", "tests": ["tests/test_a.py::test_y"]}
+    runs = []
+
+    def run_tests(tests, copy):
+        runs.append(tests)
+        return outcome
+
+    monkeypatch.setattr(mutants, "run_tests", run_tests)
+    outcome = (1, "FAILED tests/test_a.py::test_x[1] - boom\n")
+    assert mutants.unmutated([x, y], tmp_path) == {
+        "x": {"status": "stale", "reason": "fails unmutated",
+              "failed": ["tests/test_a.py::test_x"]}}
+    assert runs == [["tests/test_a.py::test_x", "tests/test_a.py::test_y"]]
+    outcome = (0, "")
+    assert mutants.unmutated([x, y], tmp_path) == {}
+    for outcome in ((None, ""), (4, "")):
+        stale = mutants.unmutated([x, y], tmp_path)
+        assert sorted(stale) == ["x", "y"]
+        assert all(v["status"] == "stale" for v in stale.values())

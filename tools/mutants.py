@@ -1,29 +1,28 @@
 """Rerun the listed mutation checks: does each named mutant fail its tests?
 
-    python3 tools/mutants.py                  # every mutant in tools/mutants.json
-    python3 tools/mutants.py cq1-one-end ...  # only the named ones
-    python3 tools/mutants.py --timeout 120
+    python3 tools/mutants.py    # every mutant in tools/mutants.json
 
 Each entry of ``tools/mutants.json`` names a mutant: a file under
 ``src/``, an exact source snippet that occurs there once, its replacement,
 and the pytest node ids that the mutant must fail.  The repository is
-copied once to a temporary directory; each mutant is applied to the copy
-alone, its named tests run there (and no others), and the file is put
-back.  Standard library only.
+copied once to a temporary directory, and the union of the named tests
+runs there once unmutated.  Then each mutant is applied to the copy alone,
+its named tests run there (and no others), and the file is put back.
+Standard library only.
 
 Per mutant the JSON output on standard output says:
   - ``killed``: every named test id has a failing case (an id of a file or
     of a parametrized test counts when any test or case under it fails,
-    and a run past ``--timeout`` counts as failed);
+    and a run past ``TIMEOUT`` counts as failed);
   - ``survived``: some named id passed; ``passed`` lists them;
-  - ``stale``: the snippet no longer occurs exactly once, or pytest found
-    none of the named ids, so the entry needs updating.
+  - ``stale``: the snippet no longer occurs exactly once, pytest found
+    none of the named ids, or the named tests already fail (or time out)
+    on the unmutated copy, so the entry needs updating.
 The exit code is 0 when every mutant is killed, else 1.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import shutil
@@ -34,6 +33,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 LIST = Path(__file__).resolve().with_name("mutants.json")
+TIMEOUT = 300.0  # seconds one pytest run may take; a mutant may loop forever
 IGNORED = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis",
                                  "BENCH_*.json", "out")
 
@@ -48,6 +48,12 @@ def failed_ids(output: str) -> set[str]:
     return {line.split()[1] for line in output.splitlines() if line.startswith("FAILED ")}
 
 
+def failing(tests: list[str], failed: set[str]) -> list[str]:
+    """The ids among ``tests`` with a failing test or case in ``failed``."""
+    return [t for t in tests
+            if any(f == t or f.startswith((t + "[", t + "::")) for f in failed)]
+
+
 def verdict(mutant: dict, returncode: int | None, output: str) -> dict:
     """The outcome of one run of the mutant's tests (``None``: timed out)."""
     if returncode is None:
@@ -55,14 +61,39 @@ def verdict(mutant: dict, returncode: int | None, output: str) -> dict:
     if returncode in (4, 5):  # usage error or no tests collected: ids not found
         return {"status": "stale", "reason": "pytest found none of the named tests"}
     failed = failed_ids(output)
-    passed = [t for t in mutant["tests"]
-              if not any(f == t or f.startswith((t + "[", t + "::")) for f in failed)]
     if returncode == 2 and not failed:  # the mutant broke collection, e.g. an import
         return {"status": "killed", "collection_error": True}
+    killed = failing(mutant["tests"], failed)
+    passed = [t for t in mutant["tests"] if t not in killed]
     return {"status": "survived", "passed": passed} if passed else {"status": "killed"}
 
 
-def run(mutant: dict, copy: Path, timeout: float) -> dict:
+def run_tests(tests: list[str], copy: Path) -> tuple[int | None, str]:
+    """pytest's exit code and output for ``tests`` in the copy (``None``: timed out)."""
+    env = {**os.environ, "PYTHONPATH": str(copy / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    cmd = [sys.executable, "-m", "pytest", "-q", "-rf", "-p", "no:cacheprovider", *tests]
+    try:
+        proc = subprocess.run(cmd, cwd=copy, env=env, capture_output=True, text=True,
+                              timeout=TIMEOUT)
+    except subprocess.TimeoutExpired:
+        return None, ""
+    return proc.returncode, proc.stdout
+
+
+def unmutated(mutants: list[dict], copy: Path) -> dict[str, dict]:
+    """Stale verdicts, by name, for the mutants whose tests do not pass on the
+    clean copy: a test that fails there would count as a kill for any mutant."""
+    returncode, output = run_tests(sorted({t for m in mutants for t in m["tests"]}), copy)
+    if returncode not in (0, 1):
+        reason = ("unmutated run timed out" if returncode is None
+                  else f"unmutated run ended with pytest exit {returncode}")
+        return {m["name"]: {"status": "stale", "reason": reason} for m in mutants}
+    failed = failed_ids(output)
+    return {m["name"]: {"status": "stale", "reason": "fails unmutated", "failed": bad}
+            for m in mutants if (bad := failing(m["tests"], failed))}
+
+
+def run(mutant: dict, copy: Path) -> dict:
     """Apply ``mutant`` to the copy, run its tests there, and restore the file."""
     target = copy / mutant["file"]
     original = target.read_text()
@@ -70,36 +101,22 @@ def run(mutant: dict, copy: Path, timeout: float) -> dict:
         return {"status": "stale",
                 "reason": f"snippet occurs {original.count(mutant['snippet'])} times"}
     target.write_text(original.replace(mutant["snippet"], mutant["replacement"]))
-    env = {**os.environ, "PYTHONPATH": str(copy / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
-    cmd = [sys.executable, "-m", "pytest", "-q", "-rf", "-p", "no:cacheprovider",
-           *mutant["tests"]]
     try:
-        proc = subprocess.run(cmd, cwd=copy, env=env, capture_output=True, text=True,
-                              timeout=timeout)
-        return verdict(mutant, proc.returncode, proc.stdout)
-    except subprocess.TimeoutExpired:
-        return verdict(mutant, None, "")
+        return verdict(mutant, *run_tests(mutant["tests"], copy))
     finally:
         target.write_text(original)
 
 
-def main(argv=None) -> int:
-    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    p.add_argument("names", nargs="*", help="mutants to run (default: all)")
-    p.add_argument("--timeout", type=float, default=300.0,
-                   help="seconds one mutant's tests may run (default 300)")
-    args = p.parse_args(argv)
+def main() -> int:
     mutants = load()
-    unknown = set(args.names) - {m["name"] for m in mutants}
-    if unknown:
-        p.error(f"unknown mutants: {', '.join(sorted(unknown))}")
-    chosen = [m for m in mutants if not args.names or m["name"] in args.names]
     results = []
     with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
         copy = Path(tmp) / "repo"
         shutil.copytree(ROOT, copy, ignore=IGNORED)
-        for mutant in chosen:
-            results.append({"name": mutant["name"], **run(mutant, copy, args.timeout)})
+        stale = unmutated(mutants, copy)
+        for mutant in mutants:
+            results.append({"name": mutant["name"],
+                            **(stale.get(mutant["name"]) or run(mutant, copy))})
             print(json.dumps(results[-1]), file=sys.stderr, flush=True)
     counts = {s: sum(r["status"] == s for r in results) for s in ("killed", "survived", "stale")}
     print(json.dumps({"counts": counts, "mutants": results}, indent=1))
