@@ -202,13 +202,19 @@ def amalgam_injectivity(subgroup, g: Word, M: int, n_syllables: int,
     letter_cap + 2) gives H & E and, cut at letter_cap in order, the H-pool.
 
     The search (``_search``) is depth-first, H-letters first, each pool in
-    its order, and keeps only each word's image, a normal-form tuple that
-    names the element exactly.  Most words are checked in batches, in C:
-    no image is empty (``all``) and, with H&E trivial, ``set.update`` grows
-    the image set by the batch's length.  A failing batch is replayed word
-    by word to the first bad word in search order, and once more to the
-    earlier word of a collision, so verdict, count and witness are those
-    of a word-by-word search; a passing search never replays.  g^M in H,
+    its order.  At every depth a word is its prefix concatenated with the
+    letter, unless the seam merges, which alone costs a ``Word`` product.
+    Each word's image is a string, one character per normal-form syllable
+    from a code table that this call owns (``_SyllableCodes``): distinct
+    syllables get distinct characters, so distinct elements get distinct
+    strings and the identity is the empty string.  Most words are checked
+    in batches, in C: no image is empty (``all``) and, with H&E trivial,
+    ``set.update`` grows the image set by the batch's length.  A failing
+    batch is replayed word by word to the first bad word in search order,
+    and once more, with the same table, to the earlier word of a collision,
+    so verdict, count and witness are those of a word-by-word search; a
+    passing search never replays, and the image set is freed when the
+    search returns (``_search`` leaves no reference cycle).  g^M in H,
     which empties the <g^M>-pool, is refused before H is listed
     (PreconditionFailed), and more than ``ELEMENT_CAP`` words, counted from
     the pool sizes, before the search (BudgetExceeded).  In F_k, with
@@ -238,9 +244,10 @@ def amalgam_injectivity(subgroup, g: Word, M: int, n_syllables: int,
 
     letters, h = pool_h + pool_k, len(pool_h)
     follows = [range(h, len(letters))] * h + [range(h)] * len(pool_k)
-    images: set[tuple] = set()
+    key = _SyllableCodes()
+    images: set[str] = set()
 
-    def fresh(batch: list[tuple]) -> bool:
+    def fresh(batch: list[str]) -> bool:
         size = len(images) + len(batch)
         images.update(batch)
         if len(images) == size and all(batch):
@@ -251,22 +258,45 @@ def amalgam_injectivity(subgroup, g: Word, M: int, n_syllables: int,
     def spelled(trail: list[int]) -> list[str]:
         return [str(letters[i]) for i in trail]
 
-    def visit(image: tuple, trail: list[int]) -> bool:
+    def visit(image: str, trail: list[int]) -> bool:
         if not image:
             raise CounterexampleFound("alternating word maps to the identity",
                                       witness=spelled(trail))
         if collisions and image in images:
-            first = _search(letters, follows, n_syllables, lambda other, _: other == image)[1]
+            first = _search(letters, follows, n_syllables, lambda other, _: other == image,
+                            key=key)[1]
             raise CounterexampleFound("two distinct alternating words share an image",
                                       witness=(spelled(first), spelled(trail)))
         images.add(image)
         return False
 
-    words_checked, _ = _search(letters, follows, n_syllables, visit, fresh if collisions else all)
+    words_checked, _ = _search(letters, follows, n_syllables, visit,
+                               fresh if collisions else all, key)
     return AmalgamReport(verdict="PASS", words_checked=words_checked,
                          max_syllables=n_syllables, letter_cap=letter_cap, M=M,
                          pool_h=len(pool_h), pool_k=len(pool_k),
                          h_cap_e=tuple(str(f) for f in f_elements))
+
+
+class _SyllableCodes(dict):
+    """A code table: ``self(syllables)`` spells a normal form with one
+    character per syllable, each syllable's code handed out the first time
+    it is spelled.  Distinct syllables get distinct characters, so distinct
+    normal forms get distinct strings, and the identity is the empty string.
+
+    A syllable of an image is a letter's or the one syllable a product
+    merges at its seam, and a product merges at most one.  The replays
+    repeat products of the first walk, so a search of at most
+    ``ELEMENT_CAP`` words needs the letters' distinct syllables plus at
+    most ``ELEMENT_CAP`` more codes, under the 0x110000 code points; past
+    them ``chr`` raises rather than reuse a code."""
+
+    def __missing__(self, syllable) -> str:
+        code = self[syllable] = chr(len(self))
+        return code
+
+    def __call__(self, syllables) -> str:
+        return "".join(map(self.__getitem__, syllables))
 
 
 def _alternating_words(h: int, k: int, n: int) -> int:
@@ -282,48 +312,71 @@ def _alternating_words(h: int, k: int, n: int) -> int:
     return total
 
 
-def _search(letters: list[Word], follows, n: int, visit, batch=None):
+def _search(letters: list[Word], follows, n: int, visit, batch=None, key=tuple):
     """Walk the words letters[i_1] ... letters[i_d], 1 <= d <= n, with each
     i_{t+1} in ``follows[i_t]``, depth-first.  Each word's image goes to
     ``visit(image, indices)``, and a true return stops the walk; returns the
     count visited and the stopping word's indices, or None.  With ``batch``,
     the words under each prefix of n - 2 letters, a stretch of the walk, go
     to ``batch(images)`` in one list, and a false return replays the walk
-    without it.  Inner words are one ``Word`` product each; a last-level
-    image concatenates normal forms where the seam cannot merge (``groups``).
+    without it.
+
+    A word is carried as its normal-form syllables, its length and its
+    image, ``key(syllables)``; ``key`` must take concatenation of syllable
+    tuples to concatenation of images and the identity to a false image.
+    At every depth a word is its prefix's syllables, length and image, each
+    concatenated with the letter's, unless the prefix's last generator is
+    the letter's first: only such a seam can merge (``groups``), and only
+    it costs a ``Word`` product, whose syllables are keyed afresh.
+    ``walk`` refers to itself; the cycle is broken on the way out, so
+    nothing it holds, the image set of ``batch`` included, waits for the
+    cyclic collector.
     """
+    group = letters[0].group
     syllables = [w.syllables for w in letters]
+    lengths = [w.length for w in letters]
+    images = [key(s) for s in syllables]
     heads = [s[0][0] if s else -1 for s in syllables]
     last, trail, count = n - 1, [], 0
 
-    def walk(prefix: Word, options, depth: int) -> bool:
+    def extend(word, j):
+        syl, length, image = word
+        if heads[j] != (syl[-1][0] if syl else -1):
+            return syl + syllables[j], length + lengths[j], image + images[j]
+        w = Word(group, syl, length) * letters[j]
+        return w.syllables, w.length, key(w.syllables)
+
+    def walk(word, options, depth: int) -> bool:
         nonlocal count
         if batch is not None and depth >= last - 1:
-            words = [prefix * letters[i] for i in options]
-            images = [w.syllables for w in words]
+            words = [extend(word, i) for i in options]
+            found = [w[2] for w in words]
             if depth < last:
-                seams = [a[-1][0] if a else -1 for a in images]
-                images += [a + syllables[j] if heads[j] != seam else (w * letters[j]).syllables
-                           for i, w, a, seam in zip(options, words, images, seams)
-                           for j in follows[i]]
-            count += len(images)
-            return not batch(images)
+                seams = [w[0][-1][0] if w[0] else -1 for w in words]
+                found += [image + images[j] if heads[j] != seam
+                          else key((Word(group, syl, length) * letters[j]).syllables)
+                          for i, (syl, length, image), seam in zip(options, words, seams)
+                          for j in follows[i]]
+            count += len(found)
+            return not batch(found)
         for i in options:
-            w = prefix * letters[i]
+            w = extend(word, i)
             count += 1
             trail.append(i)
-            if visit(w.syllables, trail) or (
-                    depth < last and walk(w, follows[i], depth + 1)):
+            if visit(w[2], trail) or (depth < last and walk(w, follows[i], depth + 1)):
                 return True
             trail.pop()
         return False
 
-    identity, root = letters[0].group.identity(), range(len(letters))
-    if n > 0 and walk(identity, root, 0) and batch is not None:
-        batch, count = None, 0
-        trail.clear()
-        walk(identity, root, 0)
-    return count, trail or None
+    empty, root = ((), 0, key(())), range(len(letters))
+    try:
+        if n > 0 and walk(empty, root, 0) and batch is not None:
+            batch, count = None, 0
+            trail.clear()
+            walk(empty, root, 0)
+        return count, trail or None
+    finally:
+        del walk
 
 
 def free_subgroup_witness(g1: Word, g2: Word, M: int, n_letters: int) -> dict:
@@ -335,9 +388,13 @@ def free_subgroup_witness(g1: Word, g2: Word, M: int, n_letters: int) -> dict:
 
     The letters are g1^M, g1^-M, g2^M, g2^-M, so the inverse of letter i
     is letter i ^ 1 and a freely reduced word never follows i by i ^ 1.
-    The search (``_search``) is depth-first in letter order.  A batch of
-    words fails on an identity image (``all``) and is replayed word by
-    word, so the witness, a word's letter indices, is the first in order.
+    The search (``_search``) is depth-first in letter order.  At every
+    depth a word is its prefix concatenated with the letter, unless the
+    seam merges, which alone costs a ``Word`` product.  Only the identity
+    is looked for, so a word's image is its syllable tuple itself, with no
+    code table.  A batch of words fails on an identity image (``all``) and
+    is replayed word by word, so the witness, a word's letter indices, is
+    the first in order; no reference cycle outlives the search.
     """
     pm1, pm2 = ProjectionMap(Axis(g1)), ProjectionMap(Axis(g2))
     window = 3 * max(pm1.axis.translation_length, pm2.axis.translation_length) + \

@@ -66,6 +66,20 @@ def test_bs4_violation_reported(f2):
     assert verdict.witness == (1, 0)
 
 
+@pytest.mark.parametrize("epsilon, passed", [(1, False), (2, True)])
+def test_bs2_reads_the_y_set_after_the_axis(f2, epsilon, passed):
+    # Y_0 = {b} projects to the origin of A = axis(a) and Y_1 = {1, a, aa}
+    # spans positions 0..2, so BS2 is 2, set by Y_1 alone; BS2 = epsilon passes
+    pm = ProjectionMap(Axis(f2.parse("a")))
+    seq = BufferingSequence(y_sets=[[f2.parse("b")], [f2.parse(w) for w in ("", "a", "aa")]],
+                            projections=[pm])
+    verdict = check_buffering(seq, BufferingParams(0, epsilon, 0))
+    assert verdict.bs2 == (2,)
+    assert verdict.passed == passed
+    if not passed:
+        assert (verdict.failed_condition, verdict.witness) == ("BS2", (1, 2))
+
+
 def test_empty_interior_rejected(f2):
     pm_a = ProjectionMap(Axis(f2.parse("a")))
     pm_b = ProjectionMap(Axis(f2.parse("baB")))

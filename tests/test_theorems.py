@@ -1,6 +1,7 @@
 """Theorem pipelines: growth gap, quotient growth, amalgam injectivity,
 free subgroups, coarse quotients.  Includes report determinism."""
 
+import gc
 import json
 import math
 import tracemalloc
@@ -444,6 +445,15 @@ def test_first_bad_word_in_a_last_level_batch(f2, gens, cap, n, batch):
         assert same == (batch == "same")
 
 
+def test_collision_replay_reads_the_same_codes(f2):
+    # ab.BB.ba.b = ab.B.ab = aab, and no letter has the syllable aa: its code
+    # is handed out when the walk first makes it, so the replay that finds
+    # the earlier word must key images with the table that keyed the later one
+    verdict, _, witness = _matches_string_oracle(fold(f2, ["ab", "ba"]), 2, 4)
+    assert verdict == "collision"
+    assert witness == (["ab", "BB", "ba", "b"], ["ab", "B", "ab"])
+
+
 def _with_conjugate(w, j):
     """[w, b^j w b^-j]: such a pair makes alternating words collide."""
     return [w, "b" * j + w + "B" * j if j > 0 else "B" * -j + w + "b" * -j]
@@ -463,25 +473,59 @@ def test_amalgam_search_matches_string_oracle_on_random_subgroups(gens, cap, n):
     _matches_string_oracle(sub, cap, n)
 
 
-def test_amalgam_spends_one_product_per_word(f2, monkeypatch):
-    # pools a^{+-1..4} and b^{+-1..4}: 2 (8 + 8^2 + 8^3 + 8^4) = 9,360 words
-    # of fewer than 5 letters, one product each; the 65,536 words of 5 letters
-    # concatenate normal forms (a and b never merge at the seam), and the
-    # pools and H & E(b) take the other products (38 here).  A product per
-    # last-level word, or a replay of the passing search, breaks the bound.
-    sub = fold(f2, ["a"])
-    products = 0
+def _count_products(monkeypatch) -> list[int]:
+    """A one-element list that counts ``Word.__mul__`` calls from now on."""
+    products = [0]
     mul = Word.__mul__
 
     def counting(u, v):
-        nonlocal products
-        products += 1
+        products[0] += 1
         return mul(u, v)
 
     monkeypatch.setattr(Word, "__mul__", counting)
+    return products
+
+
+def test_amalgam_spends_one_product_per_word(f2, monkeypatch):
+    # pools a^{+-1..4} and b^{+-1..4}: 2 (8 + 8^2 + 8^3 + 8^4) = 9,360 words
+    # of fewer than 5 letters, allowed one product each; the 65,536 words of
+    # 5 letters concatenate normal forms (a and b never merge at the seam),
+    # and the pools and H & E(b) take the other products (38 here).  A
+    # product per last-level word, or a replay of the passing search, breaks
+    # the bound.
+    sub = fold(f2, ["a"])
+    products = _count_products(monkeypatch)
     rep = amalgam_injectivity(sub, f2.parse("b"), M=1, n_syllables=5, letter_cap=4)
     assert rep.words_checked == 2 * sum(8 ** d for d in range(1, 6))
-    assert products <= 9360 + 200
+    assert products[0] <= 9360 + 200
+
+
+def test_amalgam_spends_no_product_where_no_seam_merges(f2, monkeypatch):
+    # a- and b-letters never merge, so no word of any length costs a product;
+    # only the pools and H & E(b) do (38 products; 9,398 with one product
+    # per word of fewer than 5 letters)
+    sub = fold(f2, ["a"])
+    products = _count_products(monkeypatch)
+    amalgam_injectivity(sub, f2.parse("b"), M=1, n_syllables=5, letter_cap=4)
+    assert products[0] <= 200
+
+
+@pytest.mark.parametrize("search", ["amalgam", "ping-pong"])
+def test_searches_leave_no_garbage_cycle(f2, search):
+    # a reference cycle through the search would keep its image set (9,429
+    # objects for the amalgam search here) alive until the cyclic collector runs
+    sub, b = fold(f2, ["a"]), f2.parse("b")
+    g1, g2 = f2.parse("ab"), f2.parse("aB")
+    gc.collect()
+    gc.disable()
+    try:
+        if search == "amalgam":
+            amalgam_injectivity(sub, b, M=1, n_syllables=4)
+        else:
+            free_subgroup_witness(g1, g2, 1, 5)
+        assert gc.collect() < 50
+    finally:
+        gc.enable()
 
 
 # -- free subgroup witnesses -----------------------------------------------------------
@@ -638,6 +682,7 @@ def coarse_quotient_cases(draw):
 @given(coarse_quotient_cases())
 @example((fold(F2, ["aa", "bb"]), selector(F2.parse("b"), 3, 1), 5))
 @example((fold(F2, ["a", "b"]), selector(F2.parse("b"), 3, 1), 4))
+@example((fold(F2, ["a"]), selector(F2.parse("a"), 1, 1), 2))
 @settings(max_examples=40, deadline=None)
 def test_coarse_quotient_cq1_matches_the_pair_scan(case):
     """The class diameters read from farthest points are those of the scan
