@@ -512,8 +512,8 @@ def test_amalgam_spends_no_product_where_no_seam_merges(f2, monkeypatch):
 
 @pytest.mark.parametrize("search", ["amalgam", "ping-pong"])
 def test_searches_leave_no_garbage_cycle(f2, search):
-    # a reference cycle through the search would keep its image set (9,429
-    # objects for the amalgam search here) alive until the cyclic collector runs
+    # a reference cycle through the search would keep its image set (thousands
+    # of objects for the amalgam search here) alive until the cyclic collector runs
     sub, b = fold(f2, ["a"]), f2.parse("b")
     g1, g2 = f2.parse("ab"), f2.parse("aB")
     gc.collect()
