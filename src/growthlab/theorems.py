@@ -264,14 +264,14 @@ def amalgam_injectivity(subgroup, g: Word, M: int, n_syllables: int,
                                       witness=spelled(trail))
         if collisions and image in images:
             first = _search(letters, follows, n_syllables, lambda other, _: other == image,
-                            key=key)[1]
+                            key)[1]
             raise CounterexampleFound("two distinct alternating words share an image",
                                       witness=(spelled(first), spelled(trail)))
         images.add(image)
         return False
 
-    words_checked, _ = _search(letters, follows, n_syllables, visit,
-                               fresh if collisions else all, key)
+    words_checked, _ = _search(letters, follows, n_syllables, visit, key,
+                               fresh if collisions else all)
     return AmalgamReport(verdict="PASS", words_checked=words_checked,
                          max_syllables=n_syllables, letter_cap=letter_cap, M=M,
                          pool_h=len(pool_h), pool_k=len(pool_k),
@@ -312,7 +312,7 @@ def _alternating_words(h: int, k: int, n: int) -> int:
     return total
 
 
-def _search(letters: list[Word], follows, n: int, visit, batch=None, key=tuple):
+def _search(letters: list[Word], follows, n: int, visit, key, batch=None):
     """Walk the words letters[i_1] ... letters[i_d], 1 <= d <= n, with each
     i_{t+1} in ``follows[i_t]``, depth-first.  Each word's image goes to
     ``visit(image, indices)``, and a true return stops the walk; returns the
@@ -323,7 +323,9 @@ def _search(letters: list[Word], follows, n: int, visit, batch=None, key=tuple):
 
     A word is carried as its normal-form syllables, its length and its
     image, ``key(syllables)``; ``key`` must take concatenation of syllable
-    tuples to concatenation of images and the identity to a false image.
+    tuples to the sum (``+``) of images and the identity to a false image:
+    ``_SyllableCodes`` strings, or ``len``, the syllable count, where only
+    the identity matters.
     At every depth a word is its prefix's syllables, length and image, each
     concatenated with the letter's, unless the prefix's last generator is
     the letter's first: only such a seam can merge (``groups``), and only
@@ -391,10 +393,12 @@ def free_subgroup_witness(g1: Word, g2: Word, M: int, n_letters: int) -> dict:
     The search (``_search``) is depth-first in letter order.  At every
     depth a word is its prefix concatenated with the letter, unless the
     seam merges, which alone costs a ``Word`` product.  Only the identity
-    is looked for, so a word's image is its syllable tuple itself, with no
-    code table.  A batch of words fails on an identity image (``all``) and
-    is replayed word by word, so the witness, a word's letter indices, is
-    the first in order; no reference cycle outlives the search.
+    is looked for, so a word's image is its syllable count (``len``), zero
+    for the identity alone: adding two counts is cheaper than concatenating
+    code strings, and a merged product needs no code table.  A batch of
+    words fails on an identity image (``all``) and is replayed word by
+    word, so the witness, a word's letter indices, is the first in order;
+    no reference cycle outlives the search.
     """
     pm1, pm2 = ProjectionMap(Axis(g1)), ProjectionMap(Axis(g2))
     window = 3 * max(pm1.axis.translation_length, pm2.axis.translation_length) + \
@@ -407,7 +411,8 @@ def free_subgroup_witness(g1: Word, g2: Word, M: int, n_letters: int) -> dict:
 
     letters = [g1**M, (g1**M).inverse(), g2**M, (g2**M).inverse()]
     follows = [[j for j in range(4) if j != i ^ 1] for i in range(4)]
-    checked, trail = _search(letters, follows, n_letters, lambda image, _: not image, all)
+    checked, trail = _search(letters, follows, n_letters, lambda image, _: not image,
+                             len, all)
     if trail is not None:
         raise CounterexampleFound("freely reduced alternating power word maps to identity",
                                   witness=tuple(trail))
