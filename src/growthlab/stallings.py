@@ -100,21 +100,25 @@ class CoreGraph:
         """Subgroup elements of length <= radius, identity first, under ``balls.ELEMENT_CAP``."""
         refuse_elements(sum(self.counts_by_length(radius)), f"of H in B(o, {radius})")
         yield self.group.identity()
-        letters: list[int] = []
+        yield from self._base_loops([], radius, self.base, -2)
 
-        def walk(vertex: int, last_id: int) -> Iterator[Word]:
-            if len(letters) >= radius:
-                return
-            for did, head, letter in self.by_tail[vertex]:
-                if did == last_id ^ 1:
-                    continue
-                letters.append(letter)
-                if head == self.base:
-                    yield self.group.from_letters(letters)
-                yield from walk(head, did)
-                letters.pop()
-
-        yield from walk(self.base, -2)
+    def _base_loops(self, letters: list[int], radius: int, vertex: int,
+                    last_id: int) -> Iterator[Word]:
+        """The reduced loops at the base that extend the path ``letters``,
+        which ends at ``vertex`` by half-edge ``last_id``, by at most
+        radius - len(letters) letters, depth-first in ``by_tail`` order.
+        A method, not a closure: a closure that recurses refers to itself,
+        a cycle that only the cyclic collector frees."""
+        if len(letters) >= radius:
+            return
+        for did, head, letter in self.by_tail[vertex]:
+            if did == last_id ^ 1:
+                continue
+            letters.append(letter)
+            if head == self.base:
+                yield self.group.from_letters(letters)
+            yield from self._base_loops(letters, radius, head, did)
+            letters.pop()
 
     @functools.cached_property
     def successors(self) -> tuple[tuple[int, ...], ...]:

@@ -2,6 +2,7 @@
 Oracles: fold-by-hand graphs, string-fold membership, brute-force
 membership filters, numpy spectral radii."""
 
+import gc
 import math
 import random
 
@@ -188,6 +189,21 @@ def test_enumeration_matches_counts(f2):
         by_len[w.length] += 1
         assert core.contains(w)
     assert tuple(by_len) == rg.counts.sphere_sizes
+
+
+def test_enumeration_leaves_no_garbage_cycle(f2):
+    # a walk that refers to itself would leave a reference cycle per call
+    # for the cyclic collector; the listing order stays depth-first by half-edge
+    core = fold(f2, ["a", "baB"])
+    assert [str(w) for w in core.elements_in_ball(3)] == [
+        "1", "a", "aa", "aaa", "A", "AA", "AAA", "baB", "bAB"]
+    gc.collect()
+    gc.disable()
+    try:
+        assert len(list(core.elements_in_ball(4))) == 21
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_core_enumeration_budget(f2, monkeypatch):

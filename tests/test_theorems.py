@@ -464,6 +464,7 @@ def _with_conjugate(w, j):
                  st.builds(_with_conjugate, st.integers(1, 2).flatmap(oracles.reduced_words),
                            st.sampled_from([-2, -1, 1, 2]))),
        st.integers(2, 3), st.integers(1, 4))
+@example(["a", "bab"], 3, 2)  # BAB.b = B.A = BA, a collision whose seam merges in a batch
 @settings(max_examples=80, deadline=None)
 def test_amalgam_search_matches_string_oracle_on_random_subgroups(gens, cap, n):
     f2 = MarkedGroup.free(2)
@@ -572,6 +573,7 @@ def _per_word_ping_pong(g1, g2, M, n):
     ("free:2", "ab", "aB", 1, 6, False),
     ("free:2", "a", "b", 2, 5, False),
     ("product:2,3", "xy", "yx", 2, 5, False),
+    ("product:2,3", "Yx", "xY", 1, 5, False),  # the same word, one letter past n = 5
     ("product:2,3", "Yx", "xY", 1, 6, True),   # (Yx)^2 xY (Yx)^2 xY = 1, 6 letters
     ("product:2,3", "Yx", "xY", 1, 7, True),   # the same word, one level above the last
 ])
@@ -587,6 +589,76 @@ def test_free_witness_matches_a_per_word_search(group, g1, g2, M, n, fails):
     else:
         assert witness is None
         assert rep["words_checked"] == words == 2 * (3 ** n - 1)
+
+
+@st.composite
+def _ping_pong_pairs(draw):
+    """A group, F2, Z2*Z3 or Z2*Z4, and two words of infinite order.  In the
+    free products both are x y^e ... x y^f, cyclically reduced through both
+    factors, and such pairs often make identity words of 4 to 7 letters."""
+    name = draw(st.sampled_from(["free:2", "product:2,3", "product:2,4"]))
+    if name == "free:2":
+        word = st.integers(1, 4).flatmap(oracles.reduced_words)
+    else:
+        powers = ["y", "Y"] + (["yy"] if name == "product:2,4" else [])
+        word = st.lists(st.sampled_from(powers), min_size=1, max_size=2).map(
+            lambda ys: "".join("x" + y for y in ys))
+    return name, draw(word), draw(word)
+
+
+@given(_ping_pong_pairs(), st.integers(1, 2), st.integers(3, 7))
+@example(("product:2,4", "xy", "xY"), 1, 7)    # an identity of 6 letters, witness 0 0 3 0 3 1
+@example(("product:2,4", "Yxyy", "Yx"), 1, 5)  # an identity of 4 letters, witness 0 3 0 3
+@example(("product:2,3", "xy", "yx"), 1, 8)    # an identity of 8 letters
+@example(("product:2,3", "Yx", "xY"), 1, 5)    # an identity of 6 letters, one past n
+@settings(max_examples=150, deadline=None)
+def test_free_witness_join_matches_a_per_word_search(pair, M, n):
+    # verdict, words_checked and the first witness in search order, as the
+    # per-word search gives them, wherever the precondition holds
+    name, g1, g2 = pair
+    group = MarkedGroup.from_descriptor(name)
+    w1, w2 = group.parse(g1), group.parse(g2)
+    try:
+        rep, found = free_subgroup_witness(w1, w2, M, n), None
+    except PreconditionFailed:
+        return
+    except CounterexampleFound as exc:
+        rep, found = None, exc.witness
+    words, witness = _per_word_ping_pong(w1, w2, M, n)
+    assert found == witness
+    if rep is not None:
+        assert (rep["verdict"], rep["words_checked"]) == ("PASS", words)
+
+
+def test_free_witness_joins_half_words(f2, products):
+    # one product per half-word, 4 + 12 + 36 + 108 + 324 = 484 of at most 5
+    # letters, decides the 39,364 words of at most 9; the precondition and
+    # the powers make the rest (582 in all; a walk made 13,218, one per word
+    # whose seam merges)
+    rep = free_subgroup_witness(f2.parse("ab"), f2.parse("aB"), 1, 9)
+    assert rep["words_checked"] == 39364
+    assert products[0] <= 1000
+
+
+@pytest.mark.parametrize("n", [23, 40])
+def test_free_witness_over_budget_is_refused_before_any_half_word(f2, products, n):
+    # 2 (3^12 - 1) = 1,062,880 half-words of at most 12 letters; n = 0 makes
+    # the precondition's products and no half-word
+    g1, g2 = f2.parse("ab"), f2.parse("aB")
+    free_subgroup_witness(g1, g2, 1, 0)
+    precondition, products[0] = products[0], 0
+    with pytest.raises(BudgetExceeded, match="more than 1000000 half-words"):
+        free_subgroup_witness(g1, g2, 1, n)
+    assert products[0] == precondition
+
+
+def test_free_witness_budget_counts_half_words_exactly(f2, monkeypatch):
+    g1, g2 = f2.parse("ab"), f2.parse("aB")
+    monkeypatch.setattr(theorems, "ELEMENT_CAP", 484)
+    assert free_subgroup_witness(g1, g2, 1, 9)["words_checked"] == 39364
+    monkeypatch.setattr(theorems, "ELEMENT_CAP", 483)
+    with pytest.raises(BudgetExceeded, match="more than 483 half-words of at most 5 letters"):
+        free_subgroup_witness(g1, g2, 1, 9)
 
 
 def test_free_witness_same_axis_rejected(f2):
