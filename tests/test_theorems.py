@@ -573,7 +573,7 @@ def _per_word_ping_pong(g1, g2, M, n):
     ("free:2", "ab", "aB", 1, 6, False),
     ("free:2", "a", "b", 2, 5, False),
     ("product:2,3", "xy", "yx", 2, 5, False),
-    ("product:2,3", "Yx", "xY", 1, 5, False),  # the same word, one letter past n = 5
+    ("product:2,3", "Yx", "xY", 1, 5, False),  # the identity below has one letter more
     ("product:2,3", "Yx", "xY", 1, 6, True),   # (Yx)^2 xY (Yx)^2 xY = 1, 6 letters
     ("product:2,3", "Yx", "xY", 1, 7, True),   # the same word, one level above the last
 ])
