@@ -139,7 +139,8 @@ def cmd_quotient(args) -> int:
                    r_schreier=args.rmax)
 
 
-@command("amalgam", "amalgam injectivity refutation attempt", GROUP, SUBGROUP, G0,
+@command("amalgam", "amalgam injectivity, by a Stallings fold in F_k, else a word search",
+         GROUP, SUBGROUP, G0,
          _flag("-M", "--power", type=int, default=1),
          _flag("--syllables", type=int, default=4),
          _flag("--letter-cap", type=int, default=4))

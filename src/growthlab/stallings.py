@@ -181,10 +181,16 @@ class CoreGraph:
         period = round(2 * math.pi / float(angles.min())) if angles.size else 1
         return rho, period
 
+    @property
+    def rank(self) -> int:
+        """The rank of the subgroup, E - V + 1: the core is connected, and
+        its fundamental group is free on the edges outside a spanning tree."""
+        return len(self.edges) - self.n_vertices + 1
+
     def spectral_rate(self) -> float:
-        """omega_H = log rho, or 0 at rank E - V + 1 <= 1, a trivial or cyclic
+        """omega_H = log rho, or 0 at rank <= 1, a trivial or cyclic
         subgroup, where rho <= 1 (rank >= 2 gives rho > 1)."""
-        return math.log(self.perron[0]) if len(self.edges) > self.n_vertices else 0.0
+        return math.log(self.perron[0]) if self.rank > 1 else 0.0
 
     def __repr__(self) -> str:
         return f"CoreGraph({self.n_vertices} vertices, {len(self.edges)} edges)"
@@ -210,22 +216,34 @@ def coset_key(core: CoreGraph, w: Word) -> tuple[int, tuple[int, ...]]:
 def stallings_fold(group: MarkedGroup, generators: Sequence[Word]) -> CoreGraph:
     """Fold the wedge of generator loops into the subgroup's core graph.
 
-    Each generator becomes a loop at the base, vertex 0.  Whole passes
-    unite the heads of equal-labelled edges out of one vertex, and the
-    tails of those into one, until a pass makes no union; a union keeps
-    the smaller id, so the base represents its class.
-
-    No vertex needs pruning.  Words are reduced, so the two half-edges at
-    each interior vertex of a generator loop carry different labels.
-    Folding only merges vertices, and identifies two half-edges only when
-    they leave one vertex with one label, so every class keeps two
-    half-edges: no vertex but the base ends with degree 1.  So the core's
-    vertices are all the classes, numbered in the order of their least ids.
+    Each generator becomes a loop at the base, vertex 0, and ``_fold``
+    folds the wedge.
     """
     if not group.is_free:
         raise NotFreeGroup("Stallings graphs require a free group")
+    if any(w.group != group for w in generators):
+        raise NotFreeGroup("generator from a different group")
+    return _fold(group, 1, (), generators)
 
-    parent: list[int] = [0]
+
+def _fold(group: MarkedGroup, n_vertices: int, edges: Sequence[tuple[int, int, int]],
+          loops: Sequence[Word]) -> CoreGraph:
+    """Fold the graph of ``edges`` on vertices 0..n_vertices - 1, with each
+    word of ``loops`` added as a loop at the base, vertex 0.
+
+    Whole passes unite the heads of equal-labelled edges out of one
+    vertex, and the tails of those into one, until a pass makes no union;
+    a union keeps the smaller id, so the base represents its class.
+
+    No vertex needs pruning when ``edges`` is a core or empty.  Words are
+    reduced, so the two half-edges at each interior vertex of a loop carry
+    different labels.  Folding only merges vertices, and identifies two
+    half-edges only when they leave one vertex with one label, so every
+    class keeps two half-edges: no vertex but the base ends with degree 1.
+    So the core's vertices are all the classes, numbered in the order of
+    their least ids.
+    """
+    parent = list(range(n_vertices))
 
     def find(v: int) -> int:
         while parent[v] != v:
@@ -241,10 +259,8 @@ def stallings_fold(group: MarkedGroup, generators: Sequence[Word]) -> CoreGraph:
         return True
 
     base = 0
-    edges: list[tuple[int, int, int]] = []
-    for w in generators:
-        if w.group != group:
-            raise NotFreeGroup("generator from a different group")
+    edges = list(edges)
+    for w in loops:
         letters = w.letters()
         fresh = list(range(len(parent), len(parent) + len(letters) - 1))
         parent.extend(fresh)

@@ -35,7 +35,7 @@ from .errors import (BudgetExceeded, CounterexampleFound, CrossCheckFailed, Hypo
                      PreconditionFailed)
 from .groups import MarkedGroup, Word, cyclic_reduce, distance, is_torsion
 from .schreier import coset_sphere_sizes, schreier_growth
-from .stallings import CoreGraph, coset_key, relative_growth, stallings_fold
+from .stallings import CoreGraph, _fold, coset_key, relative_growth, stallings_fold
 
 QUASI_CONVEX_REASON = ("finitely generated subgroups of F_k are quasi-convex; "
                        "eta is the largest core depth")
@@ -182,6 +182,7 @@ def verify_quotient_growth(cfg: ExperimentConfig,
 @dataclass(frozen=True)
 class AmalgamReport:
     verdict: str
+    decided_by: str  # "fold" (the rank of <H, g^M> in F_k) or "search" (the word search)
     words_checked: int
     max_syllables: int
     letter_cap: int
@@ -193,14 +194,27 @@ class AmalgamReport:
 
 def amalgam_injectivity(subgroup, g: Word, M: int, n_syllables: int,
                         letter_cap: int = 4) -> AmalgamReport:
-    """Exhaustively refute injectivity of H * <g^M, H&E> -> G on a sample.
+    """Decide whether H * <g^M, H&E> -> G is injective on a sample: every
+    alternating word (both starting types) of 1..n letters, whose letters
+    are the ball-bounded elements of H - (H&E) and <g^M, H&E> - (H&E), must
+    map to a nontrivial image, and, with H&E trivial, distinct words to
+    distinct images.  One listing of H & B(o, letter_cap + 2) gives H & E
+    and, cut at letter_cap in order, the H-pool.  ``decided_by`` names what
+    decided the verdict: "fold" or "search".
 
-    Enumerates every alternating word (both starting types) whose letters
-    are ball-bounded elements of H - (H&E) and <g^M, H&E> - (H&E), maps it
-    through word arithmetic, and requires a nontrivial image.  With H&E
-    trivial, distinct alternating words are distinct amalgam elements, so
-    image collisions are counterexamples too.  One listing of H & B(o,
-    letter_cap + 2) gives H & E and, cut at letter_cap in order, the H-pool.
+    In F_k one Stallings fold decides it (``_fold_certifies``).  Finitely
+    generated free groups are Hopfian: H * <g^M> is free of rank
+    rank(H) + 1 and maps onto K = <H, g^M>, so the map is injective exactly
+    when rank(K) = rank(H) + 1, and the rank of K is E - V + 1 of the fold
+    of H's core with one loop g^M at its base.  Then every alternating word
+    of the sample is a distinct reduced element of H * <g^M>, so its image
+    is nontrivial and distinct from the others': the call passes with
+    ``words_checked`` the exact size of the sample, and searches nothing.
+    No H & E guard is needed.  E(g) is cyclic, so a nontrivial H & E(g)
+    meets <g^M> nontrivially; then the map is not injective, rank(K) is at
+    most rank(H), and the search runs.  Any other rank, and every subgroup
+    of a free product, goes to the search, which finds the witness or
+    passes on the sample.
 
     The search (``_search``) is depth-first, H-letters first, each pool in
     its order.  At every depth a word is its prefix concatenated with the
@@ -215,19 +229,22 @@ def amalgam_injectivity(subgroup, g: Word, M: int, n_syllables: int,
     and once more, with the same table, to the earlier word of a collision,
     so verdict, count and witness are those of a word-by-word search; a
     passing search never replays, and the image set is freed when the
-    search returns (``_search`` leaves no reference cycle).  g^M in H,
-    which empties the <g^M>-pool, is refused before H is listed
-    (PreconditionFailed), and more than ``ELEMENT_CAP`` words, counted from
-    the pool sizes, before the search (BudgetExceeded).  In F_k, with
-    g = c w c^-1 and w cyclically reduced, |g^M| = 2|c| + M|w| and every
-    <g^M>-letter has length >= |g^M| - (letter_cap + 2), so a pool this
-    bound empties is refused before g^M is built.
+    search returns (``_search`` leaves no reference cycle).
+
+    Refusals come before the fold and the search.  g^M in H, which empties
+    the <g^M>-pool, is refused before H is listed (PreconditionFailed), and
+    more than ``ELEMENT_CAP`` words, counted from the pool sizes, after
+    (BudgetExceeded).  In F_k, with g = c w c^-1 and w cyclically reduced,
+    |g^M| = 2|c| + M|w| and every <g^M>-letter has length
+    >= |g^M| - (letter_cap + 2), so a pool this bound empties is refused
+    before g^M is built.
     """
     if g.group.is_free:
         conj, core = cyclic_reduce(g)
         if 2 * conj.length + M * core.length - (letter_cap + 2) > letter_cap:
             raise PreconditionFailed(EMPTY_POOL)
-    if subgroup.contains(g ** M):
+    power = g ** M
+    if subgroup.contains(power):
         raise PreconditionFailed(EMPTY_POOL)
     listed = list(subgroup.elements_in_ball(letter_cap + 2))
     f_elements = subgroup_closure_intersection(listed, g)
@@ -238,10 +255,16 @@ def amalgam_injectivity(subgroup, g: Word, M: int, n_syllables: int,
               if w.length <= letter_cap]
     if not pool_h or not pool_k:
         raise PreconditionFailed(EMPTY_POOL)
-    if _alternating_words(len(pool_h), len(pool_k), n_syllables) > ELEMENT_CAP:
+    sample = _alternating_words(len(pool_h), len(pool_k), n_syllables)
+    if sample > ELEMENT_CAP:
         raise BudgetExceeded(f"more than {ELEMENT_CAP} alternating words of at most "
                              f"{n_syllables} letters from pools of {len(pool_h)} and "
                              f"{len(pool_k)} letters")
+    report = dict(verdict="PASS", max_syllables=n_syllables, letter_cap=letter_cap, M=M,
+                  pool_h=len(pool_h), pool_k=len(pool_k),
+                  h_cap_e=tuple(str(f) for f in f_elements))
+    if isinstance(subgroup, CoreGraph) and _fold_certifies(subgroup, power):
+        return AmalgamReport(decided_by="fold", words_checked=sample, **report)
 
     letters, h = pool_h + pool_k, len(pool_h)
     follows = [range(h, len(letters))] * h + [range(h)] * len(pool_k)
@@ -273,10 +296,14 @@ def amalgam_injectivity(subgroup, g: Word, M: int, n_syllables: int,
 
     words_checked, _ = _search(letters, follows, n_syllables, visit, key,
                                fresh if collisions else all)
-    return AmalgamReport(verdict="PASS", words_checked=words_checked,
-                         max_syllables=n_syllables, letter_cap=letter_cap, M=M,
-                         pool_h=len(pool_h), pool_k=len(pool_k),
-                         h_cap_e=tuple(str(f) for f in f_elements))
+    return AmalgamReport(decided_by="search", words_checked=words_checked, **report)
+
+
+def _fold_certifies(core: CoreGraph, power: Word) -> bool:
+    """Whether H * <power> -> <H, power> is injective, H the subgroup of
+    ``core`` in F_k: exactly when folding the core with one loop ``power``
+    at its base gives rank(H) + 1 (Hopfian; see ``amalgam_injectivity``)."""
+    return _fold(core.group, core.n_vertices, core.edges, [power]).rank == core.rank + 1
 
 
 class _SyllableCodes(dict):

@@ -15,14 +15,14 @@ import oracles
 from growthlab import Axis, MarkedGroup, ProjectionMap, Word, stallings_fold
 from growthlab.closure import (SeparationSelector, find_selector_power,
                                find_transversal_conjugate, geometric_separation_power)
-from growthlab import closure, theorems
+from growthlab import closure, stallings, theorems
 from growthlab.balls import ELEMENT_CAP
 from growthlab.errors import (BudgetExceeded, CounterexampleFound, HypothesisFailed,
                               PreconditionFailed)
 from growthlab.groups import distance
 from growthlab.reports import render_json
 from growthlab.series import divergence_diagnostic
-from growthlab.theorems import (ExperimentConfig, amalgam_injectivity,
+from growthlab.theorems import (AmalgamReport, ExperimentConfig, amalgam_injectivity,
                                 coarse_quotient_check, free_subgroup_witness,
                                 verify_growth_gap, verify_quotient_growth)
 
@@ -248,6 +248,19 @@ def test_quotient_finite_index_note():
 
 # -- amalgams -----------------------------------------------------------------------
 
+def _with_conjugate(w, j):
+    """[w, b^j w b^-j]: such a pair makes alternating words collide."""
+    return [w, "b" * j + w + "B" * j if j > 0 else "B" * -j + w + "b" * -j]
+
+
+# generator lists of small random subgroups of F2, some of whose alternating
+# words collide
+_SMALL_SUBGROUPS = st.one_of(
+    st.lists(st.integers(1, 3).flatmap(oracles.reduced_words), min_size=1, max_size=2),
+    st.builds(_with_conjugate, st.integers(1, 2).flatmap(oracles.reduced_words),
+              st.sampled_from([-2, -1, 1, 2])))
+
+
 def test_amalgam_free_case(f2):
     sub = fold(f2, ["a"])
     rep = amalgam_injectivity(sub, f2.parse("b"), M=1, n_syllables=6, letter_cap=4)
@@ -273,6 +286,80 @@ def test_amalgam_over_budget_is_refused_before_searching(f2, monkeypatch):
     monkeypatch.setattr(theorems, "_search", lambda *a, **k: pytest.fail("searched"))
     with pytest.raises(BudgetExceeded, match="more than 1000000 alternating words"):
         amalgam_injectivity(fold(f2, ["a"]), f2.parse("b"), M=1, n_syllables=7)
+
+
+@pytest.mark.parametrize("gens, M, n, words", [
+    (("a",), 1, 5, 74_896),      # pools a^{+-1..4}, b^{+-1..4}
+    (("a", "baB"), 4, 4, 4_182),  # pools of 20 and 2: b^{+-4}
+])
+def test_amalgam_fold_decides_without_searching(f2, monkeypatch, gens, M, n, words):
+    # rank <H, b^M> = rank H + 1, so H * <b^M> embeds (free groups are
+    # Hopfian) and every alternating word of the sample is nontrivial and
+    # distinct: the fold passes it with the sample's exact size
+    monkeypatch.setattr(theorems, "_search", lambda *a, **k: pytest.fail("searched"))
+    rep = amalgam_injectivity(fold(f2, gens), f2.parse("b"), M=M, n_syllables=n)
+    assert (rep.verdict, rep.decided_by, rep.words_checked) == ("PASS", "fold", words)
+    assert rep.words_checked == theorems._alternating_words(rep.pool_h, rep.pool_k, n)
+
+
+def _search_only(patch):
+    """Make amalgam_injectivity search every case, as if no fold certified one."""
+    patch.setattr(theorems, "_fold_certifies", lambda core, power: False)
+
+
+def _string_rank(gens):
+    """E - V + 1 of ``oracles.string_fold(gens)``, whose moves hold each edge
+    once from each end."""
+    step, base = oracles.string_fold(gens)
+    return len(step) // 2 - len({v for v, _ in step} | {base}) + 1
+
+
+@given(oracles.SUBGROUPS, st.integers(1, 3).flatmap(oracles.reduced_words), st.integers(1, 3))
+@example(["a", "baB"], "b", 1)  # <a, b>: rank 2, no gain
+@example(["a", "baB"], "b", 4)  # rank 3
+@example(["bb"], "b", 3)        # <b>: H & <b^3> = <b^6>
+@settings(max_examples=80, deadline=None)
+def test_fold_rank_matches_string_fold(gens, g, M):
+    """The fold certifies <H, g^M> exactly when the string fold of H's
+    generators and g^M has one more rank than that of H's alone."""
+    f2 = MarkedGroup.free(2)
+    core, power = fold(f2, gens), f2.parse(g) ** M
+    assert core.rank == _string_rank(gens)
+    assert theorems._fold_certifies(core, power) == \
+        (_string_rank([*gens, str(power)]) == core.rank + 1)
+
+
+def _outcome(sub, g, M, n, cap):
+    """amalgam_injectivity's report, or its refusal or witness as a tuple."""
+    try:
+        return amalgam_injectivity(sub, g, M=M, n_syllables=n, letter_cap=cap)
+    except (BudgetExceeded, CounterexampleFound, PreconditionFailed) as exc:
+        return type(exc), str(exc), getattr(exc, "witness", None)
+
+
+@given(_SMALL_SUBGROUPS, st.sampled_from(["b", "ab", "aB", "bAB"]), st.integers(1, 2),
+       st.integers(3, 4), st.integers(1, 4))
+@example(["a", "baB"], "b", 1, 4, 4)  # the search finds a collision
+@example(["a"], "b", 1, 3, 3)         # the fold certifies
+@example(["bab", "BaB"], "b", 1, 3, 4)  # the search finds an identity
+@settings(max_examples=120, deadline=None)
+def test_amalgam_fold_agrees_with_the_search(gens, g, M, cap, n):
+    """Where the fold certifies, the search passes with the same count;
+    where the search finds a witness, the fold refused; and a refused fold
+    runs that same search."""
+    f2 = MarkedGroup.free(2)
+    sub, g = fold(f2, gens), f2.parse(g)
+    decided = _outcome(sub, g, M, n, cap)
+    assume(not isinstance(decided, AmalgamReport) or decided.words_checked <= 20_000)
+    with pytest.MonkeyPatch.context() as patch:
+        _search_only(patch)
+        searched = _outcome(sub, g, M, n, cap)
+    if isinstance(searched, tuple) and searched[0] is CounterexampleFound:
+        assert not theorems._fold_certifies(sub, g ** M)
+    if isinstance(decided, AmalgamReport) and decided.decided_by == "fold":
+        assert searched == replace(decided, decided_by="search")
+    else:
+        assert searched == decided
 
 
 def test_amalgam_small_power_refuted(f2):
@@ -404,13 +491,16 @@ def _matches_string_oracle(sub, cap, n):
     witness as the string model, or visits as many words; returns the
     model's (verdict, words, witness)."""
     verdict, words, witness = oracles.alternating_search(_string_pools(sub, cap), n)
-    try:
-        rep = amalgam_injectivity(sub, sub.group.parse("b"), M=1, n_syllables=n, letter_cap=cap)
-    except CounterexampleFound as exc:
-        assert verdict == ("collision" if "share an image" in str(exc) else "identity")
-        assert exc.witness == witness
-    else:
-        assert (verdict, rep.words_checked) == ("PASS", words)
+    with pytest.MonkeyPatch.context() as patch:
+        _search_only(patch)  # the model is of the search, which would not run where the fold certifies
+        try:
+            rep = amalgam_injectivity(sub, sub.group.parse("b"), M=1, n_syllables=n,
+                                      letter_cap=cap)
+        except CounterexampleFound as exc:
+            assert verdict == ("collision" if "share an image" in str(exc) else "identity")
+            assert exc.witness == witness
+        else:
+            assert (verdict, rep.decided_by, rep.words_checked) == ("PASS", "search", words)
     return verdict, words, witness
 
 
@@ -454,16 +544,7 @@ def test_collision_replay_reads_the_same_codes(f2):
     assert witness == (["ab", "BB", "ba", "b"], ["ab", "B", "ab"])
 
 
-def _with_conjugate(w, j):
-    """[w, b^j w b^-j]: such a pair makes alternating words collide."""
-    return [w, "b" * j + w + "B" * j if j > 0 else "B" * -j + w + "b" * -j]
-
-
-@given(st.one_of(st.lists(st.integers(1, 3).flatmap(oracles.reduced_words),
-                          min_size=1, max_size=2),
-                 st.builds(_with_conjugate, st.integers(1, 2).flatmap(oracles.reduced_words),
-                           st.sampled_from([-2, -1, 1, 2]))),
-       st.integers(2, 3), st.integers(1, 4))
+@given(_SMALL_SUBGROUPS, st.integers(2, 3), st.integers(1, 4))
 @example(["a", "bab"], 3, 2)  # BAB.b = B.A = BA, a collision whose seam merges in a batch
 @settings(max_examples=80, deadline=None)
 def test_amalgam_search_matches_string_oracle_on_random_subgroups(gens, cap, n):
@@ -495,24 +576,27 @@ def test_amalgam_spends_one_product_per_word(f2, monkeypatch):
     # costs a product: only the pools and H & E(b) do (38 here; 9,398 with
     # one product per word of fewer than 5 letters)
     sub = fold(f2, ["a"])
+    _search_only(monkeypatch)  # the fold certifies <a, b> and would search nothing
     products = _count_products(monkeypatch)
     rep = amalgam_injectivity(sub, f2.parse("b"), M=1, n_syllables=5, letter_cap=4)
-    assert rep.words_checked == 2 * sum(8 ** d for d in range(1, 6))
+    assert (rep.decided_by, rep.words_checked) == ("search", 2 * sum(8 ** d for d in range(1, 6)))
     assert products[0] <= 9360 + 200
     assert products[0] <= 200
 
 
 @pytest.mark.parametrize("search", ["amalgam", "ping-pong"])
-def test_searches_leave_no_garbage_cycle(f2, search):
+def test_searches_leave_no_garbage_cycle(f2, monkeypatch, search):
     # a reference cycle through the search would keep its image set (thousands
-    # of objects for the amalgam search here) alive until the cyclic collector runs
+    # of objects for the amalgam search here) alive until the cyclic collector
+    # runs; the fold certifies <a, b>, so the amalgam search is forced
+    _search_only(monkeypatch)
     sub, b = fold(f2, ["a"]), f2.parse("b")
     g1, g2 = f2.parse("ab"), f2.parse("aB")
     gc.collect()
     gc.disable()
     try:
         if search == "amalgam":
-            amalgam_injectivity(sub, b, M=1, n_syllables=4)
+            assert amalgam_injectivity(sub, b, M=1, n_syllables=4).decided_by == "search"
         else:
             free_subgroup_witness(g1, g2, 1, 5)
         assert gc.collect() < 50
