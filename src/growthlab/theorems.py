@@ -216,20 +216,13 @@ def amalgam_injectivity(subgroup, g: Word, M: int, n_syllables: int,
     of a free product, goes to the search, which finds the witness or
     passes on the sample.
 
-    The search (``_search``) is depth-first, H-letters first, each pool in
-    its order.  At every depth a word is its prefix concatenated with the
-    letter, unless the seam merges, which alone costs a ``Word`` product.
-    Each word's image is a string, one character per normal-form syllable
-    from a code table that this call owns (``_SyllableCodes``): distinct
-    syllables get distinct characters, so distinct elements get distinct
-    strings and the identity is the empty string.  Most words are checked
-    in batches, in C: no image is empty (``all``) and, with H&E trivial,
-    ``set.update`` grows the image set by the batch's length.  A failing
-    batch is replayed word by word to the first bad word in search order,
-    and once more, with the same table, to the earlier word of a collision,
-    so verdict, count and witness are those of a word-by-word search; a
-    passing search never replays, and the image set is freed when the
-    search returns (``_search`` leaves no reference cycle).
+    The search (``_search``) walks the sample word by word, depth-first,
+    H-letters first, each pool in its order, and keys each word by its
+    normal-form syllables: the empty tuple is the identity and, with H&E
+    trivial, a word whose syllables are already in the image set collides
+    with an earlier one, which one more walk of the search finds.  A
+    passing search visits exactly the sample, so ``words_checked`` is its
+    size on both paths.
 
     Refusals come before the fold and the search.  g^M in H, which empties
     the <g^M>-pool, is refused before H is listed (PreconditionFailed), and
@@ -260,43 +253,32 @@ def amalgam_injectivity(subgroup, g: Word, M: int, n_syllables: int,
         raise BudgetExceeded(f"more than {ELEMENT_CAP} alternating words of at most "
                              f"{n_syllables} letters from pools of {len(pool_h)} and "
                              f"{len(pool_k)} letters")
-    report = dict(verdict="PASS", max_syllables=n_syllables, letter_cap=letter_cap, M=M,
-                  pool_h=len(pool_h), pool_k=len(pool_k),
+    report = dict(verdict="PASS", words_checked=sample, max_syllables=n_syllables,
+                  letter_cap=letter_cap, M=M, pool_h=len(pool_h), pool_k=len(pool_k),
                   h_cap_e=tuple(str(f) for f in f_elements))
     if isinstance(subgroup, CoreGraph) and _fold_certifies(subgroup, power):
-        return AmalgamReport(decided_by="fold", words_checked=sample, **report)
+        return AmalgamReport(decided_by="fold", **report)
 
     letters, h = pool_h + pool_k, len(pool_h)
     follows = [range(h, len(letters))] * h + [range(h)] * len(pool_k)
-    key = _SyllableCodes()
-    images: set[str] = set()
-
-    def fresh(batch: list[str]) -> bool:
-        size = len(images) + len(batch)
-        images.update(batch)
-        if len(images) == size and all(batch):
-            return True
-        images.clear()  # terminal: the word-by-word replay refills the set
-        return False
+    images: set[tuple] = set()
 
     def spelled(trail: list[int]) -> list[str]:
         return [str(letters[i]) for i in trail]
 
-    def visit(image: str, trail: list[int]) -> bool:
-        if not image:
+    for syllables, trail in _search(letters, follows, n_syllables):
+        if not syllables:
             raise CounterexampleFound("alternating word maps to the identity",
                                       witness=spelled(trail))
-        if collisions and image in images:
-            first = _search(letters, follows, n_syllables, lambda other, _: other == image,
-                            key)[1]
-            raise CounterexampleFound("two distinct alternating words share an image",
-                                      witness=(spelled(first), spelled(trail)))
-        images.add(image)
-        return False
-
-    words_checked, _ = _search(letters, follows, n_syllables, visit, key,
-                               fresh if collisions else all)
-    return AmalgamReport(decided_by="search", words_checked=words_checked, **report)
+        if collisions:
+            size = len(images)
+            images.add(syllables)
+            if len(images) == size:
+                first = next(spelled(t) for s, t in _search(letters, follows, n_syllables)
+                             if s == syllables)
+                raise CounterexampleFound("two distinct alternating words share an image",
+                                          witness=(first, spelled(trail)))
+    return AmalgamReport(decided_by="search", **report)
 
 
 def _fold_certifies(core: CoreGraph, power: Word) -> bool:
@@ -304,27 +286,6 @@ def _fold_certifies(core: CoreGraph, power: Word) -> bool:
     ``core`` in F_k: exactly when folding the core with one loop ``power``
     at its base gives rank(H) + 1 (Hopfian; see ``amalgam_injectivity``)."""
     return _fold(core.group, core.n_vertices, core.edges, [power]).rank == core.rank + 1
-
-
-class _SyllableCodes(dict):
-    """A code table: ``self(syllables)`` spells a normal form with one
-    character per syllable, each syllable's code handed out the first time
-    it is spelled.  Distinct syllables get distinct characters, so distinct
-    normal forms get distinct strings, and the identity is the empty string.
-
-    A syllable of an image is a letter's or the one syllable a product
-    merges at its seam, and a product merges at most one.  The replays
-    repeat products of the first walk, so a search of at most
-    ``ELEMENT_CAP`` words needs the letters' distinct syllables plus at
-    most ``ELEMENT_CAP`` more codes, under the 0x110000 code points; past
-    them ``chr`` raises rather than reuse a code."""
-
-    def __missing__(self, syllable) -> str:
-        code = self[syllable] = chr(len(self))
-        return code
-
-    def __call__(self, syllables) -> str:
-        return "".join(map(self.__getitem__, syllables))
 
 
 def _alternating_words(h: int, k: int, n: int) -> int:
@@ -340,75 +301,42 @@ def _alternating_words(h: int, k: int, n: int) -> int:
     return total
 
 
-def _search(letters: list[Word], follows, n: int, visit, key, batch=None):
-    """Walk the words letters[i_1] ... letters[i_d], 1 <= d <= n, with each
-    i_{t+1} in ``follows[i_t]``, depth-first.  Each word's image goes to
-    ``visit(image, indices)``, and a true return stops the walk; returns the
-    count visited and the stopping word's indices, or None.  With ``batch``,
-    the words under each prefix of n - 2 letters, a stretch of the walk, go
-    to ``batch(images)`` in one list, and a false return replays the walk
-    without it.
+def _search(letters: list[Word], follows, n: int):
+    """Yield (syllables, trail) for each word letters[i_1] ... letters[i_d],
+    1 <= d <= n, with each i_{t+1} in ``follows[i_t]``, depth-first, each
+    word before its extensions: ``syllables`` is the word's normal form and
+    ``trail`` the list of its indices, which the walk changes as it goes on.
 
-    A word is carried as its normal-form syllables, its length and its
-    image, ``key(syllables)``; ``key`` must take concatenation of syllable
-    tuples to the sum (``+``) of images and the identity to a false image:
-    ``_SyllableCodes`` strings, or ``len``, the syllable count, where only
-    the identity matters: ``free_subgroup_witness`` decides every word by
-    its join of half-words and walks only to replay, without ``batch``, to
-    the first identity in order once the join has found one.
-    At every depth a word is its prefix's syllables, length and image, each
-    concatenated with the letter's, unless the prefix's last generator is
-    the letter's first: only such a seam can merge (``groups``), and only
-    it costs a ``Word`` product, whose syllables are keyed afresh.
-    ``walk`` refers to itself; the cycle is broken on the way out, so
-    nothing it holds, the image set of ``batch`` included, waits for the
-    cyclic collector.
+    A word is its prefix's syllables and length concatenated with the
+    letter's, unless the prefix's last generator is the letter's first:
+    only such a seam can merge (``groups``), and only it costs a ``Word``
+    product.
     """
     group = letters[0].group
     syllables = [w.syllables for w in letters]
     lengths = [w.length for w in letters]
-    images = [key(s) for s in syllables]
     heads = [s[0][0] if s else -1 for s in syllables]
-    last, trail, count = n - 1, [], 0
-
-    def extend(word, j):
-        syl, length, image = word
-        if heads[j] != (syl[-1][0] if syl else -1):
-            return syl + syllables[j], length + lengths[j], image + images[j]
-        w = Word(group, syl, length) * letters[j]
-        return w.syllables, w.length, key(w.syllables)
-
-    def walk(word, options, depth: int) -> bool:
-        nonlocal count
-        if batch is not None and depth >= last - 1:
-            words = [extend(word, i) for i in options]
-            found = [w[2] for w in words]
-            if depth < last:
-                seams = [w[0][-1][0] if w[0] else -1 for w in words]
-                found += [image + images[j] if heads[j] != seam
-                          else key((Word(group, syl, length) * letters[j]).syllables)
-                          for i, (syl, length, image), seam in zip(options, words, seams)
-                          for j in follows[i]]
-            count += len(found)
-            return not batch(found)
-        for i in options:
-            w = extend(word, i)
-            count += 1
-            trail.append(i)
-            if visit(w[2], trail) or (depth < last and walk(w, follows[i], depth + 1)):
-                return True
+    trail: list[int] = []
+    stack = [((), 0, iter(range(len(letters))))] if n > 0 else []
+    while stack:
+        syl, length, options = stack[-1]
+        i = next(options, None)
+        if i is None:
+            stack.pop()
+            if trail:
+                trail.pop()
+            continue
+        if heads[i] != (syl[-1][0] if syl else -1):
+            syl, length = syl + syllables[i], length + lengths[i]
+        else:
+            w = Word(group, syl, length) * letters[i]
+            syl, length = w.syllables, w.length
+        trail.append(i)
+        yield syl, trail
+        if len(trail) < n:
+            stack.append((syl, length, iter(follows[i])))
+        else:
             trail.pop()
-        return False
-
-    empty, root = ((), 0, key(())), range(len(letters))
-    try:
-        if n > 0 and walk(empty, root, 0) and batch is not None:
-            batch, count = None, 0
-            trail.clear()
-            walk(empty, root, 0)
-        return count, trail or None
-    finally:
-        del walk
 
 
 def free_subgroup_witness(g1: Word, g2: Word, M: int, n_letters: int) -> dict:
@@ -440,10 +368,11 @@ def free_subgroup_witness(g1: Word, g2: Word, M: int, n_letters: int) -> dict:
     v^-1 may end in any letter but u's.  As letter l follows any word that
     does not end in l ^ 1, c_k[l] = |W_{k-1}| - c_{k-1}[l ^ 1]: the
     half-words are counted before the first product, and more than
-    ``ELEMENT_CAP`` of them are refused (BudgetExceeded).  Only when the tables meet is the walk
-    (``_search``) run, word by word, to the first identity in depth-first
-    letter order: its letter indices are the witness.  A walk that finds
-    none contradicts the tables (CrossCheckFailed).
+    ``ELEMENT_CAP`` of them are refused (BudgetExceeded).  Only when the
+    tables meet does the call walk the words (``_search``), in depth-first
+    letter order, to the first whose normal form is empty: its letter
+    indices are the witness.  A walk that finds none contradicts the tables
+    (CrossCheckFailed).
     """
     pm1, pm2 = ProjectionMap(Axis(g1)), ProjectionMap(Axis(g2))
     window = 3 * max(pm1.axis.translation_length, pm2.axis.translation_length) + \
@@ -479,12 +408,13 @@ def free_subgroup_witness(g1: Word, g2: Word, M: int, n_letters: int) -> dict:
         u, v = d - d // 2, d // 2
         first, second = tables[u], tables[v]
         if any(len(lasts | first[form]) > 1 for form, lasts in second.items() if form in first):
-            trail = _search(letters, follows, n_letters, lambda image, _: not image, len)[1]
+            trail = next((tuple(t) for syllables, t in _search(letters, follows, n_letters)
+                          if not syllables), None)
             if trail is None:
                 raise CrossCheckFailed(f"half-words meet in an identity of {d} letters "
                                        "that the walk does not find")
             raise CounterexampleFound("freely reduced alternating power word maps to identity",
-                                      witness=tuple(trail))
+                                      witness=trail)
         checked += sum(c * (sizes[v] - e) for c, e in zip(ends[u], ends[v]))
     return {"verdict": "PASS", "words_checked": checked, "M": M,
             "mutual_projections": (d12, d21)}

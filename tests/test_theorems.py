@@ -379,12 +379,17 @@ def test_amalgam_with_searched_power(f2):
     assert rep.verdict == "PASS"
 
 
-def test_amalgam_free_product_with_torsion(z23):
-    # H = <x> finite; g a transversal conjugate of the constricting xy
+def _torsion_case(z23):
+    """H = <x> finite in Z2*Z3 and g a transversal conjugate of the
+    constricting xy."""
     sub = oracles.FiniteSubgroup(z23, [z23.parse("x")])
     g0 = z23.parse("xy")
     rec = find_transversal_conjugate(sub, g0, 3, theta=1, orbit_radius=3)
-    g = g0.conjugated_by(rec.k)
+    return sub, g0.conjugated_by(rec.k)
+
+
+def test_amalgam_free_product_with_torsion(z23):
+    sub, g = _torsion_case(z23)
     rep = amalgam_injectivity(sub, g, M=2, n_syllables=4, letter_cap=6)
     assert rep.verdict == "PASS"
 
@@ -519,12 +524,12 @@ def test_amalgam_search_matches_string_oracle(f2, gens, n):
 @pytest.mark.parametrize("gens, cap, n, batch", [
     (("bab", "BaB"), 3, 4, "identity"),  # bab.BB.bAb.BB = 1
     (("aa", "bab"), 3, 3, "earlier"),    # BB.bab.B = BAB.b.aa, under prefixes BB and BAB
-    (("a", "baB"), 3, 2, "same"),        # B.baB = a.B, both in the one batch of n = 2
+    (("a", "baB"), 3, 2, "same"),        # B.baB = a.B, both under the empty prefix of n = 2
 ])
 def test_first_bad_word_in_a_last_level_batch(f2, gens, cap, n, batch):
-    # the batched search checks the words under each prefix of n - 2 letters
-    # (those of n - 1 and n letters) as one batch; where the first bad word
-    # in search order has n letters, the replay must still find it
+    # the first bad word in search order has n letters, the deepest level the
+    # walk yields; "same" and "earlier" place the earlier word of a collision
+    # under the same prefix of n - 2 letters, or under an earlier one
     verdict, _, witness = _matches_string_oracle(fold(f2, gens), cap, n)
     if batch == "identity":
         assert verdict == "identity" and len(witness) == n
@@ -536,16 +541,16 @@ def test_first_bad_word_in_a_last_level_batch(f2, gens, cap, n, batch):
 
 
 def test_collision_replay_reads_the_same_codes(f2):
-    # ab.BB.ba.b = ab.B.ab = aab, and no letter has the syllable aa: its code
-    # is handed out when the walk first makes it, so the replay that finds
-    # the earlier word must key images with the table that keyed the later one
+    # ab.BB.ba.b = ab.B.ab = aab, and no letter has the syllable aa: it is
+    # made by a merging seam, so the pass that finds the earlier word must
+    # make it again, by the same product, to match the later word's image
     verdict, _, witness = _matches_string_oracle(fold(f2, ["ab", "ba"]), 2, 4)
     assert verdict == "collision"
     assert witness == (["ab", "BB", "ba", "b"], ["ab", "B", "ab"])
 
 
 @given(_SMALL_SUBGROUPS, st.integers(2, 3), st.integers(1, 4))
-@example(["a", "bab"], 3, 2)  # BAB.b = B.A = BA, a collision whose seam merges in a batch
+@example(["a", "bab"], 3, 2)  # BAB.b = B.A = BA, a collision whose seam merges at the last level
 @settings(max_examples=80, deadline=None)
 def test_amalgam_search_matches_string_oracle_on_random_subgroups(gens, cap, n):
     f2 = MarkedGroup.free(2)
@@ -571,7 +576,7 @@ def _count_products(monkeypatch) -> list[int]:
 def test_amalgam_spends_one_product_per_word(f2, monkeypatch):
     # pools a^{+-1..4} and b^{+-1..4}: 2 (8 + 8^2 + 8^3 + 8^4) = 9,360 words
     # of fewer than 5 letters, allowed one product each; a product per
-    # last-level word, or a replay of the passing search, breaks that bound.
+    # last-level word, or a second walk of the passing search, breaks that bound.
     # a- and b-letters never merge at the seam, so no word of any length
     # costs a product: only the pools and H & E(b) do (38 here; 9,398 with
     # one product per word of fewer than 5 letters)
@@ -584,11 +589,48 @@ def test_amalgam_spends_one_product_per_word(f2, monkeypatch):
     assert products[0] <= 200
 
 
+@pytest.mark.parametrize("case", ["free", "torsion"])
+def test_passing_search_walks_exactly_the_sample(f2, z23, monkeypatch, case):
+    # words_checked is the sample's size, counted from the pools, on both
+    # paths; a passing search must still have walked every word of it
+    search, walked = theorems._search, [0]
+
+    def counting(*args):
+        for word in search(*args):
+            walked[0] += 1
+            yield word
+
+    monkeypatch.setattr(theorems, "_search", counting)
+    if case == "free":
+        _search_only(monkeypatch)  # the fold certifies <a, b>
+        rep = amalgam_injectivity(fold(f2, ["a"]), f2.parse("b"), M=1, n_syllables=4)
+    else:
+        sub, g = _torsion_case(z23)
+        rep = amalgam_injectivity(sub, g, M=2, n_syllables=4, letter_cap=6)
+    assert (rep.verdict, rep.decided_by) == ("PASS", "search")
+    assert walked[0] == rep.words_checked == \
+        theorems._alternating_words(rep.pool_h, rep.pool_k, 4)
+
+
+def test_collision_costs_one_walk_and_one_pass(f2, monkeypatch):
+    # <a, baB>, b, M = 1 collides at a.BBBB.aa.B: the listing and the pools
+    # make 214 products, the walk to the collision 88 (one per merging seam)
+    # and the pass to its earlier word 25, 327 in all; a second walk of the
+    # words before the collision, as a replay after a failed batch, made 455
+    sub = fold(f2, ["a", "baB"])
+    products = _count_products(monkeypatch)
+    with pytest.raises(CounterexampleFound, match="share an image") as exc:
+        amalgam_injectivity(sub, f2.parse("b"), M=1, n_syllables=5)
+    assert exc.value.witness == (["a", "BBBB", "a", "B", "baB"], ["a", "BBBB", "aa", "B"])
+    assert products[0] <= 330
+
+
 @pytest.mark.parametrize("search", ["amalgam", "ping-pong"])
 def test_searches_leave_no_garbage_cycle(f2, monkeypatch, search):
-    # a reference cycle through the search would keep its image set (thousands
-    # of objects for the amalgam search here) alive until the cyclic collector
-    # runs; the fold certifies <a, b>, so the amalgam search is forced
+    # a reference cycle through the search, or through the generator it
+    # walks, would keep the image set (thousands of tuples for the amalgam
+    # search here) alive until the cyclic collector runs; the fold certifies
+    # <a, b>, so the amalgam search is forced
     _search_only(monkeypatch)
     sub, b = fold(f2, ["a"]), f2.parse("b")
     g1, g2 = f2.parse("ab"), f2.parse("aB")
