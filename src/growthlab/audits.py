@@ -36,7 +36,12 @@ from x to y.  Along that DAG:
  - CS2: A_x[v] = min(d(v, pi x), max of A_x over v's DAG predecessors)
    is the best, over geodesics from x to v, of their least distance to
    pi x; the worst approach of a pair is max(A_x[y], A_y[x]).  d(., p)
-   is one column per distinct projection vertex p.
+   is one column per distinct projection vertex p.  That BFS per source
+   serves free products.  In F_k no traversal per source is needed: in a
+   tree the least distance from p to [x, y] is the Gromov product
+   (d(x, p) + d(y, p) - d(x, y)) / 2 (Bridson-Haefliger III.H.1), so one
+   two-pass DP over the ball's prefix tree per projection vertex p gives,
+   for every y, its largest value over the sources x with pi x = p.
  - (3) and (4): canonical spellings (``Word.letters``) are prefix-closed,
    so they form a spanning tree of the DAG, and the canonical geodesic's
    length, projection range and first and last on-axis index ride down
@@ -127,6 +132,7 @@ class _Region:
     """
 
     def __init__(self, group, points: list[Word]):
+        self.group = group
         self.n = len(points)
         words = list(points)
         ids = {w: i for i, w in enumerate(words)}
@@ -194,30 +200,77 @@ def _bottleneck(region: _Region, x: int, col: list[int]) -> list[int]:
     return reach
 
 
+def _tree_approach(order: list[int], parent: list[int], xs: list[int],
+                   col: list[int]) -> list[int]:
+    """The largest, over the sources ``xs``, of the least distance from p
+    to the geodesic [x, y], for every y of a tree region; ``col`` is d(., p).
+
+    That distance is the Gromov product (col[x] + col[y] - d(x, y)) / 2,
+    an integer, since a triangle's perimeter is even in a tree.  So only
+    far[y] = max over xs of col[x] - d(x, y) is needed, and it takes two
+    passes over the tree: ``order`` lists its vertices but the root, each
+    after its parent.
+    """
+    far = [-len(col)] * len(col)  # below any col[x] - d(x, y)
+    for x in xs:
+        far[x] = col[x]
+    for v in reversed(order):  # leaves up: the sources below v
+        u = parent[v]
+        if far[v] - 1 > far[u]:
+            far[u] = far[v] - 1
+    for v in order:  # root down: the sources beyond v's parent
+        u = parent[v]
+        if far[u] - 1 > far[v]:
+            far[v] = far[u] - 1
+    return [(c + f) // 2 for c, f in zip(col, far)]
+
+
 def _cs2_delta(region: _Region, proj: list[Word], gaps) -> int:
     """Least delta certifying CS2 over all pairs of the region's points.
 
     ``proj[i]`` is the projection vertex of point i, and ``gaps(x)`` lists
-    the projected distance from point x to every point.  A pair with
-    projections delta-close is a vacuous case, never a violation, so the
-    least certifying delta of a pair is min(gap, worst approach), where
-    the approach of a geodesic is the larger of its distances to the two
-    projection vertices and the worst is taken over every geodesic.  The
-    worst approach is max(A_x[y], A_y[x]), with A_x the ``_bottleneck`` of
-    d(., proj[x]) from x, and gap is symmetric, so the answer is the
-    largest min(gap, A_x[y]) over ordered pairs.
+    the projected distance from point x to every point; it must depend on
+    x only through ``proj[x]``.  A pair with projections delta-close is a
+    vacuous case, never a violation, so the least certifying delta of a
+    pair is min(gap, worst approach), where the approach of a geodesic is
+    the larger of its distances to the two projection vertices and the
+    worst is taken over every geodesic.  The worst approach is
+    max(A_x[y], A_y[x]), with A_x[y] the best, over geodesics from x to y,
+    of their least distance to proj[x], and gap is symmetric, so the
+    answer is the largest min(gap, A_x[y]) over ordered pairs.
+
+    Per projection vertex p, every source x with proj[x] = p shares one
+    gap row, so only the largest A_x over them counts.  In F_k the region
+    is a tree and ``_tree_approach`` gives that largest A_x at once; in a
+    free product, A_x is the ``_bottleneck`` BFS of d(., p) from each x.
     """
-    columns: dict[Word, list[int]] = {}  # projection vertex p -> d(., p) over the region
-    needed = 0
+    sources: dict[Word, list[int]] = {}  # projection vertex p -> its points
     for x in range(region.n):
-        row = gaps(x)
-        if max(row) <= needed:
-            continue  # no pair from x can raise the running maximum
-        px = proj[x]
-        col = columns.get(px)
-        if col is None:
-            col = columns[px] = [distance(w, px) for w in region.words]
-        needed = max(needed, max(map(min, row, _bottleneck(region, x, col))))
+        sources.setdefault(proj[x], []).append(x)
+    if region.group.is_free:
+        parent = [-1] * region.n
+        parent[0] = 0
+        order = [0]
+        for v in order:  # grows as the search goes
+            for w in region.nbrs[v]:
+                if parent[w] < 0:
+                    parent[w] = v
+                    order.append(w)
+        del order[0]
+    needed = 0
+    for p, xs in sources.items():
+        row = gaps(xs[0])
+        top = max(row)
+        if top <= needed:
+            continue  # no pair from p's points can raise the running maximum
+        col = [distance(w, p) for w in region.words]
+        if region.group.is_free:
+            needed = max(needed, max(map(min, row, _tree_approach(order, parent, xs, col))))
+            continue
+        for x in xs:
+            needed = max(needed, max(map(min, row, _bottleneck(region, x, col))))
+            if needed >= top:
+                break
     return needed
 
 

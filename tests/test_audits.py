@@ -4,13 +4,14 @@ graphs, the per-pair scans of ``oracles``, closure membership,
 hand-verified gate arguments (noted inline)."""
 
 import dataclasses
+import functools
 import itertools
 import math
 import random
 from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -245,7 +246,30 @@ def axes(draw):
     return word, draw(st.integers(2, 3))
 
 
+def _table_and_zeta_by_pairs(word, r):
+    """The AuditTable of the axis of ``word`` over B(o, r), and its zeta rows
+    re-scanned pair by pair on the perturbed sets that the audit drew."""
+    drawn = []
+
+    class Recording(audits.SetProjection):
+        def __init__(self, points):
+            super().__init__(points)
+            drawn.append(self)
+
+    with mock.patch.object(audits, "SetProjection", Recording):
+        table = elementary_properties_audit(ProjectionMap(Axis(word)), None, r)
+    points = list(ball_elements(word.group, min(r, 3)))
+    zeta = []
+    for (eps, _, _), sp in zip(table.zeta_table, drawn):
+        proj = {x: (sp.project(x)[0],) * 2 for x in points}
+        zeta.append((eps, oracles.cs2_by_pairs(points, proj, distance), len(points)))
+    assert len(drawn) == len(table.zeta_table) == 2
+    return table, tuple(zeta)
+
+
 @given(axes())
+# the tie arcs of a 4-cycle: the case a canonical table without them gets wrong
+@example((MarkedGroup.from_descriptor("product:4,4").parse("xy"), 3))
 @settings(max_examples=25, deadline=None)
 def test_pair_scans_match_the_per_pair_oracle(case):
     """The per-source traversals give the per-pair scan's ConstrictionReport
@@ -255,26 +279,77 @@ def test_pair_scans_match_the_per_pair_oracle(case):
     assert constriction_audit(ProjectionMap(Axis(word)), r) == \
         oracles.constriction_by_pairs(ProjectionMap(Axis(word)), r)
 
-    drawn = []
-
-    class Recording(audits.SetProjection):
-        def __init__(self, points):
-            super().__init__(points)
-            drawn.append(self)
-
-    pm = ProjectionMap(Axis(word))
-    with mock.patch.object(audits, "SetProjection", Recording):
-        table = elementary_properties_audit(pm, None, r)
-    theta3, theta4, witnesses = oracles.lipschitz_image_by_pairs(pm, r)
-    points = list(ball_elements(word.group, min(r, 3)))
-    zeta = []
-    for (eps, _, _), sp in zip(table.zeta_table, drawn):
-        proj = {x: (sp.project(x)[0],) * 2 for x in points}
-        zeta.append((eps, oracles.cs2_by_pairs(points, proj, distance), len(points)))
-    assert len(drawn) == len(table.zeta_table) == 2
+    table, zeta = _table_and_zeta_by_pairs(word, r)
+    theta3, theta4, witnesses = oracles.lipschitz_image_by_pairs(ProjectionMap(Axis(word)), r)
     assert table == dataclasses.replace(
-        table, theta_lipschitz=theta3, theta_intersection_image=theta4, zeta_table=tuple(zeta),
+        table, theta_lipschitz=theta3, theta_intersection_image=theta4, zeta_table=zeta,
         witnesses=tuple(sorted({**dict(table.witnesses), **witnesses}.items())))
+
+
+def test_free_cs2_makes_no_traversal_per_source(f2, monkeypatch):
+    """In F_k, CS2 and the zeta rows of (7) come from the tree DP alone: with
+    ``_bottleneck`` refused, the audits still equal the per-pair oracles, on
+    a conjugated axis too (whose eps = 1 row needs the DP's root-down
+    pass).  A free product still runs the BFS."""
+    bottleneck = audits._bottleneck
+    calls = []
+
+    def refused(*args):
+        raise AssertionError("a BFS per source in a tree")
+
+    monkeypatch.setattr(audits, "_bottleneck", refused)
+    for axis, r in (("ab", 4), ("baB", 3)):
+        pm = ProjectionMap(Axis(f2.parse(axis)))
+        assert constriction_audit(pm, r) == oracles.constriction_by_pairs(pm, r)
+        table, zeta = _table_and_zeta_by_pairs(f2.parse(axis), r)
+        assert table.zeta_table == zeta
+
+    def counting(*args):
+        calls.append(args[1])
+        return bottleneck(*args)
+
+    monkeypatch.setattr(audits, "_bottleneck", counting)
+    z44 = MarkedGroup.from_descriptor("product:4,4")
+    assert constriction_audit(ProjectionMap(Axis(z44.parse("xy"))), 4).delta_cs2 == 1
+    assert calls
+
+
+@functools.lru_cache(maxsize=None)
+def _free_ball(rank, r):
+    return list(ball_elements(MarkedGroup.free(rank), r))
+
+
+@st.composite
+def projection_data(draw):
+    """B(o, r) of F2 or F3, r in {2, 3}, and an arbitrary map of its points
+    onto 1 to 6 vertices of B(o, r + 2): not a nearest-point map."""
+    rank, r = draw(st.sampled_from((2, 3))), draw(st.integers(2, 3))
+    points = _free_ball(rank, r)
+    targets = draw(st.lists(st.sampled_from(_free_ball(rank, r + 2)), min_size=1,
+                            max_size=6, unique=True))
+    return points, [draw(st.sampled_from(targets)) for _ in points]
+
+
+def _split_at_length_one():
+    """B(o, 2) of F2 with the points of length <= 1 sent to bbb, the rest to
+    aa: delta = 4, reached only by pairs of which neither is a prefix of
+    the other (a DP without its root-down pass reads 3)."""
+    f2 = MarkedGroup.free(2)
+    points = _free_ball(2, 2)
+    return points, [f2.parse("bbb" if x.length <= 1 else "aa") for x in points]
+
+
+@given(projection_data())
+@example(_split_at_length_one())
+@settings(max_examples=30, deadline=None)
+def test_tree_cs2_matches_the_pair_scan_on_any_projection(data):
+    """_cs2_delta in F_k, with gaps the distances between the assigned
+    vertices, equals the per-pair scan over every geodesic."""
+    points, proj = data
+    region = audits._Region(points[0].group, points)
+    delta = audits._cs2_delta(region, proj, lambda x: [distance(proj[x], q) for q in proj])
+    assert delta == oracles.cs2_by_pairs(points, {x: (p, p) for x, p in zip(points, proj)},
+                                         distance)
 
 
 def _off_region(group, ball, region):

@@ -22,6 +22,16 @@ end-to-end metric, the median, the quartiles and the extremes over the
 runs.  Only records of one session are alternated pairs; records of
 different sessions must not be compared, since the machine's speed moves
 between sessions by as much as a change under test.
+
+    python3 tools/bench_record.py --compare BENCH_parent.json BENCH_change.json
+
+reads two records of one session, parent first, and writes nothing.  It
+pairs their runs by seed and prints, per end-to-end metric of
+``BENCHMARK.json``, both medians and quartiles, the ratio of the medians,
+the pairs the change wins (ties count for neither side), whether that is
+a gain (at least nine pairs in ten, and the medians further apart than
+the parent's quartiles) and whether the change stays within the metric's
+bound (its median worse than the parent's by at most that share).
 """
 
 from __future__ import annotations
@@ -90,18 +100,67 @@ def _git(checkout: Path, *args: str) -> str:
                           text=True, check=True).stdout.strip()
 
 
+def compare(parent: dict, change: dict, end_to_end: list[dict]) -> list[dict]:
+    """One row per metric of ``end_to_end`` (the entries of BENCHMARK.json):
+    the change's record against the parent's, paired by seed."""
+    if parent["session"] != change["session"]:
+        raise ValueError("records of different sessions are not alternated pairs")
+    if parent["workload"] != change["workload"] or \
+            sorted(parent["seeds"]) != sorted(change["seeds"]):
+        raise ValueError("the records ran different workloads or seeds")
+    by_seed = dict(zip(change["seeds"], change["runs"]))
+    pairs = [(a["metrics"], by_seed[seed]["metrics"])
+             for seed, a in zip(parent["seeds"], parent["runs"])]
+    rows = []
+    for metric in end_to_end:
+        name = metric["name"]
+        sign = 1 if metric["better"] == "lower" else -1
+        a, b = parent["summary"][name], change["summary"][name]
+        wins = sum(sign * (pa[name]["value"] - pb[name]["value"]) > 0 for pa, pb in pairs)
+        better_by = sign * (a["median"] - b["median"])
+        rows.append({"name": name, "unit": a["unit"],
+                     "parent": (a["q1"], a["median"], a["q3"]),
+                     "change": (b["q1"], b["median"], b["q3"]),
+                     "ratio": b["median"] / a["median"], "wins": wins, "pairs": len(pairs),
+                     "gain": 10 * wins >= 9 * len(pairs) and better_by > a["q3"] - a["q1"],
+                     "within_bound": -better_by <= metric["bound"] * a["median"]})
+    return rows
+
+
 def parse_args(argv=None):
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    p.add_argument("--workload", required=True)
-    p.add_argument("--seeds", type=int, nargs="+", required=True)
-    p.add_argument("--record", nargs=2, action="append", required=True,
-                   metavar=("LABEL", "CHECKOUT"),
+    p.add_argument("--compare", nargs=2, metavar=("PARENT", "CHANGE"),
+                   help="compare two records of one session; runs and writes nothing")
+    p.add_argument("--workload")
+    p.add_argument("--seeds", type=int, nargs="+")
+    p.add_argument("--record", nargs=2, action="append", metavar=("LABEL", "CHECKOUT"),
                    help="run CHECKOUT and write BENCH_<LABEL>.json; repeat to alternate")
-    return p.parse_args(argv)
+    args = p.parse_args(argv)
+    if not args.compare and not (args.workload and args.seeds and args.record):
+        p.error("--workload, --seeds and --record are required unless --compare is given")
+    return args
 
 
 def main(argv=None) -> int:
     args = parse_args(argv)
+    if args.compare:
+        parent, change = (json.loads(Path(path).read_text()) for path in args.compare)
+        end_to_end = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+        try:
+            rows = compare(parent, change, end_to_end)
+        except ValueError as err:
+            sys.exit(f"error: {err}")
+        print(f"{parent['workload']}: {parent['label']} -> {change['label']}, "
+              f"session {parent['session']['started']}")
+        for row in rows:
+            q1, med, q3 = row["parent"]
+            c1, cmed, c3 = row["change"]
+            print(f"{row['name']} ({row['unit']}): {med:.4g} [{q1:.4g}-{q3:.4g}] -> "
+                  f"{cmed:.4g} [{c1:.4g}-{c3:.4g}], ratio {row['ratio']:.3f}, "
+                  f"change better in {row['wins']} of {row['pairs']} pairs, "
+                  f"gain {'yes' if row['gain'] else 'no'}, "
+                  f"within bound {'yes' if row['within_bound'] else 'no'}")
+        return 0
     labels = [label for label, _ in args.record]
     checkouts = [Path(path).resolve() for _, path in args.record]
     session = {"started": datetime.datetime.now(datetime.timezone.utc)
