@@ -292,7 +292,6 @@ def test_free_cs2_makes_no_traversal_per_source(f2, monkeypatch):
     a conjugated axis too (whose eps = 1 row needs the DP's root-down
     pass).  A free product still runs the BFS."""
     bottleneck = audits._bottleneck
-    calls = []
 
     def refused(*args):
         raise AssertionError("a BFS per source in a tree")
@@ -303,6 +302,8 @@ def test_free_cs2_makes_no_traversal_per_source(f2, monkeypatch):
         assert constriction_audit(pm, r) == oracles.constriction_by_pairs(pm, r)
         table, zeta = _table_and_zeta_by_pairs(f2.parse(axis), r)
         assert table.zeta_table == zeta
+
+    calls = []
 
     def counting(*args):
         calls.append(args[1])
