@@ -2,10 +2,17 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import Phase, settings
 
 sys.path.insert(0, str(Path(__file__).parent))
 
 from growthlab import MarkedGroup, ProjectionMap, Word
+
+# tools/mutants.py selects this profile: the same draws on every run, so a
+# verdict can be rerun, and no shrinking, whose reruns of a failing test
+# could outlast the tool's timeout
+settings.register_profile("mutants", derandomize=True,
+                          phases=[p for p in Phase if p is not Phase.shrink])
 
 
 @pytest.fixture(scope="session")

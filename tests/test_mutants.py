@@ -6,10 +6,12 @@ file under ``src/``, so a refactor that moves a mutated site updates the
 list, and every named test file must exist.
 """
 
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import Phase, settings
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "tools"))
@@ -71,3 +73,18 @@ def test_tests_failing_unmutated_make_their_mutants_stale(monkeypatch, tmp_path)
         stale = mutants.unmutated([x, y], tmp_path)
         assert sorted(stale) == ["x", "y"]
         assert all(v["status"] == "stale" for v in stale.values())
+
+
+def test_runs_use_the_fixed_draws_of_the_mutants_profile(monkeypatch, tmp_path):
+    commands = []
+
+    def run(cmd, **kwargs):
+        commands.append(cmd)
+        return subprocess.CompletedProcess(cmd, 0, stdout="")
+
+    monkeypatch.setattr(mutants.subprocess, "run", run)
+    assert mutants.run_tests(["tests/test_a.py::test_x"], tmp_path) == (0, "")
+    assert commands == [[sys.executable, "-m", "pytest", "-q", "-rf", "-p", "no:cacheprovider",
+                         "--hypothesis-profile=mutants", "tests/test_a.py::test_x"]]
+    profile = settings.get_profile("mutants")
+    assert profile.derandomize and Phase.shrink not in profile.phases

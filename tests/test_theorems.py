@@ -626,21 +626,22 @@ def test_collision_costs_one_walk_and_one_pass(f2, monkeypatch):
 
 
 @pytest.mark.parametrize("search", ["amalgam", "ping-pong"])
-def test_searches_leave_no_garbage_cycle(f2, monkeypatch, search):
+def test_searches_leave_no_garbage_cycle(f2, z23, monkeypatch, search):
     # a reference cycle through the search, or through the generator it
     # walks, would keep the image set (thousands of tuples for the amalgam
     # search here) alive until the cyclic collector runs; the fold certifies
-    # <a, b>, so the amalgam search is forced
+    # <a, b>, so the amalgam search is forced, and the commutator decides
+    # ping-pong in F2, so its walk runs in Z2*Z3
     _search_only(monkeypatch)
     sub, b = fold(f2, ["a"]), f2.parse("b")
-    g1, g2 = f2.parse("ab"), f2.parse("aB")
+    g1, g2 = z23.parse("xy"), z23.parse("yx")
     gc.collect()
     gc.disable()
     try:
         if search == "amalgam":
             assert amalgam_injectivity(sub, b, M=1, n_syllables=4).decided_by == "search"
         else:
-            free_subgroup_witness(g1, g2, 1, 5)
+            assert free_subgroup_witness(g1, g2, 2, 5)["decided_by"] == "search"
         assert gc.collect() < 50
     finally:
         gc.enable()
@@ -756,35 +757,56 @@ def test_free_witness_join_matches_a_per_word_search(pair, M, n):
         assert (rep["verdict"], rep["words_checked"]) == ("PASS", words)
 
 
-def test_free_witness_joins_half_words(f2, products):
-    # one product per half-word, 4 + 12 + 36 + 108 + 324 = 484 of at most 5
-    # letters, decides the 39,364 words of at most 9; the precondition and
-    # the powers make the rest (582 in all; a walk made 13,218, one per word
-    # whose seam merges)
+def test_free_witness_decides_f2_by_the_commutator(f2, products):
+    # [ab, aB] != 1 decides the 39,364 words of at most 9 letters; the
+    # precondition, the powers and the commutator make 100 products (a walk
+    # makes 13,218, one per word whose seam merges)
     rep = free_subgroup_witness(f2.parse("ab"), f2.parse("aB"), 1, 9)
-    assert rep["words_checked"] == 39364
+    assert (rep["words_checked"], rep["decided_by"]) == (39364, "commutator")
     assert products[0] <= 1000
 
 
-@pytest.mark.parametrize("n", [23, 40])
-def test_free_witness_over_budget_is_refused_before_any_half_word(f2, products, n):
-    # 2 (3^12 - 1) = 1,062,880 half-words of at most 12 letters; n = 0 makes
-    # the precondition's products and no half-word
-    g1, g2 = f2.parse("ab"), f2.parse("aB")
-    free_subgroup_witness(g1, g2, 1, 0)
-    precondition, products[0] = products[0], 0
-    with pytest.raises(BudgetExceeded, match="more than 1000000 half-words"):
-        free_subgroup_witness(g1, g2, 1, n)
-    assert products[0] == precondition
+def test_free_witness_in_f2_has_no_word_budget(f2):
+    rep = free_subgroup_witness(f2.parse("ab"), f2.parse("aB"), 1, 40)
+    assert (rep["verdict"], rep["decided_by"]) == ("PASS", "commutator")
+    assert rep["words_checked"] == 2 * (3 ** 40 - 1)
 
 
-def test_free_witness_budget_counts_half_words_exactly(f2, monkeypatch):
-    g1, g2 = f2.parse("ab"), f2.parse("aB")
+def test_free_witness_commutator_check_can_fail(f2, monkeypatch):
+    # ab and abab commute, so the precondition refuses them; past it, the
+    # commutator sends them to the walk, which finds the first identity
+    monkeypatch.setattr(theorems, "PROJECTION_BOUND", math.inf)
+    g1, g2 = f2.parse("ab"), f2.parse("abab")
+    with pytest.raises(CounterexampleFound) as exc:
+        free_subgroup_witness(g1, g2, 1, 4)
+    assert exc.value.witness == _per_word_ping_pong(g1, g2, 1, 4)[1]
+
+
+@pytest.mark.parametrize("n", [12, 40])
+def test_free_witness_walk_over_budget_is_refused_before_any_product(z23, products, n):
+    # 2 (3^12 - 1) = 1,062,880 words of at most 12 letters; n = 0 makes the
+    # precondition's and the powers' products and walks no word
+    g1, g2 = z23.parse("xy"), z23.parse("yx")
+    free_subgroup_witness(g1, g2, 2, 0)
+    before, products[0] = products[0], 0
+    with pytest.raises(BudgetExceeded, match="more than 1000000 words"):
+        free_subgroup_witness(g1, g2, 2, n)
+    assert products[0] == before
+
+
+def test_free_witness_walk_budget_counts_words_exactly(z23, products, monkeypatch):
+    # 2 (3^5 - 1) = 484 words of at most 5 letters
+    g1, g2 = z23.parse("xy"), z23.parse("yx")
+    free_subgroup_witness(g1, g2, 2, 0)
+    before = products[0]
     monkeypatch.setattr(theorems, "ELEMENT_CAP", 484)
-    assert free_subgroup_witness(g1, g2, 1, 9)["words_checked"] == 39364
+    rep = free_subgroup_witness(g1, g2, 2, 5)
+    assert (rep["words_checked"], rep["decided_by"]) == (484, "search")
     monkeypatch.setattr(theorems, "ELEMENT_CAP", 483)
-    with pytest.raises(BudgetExceeded, match="more than 483 half-words of at most 5 letters"):
-        free_subgroup_witness(g1, g2, 1, 9)
+    products[0] = 0
+    with pytest.raises(BudgetExceeded, match="more than 483 words of at most 5 letters"):
+        free_subgroup_witness(g1, g2, 2, 5)
+    assert products[0] == before
 
 
 def test_free_witness_same_axis_rejected(f2):

@@ -8,7 +8,9 @@ and the pytest node ids that the mutant must fail.  The repository is
 copied once to a temporary directory, and the union of the named tests
 runs there once unmutated.  Then each mutant is applied to the copy alone,
 its named tests run there (and no others), and the file is put back.
-Standard library only.
+Every run selects the ``mutants`` Hypothesis profile of
+``tests/conftest.py``, with fixed draws and no shrinking, so a verdict
+repeats on the same tree.  Standard library only.
 
 Per mutant the JSON output on standard output says:
   - ``killed``: every named test id has a failing case (an id of a file or
@@ -71,7 +73,8 @@ def verdict(mutant: dict, returncode: int | None, output: str) -> dict:
 def run_tests(tests: list[str], copy: Path) -> tuple[int | None, str]:
     """pytest's exit code and output for ``tests`` in the copy (``None``: timed out)."""
     env = {**os.environ, "PYTHONPATH": str(copy / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
-    cmd = [sys.executable, "-m", "pytest", "-q", "-rf", "-p", "no:cacheprovider", *tests]
+    cmd = [sys.executable, "-m", "pytest", "-q", "-rf", "-p", "no:cacheprovider",
+           "--hypothesis-profile=mutants", *tests]
     try:
         proc = subprocess.run(cmd, cwd=copy, env=env, capture_output=True, text=True,
                               timeout=TIMEOUT)
