@@ -42,11 +42,18 @@ from x to y.  Along that DAG:
    (d(x, p) + d(y, p) - d(x, y)) / 2 (Bridson-Haefliger III.H.1), so one
    two-pass DP over the ball's prefix tree per projection vertex p gives,
    for every y, its largest value over the sources x with pi x = p.
+   The prefix tree is ``_Region.parent``, read off the syllables, so an
+   F_k scan builds no rows and makes no word product per edge.
  - (3) and (4): canonical spellings (``Word.letters``) are prefix-closed,
    so they form a spanning tree of the DAG, and the canonical geodesic's
    length, projection range and first and last on-axis index ride down
-   that tree.  Only this walk reads the tree, so only the properties audit
-   builds it, once, from the region's rows and ``_canonical_steps``.
+   that tree from each source.  In F_k no walk per source is needed: the
+   geodesic from x to y runs x -> c -> y with c = lcp(x, y), so
+   ``_tree_maxima`` meets every pair once, at c, in one pass up the prefix
+   tree, and a walk runs only when its maxima are not a tree's, which a
+   right projection never brings about.  Only the walk reads the
+   canonical tree, so only the properties audit of a free product builds
+   it, once, from the region's rows and ``_canonical_steps``.
  - eta: the DAG vertices from which a later orbit point can be reached
    are the vertices on geodesics from x to later orbit points.
 The traversals only fill per-pair values.  The pairs are then scanned in
@@ -64,6 +71,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from functools import cached_property
 
 from .axes import ProjectionMap
 from .balls import ball_elements, refuse_pairs, sphere_counts
@@ -128,7 +136,10 @@ class _Region:
     ``n`` - 1 in their given order, and the far arcs of their cycles come
     after.  ``rows[v][j]`` is the id of v times ``_signed_letters``[j], or
     -1 outside the region, and ``nbrs[v]`` lists the neighbours of v inside
-    it; building them costs one word product per directed edge.
+    it; they are built on first use, at one word product per directed edge.
+    In F_k, with the identity first and every point after its parent (a
+    ball in ``ball_elements`` order), ``parent[v]`` is the id of v with its
+    last letter removed, and the root is its own parent.
     """
 
     def __init__(self, group, points: list[Word]):
@@ -154,9 +165,28 @@ class _Region:
                             ids[w] = len(words)
                             words.append(w)
         self.words = words
-        gens = [group.letter_table[l] for l in _signed_letters(group.orders)]
-        self.rows = [[ids.get(w * g, -1) for g in gens] for w in words]
-        self.nbrs = [[v for v in row if v >= 0] for row in self.rows]
+        self.ids = ids
+
+    @cached_property
+    def rows(self) -> list[list[int]]:
+        gens = [self.group.letter_table[l] for l in _signed_letters(self.group.orders)]
+        return [[self.ids.get(w * g, -1) for g in gens] for w in self.words]
+
+    @cached_property
+    def nbrs(self) -> list[list[int]]:
+        return [[v for v in row if v >= 0] for row in self.rows]
+
+    @cached_property
+    def parent(self) -> list[int]:
+        parent = [0] * self.n
+        for v in range(1, self.n):
+            w = self.words[v]
+            head = w.syllables[:-1]
+            i, e = w.syllables[-1]
+            if e != 1 and e != -1:
+                head += ((i, e - 1 if e > 0 else e + 1),)
+            parent[v] = self.ids[Word(self.group, head, w.length - 1)]
+        return parent
 
 
 def _with_prefixes(points: list[Word]) -> list[Word]:
@@ -241,22 +271,14 @@ def _cs2_delta(region: _Region, proj: list[Word], gaps) -> int:
 
     Per projection vertex p, every source x with proj[x] = p shares one
     gap row, so only the largest A_x over them counts.  In F_k the region
-    is a tree and ``_tree_approach`` gives that largest A_x at once; in a
-    free product, A_x is the ``_bottleneck`` BFS of d(., p) from each x.
+    is a tree and ``_tree_approach`` gives that largest A_x at once, over
+    the prefix tree of ``_Region.parent``, which needs the region's points
+    in ball order; in a free product, A_x is the ``_bottleneck`` BFS of
+    d(., p) from each x.
     """
     sources: dict[Word, list[int]] = {}  # projection vertex p -> its points
     for x in range(region.n):
         sources.setdefault(proj[x], []).append(x)
-    if region.group.is_free:
-        parent = [-1] * region.n
-        parent[0] = 0
-        order = [0]
-        for v in order:  # grows as the search goes
-            for w in region.nbrs[v]:
-                if parent[w] < 0:
-                    parent[w] = v
-                    order.append(w)
-        del order[0]
     needed = 0
     for p, xs in sources.items():
         row = gaps(xs[0])
@@ -265,7 +287,8 @@ def _cs2_delta(region: _Region, proj: list[Word], gaps) -> int:
             continue  # no pair from p's points can raise the running maximum
         col = [distance(w, p) for w in region.words]
         if region.group.is_free:
-            needed = max(needed, max(map(min, row, _tree_approach(order, parent, xs, col))))
+            approach = _tree_approach(range(1, region.n), region.parent, xs, col)
+            needed = max(needed, max(map(min, row, approach)))
             continue
         for x in xs:
             needed = max(needed, max(map(min, row, _bottleneck(region, x, col))))
@@ -378,6 +401,114 @@ def _canonical_tree(region: _Region, children, x: int, pos: list[int], on: list[
     return length, image
 
 
+def _tree_maxima(region: _Region, pos: list[int], on: list[bool]) -> tuple[int, int]:
+    """The largest |pos[x] - pos[y]| - d(x, y) and the largest image
+    |diam(A & gamma) - diam_A(gamma)| over the pairs of a tree region's
+    points (n >= 2), by one pass up the prefix tree (``_Region.parent``).
+
+    The geodesic of a pair runs x -> c -> y, c their longest common prefix,
+    so every pair is met once, at c, as two items of c: c itself, or a
+    child subtree of c.  The items merge into c one by one, each paired
+    with those merged before it.
+     - (3): d(x, y) = |x| + |y| - 2|c|, so the value is the larger of
+       (pos[x] - |x|) + (-pos[y] - |y|) + 2|c| and its mirror; an item
+       carries the largest pos - |w| and -pos - |w| over its points.
+     - (4): the path from c down to w has the signature (lo, hi, near,
+       far): its least and largest position, and the distances from c of
+       its nearest and farthest on-axis vertex (-1 when it has none).  An
+       item carries the distinct signatures of its points (``_image_across``).
+    Every edge is a pair of excess at least -1, hence the starting values.
+    """
+    parent, n = region.parent, region.n
+    length = [w.length for w in region.words[:n]]
+    up = [-math.inf] * n  # the largest pos - |w| over the items merged into v
+    down = [-math.inf] * n  # the largest -pos - |w| over them
+    sigs: list = [set() for _ in range(n)]  # their signatures, from v down
+    excess, image = -1, 0
+    for v in range(n - 1, -1, -1):  # a point's descendants come after it
+        # v's children have merged into v, and v itself is its last item
+        t, k = pos[v], length[v]
+        excess = max(excess, up[v] - t + k, down[v] + t + k)
+        up[v], down[v] = max(up[v], t - k), max(down[v], -t - k)
+        alone = (t, t, 0, 0) if on[v] else (t, t, -1, -1)
+        image = max(image, _image_across(sigs[v], [alone]))
+        sigs[v].add(alone)
+        if not v:
+            break
+        u = parent[v]  # v's subtree is an item of u
+        twice = 2 * length[u]
+        excess = max(excess, up[u] + down[v] + twice, up[v] + down[u] + twice)
+        up[u], down[u] = max(up[u], up[v]), max(down[u], down[v])
+        t, a = pos[u], on[u]
+        grown = set()
+        for lo, hi, near, far in sigs[v]:
+            if far >= 0:
+                near, far = (0 if a else near + 1), far + 1
+            elif a:
+                near = far = 0
+            grown.add((t if t < lo else lo, t if t > hi else hi, near, far))
+        image = max(image, _image_across(sigs[u], grown))
+        sigs[u] |= grown
+        sigs[v] = None
+    return excess, image
+
+
+def _image_across(left, right) -> int:
+    """The largest image over the geodesics joined from a path signature
+    of ``left`` and one of ``right``, two items of one branch point c
+    (``_tree_maxima``): on it the axis spans far_x + far_y when both paths
+    meet the axis, far - near when one does and 0 when neither does, and
+    the image is |span - (max hi - min lo)|."""
+    image = 0
+    for lo, hi, near, far in left:
+        for lo2, hi2, near2, far2 in right:
+            if near >= 0:
+                span = far + far2 if near2 >= 0 else far - near
+            else:
+                span = far2 - near2 if near2 >= 0 else 0
+            diam = (hi if hi > hi2 else hi2) - (lo if lo < lo2 else lo2)
+            if abs(span - diam) > image:
+                image = abs(span - diam)
+    return image
+
+
+def _lipschitz_image(region: _Region, pos: list[int], on: list[bool]):
+    """(theta3, theta4, witnesses) of properties (3) and (4) over the pairs
+    of the region's points, x before y: the largest of 0 and
+    |pos[x] - pos[y]| - d(x, y), the largest image along the canonical
+    geodesic, and as witness of each the first pair that sets its running
+    maximum.
+
+    In F_k ``_tree_maxima`` decides.  When its maxima are a tree's (no
+    positive excess, image 0), the first pair is both witnesses; otherwise,
+    which only a wrong projection brings about, and on free products, one
+    ``_canonical_tree`` walk per source finds them.
+    """
+    words, n = region.words, region.n
+    if region.group.is_free and n > 1:
+        excess, image = _tree_maxima(region, pos, on)
+        if excess <= 0 and image == 0:
+            first = f"x={words[0]}, y={words[1]}"
+            return 0, 0, {"lipschitz": first, "intersection_image": first}
+    witnesses: dict[str, str] = {}
+    theta3 = theta4 = 0
+    step = _canonical_steps(region.group.orders)
+    children = [[[(v, s) for v, s in zip(row, after) if v >= 0 and s >= 0]
+                 for row in region.rows] for after in step]
+    for x in range(n):
+        length, image = _canonical_tree(region, children, x, pos, on)
+        tx = pos[x]
+        for y in range(x + 1, n):
+            excess = abs(tx - pos[y]) - length[y]  # length[y] = d(x, y)
+            if excess > theta3 or "lipschitz" not in witnesses:
+                theta3 = max(theta3, excess)
+                witnesses["lipschitz"] = f"x={words[x]}, y={words[y]}"
+            if image[y] > theta4 or "intersection_image" not in witnesses:
+                theta4 = max(theta4, image[y])
+                witnesses["intersection_image"] = f"x={words[x]}, y={words[y]}"
+    return theta3, theta4, witnesses
+
+
 @dataclass(frozen=True)
 class AuditTable:
     """Measured constants for the elementary projection properties."""
@@ -482,27 +613,10 @@ def elementary_properties_audit(pm_a: ProjectionMap, pm_b: ProjectionMap | None,
 
     # (3) coarse Lipschitz and (4) intersection-image, per pair, along
     # the canonical geodesic
-    theta3 = 0
-    theta4 = 0
-    words = region.words
-    projected = [pm_a.project(w) for w in words]
-    pos = [p.position for p in projected]
-    on = [p.dist == 0 for p in projected]
-    n = region.n
-    step = _canonical_steps(group.orders)
-    children = [[[(v, s) for v, s in zip(row, after) if v >= 0 and s >= 0]
-                 for row in region.rows] for after in step]
-    for x in range(n):
-        length, image = _canonical_tree(region, children, x, pos, on)
-        tx = pos[x]
-        for y in range(x + 1, n):
-            excess = abs(tx - pos[y]) - length[y]  # length[y] = d(x, y)
-            if excess > theta3 or "lipschitz" not in witnesses:
-                theta3 = max(theta3, excess)
-                witnesses["lipschitz"] = f"x={words[x]}, y={words[y]}"
-            if image[y] > theta4 or "intersection_image" not in witnesses:
-                theta4 = max(theta4, image[y])
-                witnesses["intersection_image"] = f"x={words[x]}, y={words[y]}"
+    projected = [pm_a.project(w) for w in region.words]
+    theta3, theta4, found = _lipschitz_image(region, [p.position for p in projected],
+                                             [p.dist == 0 for p in projected])
+    witnesses.update(found)
 
     # (5) Behrstock inequality for the pair of axes
     theta5 = None

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from typing import ClassVar
 
 from .axes import Axis, ProjectionMap
-from .balls import ELEMENT_CAP, ball_elements, sphere_counts
+from .balls import ELEMENT_CAP, ball_elements, refuse_elements, sphere_counts
 from .closure import SeparationSelector, _coset_words, subgroup_closure_intersection
 from .errors import BudgetExceeded, CounterexampleFound, HypothesisFailed, PreconditionFailed
 from .groups import MarkedGroup, Word, cyclic_reduce, distance, is_torsion
@@ -198,8 +198,9 @@ def amalgam_injectivity(subgroup, g: Word, M: int, n_syllables: int,
     are the ball-bounded elements of H - (H&E) and <g^M, H&E> - (H&E), must
     map to a nontrivial image, and, with H&E trivial, distinct words to
     distinct images.  One listing of H & B(o, letter_cap + 2) gives H & E
-    and, cut at letter_cap in order, the H-pool.  ``decided_by`` names what
-    decided the verdict: "fold" or "search".
+    and, cut at letter_cap in order, the H-pool; where the fold certifies,
+    nothing is listed (below).  ``decided_by`` names what decided the
+    verdict: "fold" or "search".
 
     In F_k one Stallings fold decides it (``_fold_certifies``).  Finitely
     generated free groups are Hopfian: H * <g^M> is free of rank
@@ -211,9 +212,10 @@ def amalgam_injectivity(subgroup, g: Word, M: int, n_syllables: int,
     ``words_checked`` the exact size of the sample, and searches nothing.
     No H & E guard is needed.  E(g) is cyclic, so a nontrivial H & E(g)
     meets <g^M> nontrivially; then the map is not injective, rank(K) is at
-    most rank(H), and the search runs.  Any other rank, and every subgroup
-    of a free product, goes to the search, which finds the witness or
-    passes on the sample.
+    most rank(H), and the search runs.  So where the fold certifies, H & E
+    is {1}, and the H-pool's size is read off ``counts_by_length``.  Any
+    other rank, and every subgroup of a free product, goes to the search,
+    which finds the witness or passes on the sample.
 
     The search (``_search``) walks the sample word by word, depth-first,
     H-letters first, each pool in its order, and keys each word by its
@@ -223,9 +225,11 @@ def amalgam_injectivity(subgroup, g: Word, M: int, n_syllables: int,
     passing search visits exactly the sample, so ``words_checked`` is its
     size on both paths.
 
-    Refusals come before the fold and the search.  g^M in H, which empties
-    the <g^M>-pool, is refused before H is listed (PreconditionFailed), and
-    more than ``ELEMENT_CAP`` words, counted from the pool sizes, after
+    Refusals come in one order, whether the fold certifies or not.  g^M
+    in H, which empties the <g^M>-pool, is refused first
+    (PreconditionFailed); then more than ``ELEMENT_CAP`` elements of
+    H & B(o, letter_cap + 2), counted before any is listed, an empty pool,
+    and more than ``ELEMENT_CAP`` words, counted from the pool sizes
     (BudgetExceeded).  In F_k, with g = c w c^-1 and w cyclically reduced,
     |g^M| = 2|c| + M|w| and every <g^M>-letter has length
     >= |g^M| - (letter_cap + 2), so a pool this bound empties is refused
@@ -238,28 +242,36 @@ def amalgam_injectivity(subgroup, g: Word, M: int, n_syllables: int,
     power = g ** M
     if subgroup.contains(power):
         raise PreconditionFailed(EMPTY_POOL)
-    listed = list(subgroup.elements_in_ball(letter_cap + 2))
-    f_elements = subgroup_closure_intersection(listed, g)
-    f_set = set(f_elements)
-    collisions = all(f.is_identity for f in f_elements)
-    pool_h = [h for h in listed if 0 < h.length <= letter_cap and h not in f_set]
+    certified = isinstance(subgroup, CoreGraph) and _fold_certifies(subgroup, power)
+    if certified:  # H & E(g) is trivial: count the pool H & B(o, letter_cap) - 1
+        counts = subgroup.counts_by_length(letter_cap + 2)
+        refuse_elements(sum(counts), f"of H in B(o, {letter_cap + 2})")
+        f_elements = [g.group.identity()]
+        h = sum(counts[1:letter_cap + 1])
+    else:
+        listed = list(subgroup.elements_in_ball(letter_cap + 2))
+        f_elements = subgroup_closure_intersection(listed, g)
+        f_set = set(f_elements)
+        pool_h = [u for u in listed if 0 < u.length <= letter_cap and u not in f_set]
+        h = len(pool_h)
     pool_k = [w for w in _coset_words(g, M, f_elements, AMALGAM_J_MAX)
               if w.length <= letter_cap]
-    if not pool_h or not pool_k:
+    if not h or not pool_k:
         raise PreconditionFailed(EMPTY_POOL)
-    sample = _alternating_words(len(pool_h), len(pool_k), n_syllables)
+    sample = _alternating_words(h, len(pool_k), n_syllables)
     if sample > ELEMENT_CAP:
         raise BudgetExceeded(f"more than {ELEMENT_CAP} alternating words of at most "
-                             f"{n_syllables} letters from pools of {len(pool_h)} and "
+                             f"{n_syllables} letters from pools of {h} and "
                              f"{len(pool_k)} letters")
     report = dict(verdict="PASS", words_checked=sample, max_syllables=n_syllables,
-                  letter_cap=letter_cap, M=M, pool_h=len(pool_h), pool_k=len(pool_k),
+                  letter_cap=letter_cap, M=M, pool_h=h, pool_k=len(pool_k),
                   h_cap_e=tuple(str(f) for f in f_elements))
-    if isinstance(subgroup, CoreGraph) and _fold_certifies(subgroup, power):
+    if certified:
         return AmalgamReport(decided_by="fold", **report)
 
-    letters, h = pool_h + pool_k, len(pool_h)
+    letters = pool_h + pool_k
     follows = [range(h, len(letters))] * h + [range(h)] * len(pool_k)
+    collisions = all(f.is_identity for f in f_elements)
     images: set[tuple] = set()
 
     def spelled(trail: list[int]) -> list[str]:

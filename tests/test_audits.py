@@ -7,6 +7,7 @@ import dataclasses
 import functools
 import itertools
 import math
+import os
 import random
 from unittest import mock
 
@@ -157,10 +158,9 @@ def test_axis_audit_oracle(orders, g, delta_cs2, monkeypatch):
 
 
 def test_constriction_scan_makes_few_products(f2, monkeypatch):
-    # one traversal per source over an interned graph: one product per
-    # directed edge of B(o, 4) plus one per projection, 813 here, where
-    # a scan that forms x^-1 y makes at least one per pair.  Counts repeat
-    # exactly, so the bound cannot flake.
+    # in F_k the scan builds no edge of B(o, 4): about one product per
+    # projection, 169 here, where a scan that forms x^-1 y makes at least
+    # one per pair.  Counts repeat exactly, so the bound cannot flake.
     products = 0
     mul = Word.__mul__
 
@@ -178,9 +178,10 @@ def test_constriction_scan_makes_few_products(f2, monkeypatch):
 @pytest.mark.parametrize("descriptor, axis", [("free:2", "ab"), ("product:4,4", "xy")])
 def test_only_the_properties_walk_builds_canonical_rows(descriptor, axis, monkeypatch):
     """The canonical rows (the ``_canonical_steps`` table on a region) feed
-    only the walk of properties (3) and (4): its audit builds them once, at
-    r = 4 too, where (7) scans a region of its own, and the constriction
-    and eta scans build none."""
+    only the walk of properties (3) and (4), which F_k does not run: on a
+    free product its audit builds them once, at r = 4 too, where (7) scans
+    a region of its own, in F_k never, and the constriction and eta scans
+    build none."""
     builds = [0]
     steps = audits._canonical_steps
 
@@ -196,7 +197,7 @@ def test_only_the_properties_walk_builds_canonical_rows(descriptor, axis, monkey
         quasiconvexity_audit(SubgroupOrbit(fold(group, ["a", "baB"])), 4)
     assert builds[0] == 0
     elementary_properties_audit(pm, None, 4)
-    assert builds[0] == 1
+    assert builds[0] == (0 if group.is_free else 1)
 
 
 def test_set_projection_breaks_ties_by_label(f2):
@@ -351,6 +352,124 @@ def test_tree_cs2_matches_the_pair_scan_on_any_projection(data):
     delta = audits._cs2_delta(region, proj, lambda x: [distance(proj[x], q) for q in proj])
     assert delta == oracles.cs2_by_pairs(points, {x: (p, p) for x, p in zip(points, proj)},
                                          distance)
+
+
+def test_free_pair_audits_make_no_walk_per_source(f2, monkeypatch):
+    """In F_k, properties (3) and (4) come from the merge at the branch
+    point alone: with ``_canonical_tree`` refused, the audit still equals
+    the per-pair oracle, witnesses included, on a conjugated axis too.  A
+    free product still walks."""
+    walk = audits._canonical_tree
+
+    def refused(*args):
+        raise AssertionError("a canonical-tree walk per source in a tree")
+
+    monkeypatch.setattr(audits, "_canonical_tree", refused)
+    for axis, r in (("ab", 4), ("baB", 3)):
+        pm = ProjectionMap(Axis(f2.parse(axis)))
+        table = elementary_properties_audit(pm, None, r)
+        theta3, theta4, witnesses = oracles.lipschitz_image_by_pairs(pm, r)
+        assert (table.theta_lipschitz, table.theta_intersection_image) == (theta3, theta4)
+        assert witnesses.items() <= dict(table.witnesses).items()
+
+    calls = []
+
+    def counting(*args):
+        calls.append(args[2])
+        return walk(*args)
+
+    monkeypatch.setattr(audits, "_canonical_tree", counting)
+    z44 = MarkedGroup.from_descriptor("product:4,4")
+    elementary_properties_audit(ProjectionMap(Axis(z44.parse("xy"))), None, 3)
+    assert calls
+
+
+def _pair_scan(points, pos, on):
+    """Properties (3) and (4) pair by pair on a ball of F_k, for arbitrary
+    positions and on-axis flags: the largest excess (not floored at 0),
+    the largest image, and the scan's (theta3, theta4, witnesses).  The
+    geodesic of x and y is read off their strings: up x to the common
+    prefix, then down to y."""
+    label = [str(w).replace("1", "") for w in points]
+    index = {s: i for i, s in enumerate(label)}
+    top3, top4 = None, 0
+    theta3 = theta4 = 0
+    witnesses = {}
+    for i, j in itertools.combinations(range(len(points)), 2):
+        x, y = label[i], label[j]
+        c = len(os.path.commonprefix([x, y]))
+        path = [index[x[:k]] for k in range(len(x), c - 1, -1)] + \
+            [index[y[:k]] for k in range(c + 1, len(y) + 1)]
+        excess = abs(pos[i] - pos[j]) - (len(path) - 1)
+        hits = [k for k, v in enumerate(path) if on[v]]
+        spread = [pos[v] for v in path]
+        image = abs((hits[-1] - hits[0] if hits else 0) - (max(spread) - min(spread)))
+        top3 = excess if top3 is None else max(top3, excess)
+        top4 = max(top4, image)
+        pair = f"x={points[i]}, y={points[j]}"
+        if excess > theta3 or "lipschitz" not in witnesses:
+            theta3 = max(theta3, excess)
+            witnesses["lipschitz"] = pair
+        if image > theta4 or "intersection_image" not in witnesses:
+            theta4 = max(theta4, image)
+            witnesses["intersection_image"] = pair
+    return (top3, top4), (theta3, theta4, witnesses)
+
+
+@st.composite
+def axis_positions(draw):
+    """B(o, r) of F2 or F3, r in {2, 3}, with the positions and on-axis
+    flags of a nearest-point map onto a random axis, of which up to six
+    points get their position moved or their flag flipped."""
+    rank, r = draw(st.sampled_from((2, 3))), draw(st.integers(2, 3))
+    group = MarkedGroup.free(rank)
+    signed = [s * (i + 1) for i in range(rank) for s in (1, -1)]
+    word = group.from_letters(draw(st.lists(st.sampled_from(signed), min_size=1, max_size=3)))
+    assume(word.length >= 1)
+    pm = ProjectionMap(Axis(word))
+    points = _free_ball(rank, r)
+    pos = [pm.project(x).position for x in points]
+    on = [pm.project(x).dist == 0 for x in points]
+    for _ in range(draw(st.integers(0, 6))):
+        v = draw(st.integers(0, len(points) - 1))
+        if draw(st.booleans()):
+            pos[v] += draw(st.integers(-3, 3))
+        else:
+            on[v] = not on[v]
+    return points, pos, on
+
+
+def _one_late_position():
+    """B(o, 3) of F2 on the axis of ab, with the last point's position
+    raised by 5: the largest excess is positive and set only by pairs with
+    the last point, the last pairs of the scan."""
+    points, pm = _free_ball(2, 3), ProjectionMap(Axis(MarkedGroup.free(2).parse("ab")))
+    pos = [pm.project(x).position for x in points]
+    pos[-1] += 5
+    return points, pos, [pm.project(x).dist == 0 for x in points]
+
+
+def _raised_above_its_ancestor():
+    """B(o, 2) of F2, every position 0 and no point on the axis, but a at
+    2: an excess of 1 only between a and its parent or children, so only
+    pairs of which one point is an ancestor of the other reach it."""
+    points = _free_ball(2, 2)
+    return points, [2 if str(x) == "a" else 0 for x in points], [False] * len(points)
+
+
+@given(axis_positions())
+@example(_one_late_position())
+@example(_raised_above_its_ancestor())
+@settings(max_examples=30, deadline=None)
+def test_tree_merge_matches_the_pair_scan_on_any_positions(data):
+    """_tree_maxima gives the per-pair maxima of (3) and (4), for any
+    positions and flags, and _lipschitz_image the scan's values and
+    witnesses, the first pair that sets each running maximum."""
+    points, pos, on = data
+    maxima, scan = _pair_scan(points, pos, on)
+    region = audits._Region(points[0].group, points)
+    assert audits._tree_maxima(region, pos, on) == maxima
+    assert audits._lipschitz_image(region, pos, on) == scan
 
 
 def _off_region(group, ball, region):

@@ -32,6 +32,10 @@ assert not tracer.saved
 def test_selector_and_amalgam_layers_record_self_time(tmp_path):
     sub = tmp_path / "a.txt"
     sub.write_text("a\n")
+    # H = <ba, aBa> and b^2: the fold does not certify, so amalgam lists H
+    # and filters H & E(g) from the listing
+    searched = tmp_path / "ba.txt"
+    searched.write_text("ba\naBa\n")
     script = f"""
 import sys
 sys.path[:0] = [{str(ROOT / 'perfbench')!r}, {str(ROOT / 'src')!r}]
@@ -40,9 +44,10 @@ from growthlab import cli
 tracer = tracing.Tracer()
 tracer.install()
 tracer.start_pass()
-for argv in (["selector", "--g0", "b", "--rmax", "4"],
-             ["amalgam", "--g0", "b", "--syllables", "3", "--letter-cap", "3"]):
-    assert cli.main(argv + ["--group", "free:2", "--subgroup", {str(sub)!r},
+for argv in (["selector", "--g0", "b", "--rmax", "4", "--subgroup", {str(sub)!r}],
+             ["amalgam", "--g0", "b", "-M", "2", "--syllables", "3", "--letter-cap", "3",
+              "--subgroup", {str(searched)!r}]):
+    assert cli.main(argv + ["--group", "free:2",
                             "--out", {str(tmp_path / 'out.json')!r}]) == 0
 tracer.uninstall()
 for name in ("closure.find_selector_power", "theorems.coarse_quotient_check",

@@ -302,6 +302,18 @@ def test_amalgam_fold_decides_without_searching(f2, monkeypatch, gens, M, n, wor
     assert rep.words_checked == theorems._alternating_words(rep.pool_h, rep.pool_k, n)
 
 
+def test_amalgam_fold_lists_no_element_of_h(f2, monkeypatch):
+    """Where the fold certifies, H & E(g) is {1} and the H-pool is counted
+    on the core: with the listing refused, <a, baB>, b, M = 4, n = 4 gives
+    the report it gave with its listing."""
+    sub = fold(f2, ["a", "baB"])
+    monkeypatch.setattr(sub, "elements_in_ball", lambda r: pytest.fail("listed H"))
+    rep = amalgam_injectivity(sub, f2.parse("b"), M=4, n_syllables=4)
+    assert rep == AmalgamReport(verdict="PASS", decided_by="fold", words_checked=4182,
+                                max_syllables=4, letter_cap=4, M=4, pool_h=20, pool_k=2,
+                                h_cap_e=("1",))
+
+
 def _search_only(patch):
     """Make amalgam_injectivity search every case, as if no fold certified one."""
     patch.setattr(theorems, "_fold_certifies", lambda core, power: False)
