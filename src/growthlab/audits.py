@@ -230,25 +230,25 @@ def _bottleneck(region: _Region, x: int, col: list[int]) -> list[int]:
     return reach
 
 
-def _tree_approach(order: list[int], parent: list[int], xs: list[int],
-                   col: list[int]) -> list[int]:
+def _tree_approach(parent: list[int], xs: list[int], col: list[int]) -> list[int]:
     """The largest, over the sources ``xs``, of the least distance from p
     to the geodesic [x, y], for every y of a tree region; ``col`` is d(., p).
 
     That distance is the Gromov product (col[x] + col[y] - d(x, y)) / 2,
     an integer, since a triangle's perimeter is even in a tree.  So only
     far[y] = max over xs of col[x] - d(x, y) is needed, and it takes two
-    passes over the tree: ``order`` lists its vertices but the root, each
-    after its parent.
+    passes over the tree of ``parent`` (``_Region.parent``), whose root is
+    0 and whose vertices come each after its parent.
     """
-    far = [-len(col)] * len(col)  # below any col[x] - d(x, y)
+    n = len(parent)
+    far = [-n] * n  # below any col[x] - d(x, y)
     for x in xs:
         far[x] = col[x]
-    for v in reversed(order):  # leaves up: the sources below v
+    for v in range(n - 1, 0, -1):  # leaves up: the sources below v
         u = parent[v]
         if far[v] - 1 > far[u]:
             far[u] = far[v] - 1
-    for v in order:  # root down: the sources beyond v's parent
+    for v in range(1, n):  # root down: the sources beyond v's parent
         u = parent[v]
         if far[u] - 1 > far[v]:
             far[v] = far[u] - 1
@@ -287,8 +287,7 @@ def _cs2_delta(region: _Region, proj: list[Word], gaps) -> int:
             continue  # no pair from p's points can raise the running maximum
         col = [distance(w, p) for w in region.words]
         if region.group.is_free:
-            approach = _tree_approach(range(1, region.n), region.parent, xs, col)
-            needed = max(needed, max(map(min, row, approach)))
+            needed = max(needed, max(map(min, row, _tree_approach(region.parent, xs, col))))
             continue
         for x in xs:
             needed = max(needed, max(map(min, row, _bottleneck(region, x, col))))

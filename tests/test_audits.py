@@ -392,7 +392,7 @@ def _pair_scan(points, pos, on):
     prefix, then down to y."""
     label = [str(w).replace("1", "") for w in points]
     index = {s: i for i, s in enumerate(label)}
-    top3, top4 = None, 0
+    top3, top4 = -math.inf, 0
     theta3 = theta4 = 0
     witnesses = {}
     for i, j in itertools.combinations(range(len(points)), 2):
@@ -404,7 +404,7 @@ def _pair_scan(points, pos, on):
         hits = [k for k, v in enumerate(path) if on[v]]
         spread = [pos[v] for v in path]
         image = abs((hits[-1] - hits[0] if hits else 0) - (max(spread) - min(spread)))
-        top3 = excess if top3 is None else max(top3, excess)
+        top3 = max(top3, excess)
         top4 = max(top4, image)
         pair = f"x={points[i]}, y={points[j]}"
         if excess > theta3 or "lipschitz" not in witnesses:
